@@ -224,7 +224,7 @@ def cmd_graph(args) -> int:
             raise DayRangeError(f"--day {args.day} outside [{days[0]}, {days[-1]}]")
         days = [args.day]
     graphs = [build_day_graphs(panel, t, lookback) for t in days]
-    write_graphs(graphs, _graph_dir(resolved))
+    write_graphs(graphs, _graph_dir(resolved), merge=args.day is not None)
     print(f"wrote graphs for {len(days)} day(s) x {panel.num_stocks} stocks to {_graph_dir(resolved)}")
     return 0
 
@@ -349,8 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="load raw CSVs, align, and cache the panel")
     p_ingest.set_defaults(func=cmd_ingest)
 
-    p_graph = sub.add_parser("graph", help="build per-day adjacency CSVs from the cached panel")
-    p_graph.add_argument("--day", type=int, default=None, help="build a single end-day index")
+    p_graph = sub.add_parser(
+        "graph", help="cache each day's per-stock energy and entropy (one CSV per day) from the panel"
+    )
+    p_graph.add_argument(
+        "--day", type=int, default=None, help="build a single end-day index and add it to the cache"
+    )
     p_graph.set_defaults(func=cmd_graph)
 
     p_train = sub.add_parser("train", help="train and write checkpoint + loss trace")

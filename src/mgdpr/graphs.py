@@ -10,12 +10,20 @@ no sparsification is applied here — pruning task-irrelevant edges is the
 diffusion stage's job. Weights are reciprocal in pairs (w_ij * w_ji = 1)
 with an exactly-unit diagonal, and a row-normalized variant is provided for
 numerically better-conditioned model input.
+
+The weight depends on two numbers per stock, so each relation's matrix is
+the rank-one outer ratio w_ij = s_i / s_j with s = energy * exp(entropy).
+:func:`stock_factors` computes the per-stock numbers and :func:`outer_ratio`
+expands them; the graph cache stores only the factors (R * N numbers per
+day, not R * N**2 edges) and rebuilds the matrices with the same
+expression, so reloaded matrices are bit-identical to freshly built ones.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,14 +34,22 @@ from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
+GRAPH_FORMAT = "mgdpr-graph-factors/1"
+_DAY_HEADER = "relation,stock,energy,entropy"
 
 
 @dataclass
 class MultiRelAdjacency:
-    """Stack of per-relation directed weighted adjacency matrices for one day."""
+    """Stack of per-relation directed weighted adjacency matrices for one day.
+
+    ``energy`` and ``entropy`` hold the per-stock factors the matrices were
+    expanded from, when known; only stacks that carry them can be cached.
+    """
 
     t_index: int
     matrices: np.ndarray  # (num_relations, num_stocks, num_stocks), strictly positive
+    energy: np.ndarray | None = None  # (num_relations, num_stocks)
+    entropy: np.ndarray | None = None  # (num_relations, num_stocks)
 
     @property
     def num_stocks(self) -> int:
@@ -69,12 +85,12 @@ def information_entropy(x, decimals: int = ENTROPY_DECIMALS) -> float:
     return min(max(h, 0.0), math.log(n))
 
 
-def build_adjacency(window: np.ndarray, tickers: list[str] | None = None) -> np.ndarray:
-    """Dense positive edge-weight matrix for one relation's (N, lookback) window.
+def stock_factors(window: np.ndarray, tickers: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stock signal energy and information entropy of one relation's
+    (N, lookback) window.
 
-    Entry (i, j) weights the directed edge from stock i to stock j. The
-    formula makes the diagonal exactly 1 and opposite edges exact
-    reciprocals up to float rounding.
+    Raises :class:`DegenerateSeriesError`, naming the stock, when a window's
+    energy is below ``ENERGY_FLOOR`` (its ratios would blow up).
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
@@ -88,21 +104,46 @@ def build_adjacency(window: np.ndarray, tickers: list[str] | None = None) -> np.
             f"{name}: window energy {energy[i]:.3e} below floor {ENERGY_FLOOR:.0e}"
         )
     entropy = np.array([information_entropy(row) for row in window])
+    return energy, entropy
+
+
+def outer_ratio(energy: np.ndarray, entropy: np.ndarray) -> np.ndarray:
+    """Dense (N, N) matrix energy_i / energy_j * exp(entropy_i - entropy_j).
+
+    Every adjacency matrix, built or reloaded, is expanded by this one
+    expression, so equal factors give bit-identical matrices.
+    """
     return (energy[:, None] / energy[None, :]) * np.exp(entropy[:, None] - entropy[None, :])
 
 
+def build_adjacency(window: np.ndarray, tickers: list[str] | None = None) -> np.ndarray:
+    """Dense positive edge-weight matrix for one relation's (N, lookback) window.
+
+    Entry (i, j) weights the directed edge from stock i to stock j. The
+    formula makes the diagonal exactly 1 and opposite edges exact
+    reciprocals up to float rounding.
+    """
+    return outer_ratio(*stock_factors(window, tickers))
+
+
+def _expand(t: int, energy: np.ndarray, entropy: np.ndarray) -> MultiRelAdjacency:
+    matrices = np.stack([outer_ratio(energy[r], entropy[r]) for r in range(len(energy))])
+    return MultiRelAdjacency(t_index=t, matrices=matrices, energy=energy, entropy=entropy)
+
+
 def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjacency:
-    """Adjacency stack for the window ending at calendar index ``t``."""
+    """Adjacency stack, with its factors, for the window ending at calendar index ``t``."""
     if t < lookback - 1 or t >= panel.num_days:
         raise DayRangeError(
             f"end day {t} outside [{lookback - 1}, {panel.num_days - 1}] for lookback {lookback}"
         )
-    n = panel.num_stocks
-    matrices = np.empty((len(RELATIONS), n, n), dtype=np.float64)
-    for r in range(len(RELATIONS)):
-        window = panel.data[:, r, t - lookback + 1 : t + 1]
-        matrices[r] = build_adjacency(window, panel.tickers)
-    return MultiRelAdjacency(t_index=t, matrices=matrices)
+    factors = [
+        stock_factors(panel.data[:, r, t - lookback + 1 : t + 1], panel.tickers)
+        for r in range(len(RELATIONS))
+    ]
+    energy = np.array([e for e, _ in factors])
+    entropy = np.array([h for _, h in factors])
+    return _expand(t, energy, entropy)
 
 
 def row_normalize_for_model(adjacency: np.ndarray) -> np.ndarray:
@@ -113,68 +154,146 @@ def row_normalize_for_model(adjacency: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # graph cache
+#
+# <directory>/index.json      {"format", "days", "relations", "num_stocks"}
+# <directory>/dayNNNNN.csv    header "relation,stock,energy,entropy", then one
+#                             row per (relation, stock), relations in RELATIONS
+#                             order, stocks 0..N-1 within each relation
 
 
-def _graph_filename(t: int, relation: str) -> str:
-    return f"day{t:05d}_{relation}.csv"
+def _day_filename(t: int) -> str:
+    return f"day{t:05d}.csv"
 
 
-def write_graphs(graphs: list[MultiRelAdjacency], directory) -> None:
-    """One edge-list CSV per (day, relation), raw and row-normalized forms.
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary sibling, so ``path`` is never half-written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
-    Weights are written with ``repr`` (shortest round-trip form, up to 17
-    significant digits) so reloading is bit-exact.
+
+def write_graphs(graphs: list[MultiRelAdjacency], directory, merge: bool = False) -> None:
+    """Cache each day's per-stock energy and entropy, one CSV per day.
+
+    A day's file holds R * N rows; the matrices are rebuilt from them on
+    read. Values are written with ``repr`` (shortest round-trip form) so
+    reloading is bit-exact. Every file goes through a temporary sibling and
+    ``os.replace``, so an interrupted write never leaves a partial file under
+    its final name. ``index.json`` lists the written days; with ``merge`` it
+    also keeps the days of an existing index of the same format and stock
+    count. Stacks without factors (hand-made matrices) raise
+    :class:`UsageError`.
     """
     directory = Path(directory)
-    for form in ("raw", "normalized"):
-        (directory / form).mkdir(parents=True, exist_ok=True)
     for adj in graphs:
+        if adj.energy is None or adj.entropy is None:
+            raise UsageError(
+                f"day {adj.t_index}: adjacency stack has no per-stock factors to cache; "
+                "build it with build_day_graphs"
+            )
+    n = graphs[0].num_stocks if graphs else 0
+    directory.mkdir(parents=True, exist_ok=True)
+    for adj in graphs:
+        lines = [_DAY_HEADER]
         for r, relation in enumerate(RELATIONS):
-            for form, matrix in (
-                ("raw", adj.matrices[r]),
-                ("normalized", row_normalize_for_model(adj.matrices[r])),
-            ):
-                path = directory / form / _graph_filename(adj.t_index, relation)
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write("i,j,weight\n")
-                    n = matrix.shape[0]
-                    for i in range(n):
-                        for j in range(n):
-                            f.write(f"{i},{j},{float(matrix[i, j])!r}\n")
-    index = {
-        "days": [g.t_index for g in graphs],
-        "relations": list(RELATIONS),
-        "num_stocks": graphs[0].num_stocks if graphs else 0,
-        "forms": ["raw", "normalized"],
-    }
-    with open(directory / "index.json", "w", encoding="utf-8") as f:
-        json.dump(index, f, indent=2, sort_keys=True)
-        f.write("\n")
+            for i in range(n):
+                lines.append(f"{relation},{i},{float(adj.energy[r, i])!r},{float(adj.entropy[r, i])!r}")
+        _write_atomic(directory / _day_filename(adj.t_index), "\n".join(lines) + "\n")
+    days = {g.t_index for g in graphs}
+    if merge:
+        try:
+            existing = _read_index(directory)
+        except FormatError:
+            existing = None  # absent, damaged or another format: nothing to keep
+        if existing is not None and existing["num_stocks"] == n:
+            days.update(existing["days"])
+    index = {"format": GRAPH_FORMAT, "days": sorted(days), "relations": list(RELATIONS), "num_stocks": n}
+    _write_atomic(directory / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
+
+
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"{path}: {what} not found") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"{path}: unreadable {what} ({e})") from e
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_index(directory: Path) -> dict:
+    path = directory / "index.json"
+    try:
+        index = json.loads(_read_text(path, "graph index"))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: graph index is not valid JSON ({e})") from e
+    if not isinstance(index, dict) or index.get("format") != GRAPH_FORMAT:
+        found = index.get("format") if isinstance(index, dict) else None
+        raise FormatError(f"{path}: graph index format {found!r}, expected {GRAPH_FORMAT!r}")
+    if index.get("relations") != list(RELATIONS):
+        raise FormatError(f"{path}: relations {index.get('relations')!r}, expected {list(RELATIONS)}")
+    n, days = index.get("num_stocks"), index.get("days")
+    if not (_is_int(n) and n >= 0):
+        raise FormatError(f"{path}: num_stocks {n!r} is not a count")
+    if not (isinstance(days, list) and all(_is_int(t) for t in days)):
+        raise FormatError(f"{path}: days {days!r} is not a list of day indices")
+    return index
+
+
+def _read_day(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse and check one day file: header, row count, row order, values."""
+    text = _read_text(path, "graph file")
+    if not text.endswith("\n"):
+        raise FormatError(f"{path}: truncated (no final newline)")
+    lines = text[:-1].split("\n")
+    if lines[0] != _DAY_HEADER:
+        raise FormatError(f"{path}: unexpected header {lines[0]!r}")
+    expected = len(RELATIONS) * n
+    if len(lines) - 1 != expected:
+        raise FormatError(
+            f"{path}: {len(lines) - 1} rows, expected {expected} ({len(RELATIONS)} relations x {n} stocks)"
+        )
+    energy = np.empty((len(RELATIONS), n), dtype=np.float64)
+    entropy = np.empty((len(RELATIONS), n), dtype=np.float64)
+    for k, line in enumerate(lines[1:]):
+        r, i = divmod(k, n)
+        where = f"{path}:{k + 2}"
+        cells = line.split(",")
+        if len(cells) != 4 or cells[0] != RELATIONS[r] or cells[1] != str(i):
+            raise FormatError(f"{where}: expected the row of {RELATIONS[r]} stock {i}, got {line!r}")
+        try:
+            e, h = float(cells[2]), float(cells[3])
+        except ValueError:
+            raise FormatError(f"{where}: non-numeric value in {line!r}") from None
+        if not (math.isfinite(e) and e >= ENERGY_FLOOR):
+            raise FormatError(f"{where}: energy {e!r} is not finite and >= {ENERGY_FLOOR:.0e}")
+        if not (math.isfinite(h) and h >= 0.0):
+            raise FormatError(f"{where}: entropy {h!r} is not finite and >= 0")
+        energy[r, i], entropy[r, i] = e, h
+    return energy, entropy
 
 
 def read_graphs(directory, days: list[int] | None = None) -> dict[int, MultiRelAdjacency]:
-    """Reload raw adjacency stacks written by :func:`write_graphs`."""
+    """Reload adjacency stacks written by :func:`write_graphs`.
+
+    Every file is checked in full; a missing, truncated, malformed or
+    old-format cache raises :class:`FormatError` rather than loading.
+    """
     directory = Path(directory)
-    index_path = directory / "index.json"
-    if not index_path.exists():
-        raise FormatError(f"{index_path}: graph index not found")
-    with open(index_path, encoding="utf-8") as f:
-        index = json.load(f)
-    n = int(index["num_stocks"])
-    wanted = index["days"] if days is None else days
+    index = _read_index(directory)
+    listed = set(index["days"])
     out: dict[int, MultiRelAdjacency] = {}
-    for t in wanted:
-        matrices = np.empty((len(RELATIONS), n, n), dtype=np.float64)
-        for r, relation in enumerate(RELATIONS):
-            path = directory / "raw" / _graph_filename(t, relation)
-            if not path.exists():
-                raise FormatError(f"{path}: graph file missing")
-            with open(path, encoding="utf-8") as f:
-                header = f.readline().strip()
-                if header != "i,j,weight":
-                    raise FormatError(f"{path}: unexpected header {header!r}")
-                for line in f:
-                    i_s, j_s, w_s = line.rstrip("\n").split(",")
-                    matrices[r, int(i_s), int(j_s)] = float(w_s)
-        out[t] = MultiRelAdjacency(t_index=t, matrices=matrices)
+    for t in index["days"] if days is None else days:
+        if t not in listed:
+            raise FormatError(f"{directory / 'index.json'}: day {t} is not in the graph index")
+        energy, entropy = _read_day(directory / _day_filename(t), index["num_stocks"])
+        out[t] = _expand(t, energy, entropy)
     return out

@@ -1,7 +1,6 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from mgdpr import cli
@@ -107,7 +106,77 @@ class TestGraph:
         reloaded = read_graphs(tmp_path / "cache" / "graphs")
         for t, adj in reloaded.items():
             expected = build_day_graphs(panel, t, 5)
-            assert np.array_equal(adj.matrices, expected.matrices)
+            assert adj.matrices.tobytes() == expected.matrices.tobytes()
+
+    def test_single_day_merges_into_index(self, tmp_path):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        assert run("graph", "--config", config) == 0
+        index_path = tmp_path / "cache" / "graphs" / "index.json"
+        full = json.loads(index_path.read_text())["days"]
+        assert run("graph", "--config", config, "--day", full[3]) == 0
+        assert json.loads(index_path.read_text())["days"] == full
+        assert run("train", "--config", config) == 0
+
+    def test_no_temporary_files_left(self, tmp_path):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        assert run("graph", "--config", config) == 0
+        assert run("graph", "--config", config, "--day", 6) == 0
+        names = [p.name for p in (tmp_path / "cache" / "graphs").iterdir()]
+        assert not [n for n in names if n.startswith(".") or "tmp" in n]
+        assert "index.json" in names
+
+
+def _truncate_at(fraction):
+    def damage(path):
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * fraction)])
+
+    return damage
+
+
+def _replace_cell(path):
+    lines = path.read_text().split("\n")
+    cells = lines[5].split(",")
+    cells[2] = "12.3.4"
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
+def _old_format_index(path):
+    index = path.parent / "index.json"
+    payload = json.loads(index.read_text())
+    del payload["format"]
+    payload["forms"] = ["raw", "normalized"]
+    index.write_text(json.dumps(payload))
+
+
+class TestDamagedGraphCache:
+    """Mutations of a small graph cache: `train` exits 5, never raises."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _truncate_at(0.0),
+            _truncate_at(0.01),
+            _truncate_at(0.5),
+            _truncate_at(0.999),
+            _replace_cell,
+            lambda path: path.unlink(),
+            _old_format_index,
+            lambda path: (path.parent / "index.json").write_text("{not json"),
+        ],
+        ids=["truncate-0", "truncate-1pct", "truncate-half", "truncate-last-byte",
+             "non-numeric-cell", "deleted", "old-format-index", "garbage-index"],
+    )
+    def test_train_exits_5(self, tmp_path, capsys, damage):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        assert run("graph", "--config", config) == 0
+        damage(tmp_path / "cache" / "graphs" / "day00010.csv")
+        assert run("train", "--config", config) == 5
+        assert "re-run `mgdpr graph`" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -204,34 +205,95 @@ class TestGraphProperties:
             np.testing.assert_allclose(a * a.T, 1.0, atol=1e-9)
 
 
+def _cache_panel():
+    d = _dates(12)
+    panel = align_panel([_series("A", d), _series("B", d, base=40.0), _series("C", d, base=7.0)])
+    rng = np.random.default_rng(10)
+    panel.data *= 1.0 + rng.uniform(0.0, 0.2, size=panel.data.shape)
+    return panel
+
+
+def _cached_days(directory, days=(4, 5)):
+    panel = _cache_panel()
+    graphs = [build_day_graphs(panel, t, 5) for t in days]
+    write_graphs(graphs, directory)
+    return graphs
+
+
 class TestGraphCache:
     def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(10)
-        graphs = []
-        for t in (4, 5):
-            matrices = np.stack(
-                [build_adjacency(rng.uniform(0.5, 9.0, size=(3, 5))) for _ in range(5)]
-            )
-            graphs.append(MultiRelAdjacency(t_index=t, matrices=matrices))
-        write_graphs(graphs, tmp_path)
+        graphs = _cached_days(tmp_path)
         reloaded = read_graphs(tmp_path)
         assert sorted(reloaded) == [4, 5]
         for g in graphs:
-            assert np.array_equal(reloaded[g.t_index].matrices, g.matrices)
+            got = reloaded[g.t_index]
+            assert got.matrices.tobytes() == g.matrices.tobytes()
+            assert got.energy.tobytes() == g.energy.tobytes()
+            assert got.entropy.tobytes() == g.entropy.tobytes()
 
-    def test_normalized_form_also_written(self, tmp_path):
+    def test_one_small_table_per_day(self, tmp_path):
+        _cached_days(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["day00004.csv", "day00005.csv", "index.json"]
+        lines = (tmp_path / "day00004.csv").read_text().splitlines()
+        assert lines[0] == "relation,stock,energy,entropy"
+        assert len(lines) == 1 + 5 * 3
+        assert lines[1].startswith("open,0,") and lines[-1].startswith("volume,2,")
+
+    def test_stack_without_factors_rejected(self, tmp_path):
         rng = np.random.default_rng(11)
         matrices = np.stack([build_adjacency(rng.uniform(0.5, 9.0, size=(3, 5))) for _ in range(5)])
-        write_graphs([MultiRelAdjacency(t_index=7, matrices=matrices)], tmp_path)
-        assert (tmp_path / "normalized" / "day00007_close.csv").exists()
+        with pytest.raises(UsageError, match="factors"):
+            write_graphs([MultiRelAdjacency(t_index=7, matrices=matrices)], tmp_path)
+        assert not (tmp_path / "index.json").exists()
+
+    def test_merge_keeps_existing_days_sorted(self, tmp_path):
+        _cached_days(tmp_path, days=(4, 6))
+        write_graphs([build_day_graphs(_cache_panel(), 5, 5)], tmp_path, merge=True)
+        assert sorted(read_graphs(tmp_path)) == [4, 5, 6]
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index["days"] == [4, 5, 6]
+        write_graphs([build_day_graphs(_cache_panel(), 5, 5)], tmp_path)
+        assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FormatError):
             read_graphs(tmp_path)
 
     def test_missing_day_file(self, tmp_path):
-        rng = np.random.default_rng(12)
-        matrices = np.stack([build_adjacency(rng.uniform(0.5, 9.0, size=(3, 5))) for _ in range(5)])
-        write_graphs([MultiRelAdjacency(t_index=7, matrices=matrices)], tmp_path)
+        _cached_days(tmp_path, days=(7,))
         with pytest.raises(FormatError):
             read_graphs(tmp_path, days=[8])
+        (tmp_path / "day00007.csv").unlink()
+        with pytest.raises(FormatError, match="not found"):
+            read_graphs(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda text: "", "truncated"),
+            (lambda text: text[:10], "truncated"),
+            (lambda text: text[: text.index("\n", 40) + 1], "rows"),
+            (lambda text: text[:-3], "truncated"),
+            (lambda text: text.replace("open,1,", "open,2,", 1), "expected the row"),
+            (lambda text: text.replace("relation,", "rel,", 1), "header"),
+            (lambda text: _set_cell(text, 3, 2, "abc"), "non-numeric"),
+            (lambda text: _set_cell(text, 3, 2, "nan"), "energy"),
+            (lambda text: _set_cell(text, 3, 2, "1e-300"), "energy"),
+            (lambda text: _set_cell(text, 3, 3, "-0.5"), "entropy"),
+            (lambda text: _set_cell(text, 3, 3, "inf"), "entropy"),
+        ],
+    )
+    def test_damaged_day_file_rejected(self, tmp_path, damage, match):
+        _cached_days(tmp_path)
+        path = tmp_path / "day00004.csv"
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(FormatError, match=match):
+            read_graphs(tmp_path)
+
+
+def _set_cell(text, row, col, value):
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
