@@ -3,6 +3,8 @@
 The pipeline, bottom to top:
 
 - :mod:`mgdpr.tensor` — float64 tensors with reverse-mode differentiation;
+- :mod:`mgdpr.files` — the atomic writer and checked reader behind every
+  cache and output file;
 - :mod:`mgdpr.market` — OHLCV ingestion, calendar alignment, windowing,
   next-day trend labels;
 - :mod:`mgdpr.graphs` — per-day directed stock graphs from signal energy

@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
     UsageError,
 )
+from .files import write_atomic
 from .graphs import build_day_graphs, read_graphs, write_graphs
 from .market import align_panel, label_balance, load_csv, make_windows, read_panel, split_periods, write_panel
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -134,25 +135,19 @@ def model_config(resolved: dict[str, object], num_stocks: int) -> ModelConfig:
     )
 
 
-def train_config(resolved: dict[str, object], seed: int, epochs: int | None) -> TrainConfig:
+def train_config(resolved: dict[str, object], epochs: int | None) -> TrainConfig:
     batch = resolved["train.batch_size"]
     cfg = TrainConfig(
         learning_rate=float(resolved["train.learning_rate"]),
         epochs=int(resolved["train.epochs"]) if epochs is None else int(epochs),
         batch_size=None if batch is None else int(batch),
-        seed=seed,
     )
     cfg.validate()
     return cfg
 
 
 def _write_resolved(resolved: dict[str, object], extras: dict[str, object], path: Path) -> None:
-    payload = dict(resolved)
-    payload.update(extras)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, json.dumps({**resolved, **extras}, indent=2, sort_keys=True) + "\n")
 
 
 def _panel_dir(resolved) -> Path:
@@ -179,16 +174,17 @@ def _load_split_samples(resolved):
     return panel, splits
 
 
-def _load_graphs(resolved, days: list[int]):
+def _load_graphs(resolved, panel, days: list[int]):
+    """The cached graphs of ``days``, which must have been built from ``panel``."""
     directory = _graph_dir(resolved)
     if not (directory / "index.json").exists():
         raise ConfigError(
             f"{directory}: graph cache not found; run `mgdpr graph --config <path>` first"
         )
     try:
-        return read_graphs(directory, days=days)
+        return read_graphs(directory, days=days, panel_digest=panel.digest())
     except DataError as e:
-        raise ConfigError(f"graph cache incomplete ({e}); re-run `mgdpr graph`") from e
+        raise ConfigError(f"graph cache unusable ({e}); re-run `mgdpr graph`") from e
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def cmd_graph(args) -> int:
             raise DayRangeError(f"--day {args.day} outside [{days[0]}, {days[-1]}]")
         days = [args.day]
     graphs = [build_day_graphs(panel, t, lookback) for t in days]
-    write_graphs(graphs, _graph_dir(resolved), merge=args.day is not None)
+    write_graphs(graphs, _graph_dir(resolved), panel.digest(), merge=args.day is not None)
     print(f"wrote graphs for {len(days)} day(s) x {panel.num_stocks} stocks to {_graph_dir(resolved)}")
     return 0
 
@@ -234,9 +230,9 @@ def _train_once(resolved, seed: int, epochs: int | None):
     if not train_s:
         raise ConfigError("training split matched no samples; check split.train dates")
     needed = sorted({s.t_index for s in train_s + val_s + test_s})
-    graphs = _load_graphs(resolved, needed)
+    graphs = _load_graphs(resolved, panel, needed)
     mcfg = model_config(resolved, panel.num_stocks)
-    tcfg = train_config(resolved, seed, epochs)
+    tcfg = train_config(resolved, epochs)
     model = Model.initialized(mcfg, seed=seed)
     params, trace = train(model, train_s, val_s, tcfg, graphs=graphs)
     return panel, model, trace, (train_s, val_s, test_s), graphs, mcfg, tcfg
@@ -249,7 +245,6 @@ def cmd_train(args) -> int:
     panel, model, trace, (train_s, val_s, _), _, mcfg, tcfg = _train_once(
         resolved, seed, args.epochs
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.bin", model)
     write_trace_csv(out_dir / "trace.csv", trace)
     _write_resolved(
@@ -294,7 +289,7 @@ def cmd_eval(args) -> int:
     panel, (_, _, test_s) = _load_split_samples(resolved)
     if not test_s:
         raise ConfigError("test split matched no samples; check split.test dates")
-    graphs = _load_graphs(resolved, sorted({s.t_index for s in test_s}))
+    graphs = _load_graphs(resolved, panel, sorted({s.t_index for s in test_s}))
     model = load_checkpoint(ckpt, model_config(resolved, panel.num_stocks))
     report = evaluate(model, test_s, graphs=graphs)
     write_metrics_json(out_dir / "metrics.json", report, market, period, base_seed, digest)
@@ -324,10 +319,7 @@ def _write_aggregate(out_dir, reports, base_seed, n, market, period, digest) -> 
         "f1_mean": stats(f1s)[0],
         "f1_std": stats(f1s)[1],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(out_dir / "metrics.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"aggregated {n} seeds: acc={payload['acc_mean']:.4f}+/-{payload['acc_std']:.4f}")
     print(f"metrics: {out_dir / 'metrics.json'}")
     return 0

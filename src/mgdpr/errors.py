@@ -13,10 +13,6 @@ class ShapeError(MgdprError, ValueError):
     """Operands have incompatible shapes or axes."""
 
 
-class DomainError(MgdprError, ValueError):
-    """A value lies outside an operation's mathematical domain."""
-
-
 class UsageError(MgdprError, ValueError):
     """An operation was called in a way its contract forbids."""
 

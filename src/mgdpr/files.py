@@ -1,0 +1,44 @@
+"""The one way cache and output files are written and read back.
+
+Writers go through :func:`write_atomic`, so a file is either absent,
+the previous version, or the new version in full; readers of checked
+formats go through :func:`read_text`, which turns a missing or
+undecodable file into :class:`FormatError`.
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+from .errors import FormatError
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` (text is UTF-8 encoded) through a temporary sibling and
+    ``os.replace``, creating parent directories; ``path`` is never half-written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_text(path: Path, what: str) -> str:
+    """UTF-8 text of ``path`` (newlines normalized); FormatError if missing or unreadable."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"{path}: {what} not found") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"{path}: unreadable {what} ({e})") from e
+
+
+def is_int(value) -> bool:
+    """A JSON integer (bools excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)

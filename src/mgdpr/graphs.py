@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
+from .files import is_int, read_text, write_atomic
 from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
-GRAPH_FORMAT = "mgdpr-graph-factors/1"
+GRAPH_FORMAT = "mgdpr-graph-factors/2"
 _DAY_HEADER = "relation,stock,energy,entropy"
 
 
@@ -155,7 +155,9 @@ def row_normalize_for_model(adjacency: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # graph cache
 #
-# <directory>/index.json      {"format", "days", "relations", "num_stocks"}
+# <directory>/index.json      {"format", "days", "relations", "num_stocks",
+#                              "panel_sha256"} (MarketPanel.digest of the
+#                              panel the graphs were built from)
 # <directory>/dayNNNNN.csv    header "relation,stock,energy,entropy", then one
 #                             row per (relation, stock), relations in RELATIONS
 #                             order, stocks 0..N-1 within each relation
@@ -165,29 +167,18 @@ def _day_filename(t: int) -> str:
     return f"day{t:05d}.csv"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary sibling, so ``path`` is never half-written."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_graphs(graphs: list[MultiRelAdjacency], directory, merge: bool = False) -> None:
+def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, merge: bool = False) -> None:
     """Cache each day's per-stock energy and entropy, one CSV per day.
 
     A day's file holds R * N rows; the matrices are rebuilt from them on
     read. Values are written with ``repr`` (shortest round-trip form) so
     reloading is bit-exact. Every file goes through a temporary sibling and
     ``os.replace``, so an interrupted write never leaves a partial file under
-    its final name. ``index.json`` lists the written days; with ``merge`` it
-    also keeps the days of an existing index of the same format and stock
-    count. Stacks without factors (hand-made matrices) raise
-    :class:`UsageError`.
+    its final name. ``index.json`` lists the written days and records
+    ``panel_digest``, the :meth:`MarketPanel.digest` of the panel the graphs
+    were built from; with ``merge`` it also keeps the days of an existing
+    index of the same format, panel digest and stock count. Stacks without
+    factors (hand-made matrices) raise :class:`UsageError`.
     """
     directory = Path(directory)
     for adj in graphs:
@@ -197,42 +188,35 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, merge: bool = False
                 "build it with build_day_graphs"
             )
     n = graphs[0].num_stocks if graphs else 0
-    directory.mkdir(parents=True, exist_ok=True)
     for adj in graphs:
         lines = [_DAY_HEADER]
         for r, relation in enumerate(RELATIONS):
             for i in range(n):
                 lines.append(f"{relation},{i},{float(adj.energy[r, i])!r},{float(adj.entropy[r, i])!r}")
-        _write_atomic(directory / _day_filename(adj.t_index), "\n".join(lines) + "\n")
+        write_atomic(directory / _day_filename(adj.t_index), "\n".join(lines) + "\n")
     days = {g.t_index for g in graphs}
     if merge:
         try:
             existing = _read_index(directory)
         except FormatError:
             existing = None  # absent, damaged or another format: nothing to keep
-        if existing is not None and existing["num_stocks"] == n:
+        same_panel = existing is not None and existing["panel_sha256"] == panel_digest
+        if same_panel and existing["num_stocks"] == n:
             days.update(existing["days"])
-    index = {"format": GRAPH_FORMAT, "days": sorted(days), "relations": list(RELATIONS), "num_stocks": n}
-    _write_atomic(directory / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
-
-
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError(f"{path}: {what} not found") from None
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"{path}: unreadable {what} ({e})") from e
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    index = {
+        "format": GRAPH_FORMAT,
+        "days": sorted(days),
+        "relations": list(RELATIONS),
+        "num_stocks": n,
+        "panel_sha256": panel_digest,
+    }
+    write_atomic(directory / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 
 def _read_index(directory: Path) -> dict:
     path = directory / "index.json"
     try:
-        index = json.loads(_read_text(path, "graph index"))
+        index = json.loads(read_text(path, "graph index"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: graph index is not valid JSON ({e})") from e
     if not isinstance(index, dict) or index.get("format") != GRAPH_FORMAT:
@@ -241,16 +225,18 @@ def _read_index(directory: Path) -> dict:
     if index.get("relations") != list(RELATIONS):
         raise FormatError(f"{path}: relations {index.get('relations')!r}, expected {list(RELATIONS)}")
     n, days = index.get("num_stocks"), index.get("days")
-    if not (_is_int(n) and n >= 0):
+    if not (is_int(n) and n >= 0):
         raise FormatError(f"{path}: num_stocks {n!r} is not a count")
-    if not (isinstance(days, list) and all(_is_int(t) for t in days)):
+    if not (isinstance(days, list) and all(is_int(t) for t in days)):
         raise FormatError(f"{path}: days {days!r} is not a list of day indices")
+    if not isinstance(index.get("panel_sha256"), str):
+        raise FormatError(f"{path}: panel_sha256 {index.get('panel_sha256')!r} is not a digest")
     return index
 
 
 def _read_day(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse and check one day file: header, row count, row order, values."""
-    text = _read_text(path, "graph file")
+    text = read_text(path, "graph file")
     if not text.endswith("\n"):
         raise FormatError(f"{path}: truncated (no final newline)")
     lines = text[:-1].split("\n")
@@ -281,14 +267,22 @@ def _read_day(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
     return energy, entropy
 
 
-def read_graphs(directory, days: list[int] | None = None) -> dict[int, MultiRelAdjacency]:
+def read_graphs(
+    directory, days: list[int] | None = None, panel_digest: str | None = None
+) -> dict[int, MultiRelAdjacency]:
     """Reload adjacency stacks written by :func:`write_graphs`.
 
     Every file is checked in full; a missing, truncated, malformed or
-    old-format cache raises :class:`FormatError` rather than loading.
+    old-format cache raises :class:`FormatError` rather than loading. With
+    ``panel_digest``, so does a cache built from another panel.
     """
     directory = Path(directory)
     index = _read_index(directory)
+    if panel_digest is not None and index["panel_sha256"] != panel_digest:
+        raise FormatError(
+            f"{directory / 'index.json'}: graphs were built from another panel "
+            f"(digest {index['panel_sha256']!r}, current panel {panel_digest!r})"
+        )
     listed = set(index["days"])
     out: dict[int, MultiRelAdjacency] = {}
     for t in index["days"] if days is None else days:

@@ -15,7 +15,10 @@ feed the model).
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +33,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
 )
+from .files import is_int, read_text, write_atomic
 
 RELATIONS = ("open", "high", "low", "close", "volume")
 CLOSE = RELATIONS.index("close")
@@ -79,6 +83,12 @@ class MarketPanel:
             raise DataError("panel contains non-finite cells")
         if np.any(self.data[:, :VOLUME, :] <= 0.0):
             raise DataError("panel contains non-positive prices")
+
+    def digest(self) -> str:
+        """SHA-256 over the tickers, the calendar and the data bytes."""
+        h = hashlib.sha256(json.dumps([self.tickers, self.calendar]).encode("utf-8"))
+        h.update(np.ascontiguousarray(self.data, dtype="<f8").tobytes())
+        return h.hexdigest()
 
 
 @dataclass
@@ -353,52 +363,83 @@ def split_periods(
 def write_panel(panel: MarketPanel, directory) -> None:
     """Persist a panel as one CSV per ticker plus a JSON manifest.
 
-    Floats are written with ``repr`` so a reload is bit-exact.
+    Floats are written with ``repr`` so a reload is bit-exact; every file is
+    written atomically.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for i, ticker in enumerate(panel.tickers):
-        with open(directory / f"{ticker}.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(_REQUIRED)
-            for j, date in enumerate(panel.calendar):
-                writer.writerow([date] + [repr(float(v)) for v in panel.data[i, :, j]])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(_REQUIRED)
+        for date, row in zip(panel.calendar, panel.data[i].T.tolist()):
+            writer.writerow([date] + [repr(v) for v in row])
+        write_atomic(directory / f"{ticker}.csv", buf.getvalue())
     manifest = {
         "tickers": panel.tickers,
         "calendar": panel.calendar,
         "fill_counts": panel.fill_counts,
     }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int]]:
+    try:
+        manifest = json.loads(read_text(path, "panel manifest"))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: panel manifest is not valid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: panel manifest is not a JSON object")
+    tickers, calendar, fills = (manifest.get(k) for k in ("tickers", "calendar", "fill_counts"))
+    if not (isinstance(tickers, list) and all(isinstance(t, str) for t in tickers)):
+        raise FormatError(f"{path}: tickers {tickers!r} is not a list of names")
+    if not (isinstance(calendar, list) and all(isinstance(d, str) and _DATE_RE.match(d) for d in calendar)):
+        raise FormatError(f"{path}: calendar is not a list of ISO dates")
+    if not (isinstance(fills, dict) and all(is_int(v) for v in fills.values())):
+        raise FormatError(f"{path}: fill_counts {fills!r} is not a map of counts")
+    return tickers, calendar, fills
+
+
+def _read_ticker(path: Path, calendar: list[str]) -> np.ndarray:
+    """Parse and check one ticker file: header, row count, dates, values."""
+    text = read_text(path, "panel file")
+    if not text.endswith("\n"):
+        raise FormatError(f"{path}: truncated (no final newline)")
+    lines = text[:-1].split("\n")
+    if lines[0] != ",".join(_REQUIRED):
+        raise FormatError(f"{path}: unexpected header {lines[0]!r}")
+    if len(lines) - 1 != len(calendar):
+        raise FormatError(f"{path}: {len(lines) - 1} rows, expected {len(calendar)} (one per calendar day)")
+    values = np.empty((len(RELATIONS), len(calendar)), dtype=np.float64)
+    for j, (line, date) in enumerate(zip(lines[1:], calendar)):
+        where = f"{path}:{j + 2}"
+        cells = line.split(",")
+        if len(cells) != len(_REQUIRED) or cells[0] != date:
+            raise FormatError(f"{where}: expected {len(_REQUIRED)} cells dated {date}, got {line!r}")
+        try:
+            row = [float(v) for v in cells[1:]]
+        except ValueError:
+            raise FormatError(f"{where}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{where}: non-finite value in {line!r}")
+        values[:, j] = row
+    return values
 
 
 def read_panel(directory) -> MarketPanel:
+    """Reload a panel written by :func:`write_panel`.
+
+    The manifest and every ticker file are checked in full; a missing,
+    truncated or malformed cache raises :class:`FormatError` that names the
+    file and asks to re-run ``mgdpr ingest``.
+    """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"{manifest_path}: panel manifest not found")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    tickers = manifest["tickers"]
-    calendar = manifest["calendar"]
-    data = np.empty((len(tickers), len(RELATIONS), len(calendar)), dtype=np.float64)
-    for i, ticker in enumerate(tickers):
-        path = directory / f"{ticker}.csv"
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != list(_REQUIRED):
-                raise FormatError(f"{path}: unexpected header {header!r}")
-            for j, row in enumerate(reader):
-                if j >= len(calendar) or row[0] != calendar[j]:
-                    raise FormatError(f"{path}: dates disagree with the manifest calendar")
-                data[i, :, j] = [float(v) for v in row[1:]]
-    panel = MarketPanel(
-        tickers=list(tickers),
-        calendar=list(calendar),
-        data=data,
-        fill_counts={k: int(v) for k, v in manifest.get("fill_counts", {}).items()},
-    )
-    panel.validate()
+    try:
+        tickers, calendar, fills = _read_manifest(directory / "manifest.json")
+        data = np.empty((len(tickers), len(RELATIONS), len(calendar)), dtype=np.float64)
+        for i, ticker in enumerate(tickers):
+            data[i] = _read_ticker(directory / f"{ticker}.csv", calendar)
+        panel = MarketPanel(tickers=tickers, calendar=calendar, data=data, fill_counts=fills)
+        panel.validate()
+    except DataError as e:
+        raise FormatError(f"{directory}: unusable panel cache ({e}); re-run `mgdpr ingest`") from e
     return panel

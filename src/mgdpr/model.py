@@ -20,6 +20,7 @@ logits per stock.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
+from .files import is_int, write_atomic
 from .graphs import MultiRelAdjacency, row_normalize_for_model
 from .tensor import Tensor
 
@@ -194,12 +196,11 @@ def diffuse_layer(
     """
     n, tau, d = state.shape
     flat = T.reshape(state, (n, tau * d))
-    parts = None
+    parts = []
     for s_r, w_r in zip(diffusion_matrices, relation_maps):
         propagated = T.reshape(T.matmul(s_r, flat), (n * tau, d))
-        mapped = T.reshape(T.matmul(propagated, w_r), (1, n * tau * d))
-        parts = mapped if parts is None else T.concat(parts, mapped, 0)
-    mixed = T.reshape(T.matmul(mix_w, parts), (n, tau, d))
+        parts.append(T.reshape(T.matmul(propagated, w_r), (1, n * tau * d)))
+    mixed = T.reshape(T.matmul(mix_w, T.concat(parts, 0)), (n, tau, d))
     return T.activation(T.add(mixed, mix_b), slope)
 
 
@@ -214,32 +215,23 @@ def parallel_retention(
     """Causal, distance-decayed sequence mixing with group normalization.
 
     ``z`` is one stock's (lookback, channels) slice, or a stacked
-    (stocks, lookback, channels) batch. Scores are scaled by 1/sqrt(d)
-    before masking; with a super-unit decay the unscaled products overflow
-    at realistic lookbacks.
+    (stocks, lookback, channels) batch; a slice runs as a batch of one.
+    Scores are scaled by 1/sqrt(d) before masking; with a super-unit decay
+    the unscaled products overflow at realistic lookbacks.
     """
-    batched = z.ndim == 3
-    if batched:
-        n, tau, d = z.shape
-        flat = T.reshape(z, (n * tau, d))
-        q = T.reshape(T.matmul(flat, query_map), (n, tau, d))
-        k = T.reshape(T.matmul(flat, key_map), (n, tau, d))
-        v = T.reshape(T.matmul(flat, value_map), (n, tau, d))
-        mask_t = Tensor(np.broadcast_to(mask, (n, tau, tau)).copy())
-    elif z.ndim == 2:
-        tau, d = z.shape
-        q = T.matmul(z, query_map)
-        k = T.matmul(z, key_map)
-        v = T.matmul(z, value_map)
-        mask_t = Tensor(mask)
-    else:
+    if z.ndim not in (2, 3):
         raise ShapeError(f"parallel_retention: expected 2-D or 3-D input, got {z.shape}")
+    tau, d = z.shape[-2:]
+    n = z.size // (tau * d)
+    flat = T.reshape(z, (n * tau, d))
+    q = T.reshape(T.matmul(flat, query_map), (n, tau, d))
+    k = T.reshape(T.matmul(flat, key_map), (n, tau, d))
+    v = T.reshape(T.matmul(flat, value_map), (n, tau, d))
+    mask_t = Tensor(np.broadcast_to(mask, (n, tau, tau)).copy())
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
     retained = T.matmul(T.hadamard(scores, mask_t), v)
-    if batched:
-        normalized = T.group_normalize(T.reshape(retained, (n * tau, d)), num_groups)
-        return T.reshape(normalized, (n, tau, d))
-    return T.group_normalize(retained, num_groups)
+    normalized = T.group_normalize(T.reshape(retained, (n * tau, d)), num_groups)
+    return T.reshape(normalized, z.shape)
 
 
 def layer_update(
@@ -264,7 +256,7 @@ def layer_update(
         raise ShapeError(f"layer_update: shapes {diffused.shape} and {carried.shape} differ")
     retention_out = parallel_retention(diffused, query_map, key_map, value_map, mask, num_groups)
     carry = T.add_bias(T.matmul(T.reshape(carried, (n * tau, d)), w1), b1)
-    joined = T.concat(T.reshape(retention_out, (n * tau, d)), carry, 1)
+    joined = T.concat([T.reshape(retention_out, (n * tau, d)), carry], 1)
     out = T.add_bias(T.matmul(joined, w2), b2)
     return T.reshape(T.activation(out, slope), (n, tau, d))
 
@@ -397,7 +389,11 @@ class Model:
 
 
 def save_checkpoint(path, model: Model) -> None:
-    """Single binary file: little-endian float64 payload behind a JSON header."""
+    """Single binary file: little-endian float64 payload behind a JSON header.
+
+    Tensors are stored back to back in :func:`expected_param_shapes` order;
+    the file is written atomically.
+    """
     entries = []
     payload = bytearray()
     for name in expected_param_shapes(model.config):
@@ -408,14 +404,27 @@ def save_checkpoint(path, model: Model) -> None:
         {"format": CHECKPOINT_FORMAT, "config": asdict(model.config), "tensors": entries},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(bytes(payload))
+    write_atomic(path, struct.pack("<Q", len(header)) + header + bytes(payload))
+
+
+def _is_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(is_int(s) for s in entry["shape"])
+        and is_int(entry.get("offset"))
+    )
 
 
 def load_checkpoint(path, cfg: ModelConfig) -> Model:
-    """Load and validate a checkpoint against ``cfg``'s expected shapes."""
+    """Load and validate a checkpoint against ``cfg``'s expected shapes.
+
+    The tensor table must list exactly the expected tensors in
+    :func:`expected_param_shapes` order, stored back to back and filling the
+    payload, and every value must be finite; anything else raises
+    :class:`CheckpointError`.
+    """
     cfg.validate()
     try:
         size = Path(path).stat().st_size
@@ -429,25 +438,32 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from e
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    entries = header.get("tensors")
+    if not (isinstance(entries, list) and all(_is_entry(e) for e in entries)):
+        raise CheckpointError(f"{path}: tensor table is not a list of {{name, shape, offset}} entries")
     expected = expected_param_shapes(cfg)
-    stored = {e["name"]: e for e in header.get("tensors", [])}
-    if set(stored) != set(expected):
+    if [e["name"] for e in entries] != list(expected):
         raise CheckpointError(
             f"{path}: checkpoint tensors do not match the config "
-            f"({len(stored)} stored vs {len(expected)} expected)"
+            f"({len(entries)} stored vs {len(expected)} expected; names and order must agree)"
         )
     params: dict[str, Tensor] = {}
-    for name, shape in expected.items():
-        entry = stored[name]
+    start = 0
+    for entry, (name, shape) in zip(entries, expected.items()):
         if tuple(entry["shape"]) != shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {tuple(entry['shape'])}, expected {shape}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        end = start + 8 * count
+        if entry["offset"] != start:
+            raise CheckpointError(f"{path}: tensor {name!r} at offset {entry['offset']}, expected {start}")
+        end = start + 8 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} overruns the payload")
         values = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         params[name] = Tensor(values, requires_grad=True)
+        start = end
+    if start != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - start} payload bytes after the last tensor")
     return Model(config=cfg, params=params)

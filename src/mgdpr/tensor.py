@@ -6,10 +6,10 @@ and ``backward(loss)`` replays the implicit record in reverse topological
 order. Just enough surface to express graph diffusion, parallel retention,
 and a cross-entropy training objective:
 
-- arithmetic: add / sub / hadamard / scale / exp / ln, matmul (2-D or
-  batched 3-D), bias addition over the last axis;
-- shape plumbing: reshape, transpose of the trailing two axes, binary
-  concatenation, axis mean, full sum;
+- arithmetic: add / sub / hadamard / scale, matmul (2-D or batched 3-D),
+  bias addition over the last axis;
+- shape plumbing: reshape, transpose of the trailing two axes,
+  concatenation of any number of tensors in one copy, axis mean, full sum;
 - nonlinearities: leaky rectifier, softmax / log-softmax along an axis,
   affine-free group normalization.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError
 
 Array = np.ndarray
 
@@ -34,8 +34,6 @@ __all__ = [
     "sub",
     "hadamard",
     "scale",
-    "exp",
-    "ln",
     "matmul",
     "add_bias",
     "concat",
@@ -94,25 +92,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Operator sugar; the module-level functions are the real API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _node(values: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
@@ -193,30 +172,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(out, (a,), bw, "scale")
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):
-        out = np.exp(a.values)
-    _check_finite(out, "exp")  # fail before the closure captures garbage
-
-    def bw(g: Array):
-        return (g * out,)
-
-    return _node(out, (a,), bw, "exp")
-
-
-def ln(a: Tensor) -> Tensor:
-    bad = a.values <= 0.0
-    if bad.any():
-        idx = int(np.argmax(bad.ravel()))
-        raise DomainError(f"ln: non-positive entry {a.values.ravel()[idx]!r} at flat index {idx}")
-    out = np.log(a.values)
-
-    def bw(g: Array):
-        return (g / a.values,)
-
-    return _node(out, (a,), bw, "ln")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -259,20 +214,22 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 # shape plumbing
 
 
-def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
-    axis = _valid_axis("concat", axis, a.ndim)
-    if a.ndim != b.ndim or any(
-        a.shape[i] != b.shape[i] for i in range(a.ndim) if i != axis
-    ):
-        raise ShapeError(f"concat: shapes {a.shape} and {b.shape} differ off axis {axis}")
-    out = np.concatenate([a.values, b.values], axis=axis)
-    split = a.shape[axis]
+def concat(parts: list[Tensor], axis: int) -> Tensor:
+    """Join tensors along ``axis`` in one copy; every other axis must agree."""
+    first = parts[0]
+    axis = _valid_axis("concat", axis, first.ndim)
+    for p in parts[1:]:
+        if p.ndim != first.ndim or any(
+            p.shape[i] != first.shape[i] for i in range(first.ndim) if i != axis
+        ):
+            raise ShapeError(f"concat: shapes {first.shape} and {p.shape} differ off axis {axis}")
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    splits = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def bw(g: Array):
-        head = (slice(None),) * axis
-        return g[head + (slice(None, split),)], g[head + (slice(split, None),)]
+        return np.split(g, splits, axis=axis)
 
-    return _node(out, (a, b), bw, "concat")
+    return _node(out, tuple(parts), bw, "concat")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

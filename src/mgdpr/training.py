@@ -2,9 +2,12 @@
 
 The objective is mean per-stock cross-entropy over a batch of days plus the
 simplex-constraint term summed over every (layer, relation) mixture. Because
-mixtures are softmax-parametrized the term is identically zero; it is still
-computed, added, and asserted tiny, so a broken parametrization cannot fail
-silently.
+mixtures are softmax-parametrized the term is zero in exact arithmetic; it
+is still computed, added, and asserted tiny, so a broken parametrization
+cannot fail silently. It is also still backpropagated: in floating point
+its gradient is not exactly zero (a K=7 mixture at initialization gets
+3.2e-17 on every raw entry), so dropping the backward pass would change
+the trained bits.
 
 Training is full-batch by default: gradients are accumulated sample by
 sample (mathematically identical to one joint loss, but with per-sample
@@ -17,12 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DivergenceError, ShapeError, UsageError
+from .files import write_atomic
 from .graphs import MultiRelAdjacency, build_adjacency
 from .market import WindowSample
 from .model import Model, mixture_tensors
@@ -41,7 +44,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -335,17 +337,9 @@ def write_metrics_json(path, report: MetricsReport, market: str, period, seed: i
         "config_hash": config_hash,
         **report.to_dict(),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_trace_csv(path, trace: list[tuple[int, float, float]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,loss,val_acc\n")
-        for epoch, loss, val_acc in trace:
-            f.write(f"{epoch},{loss!r},{val_acc!r}\n")
+    rows = [f"{epoch},{loss!r},{val_acc!r}\n" for epoch, loss, val_acc in trace]
+    write_atomic(path, "epoch,loss,val_acc\n" + "".join(rows))

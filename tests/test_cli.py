@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import struct
 
 import pytest
 
@@ -179,6 +181,58 @@ class TestDamagedGraphCache:
         assert "re-run `mgdpr graph`" in capsys.readouterr().err
 
 
+def _edit_panel_row(edit):
+    def damage(path):
+        lines = path.read_text().split("\n")
+        lines[5] = ",".join(edit(lines[5].split(",")))
+        path.write_text("\n".join(lines))
+
+    return damage
+
+
+class TestDamagedPanelCache:
+    """Mutations of the panel cache: `graph` exits 2, never raises."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _edit_panel_row(lambda cells: cells[:2] + ["12.3.4"] + cells[3:]),
+            _edit_panel_row(lambda cells: cells[:-1]),
+            lambda path: path.unlink(),
+            lambda path: (path.parent / "manifest.json").write_text("{not json"),
+            lambda path: (path.parent / "manifest.json").write_text("{}"),
+            _truncate_at(0.5),
+        ],
+        ids=["non-numeric-cell", "short-row", "deleted", "garbage-manifest", "empty-manifest", "truncate-half"],
+    )
+    def test_graph_exits_2(self, tmp_path, capsys, damage):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        damage(tmp_path / "cache" / "panel" / "SYN01.csv")
+        assert run("graph", "--config", config) == 2
+        assert "re-run `mgdpr ingest`" in capsys.readouterr().err
+
+
+class TestStaleGraphCache:
+    def _reingest_other_prices(self, tmp_path, config):
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        write_series_csv(planted_market(num_stocks=3, num_days=30, momentum_lag=3, seed=2), tmp_path / "data")
+        assert run("ingest", "--config", config) == 0
+
+    def test_train_exits_5(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        self._reingest_other_prices(tmp_path, config)
+        assert run("train", "--config", config) == 5
+        assert "re-run `mgdpr graph`" in capsys.readouterr().err
+
+    def test_single_day_drops_stale_days(self, tmp_path):
+        config = make_workspace(tmp_path)
+        self._reingest_other_prices(tmp_path, config)
+        assert run("graph", "--config", config, "--day", 6) == 0
+        assert json.loads((tmp_path / "cache" / "graphs" / "index.json").read_text())["days"] == [6]
+
+
 class TestTrain:
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -270,6 +324,73 @@ class TestEval:
         assert {"acc_mean", "acc_std", "mcc_mean", "f1_mean"} <= set(payload)
         assert (tmp_path / "out" / "metrics_seed0.json").exists()
         assert (tmp_path / "out" / "metrics_seed1.json").exists()
+
+
+def _edit_checkpoint(edit):
+    """Rewrite a checkpoint through ``edit(header, payload) -> payload``."""
+
+    def damage(path):
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8 : 8 + n])
+        payload = edit(header, blob[8 + n :])
+        text = json.dumps(header).encode()
+        path.write_bytes(struct.pack("<Q", len(text)) + text + payload)
+
+    return damage
+
+
+def _set_entry(i, key, value):
+    def edit(header, payload):
+        header["tensors"][i][key] = value
+        return payload
+
+    return edit
+
+
+def _drop_shape(header, payload):
+    del header["tensors"][0]["shape"]
+    return payload
+
+
+def _tensors_not_a_list(header, payload):
+    header["tensors"] = "x"
+    return payload
+
+
+class TestDamagedCheckpoint:
+    """Mutations of a checkpoint: `eval --checkpoint` exits 6, never raises."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header, payload: payload[:-8] + struct.pack("<d", math.nan),
+            _drop_shape,
+            _tensors_not_a_list,
+            _set_entry(1, "offset", -8),
+            _set_entry(1, "offset", 0),
+            lambda header, payload: payload + bytes(8),
+        ],
+        ids=["nan", "no-shape", "tensors-not-a-list", "negative-offset", "overlapping-offsets", "trailing-bytes"],
+    )
+    def test_eval_exits_6(self, tmp_path, edit):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph", "train"):
+            assert run(cmd, "--config", config) == 0
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes((tmp_path / "out" / "checkpoint.bin").read_bytes())
+        _edit_checkpoint(edit)(damaged)
+        assert run("eval", "--config", config, "--checkpoint", damaged) == 6
+
+
+def test_no_temporary_files_left_after_train_and_eval(tmp_path):
+    config = make_workspace(tmp_path)
+    for cmd in ("ingest", "graph", "train", "eval"):
+        assert run(cmd, "--config", config) == 0
+    assert run("eval", "--config", config, "--seeds", 2, "--epochs", 1) == 0
+    names = [p.name for p in tmp_path.rglob("*")]
+    assert not [n for n in names if n.startswith(".") or "tmp" in n]
+    assert {"checkpoint.bin", "trace.csv", "resolved_config.json", "metrics.json", "manifest.json"} <= set(names)
 
 
 class TestEndToEndDeterminism:

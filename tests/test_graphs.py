@@ -216,7 +216,7 @@ def _cache_panel():
 def _cached_days(directory, days=(4, 5)):
     panel = _cache_panel()
     graphs = [build_day_graphs(panel, t, 5) for t in days]
-    write_graphs(graphs, directory)
+    write_graphs(graphs, directory, panel.digest())
     return graphs
 
 
@@ -243,16 +243,26 @@ class TestGraphCache:
         rng = np.random.default_rng(11)
         matrices = np.stack([build_adjacency(rng.uniform(0.5, 9.0, size=(3, 5))) for _ in range(5)])
         with pytest.raises(UsageError, match="factors"):
-            write_graphs([MultiRelAdjacency(t_index=7, matrices=matrices)], tmp_path)
+            write_graphs([MultiRelAdjacency(t_index=7, matrices=matrices)], tmp_path, "unused")
         assert not (tmp_path / "index.json").exists()
 
     def test_merge_keeps_existing_days_sorted(self, tmp_path):
         _cached_days(tmp_path, days=(4, 6))
-        write_graphs([build_day_graphs(_cache_panel(), 5, 5)], tmp_path, merge=True)
+        panel = _cache_panel()
+        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, panel.digest(), merge=True)
         assert sorted(read_graphs(tmp_path)) == [4, 5, 6]
         index = json.loads((tmp_path / "index.json").read_text())
         assert index["days"] == [4, 5, 6]
-        write_graphs([build_day_graphs(_cache_panel(), 5, 5)], tmp_path)
+        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, panel.digest())
+        assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
+
+    def test_other_panel_rejected_and_not_merged(self, tmp_path):
+        _cached_days(tmp_path, days=(4, 6))
+        panel = _cache_panel()
+        assert sorted(read_graphs(tmp_path, panel_digest=panel.digest())) == [4, 6]
+        with pytest.raises(FormatError, match="another panel"):
+            read_graphs(tmp_path, panel_digest="0" * 64)
+        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, "0" * 64, merge=True)
         assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
 
     def test_missing_index(self, tmp_path):

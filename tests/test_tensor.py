@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgdpr import tensor as T
-from mgdpr.errors import ConfigError, DomainError, ShapeError, UsageError
+from mgdpr.errors import ConfigError, ShapeError, UsageError
 from gradcheck import max_rel_err, numeric_grad
 
 
@@ -41,15 +41,6 @@ class TestElementwise:
         out = T.hadamard(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0, 4.0]]))
         np.testing.assert_array_equal(out.values, [[3.0, 8.0]])
 
-    def test_exp_identity(self):
-        np.testing.assert_array_equal(T.exp(T.Tensor([0.0])).values, [1.0])
-
-    def test_ln_rejects_nonpositive_with_index(self):
-        with pytest.raises(DomainError, match="index 0"):
-            T.ln(T.Tensor([-1.0]))
-        with pytest.raises(DomainError, match="index 2"):
-            T.ln(T.Tensor([1.0, 2.0, 0.0]))
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             T.add(T.Tensor([1.0, 2.0]), T.Tensor([[1.0, 2.0]]))
@@ -59,8 +50,8 @@ class TestElementwise:
         np.testing.assert_array_equal(out.values, [[2.0, 3.0]])
 
     def test_overflow_is_an_error(self):
-        with pytest.raises(FloatingPointError):
-            T.exp(T.Tensor([1000.0]))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            T.scale(T.Tensor([1e308]), 10.0)
 
     def test_tensors_are_immutable(self):
         t = T.Tensor([1.0, 2.0])
@@ -127,16 +118,16 @@ class TestGroupNormalize:
 
 class TestConcat:
     def test_vectors(self):
-        out = T.concat(T.Tensor([1.0]), T.Tensor([2.0]), 0)
-        np.testing.assert_array_equal(out.values, [1.0, 2.0])
+        out = T.concat([T.Tensor([1.0]), T.Tensor([2.0]), T.Tensor([3.0])], 0)
+        np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
 
     def test_extents_add(self):
-        out = T.concat(T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((2, 5))), 1)
-        assert out.shape == (2, 8)
+        out = T.concat([T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((2, 5))), T.Tensor(np.ones((2, 1)))], 1)
+        assert out.shape == (2, 9)
 
     def test_axis_mismatch(self):
         with pytest.raises(ShapeError):
-            T.concat(T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((3, 3))), 1)
+            T.concat([T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 3)))], 1)
 
 
 class TestBackward:
@@ -145,11 +136,6 @@ class TestBackward:
         loss = T.sum_all(T.hadamard(x, x))
         T.backward(loss)
         np.testing.assert_allclose(x.grad, [6.0], rtol=1e-15)
-
-    def test_exp_gradient_is_exp(self):
-        x = leaf([0.3, -1.2, 2.0])
-        T.backward(T.sum_all(T.exp(x)))
-        np.testing.assert_allclose(x.grad, np.exp(x.values), rtol=1e-15)
 
     def test_matmul_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -182,11 +168,12 @@ class TestBackward:
         assert y._parents == () and y._backward is None
 
     def test_concat_splits_gradient(self):
-        a, b = leaf([1.0, 2.0]), leaf([3.0])
-        out = T.concat(a, b, 0)
-        T.backward(T.sum_all(T.hadamard(out, T.Tensor([1.0, 2.0, 3.0]))))
+        a, b, c = leaf([1.0, 2.0]), leaf([3.0]), leaf([4.0, 5.0, 6.0])
+        out = T.concat([a, b, c], 0)
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))))
         np.testing.assert_array_equal(a.grad, [1.0, 2.0])
         np.testing.assert_array_equal(b.grad, [3.0])
+        np.testing.assert_array_equal(c.grad, [4.0, 5.0, 6.0])
 
 
 def _op_cases():
@@ -198,8 +185,6 @@ def _op_cases():
         ("sub", {"a": a23, "b": b23}, lambda t: T.sub(t["a"], t["b"])),
         ("hadamard", {"a": a23, "b": b23}, lambda t: T.hadamard(t["a"], t["b"])),
         ("scale", {"a": a23}, lambda t: T.scale(t["a"], -2.5)),
-        ("exp", {"a": a23}, lambda t: T.exp(t["a"])),
-        ("ln", {"a": np.abs(a23) + 0.5}, lambda t: T.ln(t["a"])),
         ("matmul", {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))},
          lambda t: T.matmul(t["a"], t["b"])),
         ("matmul3", {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(2, 4, 2))},
@@ -210,7 +195,7 @@ def _op_cases():
         ("log_softmax", {"a": rng.normal(size=(3, 4))}, lambda t: T.log_softmax(t["a"], 1)),
         ("activation", {"a": a23 + 0.05}, lambda t: T.activation(t["a"])),
         ("group_normalize", {"a": rng.normal(size=(3, 6))}, lambda t: T.group_normalize(t["a"], 2)),
-        ("concat", {"a": a23, "b": b23}, lambda t: T.concat(t["a"], t["b"], 1)),
+        ("concat", {"a": a23, "b": b23}, lambda t: T.concat([t["a"], t["b"]], 1)),
         ("reshape", {"a": a23}, lambda t: T.reshape(t["a"], (3, 2))),
         ("transpose", {"a": a23}, lambda t: T.transpose(t["a"])),
         ("mean_axis", {"a": a23}, lambda t: T.mean_axis(t["a"], 0)),
