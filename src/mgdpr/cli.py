@@ -225,26 +225,36 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _train_once(resolved, seed: int, epochs: int | None):
+def _load_training_inputs(resolved):
+    """Panel, (train, val, test) samples and the graphs of every sample day.
+
+    Training reads but never modifies them, so one load serves any number
+    of seeded runs.
+    """
     panel, (train_s, val_s, test_s) = _load_split_samples(resolved)
     if not train_s:
         raise ConfigError("training split matched no samples; check split.train dates")
     needed = sorted({s.t_index for s in train_s + val_s + test_s})
     graphs = _load_graphs(resolved, panel, needed)
+    return panel, (train_s, val_s, test_s), graphs
+
+
+def _train_once(resolved, inputs, seed: int, epochs: int | None):
+    panel, (train_s, val_s, _), graphs = inputs
     mcfg = model_config(resolved, panel.num_stocks)
     tcfg = train_config(resolved, epochs)
     model = Model.initialized(mcfg, seed=seed)
-    params, trace = train(model, train_s, val_s, tcfg, graphs=graphs)
-    return panel, model, trace, (train_s, val_s, test_s), graphs, mcfg, tcfg
+    _, trace = train(model, train_s, val_s, tcfg, graphs=graphs)
+    return model, trace, tcfg
 
 
 def cmd_train(args) -> int:
     resolved = load_config(args.config)
     seed = int(resolved["train.seed"]) if args.seed is None else int(args.seed)
     out_dir = Path(str(resolved["paths.output_dir"]))
-    panel, model, trace, (train_s, val_s, _), _, mcfg, tcfg = _train_once(
-        resolved, seed, args.epochs
-    )
+    inputs = _load_training_inputs(resolved)
+    panel, (train_s, val_s, _), _ = inputs
+    model, trace, tcfg = _train_once(resolved, inputs, seed, args.epochs)
     save_checkpoint(out_dir / "checkpoint.bin", model)
     write_trace_csv(out_dir / "trace.csv", trace)
     _write_resolved(
@@ -272,10 +282,12 @@ def cmd_eval(args) -> int:
     if args.seeds is not None:
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        inputs = _load_training_inputs(resolved)
+        _, (_, _, test_s), graphs = inputs
         reports: list[MetricsReport] = []
         for k in range(args.seeds):
             seed = base_seed + k
-            _, model, _, (_, _, test_s), graphs, _, _ = _train_once(resolved, seed, args.epochs)
+            model, _, _ = _train_once(resolved, inputs, seed, args.epochs)
             report = evaluate(model, test_s, graphs=graphs)
             reports.append(report)
             write_metrics_json(

@@ -3,12 +3,15 @@
 Writers go through :func:`write_atomic`, so a file is either absent,
 the previous version, or the new version in full; readers of checked
 formats go through :func:`read_text`, which turns a missing or
-undecodable file into :class:`FormatError`.
+undecodable file into :class:`FormatError`. A cache writer ends with
+:func:`remove_unlisted`, so its directory holds only what its manifest or
+index lists.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 from .errors import FormatError
@@ -27,6 +30,14 @@ def write_atomic(path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_unlisted(directory: Path, pattern: str, listed: set[str]) -> None:
+    """Delete the files of ``directory`` whose names fully match the regular
+    expression ``pattern`` but are not in ``listed``; other files stay."""
+    for path in directory.iterdir():
+        if path.is_file() and re.fullmatch(pattern, path.name) and path.name not in listed:
+            path.unlink(missing_ok=True)
 
 
 def read_text(path: Path, what: str) -> str:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
-from .files import is_int, read_text, write_atomic
+from .files import is_int, read_text, remove_unlisted, write_atomic
 from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
@@ -177,7 +177,8 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, 
     its final name. ``index.json`` lists the written days and records
     ``panel_digest``, the :meth:`MarketPanel.digest` of the panel the graphs
     were built from; with ``merge`` it also keeps the days of an existing
-    index of the same format, panel digest and stock count. Stacks without
+    index of the same format, panel digest and stock count. Once the index
+    is in place, day files it does not list are deleted. Stacks without
     factors (hand-made matrices) raise :class:`UsageError`.
     """
     directory = Path(directory)
@@ -211,6 +212,7 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, 
         "panel_sha256": panel_digest,
     }
     write_atomic(directory / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
+    remove_unlisted(directory, r"day\d{5,}\.csv", {_day_filename(t) for t in days})
 
 
 def _read_index(directory: Path) -> dict:

@@ -33,7 +33,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
 )
-from .files import is_int, read_text, write_atomic
+from .files import is_int, read_text, remove_unlisted, write_atomic
 
 RELATIONS = ("open", "high", "low", "close", "volume")
 CLOSE = RELATIONS.index("close")
@@ -364,7 +364,8 @@ def write_panel(panel: MarketPanel, directory) -> None:
     """Persist a panel as one CSV per ticker plus a JSON manifest.
 
     Floats are written with ``repr`` so a reload is bit-exact; every file is
-    written atomically.
+    written atomically. Once the manifest is in place, ``*.csv`` files it
+    does not list (tickers of an earlier panel) are deleted.
     """
     directory = Path(directory)
     for i, ticker in enumerate(panel.tickers):
@@ -380,6 +381,7 @@ def write_panel(panel: MarketPanel, directory) -> None:
         "fill_counts": panel.fill_counts,
     }
     write_atomic(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    remove_unlisted(directory, r".+\.csv", {f"{ticker}.csv" for ticker in panel.tickers})
 
 
 def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int]]:

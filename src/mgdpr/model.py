@@ -227,7 +227,7 @@ def parallel_retention(
     q = T.reshape(T.matmul(flat, query_map), (n, tau, d))
     k = T.reshape(T.matmul(flat, key_map), (n, tau, d))
     v = T.reshape(T.matmul(flat, value_map), (n, tau, d))
-    mask_t = Tensor(np.broadcast_to(mask, (n, tau, tau)).copy())
+    mask_t = T.constant(np.broadcast_to(mask, (n, tau, tau)))
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
     retained = T.matmul(T.hadamard(scores, mask_t), v)
     normalized = T.group_normalize(T.reshape(retained, (n * tau, d)), num_groups)
@@ -380,8 +380,13 @@ class Model:
         return forward(self.params, self.config, features, adjacency)
 
     def predict(self, features: np.ndarray, adjacency) -> np.ndarray:
-        """Per-stock class decisions (argmax of the two logits)."""
-        return np.argmax(self.forward(features, adjacency).values, axis=1)
+        """Per-stock class decisions (argmax of the two logits).
+
+        The parameters enter as constants, so the forward pass records no
+        tape and each activation is freed once the next layer has used it.
+        """
+        frozen = {name: T.constant(p.values) for name, p in self.params.items()}
+        return np.argmax(forward(frozen, self.config, features, adjacency).values, axis=1)
 
 
 # ---------------------------------------------------------------------------

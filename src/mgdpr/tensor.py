@@ -1,10 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-A small tape-free autograd core in the micrograd style, but array-valued:
-each operation stores its parent tensors and a backward rule on the output,
-and ``backward(loss)`` replays the implicit record in reverse topological
-order. Just enough surface to express graph diffusion, parallel retention,
-and a cross-entropy training objective:
+A small autograd core in the micrograd style, but array-valued: each
+operation on a tensor that requires gradients stores its parent tensors and
+a backward rule on the output, and ``backward(loss)`` replays that implicit
+record in reverse topological order. The record is released while the
+reverse pass unwinds: once a node's rule has run, the node drops its
+parents, its rule and its gradient, so activations and interior gradients
+are freed layer by layer and only leaves keep a ``grad``. Operations whose
+inputs need no gradient record nothing, so evaluation over :func:`constant`
+inputs runs without a tape. Just enough surface to express graph diffusion,
+parallel retention, and a cross-entropy training objective:
 
 - arithmetic: add / sub / hadamard / scale, matmul (2-D or batched 3-D),
   bias addition over the last axis;
@@ -30,6 +35,7 @@ Array = np.ndarray
 
 __all__ = [
     "Tensor",
+    "constant",
     "add",
     "sub",
     "hadamard",
@@ -57,9 +63,9 @@ def _check_finite(arr: Array, op: str) -> None:
 class Tensor:
     """Immutable float64 array plus the bookkeeping for reverse-mode AD.
 
-    ``grad`` accumulates across successive ``backward`` calls (the natural
-    fit for full-batch gradient accumulation); callers reset it by assigning
-    ``None``.
+    A leaf's ``grad`` accumulates across successive ``backward`` calls (the
+    natural fit for full-batch gradient accumulation); callers reset it by
+    assigning ``None``. Interior tensors drop theirs during ``backward``.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
@@ -110,6 +116,16 @@ def _node(values: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> T
         out._parents = ()
         out._backward = None
     return out
+
+
+def constant(values) -> Tensor:
+    """Read-only, non-recording tensor over ``values``.
+
+    A float64 array is wrapped as a view, not copied; the caller's array
+    keeps its own write flag. Operations whose inputs are all constants
+    record no backward rule.
+    """
+    return _node(np.asarray(values, dtype=np.float64).view(), (), None, "constant")
 
 
 def _to_shape(g: Array, shape: tuple[int, ...]) -> Array:
@@ -361,9 +377,17 @@ def group_normalize(z: Tensor, num_groups: int, eps: float = 1e-5) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
 
-    ``loss`` must be scalar. The recorded graph is released afterwards, so a
-    second backward through the same nodes is a no-op rather than a double
-    count.
+    ``loss`` must be scalar. Nodes are popped off the topological order and
+    released as soon as their rule has run: each drops its parents, its rule
+    and its ``grad``, so the graph is freed while the pass unwinds, interior
+    gradients are not kept, and a second backward through the same nodes is
+    a no-op rather than a double count.
+
+    An interior node adopts the first gradient handed to it without a copy.
+    Such buffers may be shared (``add`` hands one array to both parents) or
+    be views (reshape, transpose, concat), so no gradient is ever written in
+    place: accumulation always makes a new array. A leaf copies its first
+    gradient, so ``leaf.grad`` owns writable memory.
     """
     if loss.ndim != 0:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -385,7 +409,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones((), dtype=np.float64) if loss.grad is None else loss.grad + 1.0
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         fn = node._backward
         if fn is None or node.grad is None:
             continue
@@ -393,8 +418,10 @@ def backward(loss: Tensor) -> None:
             if not parent.requires_grad:
                 continue
             pg = np.asarray(pg, dtype=np.float64)
-            parent.grad = pg.copy() if parent.grad is None else parent.grad + pg
+            if parent.grad is not None:
+                parent.grad = parent.grad + pg
+            else:
+                parent.grad = pg if parent._backward is not None else pg.copy()
         node._parents = ()
         node._backward = None
-        if not node.requires_grad:
-            node.grad = None
+        node.grad = None

@@ -233,6 +233,43 @@ class TestStaleGraphCache:
         assert json.loads((tmp_path / "cache" / "graphs" / "index.json").read_text())["days"] == [6]
 
 
+class TestCacheHoldsOnlyListedFiles:
+    def test_smaller_reingest_and_graph_leave_no_stale_files(self, tmp_path):
+        config = make_workspace(tmp_path)
+        data_dir = tmp_path / "data"
+        write_series_csv(planted_market(num_stocks=4, num_days=30, momentum_lag=3, seed=1), data_dir)
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        for f in data_dir.glob("*.csv"):
+            f.unlink()
+        write_series_csv(planted_market(num_stocks=3, num_days=20, momentum_lag=3, seed=1), data_dir)
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+
+        panel_dir, graph_dir = tmp_path / "cache" / "panel", tmp_path / "cache" / "graphs"
+        manifest = json.loads((panel_dir / "manifest.json").read_text())
+        assert len(manifest["tickers"]) == 3 and len(manifest["calendar"]) == 20
+        assert sorted(p.name for p in panel_dir.iterdir()) == sorted(
+            ["manifest.json"] + [f"{t}.csv" for t in manifest["tickers"]]
+        )
+        days = json.loads((graph_dir / "index.json").read_text())["days"]
+        assert len(days) == 20 - 5
+        assert sorted(p.name for p in graph_dir.iterdir()) == sorted(
+            ["index.json"] + [f"day{t:05d}.csv" for t in days]
+        )
+
+    def test_other_files_are_kept(self, tmp_path):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        notes = [tmp_path / "cache" / "panel" / "NOTES.txt", tmp_path / "cache" / "graphs" / "day7.csv"]
+        for note in notes:
+            note.write_text("kept\n")
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        assert all(note.read_text() == "kept\n" for note in notes)
+
+
 class TestTrain:
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -324,6 +361,20 @@ class TestEval:
         assert {"acc_mean", "acc_std", "mcc_mean", "f1_mean"} <= set(payload)
         assert (tmp_path / "out" / "metrics_seed0.json").exists()
         assert (tmp_path / "out" / "metrics_seed1.json").exists()
+
+    def test_multi_seed_loads_inputs_once(self, tmp_path, monkeypatch):
+        config = self._pipeline(tmp_path)
+        calls = {"read_panel": 0, "make_windows": 0, "read_graphs": 0}
+        for name in calls:
+            real = getattr(cli, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert run("eval", "--config", config, "--seeds", 3, "--epochs", 1) == 0
+        assert calls == {"read_panel": 1, "make_windows": 1, "read_graphs": 1}
 
 
 def _edit_checkpoint(edit):

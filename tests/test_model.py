@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mgdpr.model
 from mgdpr import tensor as T
 from mgdpr.errors import CheckpointError, ConfigError, ShapeError
 from mgdpr.graphs import MultiRelAdjacency, build_adjacency
@@ -365,6 +368,63 @@ class TestForward:
         features, adjacency = random_instance(cfg, seed=8)
         with pytest.raises(ShapeError):
             forward(params, cfg, features[:, :, :-1], adjacency)
+
+
+def desk_instance(seed=5):
+    """The desk shape: 12 stocks, width 32, 2 layers, 2 expansion steps."""
+    cfg = ModelConfig(num_stocks=12, lookback=21, num_layers=2, expansion_steps=2, embed_dim=32)
+    features, adjacency = random_instance(cfg, seed=seed)
+    return Model.initialized(cfg, seed=seed), features, adjacency
+
+
+def traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Byte counts from tracemalloc, no timing: the tape is released while
+    backward unwinds, and prediction records none."""
+
+    def test_backward_peak_stays_near_the_forward_tape(self):
+        model, features, adjacency = desk_instance()
+        tracemalloc.start()
+        try:
+            loss = T.sum_all(model.forward(features, adjacency))
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * retained, f"backward peak {peak} B vs {retained} B retained after forward"
+
+    def test_predict_records_no_tape(self, monkeypatch):
+        model, features, adjacency = desk_instance()
+        outputs = []
+
+        def spy(*args):
+            outputs.append(forward(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(mgdpr.model, "forward", spy)
+        pred = model.predict(features, adjacency)
+        assert len(outputs) == 1
+        assert outputs[0]._parents == () and not outputs[0].requires_grad
+        recorded = forward(model.params, model.config, features, adjacency)
+        assert recorded.requires_grad
+        assert np.array_equal(pred, np.argmax(recorded.values, axis=1))
+
+    def test_predict_peak_is_below_half_a_recorded_forward(self):
+        model, features, adjacency = desk_instance()
+        recorded = traced_peak(lambda: model.forward(features, adjacency))
+        predicted = traced_peak(lambda: model.predict(features, adjacency))
+        assert predicted <= 0.5 * recorded, f"predict peak {predicted} B vs recorded forward {recorded} B"
 
 
 def noised_params(cfg, seed):

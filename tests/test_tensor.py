@@ -175,6 +175,54 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, [3.0])
         np.testing.assert_array_equal(c.grad, [4.0, 5.0, 6.0])
 
+    def test_leaf_grads_own_writable_memory_and_interior_grads_are_dropped(self):
+        # x's gradient arrives as a transposed view, y's as a read-only broadcast.
+        x, y = leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), leaf([1.0, 2.0])
+        t = T.transpose(x)
+        r = T.reshape(t, (6,))
+        weighted = T.hadamard(r, T.Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        loss = T.add(T.sum_all(weighted), T.sum_all(y))
+        T.backward(loss)
+        np.testing.assert_array_equal(x.grad, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        for g in (x.grad, y.grad):
+            assert g.flags.owndata and g.flags.writeable
+        for node in (t, r, weighted, loss):
+            assert node.grad is None
+
+    def test_shared_gradient_buffer_is_never_written(self):
+        # add hands one buffer to both a and b; a then accumulates a second
+        # use. Writing that buffer in place would corrupt b's gradient.
+        x, y = leaf([1.0, 2.0, 3.0]), leaf([4.0, 5.0, 6.0])
+        c = T.Tensor([7.0, 8.0, 9.0])
+        a = T.hadamard(x, y)
+        b = T.scale(y, 3.0)
+        loss = T.sum_all(T.add(T.add(a, b), T.hadamard(a, c)))
+        T.backward(loss)
+        # loss = sum(x * y * (1 + c) + 3 * y)
+        np.testing.assert_array_equal(x.grad, [32.0, 45.0, 60.0])
+        np.testing.assert_array_equal(y.grad, [11.0, 21.0, 33.0])
+
+
+class TestConstant:
+    def test_wraps_without_copy_and_records_nothing(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        c = T.constant(arr)
+        assert np.shares_memory(c.values, arr)
+        assert not c.values.flags.writeable and arr.flags.writeable
+        assert not c.requires_grad and c._parents == ()
+        out = T.matmul(c, T.constant(np.ones((3, 1))))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    def test_broadcast_view_is_not_materialized(self):
+        base = np.array([[1.0, 0.0], [2.0, 1.0]])
+        c = T.constant(np.broadcast_to(base, (4, 2, 2)))
+        assert c.shape == (4, 2, 2) and np.shares_memory(c.values, base)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(FloatingPointError):
+            T.constant([1.0, np.inf])
+
 
 def _op_cases():
     rng = np.random.default_rng(42)
