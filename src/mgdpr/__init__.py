@@ -34,6 +34,7 @@ from .graphs import (
     information_entropy,
     build_adjacency,
     build_day_graphs,
+    window_graphs,
     row_normalize_for_model,
 )
 from .model import Model, ModelConfig, decay_mask, parallel_retention
@@ -55,6 +56,7 @@ __all__ = [
     "information_entropy",
     "build_adjacency",
     "build_day_graphs",
+    "window_graphs",
     "row_normalize_for_model",
     "Model",
     "ModelConfig",

@@ -2,14 +2,15 @@
 
 Writers go through :func:`write_atomic`, so a file is either absent,
 the previous version, or the new version in full; readers of checked
-formats go through :func:`read_text`, which turns a missing or
-undecodable file into :class:`FormatError`. A cache writer ends with
-:func:`remove_unlisted`, so its directory holds only what its manifest or
-index lists.
+formats go through :func:`read_text`, which turns a missing, undecodable
+or (against a recorded SHA-256) altered file into :class:`FormatError`. A
+cache writer ends with :func:`remove_unlisted`, so its directory holds only
+what its manifest or index lists.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -40,14 +41,22 @@ def remove_unlisted(directory: Path, pattern: str, listed: set[str]) -> None:
             path.unlink(missing_ok=True)
 
 
-def read_text(path: Path, what: str) -> str:
-    """UTF-8 text of ``path`` (newlines normalized); FormatError if missing or unreadable."""
+def read_text(path: Path, what: str, sha256: str | None = None) -> str:
+    """UTF-8 text of ``path`` (newlines normalized); FormatError if missing,
+    unreadable, or (given ``sha256``) if its bytes have another SHA-256."""
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except FileNotFoundError:
         raise FormatError(f"{path}: {what} not found") from None
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
         raise FormatError(f"{path}: unreadable {what} ({e})") from e
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise FormatError(f"{path}: {what} does not match the sha256 recorded for it")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: unreadable {what} ({e})") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def is_int(value) -> bool:

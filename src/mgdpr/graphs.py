@@ -13,14 +13,15 @@ numerically better-conditioned model input.
 
 The weight depends on two numbers per stock, so each relation's matrix is
 the rank-one outer ratio w_ij = s_i / s_j with s = energy * exp(entropy).
-:func:`stock_factors` computes the per-stock numbers and :func:`outer_ratio`
-expands them; the graph cache stores only the factors (R * N numbers per
-day, not R * N**2 edges) and rebuilds the matrices with the same
-expression, so reloaded matrices are bit-identical to freshly built ones.
+A day's graph is held as those factors (:class:`MultiRelAdjacency`), built
+from a raw window by :func:`window_graphs` and expanded on demand by
+:func:`outer_ratio`; the cache stores the same R * N numbers per day, so
+reloaded matrices are bit-identical to freshly built ones.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -34,26 +35,29 @@ from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
-GRAPH_FORMAT = "mgdpr-graph-factors/2"
+GRAPH_FORMAT = "mgdpr-graph-factors/3"
 _DAY_HEADER = "relation,stock,energy,entropy"
 
 
 @dataclass
 class MultiRelAdjacency:
-    """Stack of per-relation directed weighted adjacency matrices for one day.
-
-    ``energy`` and ``entropy`` hold the per-stock factors the matrices were
-    expanded from, when known; only stacks that carry them can be cached.
+    """One day's per-relation directed adjacency matrices, held as factors:
+    relation r's matrix is ``outer_ratio(energy[r], entropy[r])``, and
+    :attr:`matrices` expands all R of them on each access.
     """
 
     t_index: int
-    matrices: np.ndarray  # (num_relations, num_stocks, num_stocks), strictly positive
-    energy: np.ndarray | None = None  # (num_relations, num_stocks)
-    entropy: np.ndarray | None = None  # (num_relations, num_stocks)
+    energy: np.ndarray  # (num_relations, num_stocks), each >= ENERGY_FLOOR
+    entropy: np.ndarray  # (num_relations, num_stocks), each >= 0
 
     @property
     def num_stocks(self) -> int:
-        return self.matrices.shape[-1]
+        return self.energy.shape[-1]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """(num_relations, num_stocks, num_stocks), strictly positive."""
+        return np.stack([outer_ratio(e, h) for e, h in zip(self.energy, self.entropy)])
 
 
 def signal_energy(x) -> float:
@@ -94,7 +98,7 @@ def stock_factors(window: np.ndarray, tickers: list[str] | None = None) -> tuple
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
-        raise UsageError(f"build_adjacency: expected (stocks, lookback), got {window.shape}")
+        raise UsageError(f"stock_factors: expected (stocks, lookback), got {window.shape}")
     energy = np.array([signal_energy(row) for row in window])
     weak = energy < ENERGY_FLOOR
     if weak.any():
@@ -126,24 +130,20 @@ def build_adjacency(window: np.ndarray, tickers: list[str] | None = None) -> np.
     return outer_ratio(*stock_factors(window, tickers))
 
 
-def _expand(t: int, energy: np.ndarray, entropy: np.ndarray) -> MultiRelAdjacency:
-    matrices = np.stack([outer_ratio(energy[r], entropy[r]) for r in range(len(energy))])
-    return MultiRelAdjacency(t_index=t, matrices=matrices, energy=energy, entropy=entropy)
+def window_graphs(t: int, raw: np.ndarray, tickers: list[str] | None = None) -> MultiRelAdjacency:
+    """Graph stack of the raw (relations, stocks, lookback) window ending at day ``t``."""
+    factors = [stock_factors(window, tickers) for window in raw]
+    return MultiRelAdjacency(t, np.array([e for e, _ in factors]), np.array([h for _, h in factors]))
 
 
 def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjacency:
-    """Adjacency stack, with its factors, for the window ending at calendar index ``t``."""
+    """Graph stack of the panel window ending at calendar index ``t``."""
     if t < lookback - 1 or t >= panel.num_days:
         raise DayRangeError(
             f"end day {t} outside [{lookback - 1}, {panel.num_days - 1}] for lookback {lookback}"
         )
-    factors = [
-        stock_factors(panel.data[:, r, t - lookback + 1 : t + 1], panel.tickers)
-        for r in range(len(RELATIONS))
-    ]
-    energy = np.array([e for e, _ in factors])
-    entropy = np.array([h for _, h in factors])
-    return _expand(t, energy, entropy)
+    raw = panel.data[:, :, t - lookback + 1 : t + 1].transpose(1, 0, 2)
+    return window_graphs(t, raw, panel.tickers)
 
 
 def row_normalize_for_model(adjacency: np.ndarray) -> np.ndarray:
@@ -156,8 +156,10 @@ def row_normalize_for_model(adjacency: np.ndarray) -> np.ndarray:
 # graph cache
 #
 # <directory>/index.json      {"format", "days", "relations", "num_stocks",
-#                              "panel_sha256"} (MarketPanel.digest of the
-#                              panel the graphs were built from)
+#                              "panel_sha256", "sha256"}: panel_sha256 is the
+#                              MarketPanel.digest of the panel the graphs were
+#                              built from; sha256 maps each day file's name
+#                              to the SHA-256 of its bytes
 # <directory>/dayNNNNN.csv    header "relation,stock,energy,entropy", then one
 #                             row per (relation, stock), relations in RELATIONS
 #                             order, stocks 0..N-1 within each relation
@@ -170,31 +172,27 @@ def _day_filename(t: int) -> str:
 def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, merge: bool = False) -> None:
     """Cache each day's per-stock energy and entropy, one CSV per day.
 
-    A day's file holds R * N rows; the matrices are rebuilt from them on
-    read. Values are written with ``repr`` (shortest round-trip form) so
-    reloading is bit-exact. Every file goes through a temporary sibling and
-    ``os.replace``, so an interrupted write never leaves a partial file under
-    its final name. ``index.json`` lists the written days and records
+    A day's file holds R * N rows. Values are written with ``repr``
+    (shortest round-trip form) so reloading is bit-exact. Every file goes
+    through a temporary sibling and ``os.replace``, so an interrupted write
+    never leaves a partial file under its final name. ``index.json`` lists
+    the written days with the SHA-256 of each day file and records
     ``panel_digest``, the :meth:`MarketPanel.digest` of the panel the graphs
-    were built from; with ``merge`` it also keeps the days of an existing
-    index of the same format, panel digest and stock count. Once the index
-    is in place, day files it does not list are deleted. Stacks without
-    factors (hand-made matrices) raise :class:`UsageError`.
+    were built from; with ``merge`` it also keeps the days (and their file
+    digests) of an existing index of the same format, panel digest and stock
+    count. Once the index is in place, day files it does not list are deleted.
     """
     directory = Path(directory)
-    for adj in graphs:
-        if adj.energy is None or adj.entropy is None:
-            raise UsageError(
-                f"day {adj.t_index}: adjacency stack has no per-stock factors to cache; "
-                "build it with build_day_graphs"
-            )
     n = graphs[0].num_stocks if graphs else 0
+    sha256: dict[str, str] = {}
     for adj in graphs:
         lines = [_DAY_HEADER]
         for r, relation in enumerate(RELATIONS):
             for i in range(n):
                 lines.append(f"{relation},{i},{float(adj.energy[r, i])!r},{float(adj.entropy[r, i])!r}")
-        write_atomic(directory / _day_filename(adj.t_index), "\n".join(lines) + "\n")
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        write_atomic(directory / _day_filename(adj.t_index), data)
+        sha256[_day_filename(adj.t_index)] = hashlib.sha256(data).hexdigest()
     days = {g.t_index for g in graphs}
     if merge:
         try:
@@ -204,15 +202,17 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, 
         same_panel = existing is not None and existing["panel_sha256"] == panel_digest
         if same_panel and existing["num_stocks"] == n:
             days.update(existing["days"])
+            sha256 = {**existing["sha256"], **sha256}
     index = {
         "format": GRAPH_FORMAT,
         "days": sorted(days),
         "relations": list(RELATIONS),
         "num_stocks": n,
         "panel_sha256": panel_digest,
+        "sha256": sha256,
     }
     write_atomic(directory / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
-    remove_unlisted(directory, r"day\d{5,}\.csv", {_day_filename(t) for t in days})
+    remove_unlisted(directory, r"day\d{5,}\.csv", set(sha256))
 
 
 def _read_index(directory: Path) -> dict:
@@ -226,19 +226,23 @@ def _read_index(directory: Path) -> dict:
         raise FormatError(f"{path}: graph index format {found!r}, expected {GRAPH_FORMAT!r}")
     if index.get("relations") != list(RELATIONS):
         raise FormatError(f"{path}: relations {index.get('relations')!r}, expected {list(RELATIONS)}")
-    n, days = index.get("num_stocks"), index.get("days")
+    n, days, sha256 = index.get("num_stocks"), index.get("days"), index.get("sha256")
     if not (is_int(n) and n >= 0):
         raise FormatError(f"{path}: num_stocks {n!r} is not a count")
     if not (isinstance(days, list) and all(is_int(t) for t in days)):
         raise FormatError(f"{path}: days {days!r} is not a list of day indices")
     if not isinstance(index.get("panel_sha256"), str):
         raise FormatError(f"{path}: panel_sha256 {index.get('panel_sha256')!r} is not a digest")
+    listed = {_day_filename(t) for t in days}
+    if not (isinstance(sha256, dict) and set(sha256) == listed and all(isinstance(h, str) for h in sha256.values())):
+        raise FormatError(f"{path}: sha256 does not map each listed day file to a digest")
     return index
 
 
-def _read_day(path: Path, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse and check one day file: header, row count, row order, values."""
-    text = read_text(path, "graph file")
+def _read_day(path: Path, n: int, sha256: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check one day file's digest, then parse and check its header, row
+    count, row order and values."""
+    text = read_text(path, "graph file", sha256)
     if not text.endswith("\n"):
         raise FormatError(f"{path}: truncated (no final newline)")
     lines = text[:-1].split("\n")
@@ -290,6 +294,7 @@ def read_graphs(
     for t in index["days"] if days is None else days:
         if t not in listed:
             raise FormatError(f"{directory / 'index.json'}: day {t} is not in the graph index")
-        energy, entropy = _read_day(directory / _day_filename(t), index["num_stocks"])
-        out[t] = _expand(t, energy, entropy)
+        name = _day_filename(t)
+        energy, entropy = _read_day(directory / name, index["num_stocks"], index["sha256"][name])
+        out[t] = MultiRelAdjacency(t, energy, entropy)
     return out

@@ -364,8 +364,10 @@ def write_panel(panel: MarketPanel, directory) -> None:
     """Persist a panel as one CSV per ticker plus a JSON manifest.
 
     Floats are written with ``repr`` so a reload is bit-exact; every file is
-    written atomically. Once the manifest is in place, ``*.csv`` files it
-    does not list (tickers of an earlier panel) are deleted.
+    written atomically. The manifest records the panel's
+    :meth:`MarketPanel.digest` as ``panel_sha256``. Once the manifest is in
+    place, ``*.csv`` files it does not list (tickers of an earlier panel) are
+    deleted.
     """
     directory = Path(directory)
     for i, ticker in enumerate(panel.tickers):
@@ -379,26 +381,31 @@ def write_panel(panel: MarketPanel, directory) -> None:
         "tickers": panel.tickers,
         "calendar": panel.calendar,
         "fill_counts": panel.fill_counts,
+        "panel_sha256": panel.digest(),
     }
     write_atomic(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     remove_unlisted(directory, r".+\.csv", {f"{ticker}.csv" for ticker in panel.tickers})
 
 
-def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int]]:
+def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int], str]:
     try:
         manifest = json.loads(read_text(path, "panel manifest"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: panel manifest is not valid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: panel manifest is not a JSON object")
-    tickers, calendar, fills = (manifest.get(k) for k in ("tickers", "calendar", "fill_counts"))
+    tickers, calendar, fills, digest = (
+        manifest.get(k) for k in ("tickers", "calendar", "fill_counts", "panel_sha256")
+    )
     if not (isinstance(tickers, list) and all(isinstance(t, str) for t in tickers)):
         raise FormatError(f"{path}: tickers {tickers!r} is not a list of names")
     if not (isinstance(calendar, list) and all(isinstance(d, str) and _DATE_RE.match(d) for d in calendar)):
         raise FormatError(f"{path}: calendar is not a list of ISO dates")
     if not (isinstance(fills, dict) and all(is_int(v) for v in fills.values())):
         raise FormatError(f"{path}: fill_counts {fills!r} is not a map of counts")
-    return tickers, calendar, fills
+    if not isinstance(digest, str):
+        raise FormatError(f"{path}: panel_sha256 {digest!r} is not a digest")
+    return tickers, calendar, fills, digest
 
 
 def _read_ticker(path: Path, calendar: list[str]) -> np.ndarray:
@@ -430,18 +437,21 @@ def _read_ticker(path: Path, calendar: list[str]) -> np.ndarray:
 def read_panel(directory) -> MarketPanel:
     """Reload a panel written by :func:`write_panel`.
 
-    The manifest and every ticker file are checked in full; a missing,
-    truncated or malformed cache raises :class:`FormatError` that names the
-    file and asks to re-run ``mgdpr ingest``.
+    The manifest and every ticker file are checked in full, and the loaded
+    panel's digest must equal the manifest's ``panel_sha256``; a missing,
+    truncated, malformed or altered cache raises :class:`FormatError` that
+    names the file and asks to re-run ``mgdpr ingest``.
     """
     directory = Path(directory)
     try:
-        tickers, calendar, fills = _read_manifest(directory / "manifest.json")
+        tickers, calendar, fills, digest = _read_manifest(directory / "manifest.json")
         data = np.empty((len(tickers), len(RELATIONS), len(calendar)), dtype=np.float64)
         for i, ticker in enumerate(tickers):
             data[i] = _read_ticker(directory / f"{ticker}.csv", calendar)
         panel = MarketPanel(tickers=tickers, calendar=calendar, data=data, fill_counts=fills)
         panel.validate()
+        if panel.digest() != digest:
+            raise FormatError(f"{directory / 'manifest.json'}: panel_sha256 does not match the ticker files")
     except DataError as e:
         raise FormatError(f"{directory}: unusable panel cache ({e}); re-run `mgdpr ingest`") from e
     return panel

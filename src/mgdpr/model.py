@@ -282,8 +282,8 @@ def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope
 # full forward pass
 
 
-def _adjacency_tensors(cfg: ModelConfig, adjacency) -> list[Tensor]:
-    matrices = adjacency.matrices if isinstance(adjacency, MultiRelAdjacency) else np.asarray(adjacency)
+def _adjacency_tensors(cfg: ModelConfig, adjacency: MultiRelAdjacency) -> list[Tensor]:
+    matrices = adjacency.matrices
     expected = (cfg.num_relations, cfg.num_stocks, cfg.num_stocks)
     if matrices.shape != expected:
         raise ShapeError(f"adjacency shape {matrices.shape}, expected {expected}")

@@ -26,7 +26,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError, DivergenceError, ShapeError, UsageError
 from .files import write_atomic
-from .graphs import MultiRelAdjacency, build_adjacency
+from .graphs import MultiRelAdjacency, window_graphs
+from .graphs import build_adjacency  # noqa: F401 -- bench/tracing.py traces mgdpr.training.build_adjacency
 from .market import WindowSample
 from .model import Model, mixture_tensors
 from .tensor import Tensor
@@ -165,15 +166,23 @@ def graphs_for_samples(
     cache = dict(graphs) if graphs else {}
     for s in samples:
         if s.t_index not in cache:
-            matrices = np.stack([build_adjacency(s.raw[r]) for r in range(s.raw.shape[0])])
-            cache[s.t_index] = MultiRelAdjacency(t_index=s.t_index, matrices=matrices)
+            cache[s.t_index] = window_graphs(s.t_index, s.raw)
     return cache
+
+
+def _predict(model: Model, s: WindowSample, graphs: dict[int, MultiRelAdjacency]) -> np.ndarray:
+    """The model's decisions for one day; DivergenceError naming the day if
+    its forward pass overflows."""
+    try:
+        return model.predict(s.features, graphs[s.t_index])
+    except FloatingPointError as e:
+        raise DivergenceError(f"non-finite prediction on day {s.t_index} ({s.end_date}): {e}") from e
 
 
 def _split_predictions(model: Model, samples: list[WindowSample], graphs) -> tuple[int, int]:
     hits = total = 0
     for s in samples:
-        pred = model.predict(s.features, graphs[s.t_index])
+        pred = _predict(model, s, graphs)
         hits += int((pred == s.labels).sum())
         total += s.labels.size
     return hits, total
@@ -311,7 +320,7 @@ def evaluate(
     graphs = graphs_for_samples(test_samples, graphs)
     total = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     for s in sorted(test_samples, key=lambda x: x.t_index):
-        c = confusion_counts(model.predict(s.features, graphs[s.t_index]), s.labels)
+        c = confusion_counts(_predict(model, s, graphs), s.labels)
         for key in total:
             total[key] += c[key]
     n_pairs = sum(total.values())

@@ -17,6 +17,7 @@ from mgdpr.graphs import (
     MultiRelAdjacency,
     build_adjacency,
     information_entropy,
+    window_graphs,
 )
 from mgdpr.market import align_panel, make_windows, split_periods
 from mgdpr.model import (
@@ -108,14 +109,11 @@ def test_criterion_3_full_model_gradient_check():
     days = []
     for _ in range(2):
         features = rng.normal(size=(cfg.num_relations, cfg.num_stocks, cfg.lookback))
-        matrices = np.stack(
-            [
-                build_adjacency(rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)))
-                for _ in range(cfg.num_relations)
-            ]
+        raw = np.stack(
+            [rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)) for _ in range(cfg.num_relations)]
         )
         labels = rng.integers(0, 2, size=cfg.num_stocks)
-        days.append((features, MultiRelAdjacency(0, matrices), labels))
+        days.append((features, window_graphs(0, raw), labels))
 
     def total_loss(p: dict[str, Tensor]) -> Tensor:
         logits = [forward(p, cfg, f, a) for f, a, _ in days]
@@ -208,20 +206,18 @@ def test_criterion_6_stock_permutation_equivariance():
     params = init_params(cfg, seed=106)  # uniform transitions: stock-symmetric
     rng = np.random.default_rng(106)
     features = rng.normal(size=(cfg.num_relations, cfg.num_stocks, cfg.lookback))
-    matrices = np.stack(
-        [
-            build_adjacency(rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)))
-            for _ in range(cfg.num_relations)
-        ]
+    raw = np.stack(
+        [rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)) for _ in range(cfg.num_relations)]
     )
-    base = forward(params, cfg, features, MultiRelAdjacency(0, matrices)).values
+    adjacency = window_graphs(0, raw)
+    base = forward(params, cfg, features, adjacency).values
     for _ in range(20):
         perm = rng.permutation(cfg.num_stocks)
         permuted = forward(
             params,
             cfg,
             features[:, perm],
-            MultiRelAdjacency(0, matrices[:, perm][:, :, perm]),
+            MultiRelAdjacency(0, adjacency.energy[:, perm], adjacency.entropy[:, perm]),
         ).values
         np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
     _report(6, "20 random permutations agree within 1e-9")

@@ -146,6 +146,15 @@ def _replace_cell(path):
     path.write_text("\n".join(lines))
 
 
+def _change_one_digit(path):
+    lines = path.read_text().split("\n")
+    cells = lines[5].split(",")
+    k = cells[2].index(".") + 1
+    cells[2] = cells[2][:k] + str((int(cells[2][k]) + 1) % 10) + cells[2][k + 1 :]
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
 def _old_format_index(path):
     index = path.parent / "index.json"
     payload = json.loads(index.read_text())
@@ -165,12 +174,13 @@ class TestDamagedGraphCache:
             _truncate_at(0.5),
             _truncate_at(0.999),
             _replace_cell,
+            _change_one_digit,
             lambda path: path.unlink(),
             _old_format_index,
             lambda path: (path.parent / "index.json").write_text("{not json"),
         ],
         ids=["truncate-0", "truncate-1pct", "truncate-half", "truncate-last-byte",
-             "non-numeric-cell", "deleted", "old-format-index", "garbage-index"],
+             "non-numeric-cell", "one-changed-digit", "deleted", "old-format-index", "garbage-index"],
     )
     def test_train_exits_5(self, tmp_path, capsys, damage):
         config = make_workspace(tmp_path)
@@ -198,12 +208,14 @@ class TestDamagedPanelCache:
         [
             _edit_panel_row(lambda cells: cells[:2] + ["12.3.4"] + cells[3:]),
             _edit_panel_row(lambda cells: cells[:-1]),
+            _change_one_digit,
             lambda path: path.unlink(),
             lambda path: (path.parent / "manifest.json").write_text("{not json"),
             lambda path: (path.parent / "manifest.json").write_text("{}"),
             _truncate_at(0.5),
         ],
-        ids=["non-numeric-cell", "short-row", "deleted", "garbage-manifest", "empty-manifest", "truncate-half"],
+        ids=["non-numeric-cell", "short-row", "one-changed-digit", "deleted", "garbage-manifest",
+             "empty-manifest", "truncate-half"],
     )
     def test_graph_exits_2(self, tmp_path, capsys, damage):
         config = make_workspace(tmp_path)
@@ -375,6 +387,37 @@ class TestEval:
             monkeypatch.setattr(cli, name, counted)
         assert run("eval", "--config", config, "--seeds", 3, "--epochs", 1) == 0
         assert calls == {"read_panel": 1, "make_windows": 1, "read_graphs": 1}
+
+
+class TestOverflowOutsideTheTrainingStep:
+    """A forward pass that overflows in validation or evaluation exits 4,
+    naming the day, instead of ending in a traceback."""
+
+    def test_eval_of_overflowing_checkpoint_exits_4(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph", "train"):
+            assert run(cmd, "--config", config) == 0
+        damaged = tmp_path / "huge.bin"
+        damaged.write_bytes((tmp_path / "out" / "checkpoint.bin").read_bytes())
+        _edit_checkpoint(_set_first_value("embed.W", 1e300))(damaged)
+        assert run("eval", "--config", config, "--checkpoint", damaged) == 4
+        assert "non-finite prediction on day" in capsys.readouterr().err
+
+    def test_train_whose_validation_overflows_exits_4(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, **{"train.learning_rate": 1e200})
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        assert run("train", "--config", config) == 4
+        assert "non-finite prediction on day" in capsys.readouterr().err
+
+
+def _set_first_value(name, value):
+    def edit(header, payload):
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        k = entry["offset"]
+        return payload[:k] + struct.pack("<d", value) + payload[k + 8 :]
+
+    return edit
 
 
 def _edit_checkpoint(edit):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -8,7 +9,6 @@ import pytest
 from mgdpr.errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
 from mgdpr.graphs import (
     ENTROPY_DECIMALS,
-    MultiRelAdjacency,
     build_adjacency,
     build_day_graphs,
     information_entropy,
@@ -239,13 +239,6 @@ class TestGraphCache:
         assert len(lines) == 1 + 5 * 3
         assert lines[1].startswith("open,0,") and lines[-1].startswith("volume,2,")
 
-    def test_stack_without_factors_rejected(self, tmp_path):
-        rng = np.random.default_rng(11)
-        matrices = np.stack([build_adjacency(rng.uniform(0.5, 9.0, size=(3, 5))) for _ in range(5)])
-        with pytest.raises(UsageError, match="factors"):
-            write_graphs([MultiRelAdjacency(t_index=7, matrices=matrices)], tmp_path, "unused")
-        assert not (tmp_path / "index.json").exists()
-
     def test_merge_keeps_existing_days_sorted(self, tmp_path):
         _cached_days(tmp_path, days=(4, 6))
         panel = _cache_panel()
@@ -294,11 +287,67 @@ class TestGraphCache:
         ],
     )
     def test_damaged_day_file_rejected(self, tmp_path, damage, match):
+        # The index is re-stamped with the damaged file's digest, so these
+        # cases reach the parser's own checks rather than the checksum.
         _cached_days(tmp_path)
         path = tmp_path / "day00004.csv"
         path.write_text(damage(path.read_text()))
+        _restamp(path)
         with pytest.raises(FormatError, match=match):
             read_graphs(tmp_path)
+
+    def test_changed_digit_fails_checksum(self, tmp_path):
+        _cached_days(tmp_path)
+        path = tmp_path / "day00004.csv"
+        text = path.read_text()
+        cell = text.split("\n")[3].split(",")[2]
+        path.write_text(_set_cell(text, 3, 2, _bump_digit(cell)))
+        with pytest.raises(FormatError, match="sha256"):
+            read_graphs(tmp_path)
+        _restamp(path)
+        assert sorted(read_graphs(tmp_path)) == [4, 5]
+
+    def test_index_records_each_day_file_digest(self, tmp_path):
+        _cached_days(tmp_path, days=(4, 6))
+        panel = _cache_panel()
+        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, panel.digest(), merge=True)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index["format"] == "mgdpr-graph-factors/3"
+        assert sorted(index["sha256"]) == ["day00004.csv", "day00005.csv", "day00006.csv"]
+        for name, digest in index["sha256"].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda index: index.pop("sha256"),
+            lambda index: index["sha256"].pop("day00005.csv"),
+            lambda index: index["sha256"].update({"day00009.csv": "0" * 64}),
+            lambda index: index["sha256"].update({"day00005.csv": 5}),
+        ],
+        ids=["missing", "day-missing", "extra-day", "not-a-string"],
+    )
+    def test_damaged_digest_table_rejected(self, tmp_path, edit):
+        _cached_days(tmp_path)
+        path = tmp_path / "index.json"
+        index = json.loads(path.read_text())
+        edit(index)
+        path.write_text(json.dumps(index))
+        with pytest.raises(FormatError, match="sha256"):
+            read_graphs(tmp_path)
+
+
+def _restamp(path):
+    index_path = path.parent / "index.json"
+    index = json.loads(index_path.read_text())
+    index["sha256"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    index_path.write_text(json.dumps(index))
+
+
+def _bump_digit(cell):
+    """``cell`` with the digit after its decimal point changed."""
+    k = cell.index(".") + 1
+    return cell[:k] + str((int(cell[k]) + 1) % 10) + cell[k + 1 :]
 
 
 def _set_cell(text, row, col, value):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -264,4 +266,35 @@ class TestPanelCache:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
+            read_panel(tmp_path)
+
+    def _written(self, tmp_path):
+        d = _dates(12)
+        panel = align_panel([_series("A", d), _series("B", d, base=40.0)])
+        write_panel(panel, tmp_path)
+        return panel
+
+    def test_manifest_records_panel_digest(self, tmp_path):
+        panel = self._written(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["panel_sha256"] == panel.digest()
+
+    def test_changed_value_fails_digest(self, tmp_path):
+        self._written(tmp_path)
+        path = tmp_path / "B.csv"
+        lines = path.read_text().split("\n")
+        cells = lines[3].split(",")
+        cells[4] = str(float(cells[4]) + 0.5)
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match="panel_sha256"):
+            read_panel(tmp_path)
+
+    def test_manifest_without_digest_rejected(self, tmp_path):
+        self._written(tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["panel_sha256"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="panel_sha256"):
             read_panel(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 import mgdpr.model
 from mgdpr import tensor as T
 from mgdpr.errors import CheckpointError, ConfigError, ShapeError
-from mgdpr.graphs import MultiRelAdjacency, build_adjacency
+from mgdpr.graphs import MultiRelAdjacency, window_graphs
 from mgdpr.model import (
     Model,
     ModelConfig,
@@ -47,13 +47,10 @@ def small_config(**overrides):
 def random_instance(cfg, seed=0):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(cfg.num_relations, cfg.num_stocks, cfg.lookback))
-    matrices = np.stack(
-        [
-            build_adjacency(rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)))
-            for _ in range(cfg.num_relations)
-        ]
+    raw = np.stack(
+        [rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)) for _ in range(cfg.num_relations)]
     )
-    return features, MultiRelAdjacency(t_index=0, matrices=matrices)
+    return features, window_graphs(0, raw)
 
 
 class TestMixtureWeights:
@@ -337,9 +334,8 @@ class TestForward:
         rng = np.random.default_rng(16)
         windows = rng.uniform(0.5, 5.0, size=(cfg.num_relations, 4, cfg.lookback))
         windows[:, 1] = windows[:, 0]  # stocks 0 and 1 are clones
-        matrices = np.stack([build_adjacency(windows[r]) for r in range(cfg.num_relations)])
         features = (windows - windows.mean(-1, keepdims=True)) / windows.std(-1, keepdims=True)
-        logits = forward(params, cfg, features, MultiRelAdjacency(0, matrices))
+        logits = forward(params, cfg, features, window_graphs(0, windows))
         np.testing.assert_allclose(logits.values[0], logits.values[1], atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -350,7 +346,7 @@ class TestForward:
         base = forward(params, cfg, features, adjacency).values
         for _ in range(5):
             perm = rng.permutation(cfg.num_stocks)
-            permuted_adj = MultiRelAdjacency(0, adjacency.matrices[:, perm][:, :, perm])
+            permuted_adj = MultiRelAdjacency(0, adjacency.energy[:, perm], adjacency.entropy[:, perm])
             permuted = forward(params, cfg, features[:, perm], permuted_adj).values
             np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
 

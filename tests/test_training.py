@@ -6,6 +6,7 @@ import pytest
 
 from mgdpr import tensor as T
 from mgdpr.errors import DataError, DivergenceError, ShapeError, UsageError
+from mgdpr.graphs import build_day_graphs
 from mgdpr.market import align_panel, make_windows
 from mgdpr.model import Model, ModelConfig, init_params, mixture_tensors
 from mgdpr.synthetic import planted_market
@@ -220,6 +221,21 @@ class TestTrain:
         losses = [row[1] for row in trace]
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
         assert violations <= 2
+
+
+class TestGraphsForSamples:
+    def test_library_path_equals_build_day_graphs_bit_for_bit(self):
+        panel = align_panel(planted_market(num_stocks=6, num_days=30, momentum_lag=3, seed=12))
+        samples = make_windows(panel, 5)
+        graphs = graphs_for_samples(samples)
+        assert sorted(graphs) == list(range(4, 29))
+        for s in samples:
+            expected = build_day_graphs(panel, s.t_index, 5)
+            got = graphs[s.t_index]
+            assert got.t_index == s.t_index
+            assert got.energy.tobytes() == expected.energy.tobytes()
+            assert got.entropy.tobytes() == expected.entropy.tobytes()
+            assert got.matrices.tobytes() == expected.matrices.tobytes()
 
 
 class TestEvaluate:
