@@ -16,7 +16,6 @@ from mgdpr.graphs import (
     build_adjacency,
     build_day_graphs,
     information_entropy,
-    row_normalize_for_model,
     signal_energy,
 )
 from mgdpr.market import RELATIONS, align_panel, make_windows
@@ -44,11 +43,14 @@ print("diagonal is exactly one:", np.array_equal(np.diag(adjacency), np.ones(pan
 print("opposite edges are reciprocal: max |a_ij * a_ji - 1| =",
       f"{np.abs(adjacency * adjacency.T - 1.0).max():.2e}")
 
-print("\n== the full per-day stack, and the row-normalized form the model eats ==")
+print("\n== the full per-day stack, and the sender weights the model reads ==")
 day = build_day_graphs(panel, t=LOOKBACK - 1, lookback=LOOKBACK)
 print("stack shape (relations, stocks, stocks):", day.matrices.shape)
-volume = day.matrices[RELATIONS.index("volume")]
+r = RELATIONS.index("volume")
+volume = day.matrices[r]
 print(f"raw volume-relation weights span [{volume.min():.3g}, {volume.max():.3g}]")
-normalized = row_normalize_for_model(volume)
-print("after row normalization every row sums to one:",
-      np.allclose(normalized.sum(axis=1), 1.0, atol=1e-12))
+b = day.sender_weights[r]
+print("sender weights b (every row of the row-normalized matrix):", np.array_str(b, precision=4))
+print("b sums to one:", np.isclose(b.sum(), 1.0, atol=1e-12),
+      "| row-normalized rows all equal b:",
+      np.allclose(volume / volume.sum(axis=1, keepdims=True), b, rtol=1e-12, atol=0.0))

@@ -10,7 +10,7 @@ causal: strictly upper-triangular entries are exactly zero.
 
 import numpy as np
 
-from mgdpr.graphs import build_adjacency
+from mgdpr.graphs import window_graphs
 from mgdpr.model import (
     decay_mask,
     diffusion_matrix,
@@ -37,8 +37,10 @@ transitions = transition_matrices(raw_t)
 print("transition column sums (per step):", np.round(transitions.values.sum(axis=1), 12)[0])
 
 print("\n== a diffusion matrix: convex mix of transitions, masked by the day's graph ==")
-adjacency = build_adjacency(rng.uniform(0.5, 4.0, size=(4, 6)))
-s = diffusion_matrix(weights, transitions, Tensor(adjacency / adjacency.sum(1, keepdims=True)))
+day = window_graphs(0, rng.uniform(0.5, 4.0, size=(1, 4, 6)))
+b = day.sender_weights[0]
+print("sender weights (every row of the row-normalized graph):", np.round(b, 4))
+s = diffusion_matrix(weights, transitions, b)
 print(np.array_str(s.values, precision=4, suppress_small=True))
 
 print("\n== retention is causal ==")

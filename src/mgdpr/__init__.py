@@ -35,7 +35,6 @@ from .graphs import (
     build_adjacency,
     build_day_graphs,
     window_graphs,
-    row_normalize_for_model,
 )
 from .model import Model, ModelConfig, decay_mask, parallel_retention
 from .training import MetricsReport, TrainConfig, accuracy, evaluate, f1, mcc, train
@@ -57,7 +56,6 @@ __all__ = [
     "build_adjacency",
     "build_day_graphs",
     "window_graphs",
-    "row_normalize_for_model",
     "Model",
     "ModelConfig",
     "decay_mask",

@@ -54,7 +54,6 @@ DEFAULTS: dict[str, object] = {
     "model.decay": 1.27,
     "model.num_groups": 4,
     "model.activation_slope": 0.01,
-    "model.adjacency_mode": "normalized",
     "model.readout_hidden": 0,
     "train.learning_rate": 2.5e-4,
     "train.epochs": 900,
@@ -130,7 +129,6 @@ def model_config(resolved: dict[str, object], num_stocks: int) -> ModelConfig:
         decay=float(resolved["model.decay"]),
         num_groups=int(resolved["model.num_groups"]),
         activation_slope=float(resolved["model.activation_slope"]),
-        adjacency_mode=str(resolved["model.adjacency_mode"]),
         readout_hidden=int(resolved["model.readout_hidden"]),
     )
 

@@ -8,15 +8,15 @@ gets the edge weight
 computed on the raw lookback windows. The construction is a complete graph:
 no sparsification is applied here — pruning task-irrelevant edges is the
 diffusion stage's job. Weights are reciprocal in pairs (w_ij * w_ji = 1)
-with an exactly-unit diagonal, and a row-normalized variant is provided for
-numerically better-conditioned model input.
+with an exactly-unit diagonal.
 
 The weight depends on two numbers per stock, so each relation's matrix is
 the rank-one outer ratio w_ij = s_i / s_j with s = energy * exp(entropy).
 A day's graph is held as those factors (:class:`MultiRelAdjacency`), built
 from a raw window by :func:`window_graphs` and expanded on demand by
 :func:`outer_ratio`; the cache stores the same R * N numbers per day, so
-reloaded matrices are bit-identical to freshly built ones.
+reloaded matrices are bit-identical to freshly built ones. The model reads
+only the R * N :attr:`MultiRelAdjacency.sender_weights`, never N x N matrices.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ class MultiRelAdjacency:
     def matrices(self) -> np.ndarray:
         """(num_relations, num_stocks, num_stocks), strictly positive."""
         return np.stack([outer_ratio(e, h) for e, h in zip(self.energy, self.entropy)])
+
+    @property
+    def sender_weights(self) -> np.ndarray:
+        """(num_relations, num_stocks) b = (1/s) / sum(1/s), s = energy * exp(entropy):
+        every row of relation r's row-normalized matrix, (s_i/s_j) / sum_k (s_i/s_k), is b[r].
+        """
+        inverse = 1.0 / (self.energy * np.exp(self.entropy))
+        return inverse / inverse.sum(axis=-1, keepdims=True)
 
 
 def signal_energy(x) -> float:
@@ -144,12 +152,6 @@ def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjac
         )
     raw = panel.data[:, :, t - lookback + 1 : t + 1].transpose(1, 0, 2)
     return window_graphs(t, raw, panel.tickers)
-
-
-def row_normalize_for_model(adjacency: np.ndarray) -> np.ndarray:
-    """Divide each row by its sum; entries span orders of magnitude otherwise."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    return adjacency / adjacency.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,9 @@ class MarketPanel:
             raise DataError("panel contains non-positive prices")
 
     def digest(self) -> str:
-        """SHA-256 over the tickers, the calendar and the data bytes."""
-        h = hashlib.sha256(json.dumps([self.tickers, self.calendar]).encode("utf-8"))
+        """SHA-256 over the tickers, the calendar, the gap-fill counts and the data bytes."""
+        header = json.dumps([self.tickers, self.calendar, self.fill_counts], sort_keys=True)
+        h = hashlib.sha256(header.encode("utf-8"))
         h.update(np.ascontiguousarray(self.data, dtype="<f8").tobytes())
         return h.hexdigest()
 
@@ -129,28 +130,27 @@ def _series_from_rows(ticker: str, rows: list[tuple[str, list[float]]], dropped:
 def _load_one_file(path: Path) -> list[InstrumentSeries]:
     groups: dict[str, list[tuple[str, list[float]]]] = {}
     dropped: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        headers = reader.fieldnames or []
-        missing = [c for c in _REQUIRED if c not in headers]
-        if missing:
-            raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
-        has_ticker = "ticker" in headers
-        for row in reader:
-            ticker = (row.get("ticker") or path.stem) if has_ticker else path.stem
-            try:
-                date = (row["date"] or "").strip()
-                if not _DATE_RE.match(date):
-                    raise ValueError(date)
-                vals = [float(row[c]) for c in RELATIONS]
-                if not all(np.isfinite(vals)):
-                    raise ValueError("non-finite")
-                if any(v <= 0.0 for v in vals[:VOLUME]) or vals[VOLUME] < 0.0:
-                    raise ValueError("non-positive price")
-            except (KeyError, TypeError, ValueError):
-                dropped[ticker] = dropped.get(ticker, 0) + 1
-                continue
-            groups.setdefault(ticker, []).append((date, vals))
+    reader = csv.DictReader(io.StringIO(read_text(path, "raw CSV")))
+    headers = reader.fieldnames or []
+    missing = [c for c in _REQUIRED if c not in headers]
+    if missing:
+        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+    has_ticker = "ticker" in headers
+    for row in reader:
+        ticker = (row.get("ticker") or path.stem) if has_ticker else path.stem
+        try:
+            date = (row["date"] or "").strip()
+            if not _DATE_RE.match(date):
+                raise ValueError(date)
+            vals = [float(row[c]) for c in RELATIONS]
+            if not all(np.isfinite(vals)):
+                raise ValueError("non-finite")
+            if any(v <= 0.0 for v in vals[:VOLUME]) or vals[VOLUME] < 0.0:
+                raise ValueError("non-positive price")
+        except (KeyError, TypeError, ValueError):
+            dropped[ticker] = dropped.get(ticker, 0) + 1
+            continue
+        groups.setdefault(ticker, []).append((date, vals))
     for ticker in dropped:
         groups.setdefault(ticker, [])
     return [

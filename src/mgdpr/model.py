@@ -5,8 +5,8 @@ runs two decoupled stages:
 
 - *diffusion* mixes the stock axis, one lookback slice at a time, through a
   learned convex combination of column-stochastic transition matrices masked
-  by the day's adjacency, independently per relation, then collapses the
-  relation channels with a learned 1x1 mix;
+  by the day's row-normalized adjacency, independently per relation, then
+  collapses the relation channels with a learned 1x1 mix;
 - *retention* mixes the lookback axis per stock with a causally masked,
   distance-weighted score matrix, group-normalized, and merges the result
   with an affine carry of the previous layer's representation.
@@ -30,10 +30,8 @@ import numpy as np
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .files import is_int, write_atomic
-from .graphs import MultiRelAdjacency, row_normalize_for_model
 from .tensor import Tensor
 
-ADJACENCY_MODES = ("normalized", "raw")
 CHECKPOINT_FORMAT = "mgdpr-checkpoint-v1"
 
 
@@ -55,7 +53,6 @@ class ModelConfig:
     decay: float = 1.27
     num_groups: int = 4
     activation_slope: float = 0.01
-    adjacency_mode: str = "normalized"
     readout_hidden: int = 0  # 0 means "same as embed_dim"
 
     def validate(self) -> None:
@@ -78,8 +75,6 @@ class ModelConfig:
             )
         if self.decay <= 0.0:
             raise ConfigError(f"decay must be positive, got {self.decay}")
-        if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ConfigError(f"adjacency_mode must be one of {ADJACENCY_MODES}")
 
     @property
     def hidden(self) -> int:
@@ -168,16 +163,21 @@ def transition_matrices(raw: Tensor) -> Tensor:
     return T.softmax(raw, axis=1)
 
 
-def diffusion_matrix(weights: Tensor, transitions: Tensor, adjacency: Tensor) -> Tensor:
-    """Convex mix of transition steps, masked by the day's adjacency."""
+def diffusion_matrix(weights: Tensor, transitions: Tensor, sender_weights: np.ndarray) -> Tensor:
+    """Convex mix of transition steps, masked by the day's row-normalized
+    adjacency: every row of it is ``sender_weights`` (one relation's row of
+    :attr:`MultiRelAdjacency.sender_weights`), so column j of the mix is
+    scaled by ``sender_weights[j]`` through a broadcast view, not an N x N copy.
+    """
     k, n, n2 = transitions.shape
-    if weights.shape != (k,) or adjacency.shape != (n, n2):
+    if weights.shape != (k,) or sender_weights.shape != (n2,):
         raise ShapeError(
             f"diffusion_matrix: weights {weights.shape}, transitions {transitions.shape}, "
-            f"adjacency {adjacency.shape} disagree"
+            f"sender weights {sender_weights.shape} disagree"
         )
-    mix = T.matmul(T.reshape(weights, (1, k)), T.reshape(transitions, (k, n * n)))
-    return T.hadamard(T.reshape(mix, (n, n)), adjacency)
+    mix = T.matmul(T.reshape(weights, (1, k)), T.reshape(transitions, (k, n * n2)))
+    mask = T.constant(np.broadcast_to(sender_weights, (n, n2)))
+    return T.hadamard(T.reshape(mix, (n, n2)), mask)
 
 
 def diffuse_layer(
@@ -282,22 +282,12 @@ def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope
 # full forward pass
 
 
-def _adjacency_tensors(cfg: ModelConfig, adjacency: MultiRelAdjacency) -> list[Tensor]:
-    matrices = adjacency.matrices
-    expected = (cfg.num_relations, cfg.num_stocks, cfg.num_stocks)
-    if matrices.shape != expected:
-        raise ShapeError(f"adjacency shape {matrices.shape}, expected {expected}")
-    if cfg.adjacency_mode == "normalized":
-        matrices = row_normalize_for_model(matrices)
-    return [Tensor(matrices[r]) for r in range(cfg.num_relations)]
-
-
 def forward(params: dict[str, Tensor], cfg: ModelConfig, features: np.ndarray, adjacency) -> Tensor:
     """Features + day graphs -> (num_stocks, 2) logits.
 
     ``features`` is the z-scored (relations, stocks, lookback) window;
-    ``adjacency`` the same day's raw graph stack (normalization happens here
-    according to ``cfg.adjacency_mode``).
+    ``adjacency`` the same day's :class:`MultiRelAdjacency`, of which only the
+    (relations, stocks) ``sender_weights`` are read.
     """
     features = np.asarray(features, dtype=np.float64)
     expected = (cfg.num_relations, cfg.num_stocks, cfg.lookback)
@@ -306,8 +296,10 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, features: np.ndarray, a
     missing = [name for name in expected_param_shapes(cfg) if name not in params]
     if missing:
         raise UsageError(f"params missing {len(missing)} tensors, e.g. {missing[0]!r}")
+    senders = adjacency.sender_weights
+    if senders.shape != expected[:2]:
+        raise ShapeError(f"graph sender weights shape {senders.shape}, expected {expected[:2]}")
 
-    graphs = _adjacency_tensors(cfg, adjacency)
     mask = decay_mask(cfg.lookback, cfg.decay)
     state = init_state(features, params["embed.W"], params["embed.b"])
     carried = state
@@ -317,7 +309,7 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, features: np.ndarray, a
         for r in range(cfg.num_relations):
             weights = mixture_weights(params[f"diffusion.{l}.mixture.{r}"])
             transitions = transition_matrices(params[f"diffusion.{l}.transition.{r}"])
-            diffusion_matrices.append(diffusion_matrix(weights, transitions, graphs[r]))
+            diffusion_matrices.append(diffusion_matrix(weights, transitions, senders[r]))
             relation_maps.append(params[f"diffusion.{l}.relmap.{r}"])
         state = diffuse_layer(
             state,

@@ -70,7 +70,6 @@ class MetricsReport:
     confusion: dict[str, int]
     num_days: int
     num_stocks: int
-    loss_trace: list[tuple[int, float, float]] | None = None
 
     def to_dict(self) -> dict:
         return {

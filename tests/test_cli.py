@@ -77,6 +77,13 @@ class TestIngest:
             f.unlink()
         assert run("ingest", "--config", config) == 2
 
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        bad = tmp_path / "data" / "SYN01.csv"
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        assert run("ingest", "--config", config) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_rerun_identical_manifest_hash(self, tmp_path):
         config = make_workspace(tmp_path)
         manifest = tmp_path / "cache" / "panel" / "manifest.json"
@@ -200,6 +207,13 @@ def _edit_panel_row(edit):
     return damage
 
 
+def _edit_fill_count(path):
+    manifest = path.parent / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["fill_counts"][path.stem] = 99
+    manifest.write_text(json.dumps(payload))
+
+
 class TestDamagedPanelCache:
     """Mutations of the panel cache: `graph` exits 2, never raises."""
 
@@ -213,9 +227,10 @@ class TestDamagedPanelCache:
             lambda path: (path.parent / "manifest.json").write_text("{not json"),
             lambda path: (path.parent / "manifest.json").write_text("{}"),
             _truncate_at(0.5),
+            _edit_fill_count,
         ],
         ids=["non-numeric-cell", "short-row", "one-changed-digit", "deleted", "garbage-manifest",
-             "empty-manifest", "truncate-half"],
+             "empty-manifest", "truncate-half", "edited-fill-count"],
     )
     def test_graph_exits_2(self, tmp_path, capsys, damage):
         config = make_workspace(tmp_path)

@@ -13,7 +13,6 @@ from mgdpr.graphs import (
     build_day_graphs,
     information_entropy,
     read_graphs,
-    row_normalize_for_model,
     signal_energy,
     write_graphs,
 )
@@ -172,24 +171,6 @@ class TestBuildDayGraphs:
             build_day_graphs(panel, 3, 5)
         with pytest.raises(DayRangeError):
             build_day_graphs(panel, 12, 5)
-
-
-class TestRowNormalize:
-    def test_uniform(self):
-        out = row_normalize_for_model(np.ones((2, 2)))
-        np.testing.assert_array_equal(out, np.full((2, 2), 0.5))
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(7)
-        a = build_adjacency(rng.uniform(0.5, 10.0, size=(6, 8)))
-        np.testing.assert_allclose(row_normalize_for_model(a).sum(axis=1), 1.0, atol=1e-12)
-
-    def test_order_within_row_preserved(self):
-        rng = np.random.default_rng(8)
-        a = rng.uniform(0.1, 5.0, size=(4, 4))
-        out = row_normalize_for_model(a)
-        for i in range(4):
-            assert np.array_equal(np.argsort(a[i]), np.argsort(out[i]))
 
 
 class TestGraphProperties:

@@ -27,6 +27,7 @@ from mgdpr.model import (
 )
 from mgdpr.tensor import Tensor
 from gradcheck import max_rel_err, numeric_grad
+from test_graphs import oracle_adjacency
 
 
 def small_config(**overrides):
@@ -97,26 +98,44 @@ class TestDiffusionMatrix:
     def test_single_step_uniform_on_all_ones(self):
         weights = Tensor(np.ones(1))
         transitions = transition_matrices(Tensor(np.zeros((1, 4, 4))))
-        out = diffusion_matrix(weights, transitions, Tensor(np.ones((4, 4))))
+        out = diffusion_matrix(weights, transitions, np.ones(4))
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_adjacency_zero_masks_entry(self):
-        adjacency = np.ones((3, 3))
-        adjacency[1, 2] = 0.0
+        # a zero sender weight masks that sender's whole column
+        senders = np.ones(3)
+        senders[2] = 0.0
         out = diffusion_matrix(
             Tensor(np.ones(1)),
             transition_matrices(Tensor(np.zeros((1, 3, 3)))),
-            Tensor(adjacency),
+            senders,
         )
-        assert out.values[1, 2] == 0.0
+        assert np.all(out.values[:, 2] == 0.0)
+        assert np.all(out.values[:, :2] > 0.0)
 
     def test_degenerate_mixture_selects_first_step(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(2, 3, 3))
         transitions = transition_matrices(Tensor(raw))
         one_hot = Tensor(np.array([1.0, 0.0]))
-        out = diffusion_matrix(one_hot, transitions, Tensor(np.ones((3, 3))))
+        out = diffusion_matrix(one_hot, transitions, np.ones(3))
         np.testing.assert_allclose(out.values, transitions.values[0], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_equals_mix_masked_by_row_normalized_oracle(self, n):
+        """Sender weights carry the whole row-normalized graph: the mask
+        they apply is the Hadamard with A / A.sum(1), A from the nested-loop
+        oracle."""
+        rng = np.random.default_rng(n)
+        window = rng.uniform(0.5, 5.0, size=(n, 21))
+        senders = window_graphs(0, window[None]).sender_weights[0]
+        weights = mixture_weights(Tensor(rng.normal(size=3)))
+        transitions = transition_matrices(Tensor(rng.normal(size=(3, n, n))))
+        adjacency = oracle_adjacency(window)
+        mix = np.einsum("k,kij->ij", weights.values, transitions.values)
+        expected = mix * (adjacency / adjacency.sum(axis=1, keepdims=True))
+        got = diffusion_matrix(weights, transitions, senders).values
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestDecayMask:
@@ -364,6 +383,21 @@ class TestForward:
         features, adjacency = random_instance(cfg, seed=8)
         with pytest.raises(ShapeError):
             forward(params, cfg, features[:, :, :-1], adjacency)
+        fewer_stocks = MultiRelAdjacency(0, adjacency.energy[:, :-1], adjacency.entropy[:, :-1])
+        with pytest.raises(ShapeError):
+            forward(params, cfg, features, fewer_stocks)
+
+    def test_graph_is_read_without_n_by_n_matrices(self):
+        class FactorsOnly(MultiRelAdjacency):
+            @property
+            def matrices(self):
+                raise AssertionError("the model expanded a day's N x N adjacency")
+
+        model, features, adjacency = desk_instance()
+        factors_only = FactorsOnly(adjacency.t_index, adjacency.energy, adjacency.entropy)
+        logits = model.forward(features, factors_only).values
+        assert np.array_equal(logits, model.forward(features, adjacency).values)
+        assert np.array_equal(model.predict(features, factors_only), np.argmax(logits, axis=1))
 
 
 def desk_instance(seed=5):
@@ -534,10 +568,6 @@ class TestConfigValidation:
     def test_groups_must_divide_width(self):
         with pytest.raises(ConfigError):
             small_config(embed_dim=6, num_groups=4).validate()
-
-    def test_bad_adjacency_mode(self):
-        with pytest.raises(ConfigError):
-            small_config(adjacency_mode="sparse").validate()
 
     def test_param_shapes_deterministic_order(self):
         cfg = small_config(num_layers=2)
