@@ -19,7 +19,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import (
     CheckpointError,
@@ -28,38 +30,39 @@ from .errors import (
     DayRangeError,
     DegenerateSeriesError,
     DivergenceError,
+    FormatError,
     MgdprError,
     ShapeError,
     UsageError,
 )
-from .files import write_atomic
+from .files import has_type, read_json_object, type_name, write_atomic
 from .graphs import build_day_graphs, read_graphs, write_graphs
 from .market import align_panel, label_balance, load_csv, make_windows, read_panel, split_periods, write_panel
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import MetricsReport, TrainConfig, evaluate, train, write_metrics_json, write_trace_csv
 
-DEFAULTS: dict[str, object] = {
-    "market": "unnamed",
-    "coverage": 0.98,
-    "paths.data_dir": "data",
-    "paths.cache_dir": "cache",
-    "paths.output_dir": "out",
-    "split.train": None,
-    "split.val": None,
-    "split.test": None,
-    "model.lookback": 21,
-    "model.num_layers": 8,
-    "model.expansion_steps": 7,
-    "model.embed_dim": 256,
-    "model.decay": 1.27,
-    "model.num_groups": 4,
-    "model.activation_slope": 0.01,
-    "model.readout_hidden": 0,
-    "train.learning_rate": 2.5e-4,
-    "train.epochs": 900,
-    "train.batch_size": None,
-    "train.seed": 0,
+def _dataclass_keys(cls, prefix: str, skip: tuple[str, ...] = ()) -> dict[str, tuple[object, object]]:
+    """``prefix.<field>`` -> (default, type) for each field of ``cls`` not in ``skip``."""
+    hints = get_type_hints(cls)
+    return {f"{prefix}.{f.name}": (f.default, hints[f.name]) for f in fields(cls) if f.name not in skip}
+
+
+# Every config key with its default and type; model.* and train.* are the fields
+# of ModelConfig and TrainConfig, except the two sizes that come from the data.
+_SCHEMA: dict[str, tuple[object, object]] = {
+    "market": ("unnamed", str),
+    "coverage": (0.98, float),
+    "paths.data_dir": ("data", str),
+    "paths.cache_dir": ("cache", str),
+    "paths.output_dir": ("out", str),
+    "split.train": (None, tuple[str, str] | None),
+    "split.val": (None, tuple[str, str] | None),
+    "split.test": (None, tuple[str, str] | None),
+    **_dataclass_keys(ModelConfig, "model", skip=("num_stocks", "num_relations")),
+    **_dataclass_keys(TrainConfig, "train"),
+    "train.seed": (0, int),
 }
+DEFAULTS: dict[str, object] = {key: default for key, (default, _) in _SCHEMA.items()}
 
 EXIT_CODES = {"data": 2, "graph": 3, "divergence": 4, "config": 5, "checkpoint": 6}
 
@@ -74,42 +77,37 @@ exit codes:
 
 
 def load_config(path, env: dict[str, str] | None = None) -> dict[str, object]:
-    """Resolve defaults <- config file <- MGDPR_* environment overrides."""
+    """Resolve defaults <- config file <- MGDPR_* environment overrides
+    (JSON, or the raw text for string keys); ConfigError unless every value
+    has its key's type in ``_SCHEMA``."""
     env = os.environ if env is None else env
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: config file not found")
-    with open(path, encoding="utf-8") as f:
-        try:
-            loaded = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: config must be a JSON object of dotted keys")
+    try:
+        loaded = read_json_object(Path(path), "config file", {})
+    except FormatError as e:
+        raise ConfigError(str(e)) from e
     # "derived.*" keys appear in resolved-config files; accept them so a
     # resolved config is itself runnable, but they never override anything.
     unknown = sorted(k for k in set(loaded) - set(DEFAULTS) if not k.startswith("derived."))
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     resolved = dict(DEFAULTS)
-    resolved.update({k: v for k, v in loaded.items() if k in DEFAULTS})
-    for key in DEFAULTS:
+    for key, (_, kind) in _SCHEMA.items():
         env_key = "MGDPR_" + key.upper().replace(".", "_")
         if env_key in env:
-            raw = env[env_key]
-            try:
-                resolved[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                resolved[key] = raw
+            value, source = env[env_key], env_key
+            if kind is not str:
+                try:
+                    value = json.loads(value)
+                except json.JSONDecodeError:
+                    pass  # left as text, which fails the type check below
+        elif key in loaded:
+            value, source = loaded[key], path
+        else:
+            continue
+        if not has_type(value, kind):
+            raise ConfigError(f"{source}: {key} must be {type_name(kind)}, got {value!r}")
+        resolved[key] = value
     return resolved
-
-
-def _as_range(value) -> tuple[str, str] | None:
-    if value is None:
-        return None
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"split range must be [start, end] or null, got {value!r}")
-    return str(value[0]), str(value[1])
 
 
 def config_hash(resolved: dict[str, object]) -> str:
@@ -119,29 +117,27 @@ def config_hash(resolved: dict[str, object]) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
+def _dataclass_args(resolved: dict[str, object], cls, prefix: str) -> dict[str, object]:
+    """The ``prefix.*`` values that are fields of ``cls``; float fields take
+    integers as floats here, so ``resolved`` (and its hash) stays as loaded."""
+    args = {}
+    for f in fields(cls):
+        key = f"{prefix}.{f.name}"
+        if key in _SCHEMA:
+            value = resolved[key]
+            args[f.name] = float(value) if _SCHEMA[key][1] is float else value
+    return args
+
+
 def model_config(resolved: dict[str, object], num_stocks: int) -> ModelConfig:
-    return ModelConfig(
-        num_stocks=num_stocks,
-        lookback=int(resolved["model.lookback"]),
-        num_layers=int(resolved["model.num_layers"]),
-        expansion_steps=int(resolved["model.expansion_steps"]),
-        embed_dim=int(resolved["model.embed_dim"]),
-        decay=float(resolved["model.decay"]),
-        num_groups=int(resolved["model.num_groups"]),
-        activation_slope=float(resolved["model.activation_slope"]),
-        readout_hidden=int(resolved["model.readout_hidden"]),
-    )
+    return ModelConfig(num_stocks=num_stocks, **_dataclass_args(resolved, ModelConfig, "model"))
 
 
 def train_config(resolved: dict[str, object], epochs: int | None) -> TrainConfig:
-    batch = resolved["train.batch_size"]
-    cfg = TrainConfig(
-        learning_rate=float(resolved["train.learning_rate"]),
-        epochs=int(resolved["train.epochs"]) if epochs is None else int(epochs),
-        batch_size=None if batch is None else int(batch),
-    )
-    cfg.validate()
-    return cfg
+    args = _dataclass_args(resolved, TrainConfig, "train")
+    if epochs is not None:
+        args["epochs"] = epochs
+    return TrainConfig(**args)
 
 
 def _write_resolved(resolved: dict[str, object], extras: dict[str, object], path: Path) -> None:
@@ -149,11 +145,11 @@ def _write_resolved(resolved: dict[str, object], extras: dict[str, object], path
 
 
 def _panel_dir(resolved) -> Path:
-    return Path(str(resolved["paths.cache_dir"])) / "panel"
+    return Path(resolved["paths.cache_dir"]) / "panel"
 
 
 def _graph_dir(resolved) -> Path:
-    return Path(str(resolved["paths.cache_dir"])) / "graphs"
+    return Path(resolved["paths.cache_dir"]) / "graphs"
 
 
 def _labeled_days(num_days: int, lookback: int) -> list[int]:
@@ -162,13 +158,8 @@ def _labeled_days(num_days: int, lookback: int) -> list[int]:
 
 def _load_split_samples(resolved):
     panel = read_panel(_panel_dir(resolved))
-    samples = make_windows(panel, int(resolved["model.lookback"]))
-    splits = split_periods(
-        samples,
-        _as_range(resolved["split.train"]),
-        _as_range(resolved["split.val"]),
-        _as_range(resolved["split.test"]),
-    )
+    samples = make_windows(panel, resolved["model.lookback"])
+    splits = split_periods(samples, resolved["split.train"], resolved["split.val"], resolved["split.test"])
     return panel, splits
 
 
@@ -191,8 +182,8 @@ def _load_graphs(resolved, panel, days: list[int]):
 
 def cmd_ingest(args) -> int:
     resolved = load_config(args.config)
-    series = load_csv(str(resolved["paths.data_dir"]))
-    panel = align_panel(series, coverage=float(resolved["coverage"]))
+    series = load_csv(resolved["paths.data_dir"])
+    panel = align_panel(series, coverage=resolved["coverage"])
     write_panel(panel, _panel_dir(resolved))
     dropped = len(series) - panel.num_stocks
     bad_rows = sum(s.dropped_rows for s in series)
@@ -207,7 +198,7 @@ def cmd_ingest(args) -> int:
 def cmd_graph(args) -> int:
     resolved = load_config(args.config)
     panel = read_panel(_panel_dir(resolved))
-    lookback = int(resolved["model.lookback"])
+    lookback = resolved["model.lookback"]
     days = _labeled_days(panel.num_days, lookback)
     if not days:
         raise DayRangeError(
@@ -248,8 +239,8 @@ def _train_once(resolved, inputs, seed: int, epochs: int | None):
 
 def cmd_train(args) -> int:
     resolved = load_config(args.config)
-    seed = int(resolved["train.seed"]) if args.seed is None else int(args.seed)
-    out_dir = Path(str(resolved["paths.output_dir"]))
+    seed = resolved["train.seed"] if args.seed is None else args.seed
+    out_dir = Path(resolved["paths.output_dir"])
     inputs = _load_training_inputs(resolved)
     panel, (train_s, val_s, _), _ = inputs
     model, trace, tcfg = _train_once(resolved, inputs, seed, args.epochs)
@@ -271,11 +262,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     resolved = load_config(args.config)
-    out_dir = Path(str(resolved["paths.output_dir"]))
-    base_seed = int(resolved["train.seed"]) if args.seed is None else int(args.seed)
+    out_dir = Path(resolved["paths.output_dir"])
+    base_seed = resolved["train.seed"] if args.seed is None else args.seed
     digest = config_hash(resolved)
-    market = str(resolved["market"])
-    period = _as_range(resolved["split.test"])
+    market = resolved["market"]
+    period = resolved["split.test"]
 
     if args.seeds is not None:
         if args.seeds < 1:

@@ -21,22 +21,22 @@ only the R * N :attr:`MultiRelAdjacency.sender_weights`, never N x N matrices.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from .errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
-from .files import is_int, read_text, remove_unlisted, write_atomic
+from .files import read_json_object, read_table, remove_unlisted, write_atomic, write_table
 from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
 GRAPH_FORMAT = "mgdpr-graph-factors/3"
-_DAY_HEADER = "relation,stock,energy,entropy"
+_DAY_COLUMNS = ("relation", "stock", "energy", "entropy")
 
 
 @dataclass
@@ -162,22 +162,26 @@ def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjac
 #                              MarketPanel.digest of the panel the graphs were
 #                              built from; sha256 maps each day file's name
 #                              to the SHA-256 of its bytes
-# <directory>/dayNNNNN.csv    header "relation,stock,energy,entropy", then one
-#                             row per (relation, stock), relations in RELATIONS
-#                             order, stocks 0..N-1 within each relation
+# <directory>/dayNNNNN.csv    a mgdpr.files table: header
+#                             "relation,stock,energy,entropy", then one row per
+#                             (relation, stock), relations in RELATIONS order,
+#                             stocks 0..N-1 within each relation
 
 
 def _day_filename(t: int) -> str:
     return f"day{t:05d}.csv"
 
 
-def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, merge: bool = False) -> None:
-    """Cache each day's per-stock energy and entropy, one CSV per day.
+def _day_keys(n: int) -> list[str]:
+    """The key cells of a day file's rows: relation name, stock index."""
+    return [f"{relation},{i}" for relation in RELATIONS for i in range(n)]
 
-    A day's file holds R * N rows. Values are written with ``repr``
-    (shortest round-trip form) so reloading is bit-exact. Every file goes
-    through a temporary sibling and ``os.replace``, so an interrupted write
-    never leaves a partial file under its final name. ``index.json`` lists
+
+def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, merge: bool = False) -> None:
+    """Cache each day's per-stock energy and entropy, one table per day.
+
+    A day's file is a :func:`mgdpr.files.write_table` table of R * N rows,
+    written atomically and bit-exact on reload. ``index.json`` lists
     the written days with the SHA-256 of each day file and records
     ``panel_digest``, the :meth:`MarketPanel.digest` of the panel the graphs
     were built from; with ``merge`` it also keeps the days (and their file
@@ -188,13 +192,9 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, 
     n = graphs[0].num_stocks if graphs else 0
     sha256: dict[str, str] = {}
     for adj in graphs:
-        lines = [_DAY_HEADER]
-        for r, relation in enumerate(RELATIONS):
-            for i in range(n):
-                lines.append(f"{relation},{i},{float(adj.energy[r, i])!r},{float(adj.entropy[r, i])!r}")
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        write_atomic(directory / _day_filename(adj.t_index), data)
-        sha256[_day_filename(adj.t_index)] = hashlib.sha256(data).hexdigest()
+        factors = np.stack([adj.energy.ravel(), adj.entropy.ravel()], axis=1)
+        name = _day_filename(adj.t_index)
+        sha256[name] = write_table(directory / name, _DAY_COLUMNS, _day_keys(n), factors)
     days = {g.t_index for g in graphs}
     if merge:
         try:
@@ -217,61 +217,38 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, 
     remove_unlisted(directory, r"day\d{5,}\.csv", set(sha256))
 
 
+_INDEX_TYPES = {
+    "format": Literal[GRAPH_FORMAT],
+    "relations": list[str],
+    "num_stocks": int,
+    "days": list[int],
+    "panel_sha256": str,
+    "sha256": dict[str, str],
+}
+
+
 def _read_index(directory: Path) -> dict:
     path = directory / "index.json"
-    try:
-        index = json.loads(read_text(path, "graph index"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: graph index is not valid JSON ({e})") from e
-    if not isinstance(index, dict) or index.get("format") != GRAPH_FORMAT:
-        found = index.get("format") if isinstance(index, dict) else None
-        raise FormatError(f"{path}: graph index format {found!r}, expected {GRAPH_FORMAT!r}")
-    if index.get("relations") != list(RELATIONS):
-        raise FormatError(f"{path}: relations {index.get('relations')!r}, expected {list(RELATIONS)}")
-    n, days, sha256 = index.get("num_stocks"), index.get("days"), index.get("sha256")
-    if not (is_int(n) and n >= 0):
-        raise FormatError(f"{path}: num_stocks {n!r} is not a count")
-    if not (isinstance(days, list) and all(is_int(t) for t in days)):
-        raise FormatError(f"{path}: days {days!r} is not a list of day indices")
-    if not isinstance(index.get("panel_sha256"), str):
-        raise FormatError(f"{path}: panel_sha256 {index.get('panel_sha256')!r} is not a digest")
-    listed = {_day_filename(t) for t in days}
-    if not (isinstance(sha256, dict) and set(sha256) == listed and all(isinstance(h, str) for h in sha256.values())):
+    index = read_json_object(path, "graph index", _INDEX_TYPES)
+    if index["relations"] != list(RELATIONS):
+        raise FormatError(f"{path}: relations {index['relations']!r}, expected {list(RELATIONS)}")
+    if set(index["sha256"]) != {_day_filename(t) for t in index["days"]}:
         raise FormatError(f"{path}: sha256 does not map each listed day file to a digest")
     return index
 
 
 def _read_day(path: Path, n: int, sha256: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check one day file's digest, then parse and check its header, row
-    count, row order and values."""
-    text = read_text(path, "graph file", sha256)
-    if not text.endswith("\n"):
-        raise FormatError(f"{path}: truncated (no final newline)")
-    lines = text[:-1].split("\n")
-    if lines[0] != _DAY_HEADER:
-        raise FormatError(f"{path}: unexpected header {lines[0]!r}")
-    expected = len(RELATIONS) * n
-    if len(lines) - 1 != expected:
-        raise FormatError(
-            f"{path}: {len(lines) - 1} rows, expected {expected} ({len(RELATIONS)} relations x {n} stocks)"
-        )
-    energy = np.empty((len(RELATIONS), n), dtype=np.float64)
-    entropy = np.empty((len(RELATIONS), n), dtype=np.float64)
-    for k, line in enumerate(lines[1:]):
-        r, i = divmod(k, n)
-        where = f"{path}:{k + 2}"
-        cells = line.split(",")
-        if len(cells) != 4 or cells[0] != RELATIONS[r] or cells[1] != str(i):
-            raise FormatError(f"{where}: expected the row of {RELATIONS[r]} stock {i}, got {line!r}")
-        try:
-            e, h = float(cells[2]), float(cells[3])
-        except ValueError:
-            raise FormatError(f"{where}: non-numeric value in {line!r}") from None
-        if not (math.isfinite(e) and e >= ENERGY_FLOOR):
-            raise FormatError(f"{where}: energy {e!r} is not finite and >= {ENERGY_FLOOR:.0e}")
-        if not (math.isfinite(h) and h >= 0.0):
-            raise FormatError(f"{where}: entropy {h!r} is not finite and >= 0")
-        energy[r, i], entropy[r, i] = e, h
+    """Read one day file as a checked table, then check its energy floor and
+    entropy sign."""
+    factors = read_table(path, "graph file", _DAY_COLUMNS, _day_keys(n), sha256)
+    energy, entropy = np.ascontiguousarray(factors.T).reshape(2, len(RELATIONS), n)
+    for name, values, floor in (("energy", energy, ENERGY_FLOOR), ("entropy", entropy, 0.0)):
+        low = values < floor
+        if low.any():
+            r, i = np.argwhere(low)[0]
+            raise FormatError(
+                f"{path}: {name} {float(values[r, i])!r} of {RELATIONS[r]} stock {i} is below {floor!r}"
+            )
     return energy, entropy
 
 

@@ -18,7 +18,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +32,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
 )
-from .files import is_int, read_text, remove_unlisted, write_atomic
+from .files import read_json_object, read_table, read_text, remove_unlisted, write_atomic, write_table
 
 RELATIONS = ("open", "high", "low", "close", "volume")
 CLOSE = RELATIONS.index("close")
@@ -361,22 +360,14 @@ def split_periods(
 
 
 def write_panel(panel: MarketPanel, directory) -> None:
-    """Persist a panel as one CSV per ticker plus a JSON manifest.
-
-    Floats are written with ``repr`` so a reload is bit-exact; every file is
-    written atomically. The manifest records the panel's
+    """Persist a panel as one table per ticker (:func:`mgdpr.files.write_table`,
+    a row per calendar date) plus a JSON manifest recording the panel's
     :meth:`MarketPanel.digest` as ``panel_sha256``. Once the manifest is in
-    place, ``*.csv`` files it does not list (tickers of an earlier panel) are
-    deleted.
+    place, ``*.csv`` files it does not list (earlier tickers) are deleted.
     """
     directory = Path(directory)
     for i, ticker in enumerate(panel.tickers):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_REQUIRED)
-        for date, row in zip(panel.calendar, panel.data[i].T.tolist()):
-            writer.writerow([date] + [repr(v) for v in row])
-        write_atomic(directory / f"{ticker}.csv", buf.getvalue())
+        write_table(directory / f"{ticker}.csv", _REQUIRED, panel.calendar, panel.data[i].T)
     manifest = {
         "tickers": panel.tickers,
         "calendar": panel.calendar,
@@ -387,51 +378,16 @@ def write_panel(panel: MarketPanel, directory) -> None:
     remove_unlisted(directory, r".+\.csv", {f"{ticker}.csv" for ticker in panel.tickers})
 
 
+_MANIFEST_TYPES = {
+    "tickers": list[str], "calendar": list[str], "fill_counts": dict[str, int], "panel_sha256": str
+}
+
+
 def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int], str]:
-    try:
-        manifest = json.loads(read_text(path, "panel manifest"))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: panel manifest is not valid JSON ({e})") from e
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: panel manifest is not a JSON object")
-    tickers, calendar, fills, digest = (
-        manifest.get(k) for k in ("tickers", "calendar", "fill_counts", "panel_sha256")
-    )
-    if not (isinstance(tickers, list) and all(isinstance(t, str) for t in tickers)):
-        raise FormatError(f"{path}: tickers {tickers!r} is not a list of names")
-    if not (isinstance(calendar, list) and all(isinstance(d, str) and _DATE_RE.match(d) for d in calendar)):
+    manifest = read_json_object(path, "panel manifest", _MANIFEST_TYPES)
+    if not all(_DATE_RE.match(d) for d in manifest["calendar"]):
         raise FormatError(f"{path}: calendar is not a list of ISO dates")
-    if not (isinstance(fills, dict) and all(is_int(v) for v in fills.values())):
-        raise FormatError(f"{path}: fill_counts {fills!r} is not a map of counts")
-    if not isinstance(digest, str):
-        raise FormatError(f"{path}: panel_sha256 {digest!r} is not a digest")
-    return tickers, calendar, fills, digest
-
-
-def _read_ticker(path: Path, calendar: list[str]) -> np.ndarray:
-    """Parse and check one ticker file: header, row count, dates, values."""
-    text = read_text(path, "panel file")
-    if not text.endswith("\n"):
-        raise FormatError(f"{path}: truncated (no final newline)")
-    lines = text[:-1].split("\n")
-    if lines[0] != ",".join(_REQUIRED):
-        raise FormatError(f"{path}: unexpected header {lines[0]!r}")
-    if len(lines) - 1 != len(calendar):
-        raise FormatError(f"{path}: {len(lines) - 1} rows, expected {len(calendar)} (one per calendar day)")
-    values = np.empty((len(RELATIONS), len(calendar)), dtype=np.float64)
-    for j, (line, date) in enumerate(zip(lines[1:], calendar)):
-        where = f"{path}:{j + 2}"
-        cells = line.split(",")
-        if len(cells) != len(_REQUIRED) or cells[0] != date:
-            raise FormatError(f"{where}: expected {len(_REQUIRED)} cells dated {date}, got {line!r}")
-        try:
-            row = [float(v) for v in cells[1:]]
-        except ValueError:
-            raise FormatError(f"{where}: non-numeric value in {line!r}") from None
-        if not all(map(math.isfinite, row)):
-            raise FormatError(f"{where}: non-finite value in {line!r}")
-        values[:, j] = row
-    return values
+    return manifest["tickers"], manifest["calendar"], manifest["fill_counts"], manifest["panel_sha256"]
 
 
 def read_panel(directory) -> MarketPanel:
@@ -447,7 +403,7 @@ def read_panel(directory) -> MarketPanel:
         tickers, calendar, fills, digest = _read_manifest(directory / "manifest.json")
         data = np.empty((len(tickers), len(RELATIONS), len(calendar)), dtype=np.float64)
         for i, ticker in enumerate(tickers):
-            data[i] = _read_ticker(directory / f"{ticker}.csv", calendar)
+            data[i] = read_table(directory / f"{ticker}.csv", "panel file", _REQUIRED, calendar).T
         panel = MarketPanel(tickers=tickers, calendar=calendar, data=data, fill_counts=fills)
         panel.validate()
         if panel.digest() != digest:

@@ -22,14 +22,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
-from .files import is_int, write_atomic
+from .files import has_type, write_atomic
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "mgdpr-checkpoint-v1"
@@ -41,7 +41,8 @@ class ModelConfig:
 
     Defaults follow the reference full-scale setting (21-day lookback, five
     OHLCV relations, width 256, decay 1.27); desk-scale runs shrink
-    ``embed_dim``, ``num_layers``, and ``expansion_steps``.
+    ``embed_dim``, ``num_layers``, and ``expansion_steps``. Each field but the
+    data sizes ``num_stocks`` and ``num_relations`` is the config key ``model.<field>``.
     """
 
     num_stocks: int
@@ -357,12 +358,10 @@ class Model:
     """Config plus parameters, with forward/predict conveniences."""
 
     config: ModelConfig
-    params: dict[str, Tensor] = field(default_factory=dict)
+    params: dict[str, Tensor]
 
     def __post_init__(self):
         self.config.validate()
-        if not self.params:
-            self.params = init_params(self.config)
 
     @classmethod
     def initialized(cls, config: ModelConfig, seed: int = 0) -> "Model":
@@ -405,22 +404,19 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 def _is_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(is_int(s) for s in entry["shape"])
-        and is_int(entry.get("offset"))
+    return isinstance(entry, dict) and all(
+        has_type(entry.get(key), kind) for key, kind in (("name", str), ("shape", list[int]), ("offset", int))
     )
 
 
 def load_checkpoint(path, cfg: ModelConfig) -> Model:
-    """Load and validate a checkpoint against ``cfg``'s expected shapes.
+    """Load and validate a checkpoint against ``cfg``.
 
-    The tensor table must list exactly the expected tensors in
-    :func:`expected_param_shapes` order, stored back to back and filling the
-    payload, and every value must be finite; anything else raises
-    :class:`CheckpointError`.
+    Every field of ``cfg`` must equal the header's recorded ``config`` (keys
+    :class:`ModelConfig` no longer has are ignored). The tensor table must
+    list exactly the expected tensors in :func:`expected_param_shapes` order,
+    stored back to back and filling the payload, and every value must be
+    finite; anything else raises :class:`CheckpointError`.
     """
     cfg.validate()
     try:
@@ -435,6 +431,12 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from e
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    saved = header.get("config") if isinstance(header.get("config"), dict) else {}
+    for name, value in asdict(cfg).items():
+        if saved.get(name) != value:
+            raise CheckpointError(
+                f"{path}: checkpoint was trained with {name}={saved.get(name)!r}, not {value!r}"
+            )
     entries = header.get("tensors")
     if not (isinstance(entries, list) and all(_is_entry(e) for e in entries)):
         raise CheckpointError(f"{path}: tensor table is not a list of {{name, shape, offset}} entries")

@@ -33,18 +33,20 @@ from .model import Model, mixture_tensors
 from .tensor import Tensor
 
 CONSTRAINT_TOLERANCE = 1e-9
+# Adam's moment decays and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings; defaults match the full-scale reference recipe."""
+    """Optimizer settings, each the config key ``train.<field>``; defaults
+    match the full-scale reference recipe."""
 
     learning_rate: float = 2.5e-4
     epochs: int = 900
     batch_size: int | None = None  # None = full batch
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -53,11 +55,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be None or >= 1, got {self.batch_size}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 < b < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass
@@ -139,16 +136,16 @@ class _AdamState:
         self.v = {k: np.zeros(v.shape) for k, v in params.items()}
         self.step = 0
 
-    def update(self, params: dict[str, Tensor], cfg: TrainConfig) -> dict[str, Tensor]:
+    def update(self, params: dict[str, Tensor], learning_rate: float) -> dict[str, Tensor]:
         self.step += 1
-        bc1 = 1.0 - cfg.beta1**self.step
-        bc2 = 1.0 - cfg.beta2**self.step
+        bc1 = 1.0 - ADAM_BETA1**self.step
+        bc2 = 1.0 - ADAM_BETA2**self.step
         out: dict[str, Tensor] = {}
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros(p.shape)
-            m = self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            v = self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * (g * g)
-            stepped = p.values - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            stepped = p.values - learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             out[name] = Tensor(stepped, requires_grad=True)
         return out
 
@@ -167,24 +164,6 @@ def graphs_for_samples(
         if s.t_index not in cache:
             cache[s.t_index] = window_graphs(s.t_index, s.raw)
     return cache
-
-
-def _predict(model: Model, s: WindowSample, graphs: dict[int, MultiRelAdjacency]) -> np.ndarray:
-    """The model's decisions for one day; DivergenceError naming the day if
-    its forward pass overflows."""
-    try:
-        return model.predict(s.features, graphs[s.t_index])
-    except FloatingPointError as e:
-        raise DivergenceError(f"non-finite prediction on day {s.t_index} ({s.end_date}): {e}") from e
-
-
-def _split_predictions(model: Model, samples: list[WindowSample], graphs) -> tuple[int, int]:
-    hits = total = 0
-    for s in samples:
-        pred = _predict(model, s, graphs)
-        hits += int((pred == s.labels).sum())
-        total += s.labels.size
-    return hits, total
 
 
 def train(
@@ -244,12 +223,11 @@ def train(
                 raise DivergenceError(
                     f"simplex constraint violated at epoch {epoch}: {penalty.item():.3e}"
                 )
-            params = state.update(params, config)
+            params = state.update(params, config.learning_rate)
             model.params = params
             losses.append(loss)
         if val_samples:
-            hits, total = _split_predictions(model, val_samples, graphs)
-            val_acc = hits / total
+            val_acc = evaluate(model, val_samples, graphs).accuracy
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_params = params
@@ -313,13 +291,18 @@ def evaluate(
     test_samples: list[WindowSample],
     graphs: dict[int, MultiRelAdjacency] | None = None,
 ) -> MetricsReport:
-    """Argmax predictions per stock per day, aggregated into one confusion."""
+    """Argmax predictions per stock per day, aggregated into one confusion;
+    DivergenceError naming the day if its forward pass overflows."""
     if not test_samples:
         raise UsageError("evaluate: empty test set")
     graphs = graphs_for_samples(test_samples, graphs)
     total = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     for s in sorted(test_samples, key=lambda x: x.t_index):
-        c = confusion_counts(_predict(model, s, graphs), s.labels)
+        try:
+            pred = model.predict(s.features, graphs[s.t_index])
+        except FloatingPointError as e:
+            raise DivergenceError(f"non-finite prediction on day {s.t_index} ({s.end_date}): {e}") from e
+        c = confusion_counts(pred, s.labels)
         for key in total:
             total[key] += c[key]
     n_pairs = sum(total.values())

@@ -61,6 +61,92 @@ class TestConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         assert run("ingest", "--config", tmp_path / "nope.json") == 5
 
+    def test_defaults(self):
+        assert cli.DEFAULTS == {
+            "market": "unnamed",
+            "coverage": 0.98,
+            "paths.data_dir": "data",
+            "paths.cache_dir": "cache",
+            "paths.output_dir": "out",
+            "split.train": None,
+            "split.val": None,
+            "split.test": None,
+            "model.lookback": 21,
+            "model.num_layers": 8,
+            "model.expansion_steps": 7,
+            "model.embed_dim": 256,
+            "model.decay": 1.27,
+            "model.num_groups": 4,
+            "model.activation_slope": 0.01,
+            "model.readout_hidden": 0,
+            "train.learning_rate": 2.5e-4,
+            "train.epochs": 900,
+            "train.batch_size": None,
+            "train.seed": 0,
+        }
+
+    def test_non_utf8_config_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run("ingest", "--config", path) == 5
+        assert "unreadable config file" in capsys.readouterr().err
+
+    def test_string_key_takes_raw_env_text(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MGDPR_MARKET", "123")
+        assert cli.load_config(make_workspace(tmp_path))["market"] == "123"
+
+    def test_integer_for_float_key_kept_as_loaded(self, tmp_path):
+        resolved = cli.load_config(make_workspace(tmp_path, **{"model.decay": 1}))
+        assert resolved["model.decay"] == 1 and isinstance(resolved["model.decay"], int)
+        assert cli.model_config(resolved, num_stocks=3).decay == 1.0
+        assert isinstance(cli.model_config(resolved, num_stocks=3).decay, float)
+
+
+# (key, wrong value in the file, the same value as MGDPR_* text or None
+# where the text would be a valid value: "5" is the integer 5, and string
+# keys take the text raw)
+_BAD_VALUES = [
+    ("model.embed_dim", "abc", "abc"),
+    ("train.learning_rate", "fast", "fast"),
+    ("train.epochs", None, "null"),
+    ("coverage", "high", "high"),
+    ("train.seed", "x", "x"),
+    ("model.num_layers", 1.5, "1.5"),
+    ("model.lookback", "5", None),
+    ("train.batch_size", 1.5, "1.5"),
+    ("train.epochs", True, "true"),
+    ("paths.output_dir", 5, None),
+]
+
+
+class TestBadConfigValue:
+    """A config value of the wrong type exits 5 before any work, from the
+    file or from its MGDPR_* override, and never raises."""
+
+    @pytest.mark.parametrize(
+        "key, value", [(k, v) for k, v, _ in _BAD_VALUES], ids=[f"{k}={v!r}" for k, v, _ in _BAD_VALUES]
+    )
+    def test_file_value_exits_5(self, tmp_path, capsys, key, value):
+        config = make_workspace(tmp_path, **{key: value})
+        assert run("ingest", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [(k, t) for k, _, t in _BAD_VALUES if t is not None],
+        ids=[f"{k}={t}" for k, _, t in _BAD_VALUES if t is not None],
+    )
+    def test_env_value_exits_5(self, tmp_path, capsys, monkeypatch, key, text):
+        config = make_workspace(tmp_path)
+        env_key = "MGDPR_" + key.upper().replace(".", "_")
+        monkeypatch.setenv(env_key, text)
+        assert run("ingest", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and env_key in err
+        assert not (tmp_path / "cache").exists()
+
 
 class TestIngest:
     def test_manifest_lists_tickers(self, tmp_path, capsys):
@@ -374,6 +460,14 @@ class TestEval:
         assert run("eval", "--config", config) == 0
         assert metrics.read_bytes() == first
 
+    def test_config_edited_after_train_exits_6(self, tmp_path, capsys):
+        config = self._pipeline(tmp_path)
+        edited = json.loads(config.read_text())
+        edited["model.decay"] = 0.5
+        config.write_text(json.dumps(edited))
+        assert run("eval", "--config", config) == 6
+        assert "decay" in capsys.readouterr().err
+
     def test_corrupted_checkpoint_exits_6(self, tmp_path):
         config = self._pipeline(tmp_path)
         ckpt = tmp_path / "out" / "checkpoint.bin"
@@ -467,6 +561,11 @@ def _tensors_not_a_list(header, payload):
     return payload
 
 
+def _drop_config_field(header, payload):
+    del header["config"]["decay"]
+    return payload
+
+
 class TestDamagedCheckpoint:
     """Mutations of a checkpoint: `eval --checkpoint` exits 6, never raises."""
 
@@ -479,8 +578,11 @@ class TestDamagedCheckpoint:
             _set_entry(1, "offset", -8),
             _set_entry(1, "offset", 0),
             lambda header, payload: payload + bytes(8),
+            _set_entry(1, "shape", [1]),
+            _drop_config_field,
         ],
-        ids=["nan", "no-shape", "tensors-not-a-list", "negative-offset", "overlapping-offsets", "trailing-bytes"],
+        ids=["nan", "no-shape", "tensors-not-a-list", "negative-offset", "overlapping-offsets", "trailing-bytes",
+             "wrong-shape", "config-field-missing"],
     )
     def test_eval_exits_6(self, tmp_path, edit):
         config = make_workspace(tmp_path)

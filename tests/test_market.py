@@ -298,3 +298,33 @@ class TestPanelCache:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="panel_sha256"):
             read_panel(tmp_path)
+
+    def test_lines_end_with_newline_and_crlf_cache_still_loads(self, tmp_path):
+        panel = self._written(tmp_path)
+        for ticker in panel.tickers:
+            path = tmp_path / f"{ticker}.csv"
+            blob = path.read_bytes()
+            assert b"\r" not in blob and blob.count(b"\n") == 1 + panel.num_days
+            path.write_bytes(blob.replace(b"\n", b"\r\n"))  # as csv.writer wrote it
+        reloaded = read_panel(tmp_path)
+        assert reloaded.data.tobytes() == panel.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda cells: ["2020-02-30"] + cells[1:], "B.csv:4: expected the row '2020-01-03' with 5"),
+            (lambda cells: cells[:-1], "B.csv:4: expected the row '2020-01-03' with 5 numbers"),
+            (lambda cells: cells + ["1.0"], "B.csv:4: expected the row '2020-01-03' with 5 numbers"),
+            (lambda cells: cells[:2] + ["12.3.4"] + cells[3:], "B.csv:4: non-numeric"),
+            (lambda cells: cells[:4] + ["nan"] + cells[5:], "B.csv:4: non-finite close"),
+        ],
+        ids=["wrong-date", "short-row", "long-row", "non-numeric", "nan"],
+    )
+    def test_damaged_ticker_file_rejected(self, tmp_path, edit, match):
+        self._written(tmp_path)
+        path = tmp_path / "B.csv"
+        lines = path.read_text().split("\n")
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match=match):
+            read_panel(tmp_path)

@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -555,6 +557,25 @@ class TestCheckpoint:
         save_checkpoint(path, Model.initialized(small_config(), seed=13))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, small_config(embed_dim=8))
+
+    def test_recorded_config_must_match(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Model.initialized(small_config(lookback=21, decay=1.27), seed=15))
+        assert load_checkpoint(path, small_config(lookback=21, decay=1.27))
+        with pytest.raises(CheckpointError, match="decay"):
+            load_checkpoint(path, small_config(lookback=21, decay=0.5))
+
+    def test_header_keys_the_config_no_longer_has_are_ignored(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Model.initialized(cfg, seed=16))
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8 : 8 + n])
+        header["config"]["adjacency_mode"] = "normalized"
+        text = json.dumps(header).encode()
+        path.write_bytes(struct.pack("<Q", len(text)) + text + blob[8 + n :])
+        assert list(load_checkpoint(path, cfg).params) == list(expected_param_shapes(cfg))
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = small_config()
