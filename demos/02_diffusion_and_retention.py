@@ -17,6 +17,7 @@ from mgdpr.model import (
     mixture_weights,
     parallel_retention,
     transition_matrices,
+    transition_mix,
 )
 from mgdpr.tensor import Tensor
 
@@ -40,7 +41,7 @@ print("\n== a diffusion matrix: convex mix of transitions, masked by the day's g
 day = window_graphs(0, rng.uniform(0.5, 4.0, size=(1, 4, 6)))
 b = day.sender_weights[0]
 print("sender weights (every row of the row-normalized graph):", np.round(b, 4))
-s = diffusion_matrix(weights, transitions, b)
+s = diffusion_matrix(transition_mix(weights, transitions), b)
 print(np.array_str(s.values, precision=4, suppress_small=True))
 
 print("\n== retention is causal ==")

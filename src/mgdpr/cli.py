@@ -111,8 +111,15 @@ def load_config(path, env: dict[str, str] | None = None) -> dict[str, object]:
 
 
 def config_hash(resolved: dict[str, object]) -> str:
-    """Digest of the semantic run parameters (paths are locations, not inputs)."""
-    semantic = {k: v for k, v in resolved.items() if not k.startswith("paths.")}
+    """Digest of the semantic run parameters (paths are locations, not inputs).
+
+    Float keys are hashed as floats, so ``1`` and ``1.0`` give one hash.
+    """
+    semantic = {
+        key: float(value) if _SCHEMA[key][1] is float else value
+        for key, value in resolved.items()
+        if not key.startswith("paths.")
+    }
     canonical = json.dumps(semantic, sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()
 

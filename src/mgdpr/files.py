@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 from typing import Literal, Sequence, get_args, get_origin
 
@@ -70,13 +71,16 @@ def read_text(path: Path, what: str, sha256: str | None = None) -> str:
 
 def has_type(value, kind) -> bool:
     """Whether a JSON value has type ``kind``: ``int`` (bools excluded), ``float``
-    (any finite number), ``str``, ``list[X]``, ``dict[str, X]``, a fixed-length
-    ``tuple[...]`` (a JSON list), a ``Literal[...]`` or a union (``X | None``)."""
+    (any number that converts to a finite float), ``str``, ``list[X]``,
+    ``dict[str, X]``, a fixed-length ``tuple[...]`` (a JSON list), a
+    ``Literal[...]`` or a union (``X | None``)."""
     origin, parts = get_origin(kind), get_args(kind)
     if kind is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if kind is float:
-        return has_type(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if has_type(value, int):
+            return abs(value) <= sys.float_info.max
+        return isinstance(value, float) and math.isfinite(value)
     if kind in (str, type(None)):
         return isinstance(value, kind)
     if origin is list:

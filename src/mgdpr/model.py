@@ -19,6 +19,7 @@ logits per stock.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -32,7 +33,7 @@ from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .files import has_type, write_atomic
 from .tensor import Tensor
 
-CHECKPOINT_FORMAT = "mgdpr-checkpoint-v1"
+CHECKPOINT_FORMAT = "mgdpr-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -164,21 +165,46 @@ def transition_matrices(raw: Tensor) -> Tensor:
     return T.softmax(raw, axis=1)
 
 
-def diffusion_matrix(weights: Tensor, transitions: Tensor, sender_weights: np.ndarray) -> Tensor:
-    """Convex mix of transition steps, masked by the day's row-normalized
-    adjacency: every row of it is ``sender_weights`` (one relation's row of
+def transition_mix(weights: Tensor, transitions: Tensor) -> Tensor:
+    """Convex mix of the transition steps, sum_k weights[k] * transitions[k]:
+    one (N, N) column-stochastic matrix."""
+    k, n, n2 = transitions.shape
+    if weights.shape != (k,):
+        raise ShapeError(f"transition_mix: weights {weights.shape} for transitions {transitions.shape}")
+    mix = T.matmul(T.reshape(weights, (1, k)), T.reshape(transitions, (k, n * n2)))
+    return T.reshape(mix, (n, n2))
+
+
+def diffusion_mixes(params: dict[str, Tensor], cfg: ModelConfig) -> list[list[Tensor]]:
+    """The parameter-only half of diffusion: the (N, N) transition mix of
+    every relation, one list per layer. No day's data enters, so a pass over
+    fixed parameters can build them once and hand them to each day's
+    :func:`forward`."""
+    return [
+        [
+            transition_mix(
+                mixture_weights(params[f"diffusion.{l}.mixture.{r}"]),
+                transition_matrices(params[f"diffusion.{l}.transition.{r}"]),
+            )
+            for r in range(cfg.num_relations)
+        ]
+        for l in range(cfg.num_layers)
+    ]
+
+
+def diffusion_matrix(mix: Tensor, sender_weights: np.ndarray) -> Tensor:
+    """A transition mix masked by the day's row-normalized adjacency: every
+    row of it is ``sender_weights`` (one relation's row of
     :attr:`MultiRelAdjacency.sender_weights`), so column j of the mix is
     scaled by ``sender_weights[j]`` through a broadcast view, not an N x N copy.
     """
-    k, n, n2 = transitions.shape
-    if weights.shape != (k,) or sender_weights.shape != (n2,):
+    n, n2 = mix.shape
+    if sender_weights.shape != (n2,):
         raise ShapeError(
-            f"diffusion_matrix: weights {weights.shape}, transitions {transitions.shape}, "
-            f"sender weights {sender_weights.shape} disagree"
+            f"diffusion_matrix: mix {mix.shape} and sender weights {sender_weights.shape} disagree"
         )
-    mix = T.matmul(T.reshape(weights, (1, k)), T.reshape(transitions, (k, n * n2)))
     mask = T.constant(np.broadcast_to(sender_weights, (n, n2)))
-    return T.hadamard(T.reshape(mix, (n, n2)), mask)
+    return T.hadamard(mix, mask)
 
 
 def diffuse_layer(
@@ -283,12 +309,19 @@ def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope
 # full forward pass
 
 
-def forward(params: dict[str, Tensor], cfg: ModelConfig, features: np.ndarray, adjacency) -> Tensor:
+def forward(
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    features: np.ndarray,
+    adjacency,
+    mixes: list[list[Tensor]] | None = None,
+) -> Tensor:
     """Features + day graphs -> (num_stocks, 2) logits.
 
     ``features`` is the z-scored (relations, stocks, lookback) window;
     ``adjacency`` the same day's :class:`MultiRelAdjacency`, of which only the
-    (relations, stocks) ``sender_weights`` are read.
+    (relations, stocks) ``sender_weights`` are read. ``mixes`` are
+    :func:`diffusion_mixes` of ``params``, built here when not given.
     """
     features = np.asarray(features, dtype=np.float64)
     expected = (cfg.num_relations, cfg.num_stocks, cfg.lookback)
@@ -300,18 +333,17 @@ def forward(params: dict[str, Tensor], cfg: ModelConfig, features: np.ndarray, a
     senders = adjacency.sender_weights
     if senders.shape != expected[:2]:
         raise ShapeError(f"graph sender weights shape {senders.shape}, expected {expected[:2]}")
+    if mixes is None:
+        mixes = diffusion_mixes(params, cfg)
+    elif [len(row) for row in mixes] != [cfg.num_relations] * cfg.num_layers:
+        raise UsageError(f"mixes must be {cfg.num_layers} layers of {cfg.num_relations} relations")
 
     mask = decay_mask(cfg.lookback, cfg.decay)
     state = init_state(features, params["embed.W"], params["embed.b"])
     carried = state
     for l in range(cfg.num_layers):
-        diffusion_matrices = []
-        relation_maps = []
-        for r in range(cfg.num_relations):
-            weights = mixture_weights(params[f"diffusion.{l}.mixture.{r}"])
-            transitions = transition_matrices(params[f"diffusion.{l}.transition.{r}"])
-            diffusion_matrices.append(diffusion_matrix(weights, transitions, senders[r]))
-            relation_maps.append(params[f"diffusion.{l}.relmap.{r}"])
+        diffusion_matrices = [diffusion_matrix(mixes[l][r], senders[r]) for r in range(cfg.num_relations)]
+        relation_maps = [params[f"diffusion.{l}.relmap.{r}"] for r in range(cfg.num_relations)]
         state = diffuse_layer(
             state,
             diffusion_matrices,
@@ -370,14 +402,15 @@ class Model:
     def forward(self, features: np.ndarray, adjacency) -> Tensor:
         return forward(self.params, self.config, features, adjacency)
 
-    def predict(self, features: np.ndarray, adjacency) -> np.ndarray:
-        """Per-stock class decisions (argmax of the two logits).
+    def frozen(self) -> dict[str, Tensor]:
+        """The parameters as constants: a forward pass over them records no
+        tape, and each activation is freed once the next layer has used it."""
+        return {name: T.constant(p.values) for name, p in self.params.items()}
 
-        The parameters enter as constants, so the forward pass records no
-        tape and each activation is freed once the next layer has used it.
-        """
-        frozen = {name: T.constant(p.values) for name, p in self.params.items()}
-        return np.argmax(forward(frozen, self.config, features, adjacency).values, axis=1)
+    def predict(self, features: np.ndarray, adjacency) -> np.ndarray:
+        """Per-stock class decisions (argmax of the two logits), computed
+        over :meth:`frozen` parameters."""
+        return np.argmax(forward(self.frozen(), self.config, features, adjacency).values, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +420,9 @@ class Model:
 def save_checkpoint(path, model: Model) -> None:
     """Single binary file: little-endian float64 payload behind a JSON header.
 
-    Tensors are stored back to back in :func:`expected_param_shapes` order;
-    the file is written atomically.
+    Tensors are stored back to back in :func:`expected_param_shapes` order,
+    the header records the payload's SHA-256, and the file is written
+    atomically.
     """
     entries = []
     payload = bytearray()
@@ -397,7 +431,12 @@ def save_checkpoint(path, model: Model) -> None:
         entries.append({"name": name, "shape": list(tensor.shape), "offset": len(payload)})
         payload.extend(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
     header = json.dumps(
-        {"format": CHECKPOINT_FORMAT, "config": asdict(model.config), "tensors": entries},
+        {
+            "format": CHECKPOINT_FORMAT,
+            "config": asdict(model.config),
+            "tensors": entries,
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        },
         sort_keys=True,
     ).encode("utf-8")
     write_atomic(path, struct.pack("<Q", len(header)) + header + bytes(payload))
@@ -412,11 +451,13 @@ def _is_entry(entry) -> bool:
 def load_checkpoint(path, cfg: ModelConfig) -> Model:
     """Load and validate a checkpoint against ``cfg``.
 
-    Every field of ``cfg`` must equal the header's recorded ``config`` (keys
-    :class:`ModelConfig` no longer has are ignored). The tensor table must
-    list exactly the expected tensors in :func:`expected_param_shapes` order,
-    stored back to back and filling the payload, and every value must be
-    finite; anything else raises :class:`CheckpointError`.
+    The payload must match the header's SHA-256 (a file of an earlier
+    format, which has none, is refused). Every field of ``cfg`` must equal
+    the header's recorded ``config`` (keys :class:`ModelConfig` no longer
+    has are ignored). The tensor table must list exactly the expected
+    tensors in :func:`expected_param_shapes` order, stored back to back and
+    filling the payload, and every value must be finite; anything else
+    raises :class:`CheckpointError`.
     """
     cfg.validate()
     try:
@@ -431,6 +472,8 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from e
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    if header.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
+        raise CheckpointError(f"{path}: payload does not match its recorded SHA-256")
     saved = header.get("config") if isinstance(header.get("config"), dict) else {}
     for name, value in asdict(cfg).items():
         if saved.get(name) != value:

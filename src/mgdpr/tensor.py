@@ -19,9 +19,12 @@ parallel retention, and a cross-entropy training objective:
   affine-free group normalization.
 
 Broadcasting is deliberately restricted to scalar-with-tensor; any other
-shape mismatch raises. All values are float64 and every operation verifies
-its output is finite, so overflow surfaces as an error instead of an Inf
-that poisons a training run 200 steps later. Tensors are immutable after
+shape mismatch raises. All values are float64 and every value is checked
+finite once, where it is made: by :class:`Tensor`, :func:`constant` and
+every operation that computes new values, so overflow surfaces as an error
+instead of an Inf that poisons a training run 200 steps later. Reshape,
+transpose and concat only view or copy values of tensors that were checked
+when they were made, so they skip the check. Tensors are immutable after
 creation (the underlying numpy buffer is marked read-only).
 """
 
@@ -100,9 +103,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _node(values: Array, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    """Wrap an op result; drop the record when no parent needs gradients."""
-    _check_finite(values, op)
+def _node(values: Array, parents: tuple[Tensor, ...], backward_fn, op: str, check: bool = True) -> Tensor:
+    """Wrap an op result; drop the record when no parent needs gradients.
+
+    ``check=False`` is for ops whose values only rearrange their parents'.
+    """
+    if check:
+        _check_finite(values, op)
     out = Tensor.__new__(Tensor)
     values.setflags(write=False)
     out.values = values
@@ -245,7 +252,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
     def bw(g: Array):
         return np.split(g, splits, axis=axis)
 
-    return _node(out, tuple(parts), bw, "concat")
+    return _node(out, tuple(parts), bw, "concat", check=False)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -258,7 +265,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bw(g: Array):
         return (g.reshape(old),)
 
-    return _node(out, (a,), bw, "reshape")
+    return _node(out, (a,), bw, "reshape", check=False)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -270,7 +277,7 @@ def transpose(a: Tensor) -> Tensor:
     def bw(g: Array):
         return (g.swapaxes(-1, -2),)
 
-    return _node(out, (a,), bw, "transpose")
+    return _node(out, (a,), bw, "transpose", check=False)
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:

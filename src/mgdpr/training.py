@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DataError, DivergenceError, ShapeError, UsageError
 from .files import write_atomic
@@ -292,16 +293,26 @@ def evaluate(
     graphs: dict[int, MultiRelAdjacency] | None = None,
 ) -> MetricsReport:
     """Argmax predictions per stock per day, aggregated into one confusion;
-    DivergenceError naming the day if its forward pass overflows."""
+    DivergenceError naming the day if its forward pass overflows.
+
+    The parameters are frozen and their diffusion mixes built once for all
+    days; each day's :func:`mgdpr.model.forward` then adds only its graph.
+    """
     if not test_samples:
         raise UsageError("evaluate: empty test set")
     graphs = graphs_for_samples(test_samples, graphs)
+    frozen = model.frozen()
+    try:
+        mixes = M.diffusion_mixes(frozen, model.config)
+    except FloatingPointError as e:
+        raise DivergenceError(f"non-finite diffusion mix: {e}") from e
     total = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     for s in sorted(test_samples, key=lambda x: x.t_index):
         try:
-            pred = model.predict(s.features, graphs[s.t_index])
+            logits = M.forward(frozen, model.config, s.features, graphs[s.t_index], mixes)
         except FloatingPointError as e:
             raise DivergenceError(f"non-finite prediction on day {s.t_index} ({s.end_date}): {e}") from e
+        pred = np.argmax(logits.values, axis=1)
         c = confusion_counts(pred, s.labels)
         for key in total:
             total[key] += c[key]

@@ -101,6 +101,17 @@ class TestConfig:
         assert cli.model_config(resolved, num_stocks=3).decay == 1.0
         assert isinstance(cli.model_config(resolved, num_stocks=3).decay, float)
 
+    def test_integer_for_float_key_hashes_as_the_float(self, tmp_path):
+        config = make_workspace(tmp_path)
+        as_int = cli.load_config(config, env={"MGDPR_MODEL_DECAY": "1"})
+        as_float = cli.load_config(config, env={"MGDPR_MODEL_DECAY": "1.0"})
+        assert isinstance(as_int["model.decay"], int) and isinstance(as_float["model.decay"], float)
+        assert cli.config_hash(as_int) == cli.config_hash(as_float)
+
+    def test_default_config_hash_is_stable(self):
+        expected = "d88120bc90cf8ecfe3adcc28da80322faedae9e5646a2da83eeb712895b97718"
+        assert cli.config_hash(dict(cli.DEFAULTS)) == expected
+
 
 # (key, wrong value in the file, the same value as MGDPR_* text or None
 # where the text would be a valid value: "5" is the integer 5, and string
@@ -146,6 +157,11 @@ class TestBadConfigValue:
         err = capsys.readouterr().err
         assert err.startswith("error:") and env_key in err
         assert not (tmp_path / "cache").exists()
+
+    def test_integer_beyond_float_range_exits_5(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, **{"model.decay": 10**400})
+        assert run("ingest", "--config", config) == 5
+        assert "model.decay" in capsys.readouterr().err
 
 
 class TestIngest:
@@ -530,13 +546,16 @@ def _set_first_value(name, value):
 
 
 def _edit_checkpoint(edit):
-    """Rewrite a checkpoint through ``edit(header, payload) -> payload``."""
+    """Rewrite a checkpoint through ``edit(header, payload) -> payload`` and
+    record the edited payload's SHA-256, so the checks behind the digest see
+    the edit."""
 
     def damage(path):
         blob = path.read_bytes()
         (n,) = struct.unpack("<Q", blob[:8])
         header = json.loads(blob[8 : 8 + n])
         payload = edit(header, blob[8 + n :])
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
         text = json.dumps(header).encode()
         path.write_bytes(struct.pack("<Q", len(text)) + text + payload)
 
@@ -592,6 +611,32 @@ class TestDamagedCheckpoint:
         damaged.write_bytes((tmp_path / "out" / "checkpoint.bin").read_bytes())
         _edit_checkpoint(edit)(damaged)
         assert run("eval", "--config", config, "--checkpoint", damaged) == 6
+
+    def _trained(self, tmp_path):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph", "train"):
+            assert run(cmd, "--config", config) == 0
+        return config, (tmp_path / "out" / "checkpoint.bin").read_bytes()
+
+    def test_flipped_payload_bit_exits_6(self, tmp_path, capsys):
+        config, blob = self._trained(tmp_path)
+        damaged = tmp_path / "flipped.bin"
+        damaged.write_bytes(blob[:-3] + bytes([blob[-3] ^ 0x10]) + blob[-2:])
+        assert run("eval", "--config", config, "--checkpoint", damaged) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "SHA-256" in err and "Traceback" not in err
+
+    def test_earlier_format_without_digest_exits_6(self, tmp_path, capsys):
+        config, blob = self._trained(tmp_path)
+        (n,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8 : 8 + n])
+        del header["payload_sha256"]
+        header["format"] = "mgdpr-checkpoint-v1"
+        text = json.dumps(header).encode()
+        old = tmp_path / "v1.bin"
+        old.write_bytes(struct.pack("<Q", len(text)) + text + blob[8 + n :])
+        assert run("eval", "--config", config, "--checkpoint", old) == 6
+        assert "not a mgdpr-checkpoint-v2 file" in capsys.readouterr().err
 
 
 def test_no_temporary_files_left_after_train_and_eval(tmp_path):

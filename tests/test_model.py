@@ -26,6 +26,7 @@ from mgdpr.model import (
     readout,
     save_checkpoint,
     transition_matrices,
+    transition_mix,
 )
 from mgdpr.tensor import Tensor
 from gradcheck import max_rel_err, numeric_grad
@@ -100,7 +101,7 @@ class TestDiffusionMatrix:
     def test_single_step_uniform_on_all_ones(self):
         weights = Tensor(np.ones(1))
         transitions = transition_matrices(Tensor(np.zeros((1, 4, 4))))
-        out = diffusion_matrix(weights, transitions, np.ones(4))
+        out = diffusion_matrix(transition_mix(weights, transitions), np.ones(4))
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_adjacency_zero_masks_entry(self):
@@ -108,8 +109,7 @@ class TestDiffusionMatrix:
         senders = np.ones(3)
         senders[2] = 0.0
         out = diffusion_matrix(
-            Tensor(np.ones(1)),
-            transition_matrices(Tensor(np.zeros((1, 3, 3)))),
+            transition_mix(Tensor(np.ones(1)), transition_matrices(Tensor(np.zeros((1, 3, 3))))),
             senders,
         )
         assert np.all(out.values[:, 2] == 0.0)
@@ -120,7 +120,7 @@ class TestDiffusionMatrix:
         raw = rng.normal(size=(2, 3, 3))
         transitions = transition_matrices(Tensor(raw))
         one_hot = Tensor(np.array([1.0, 0.0]))
-        out = diffusion_matrix(one_hot, transitions, np.ones(3))
+        out = diffusion_matrix(transition_mix(one_hot, transitions), np.ones(3))
         np.testing.assert_allclose(out.values, transitions.values[0], atol=1e-15)
 
     @pytest.mark.parametrize("n", [12, 100])
@@ -136,7 +136,7 @@ class TestDiffusionMatrix:
         adjacency = oracle_adjacency(window)
         mix = np.einsum("k,kij->ij", weights.values, transitions.values)
         expected = mix * (adjacency / adjacency.sum(axis=1, keepdims=True))
-        got = diffusion_matrix(weights, transitions, senders).values
+        got = diffusion_matrix(transition_mix(weights, transitions), senders).values
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 

@@ -224,6 +224,44 @@ class TestConstant:
             T.constant([1.0, np.inf])
 
 
+class TestFiniteCheck:
+    """Values are checked finite once, where they are made."""
+
+    def _checked_ops(self, monkeypatch, build):
+        ops = []
+        real = T._check_finite
+
+        def spy(arr, op):
+            ops.append(op)
+            return real(arr, op)
+
+        monkeypatch.setattr(T, "_check_finite", spy)
+        build()
+        return ops
+
+    def test_rearranging_ops_are_not_rechecked(self, monkeypatch):
+        a, b = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
+
+        def build():
+            joined = T.concat([a, b], 0)
+            T.transpose(T.reshape(joined, (3, 4)))
+
+        assert self._checked_ops(monkeypatch, build) == []
+
+    def test_computing_ops_and_constructors_still_check(self, monkeypatch):
+        def build():
+            x = T.Tensor(np.ones((2, 2)))
+            c = T.constant(np.ones((2, 2)))
+            T.softmax(T.matmul(x, c), 1)
+
+        assert self._checked_ops(monkeypatch, build) == ["tensor construction", "constant", "matmul", "softmax"]
+
+    def test_matmul_overflow_raises(self):
+        big = T.Tensor(np.full((2, 2), 1e200))
+        with pytest.raises(FloatingPointError, match="matmul"):
+            T.matmul(big, big)
+
+
 def _op_cases():
     rng = np.random.default_rng(42)
     a23 = rng.normal(size=(2, 3))

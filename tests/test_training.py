@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import mgdpr.model
 from mgdpr import tensor as T
 from mgdpr.errors import DataError, DivergenceError, ShapeError, UsageError
 from mgdpr.graphs import build_day_graphs
@@ -274,6 +276,49 @@ class TestEvaluate:
         cfg, _ = desk_setup()
         with pytest.raises(UsageError):
             evaluate(Model.initialized(cfg, seed=11), [])
+
+    def _counted(self, monkeypatch, name):
+        calls = []
+        real = getattr(mgdpr.model, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mgdpr.model, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("num_days", [1, 4, 9])
+    def test_mixes_built_once_per_call_and_one_forward_per_day(self, monkeypatch, num_days):
+        cfg, samples = desk_setup(num_days=20)
+        cfg = dataclasses.replace(cfg, num_layers=2)
+        model = Model.initialized(cfg, seed=12)
+        transitions = self._counted(monkeypatch, "transition_matrices")
+        forwards = self._counted(monkeypatch, "forward")
+        evaluate(model, samples[:num_days])
+        assert len(transitions) == cfg.num_layers * cfg.num_relations
+        assert len(forwards) == num_days
+
+    def test_confusion_equals_per_day_predict(self):
+        cfg, samples = desk_setup(num_days=20)
+        cfg = dataclasses.replace(cfg, num_layers=2)
+        rng = np.random.default_rng(13)
+        params = {k: Tensor(p.values + rng.normal(scale=0.5, size=p.shape)) for k, p in init_params(cfg).items()}
+        model = Model(config=cfg, params=params)
+        graphs = graphs_for_samples(samples)
+        preds = [model.predict(s.features, graphs[s.t_index]) for s in samples]
+        assert 0 < np.concatenate(preds).mean() < 1
+        assert evaluate(model, samples).confusion == confusion_counts(preds, [s.labels for s in samples])
+
+    def test_overflow_while_building_mixes_is_divergence(self, monkeypatch):
+        cfg, samples = desk_setup()
+
+        def overflow(*args):
+            raise FloatingPointError("transition_matrices produced a non-finite value")
+
+        monkeypatch.setattr(mgdpr.model, "transition_matrices", overflow)
+        with pytest.raises(DivergenceError, match="diffusion mix"):
+            evaluate(Model.initialized(cfg, seed=14), samples)
 
 
 class TestReportFiles:
