@@ -8,7 +8,8 @@ identical inputs and seed, and each run writes a fully resolved config so
 it can be reproduced exactly.
 
 Exit codes: 0 ok, 2 data/format problem, 3 graph generation problem,
-4 training divergence, 5 configuration problem, 6 checkpoint problem.
+4 training divergence, 5 configuration or usage problem, 6 checkpoint
+problem.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ EXIT_CODES = {"data": 2, "graph": 3, "divergence": 4, "config": 5, "checkpoint":
 _EPILOG = """\
 exit codes:
   2  input data or file-format problem
-  3  graph generation problem (degenerate window, --day out of range)
+  3  graph generation problem (degenerate window, too few days)
   4  training diverged (non-finite loss)
-  5  configuration problem (bad key, shape mismatch, missing cache)
+  5  configuration or usage problem (bad key or flag, shape mismatch, missing cache)
   6  checkpoint corrupt or inconsistent with the config
 """
 
@@ -211,12 +212,8 @@ def cmd_graph(args) -> int:
         raise DayRangeError(
             f"no labeled end days: need at least {lookback + 1} days, panel has {panel.num_days}"
         )
-    if args.day is not None:
-        if args.day not in days:
-            raise DayRangeError(f"--day {args.day} outside [{days[0]}, {days[-1]}]")
-        days = [args.day]
     graphs = [build_day_graphs(panel, t, lookback) for t in days]
-    write_graphs(graphs, _graph_dir(resolved), panel.digest(), merge=args.day is not None)
+    write_graphs(graphs, _graph_dir(resolved), panel.digest())
     print(f"wrote graphs for {len(days)} day(s) x {panel.num_stocks} stocks to {_graph_dir(resolved)}")
     return 0
 
@@ -268,6 +265,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seeds is None and args.epochs is not None:
+        raise UsageError("--epochs applies only to --seeds runs; a checkpoint is evaluated as trained")
+    if args.seeds is not None and args.checkpoint is not None:
+        raise UsageError("--checkpoint and --seeds exclude each other: --seeds trains its own models")
     resolved = load_config(args.config)
     out_dir = Path(resolved["paths.output_dir"])
     base_seed = resolved["train.seed"] if args.seed is None else args.seed
@@ -337,8 +338,15 @@ def _write_aggregate(out_dir, reports, base_seed, n, market, period, digest) -> 
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as :class:`UsageError` (exit 5), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mgdpr",
         description="Stock-trend pipeline: ingest OHLCV, build daily stock graphs, train, evaluate.",
         epilog=_EPILOG,
@@ -351,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser(
         "graph", help="cache each day's per-stock energy and entropy (one CSV per day) from the panel"
-    )
-    p_graph.add_argument(
-        "--day", type=int, default=None, help="build a single end-day index and add it to the cache"
     )
     p_graph.set_defaults(func=cmd_graph)
 
@@ -387,9 +392,8 @@ def _exit_code(e: MgdprError) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MgdprError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -177,16 +177,15 @@ def _day_keys(n: int) -> list[str]:
     return [f"{relation},{i}" for relation in RELATIONS for i in range(n)]
 
 
-def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, merge: bool = False) -> None:
+def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str) -> None:
     """Cache each day's per-stock energy and entropy, one table per day.
 
     A day's file is a :func:`mgdpr.files.write_table` table of R * N rows,
     written atomically and bit-exact on reload. ``index.json`` lists
     the written days with the SHA-256 of each day file and records
     ``panel_digest``, the :meth:`MarketPanel.digest` of the panel the graphs
-    were built from; with ``merge`` it also keeps the days (and their file
-    digests) of an existing index of the same format, panel digest and stock
-    count. Once the index is in place, day files it does not list are deleted.
+    were built from. Once the index is in place, day files it does not list
+    are deleted.
     """
     directory = Path(directory)
     n = graphs[0].num_stocks if graphs else 0
@@ -195,19 +194,9 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str, 
         factors = np.stack([adj.energy.ravel(), adj.entropy.ravel()], axis=1)
         name = _day_filename(adj.t_index)
         sha256[name] = write_table(directory / name, _DAY_COLUMNS, _day_keys(n), factors)
-    days = {g.t_index for g in graphs}
-    if merge:
-        try:
-            existing = _read_index(directory)
-        except FormatError:
-            existing = None  # absent, damaged or another format: nothing to keep
-        same_panel = existing is not None and existing["panel_sha256"] == panel_digest
-        if same_panel and existing["num_stocks"] == n:
-            days.update(existing["days"])
-            sha256 = {**existing["sha256"], **sha256}
     index = {
         "format": GRAPH_FORMAT,
-        "days": sorted(days),
+        "days": sorted(g.t_index for g in graphs),
         "relations": list(RELATIONS),
         "num_stocks": n,
         "panel_sha256": panel_digest,

@@ -189,11 +189,14 @@ def align_panel(series: list[InstrumentSeries], coverage: float = 0.98) -> Marke
     """Align series onto a shared calendar and gap-fill the survivors.
 
     The calendar keeps dates present in at least half the series. A stock
-    must be present on at least ``coverage`` of those dates to survive.
-    Price gaps are forward-filled (leading gaps back-filled); volume gaps
-    are filled with 0, and all volumes are then floored to 1 so signal
-    energy stays bounded away from zero.
+    must be present on at least ``coverage`` of those dates to survive;
+    ``coverage`` outside (0, 1] raises :class:`ConfigError`. Price gaps are
+    forward-filled (leading gaps back-filled); volume gaps are filled with
+    0, and all volumes are then floored to 1 so signal energy stays bounded
+    away from zero.
     """
+    if not 0.0 < coverage <= 1.0:
+        raise ConfigError(f"coverage must be in (0, 1], got {coverage}")
     if len(series) < 2:
         raise DataError(f"alignment needs at least 2 series, got {len(series)}")
     counts: dict[str, int] = {}
@@ -238,7 +241,7 @@ def align_panel(series: list[InstrumentSeries], coverage: float = 0.98) -> Marke
             data[i, :, j] = row
             last = row
         if last is None:
-            # kept stocks have presence >= coverage > 0, so this cannot happen
+            # kept stocks have presence >= coverage > 0 (checked above), so this cannot happen
             raise CoverageError(f"{s.ticker}: no observations on the shared calendar")
         fill_counts[s.ticker] = gaps
     data[:, VOLUME, :] = np.maximum(data[:, VOLUME, :], 1.0)

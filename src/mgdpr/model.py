@@ -13,8 +13,9 @@ runs two decoupled stages:
 
 Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
-step by construction. A temporal mean-pool plus a 2-layer MLP produces two
-logits per stock.
+step by construction. A temporal mean-pool plus a 2-layer MLP of width
+``embed_dim`` produces two logits per stock. Every activation is a leaky
+ReLU with the fixed negative slope :data:`ACTIVATION_SLOPE`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .files import has_type, write_atomic
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "mgdpr-checkpoint-v2"
+# Negative-side slope of every leaky-ReLU activation.
+ACTIVATION_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,6 @@ class ModelConfig:
     embed_dim: int = 256
     decay: float = 1.27
     num_groups: int = 4
-    activation_slope: float = 0.01
-    readout_hidden: int = 0  # 0 means "same as embed_dim"
 
     def validate(self) -> None:
         positive = {
@@ -77,10 +78,6 @@ class ModelConfig:
             )
         if self.decay <= 0.0:
             raise ConfigError(f"decay must be positive, got {self.decay}")
-
-    @property
-    def hidden(self) -> int:
-        return self.readout_hidden or self.embed_dim
 
 
 def expected_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -104,9 +101,9 @@ def expected_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"update.{l}.b1"] = (d,)
         shapes[f"update.{l}.W2"] = (2 * d, d)
         shapes[f"update.{l}.b2"] = (d,)
-    shapes["readout.W1"] = (d, cfg.hidden)
-    shapes["readout.b1"] = (cfg.hidden,)
-    shapes["readout.W2"] = (cfg.hidden, 2)
+    shapes["readout.W1"] = (d, d)
+    shapes["readout.b1"] = (d,)
+    shapes["readout.W2"] = (d, 2)
     shapes["readout.b2"] = (2,)
     return shapes
 
@@ -213,7 +210,6 @@ def diffuse_layer(
     relation_maps: list[Tensor],
     mix_w: Tensor,
     mix_b: Tensor,
-    slope: float,
 ) -> Tensor:
     """Propagate along each relation's graph, then mix relations pointwise.
 
@@ -228,7 +224,7 @@ def diffuse_layer(
         propagated = T.reshape(T.matmul(s_r, flat), (n * tau, d))
         parts.append(T.reshape(T.matmul(propagated, w_r), (1, n * tau * d)))
     mixed = T.reshape(T.matmul(mix_w, T.concat(parts, 0)), (n, tau, d))
-    return T.activation(T.add(mixed, mix_b), slope)
+    return T.activation(T.add(mixed, mix_b), ACTIVATION_SLOPE)
 
 
 def parallel_retention(
@@ -274,7 +270,6 @@ def layer_update(
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
-    slope: float,
 ) -> Tensor:
     """Retain the diffused state per stock, concatenate an affine carry of the
     previous representation along the channel axis, and map back to width d."""
@@ -285,7 +280,7 @@ def layer_update(
     carry = T.add_bias(T.matmul(T.reshape(carried, (n * tau, d)), w1), b1)
     joined = T.concat([T.reshape(retention_out, (n * tau, d)), carry], 1)
     out = T.add_bias(T.matmul(joined, w2), b2)
-    return T.reshape(T.activation(out, slope), (n, tau, d))
+    return T.reshape(T.activation(out, ACTIVATION_SLOPE), (n, tau, d))
 
 
 def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor:
@@ -298,10 +293,10 @@ def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor
     return T.reshape(emb, (n, tau, emb.shape[1]))
 
 
-def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope: float) -> Tensor:
+def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Mean-pool the lookback axis, then a 2-layer MLP to per-stock logits."""
     pooled = T.mean_axis(state, 1)
-    hidden = T.activation(T.add_bias(T.matmul(pooled, w1), b1), slope)
+    hidden = T.activation(T.add_bias(T.matmul(pooled, w1), b1), ACTIVATION_SLOPE)
     return T.add_bias(T.matmul(hidden, w2), b2)
 
 
@@ -350,7 +345,6 @@ def forward(
             relation_maps,
             params[f"diffusion.{l}.mix_w"],
             params[f"diffusion.{l}.mix_b"],
-            cfg.activation_slope,
         )
         carried = layer_update(
             state,
@@ -364,7 +358,6 @@ def forward(
             b1=params[f"update.{l}.b1"],
             w2=params[f"update.{l}.W2"],
             b2=params[f"update.{l}.b2"],
-            slope=cfg.activation_slope,
         )
     return readout(
         carried,
@@ -372,7 +365,6 @@ def forward(
         params["readout.b1"],
         params["readout.W2"],
         params["readout.b2"],
-        cfg.activation_slope,
     )
 
 
@@ -454,7 +446,8 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
     The payload must match the header's SHA-256 (a file of an earlier
     format, which has none, is refused). Every field of ``cfg`` must equal
     the header's recorded ``config`` (keys :class:`ModelConfig` no longer
-    has are ignored). The tensor table must list exactly the expected
+    has are ignored, except that a recorded ``activation_slope`` must be
+    :data:`ACTIVATION_SLOPE`). The tensor table must list exactly the expected
     tensors in :func:`expected_param_shapes` order, stored back to back and
     filling the payload, and every value must be finite; anything else
     raises :class:`CheckpointError`.
@@ -480,6 +473,11 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
             raise CheckpointError(
                 f"{path}: checkpoint was trained with {name}={saved.get(name)!r}, not {value!r}"
             )
+    if saved.get("activation_slope", ACTIVATION_SLOPE) != ACTIVATION_SLOPE:
+        raise CheckpointError(
+            f"{path}: checkpoint was trained with activation_slope={saved['activation_slope']!r}, "
+            f"not the fixed {ACTIVATION_SLOPE!r}"
+        )
     entries = header.get("tensors")
     if not (isinstance(entries, list) and all(_is_entry(e) for e in entries)):
         raise CheckpointError(f"{path}: tensor table is not a list of {{name, shape, offset}} entries")

@@ -9,9 +9,9 @@ its gradient is not exactly zero (a K=7 mixture at initialization gets
 3.2e-17 on every raw entry), so dropping the backward pass would change
 the trained bits.
 
-Training is full-batch by default: gradients are accumulated sample by
-sample (mathematically identical to one joint loss, but with per-sample
-memory), then one Adam step is taken per epoch. The best
+Training is full-batch: every training day's gradient is accumulated
+sample by sample (mathematically identical to one joint loss, but with
+per-sample memory), then one Adam step is taken per epoch. The best
 validation-accuracy parameters are retained.
 """
 
@@ -43,19 +43,17 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings, each the config key ``train.<field>``; defaults
-    match the full-scale reference recipe."""
+    match the full-scale reference recipe. Every epoch is one full-batch
+    Adam step."""
 
     learning_rate: float = 2.5e-4
     epochs: int = 900
-    batch_size: int | None = None  # None = full batch
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be None or >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -176,7 +174,7 @@ def train(
 ) -> tuple[dict[str, Tensor], list[tuple[int, float, float]]]:
     """Optimize the objective; returns (best parameters, per-epoch trace).
 
-    Full-batch by default (every training day contributes to each step).
+    Full-batch: every training day contributes to each epoch's one step.
     The trace rows are (epoch, train loss, validation accuracy); the
     retained parameters are the best-validation-accuracy ones, or the final
     ones when there is no validation split. The run is deterministic for a
@@ -193,40 +191,35 @@ def train(
     trace: list[tuple[int, float, float]] = []
     best_acc = -math.inf
     best_params = params
-    batch = config.batch_size or len(train_samples)
 
     for epoch in range(config.epochs):
-        losses = []
-        for start in range(0, len(train_samples), batch):
-            chunk = train_samples[start : start + batch]
-            for p in params.values():
-                p.grad = None
-            try:
-                ce_sum = 0.0
-                for s in chunk:
-                    logits = model.forward(s.features, graphs[s.t_index])
-                    ce = cross_entropy_mean(logits, s.labels)
-                    T.backward(T.scale(ce, 1.0 / len(chunk)))
-                    ce_sum += ce.item()
-                penalty = constraint_term(mixture_tensors(params, model.config))
-                if penalty.requires_grad:
-                    T.backward(penalty)
-                loss = ce_sum / len(chunk) + penalty.item()
-            except FloatingPointError as e:
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate}): {e}"
-                ) from e
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate})"
-                )
-            if abs(penalty.item()) > CONSTRAINT_TOLERANCE:
-                raise DivergenceError(
-                    f"simplex constraint violated at epoch {epoch}: {penalty.item():.3e}"
-                )
-            params = state.update(params, config.learning_rate)
-            model.params = params
-            losses.append(loss)
+        for p in params.values():
+            p.grad = None
+        try:
+            ce_sum = 0.0
+            for s in train_samples:
+                logits = model.forward(s.features, graphs[s.t_index])
+                ce = cross_entropy_mean(logits, s.labels)
+                T.backward(T.scale(ce, 1.0 / len(train_samples)))
+                ce_sum += ce.item()
+            penalty = constraint_term(mixture_tensors(params, model.config))
+            if penalty.requires_grad:
+                T.backward(penalty)
+            loss = ce_sum / len(train_samples) + penalty.item()
+        except FloatingPointError as e:
+            raise DivergenceError(
+                f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate}): {e}"
+            ) from e
+        if not math.isfinite(loss):
+            raise DivergenceError(
+                f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate})"
+            )
+        if abs(penalty.item()) > CONSTRAINT_TOLERANCE:
+            raise DivergenceError(
+                f"simplex constraint violated at epoch {epoch}: {penalty.item():.3e}"
+            )
+        params = state.update(params, config.learning_rate)
+        model.params = params
         if val_samples:
             val_acc = evaluate(model, val_samples, graphs).accuracy
             if val_acc > best_acc:
@@ -235,7 +228,7 @@ def train(
         else:
             val_acc = math.nan
             best_params = params
-        trace.append((epoch, sum(losses) / len(losses), val_acc))
+        trace.append((epoch, loss, val_acc))
 
     model.params = best_params
     return best_params, trace
@@ -247,10 +240,7 @@ def train(
 
 def confusion_counts(pred, truth) -> dict[str, int]:
     """2x2 counts with class 1 ("up") as positive."""
-    pred = np.concatenate([np.ravel(p) for p in pred]) if isinstance(pred, list) else np.ravel(pred)
-    truth = (
-        np.concatenate([np.ravel(t) for t in truth]) if isinstance(truth, list) else np.ravel(truth)
-    )
+    pred, truth = np.ravel(pred), np.ravel(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"predictions length {pred.size} vs truth length {truth.size}")
     _check_labels(pred)

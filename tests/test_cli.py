@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgdpr import cli
@@ -10,6 +13,7 @@ from mgdpr.errors import ConfigError
 from mgdpr.graphs import build_day_graphs, read_graphs
 from mgdpr.market import read_panel
 from mgdpr.model import Model, load_checkpoint, save_checkpoint
+from mgdpr.tensor import Tensor
 from mgdpr.synthetic import planted_market, write_series_csv
 
 
@@ -77,11 +81,8 @@ class TestConfig:
             "model.embed_dim": 256,
             "model.decay": 1.27,
             "model.num_groups": 4,
-            "model.activation_slope": 0.01,
-            "model.readout_hidden": 0,
             "train.learning_rate": 2.5e-4,
             "train.epochs": 900,
-            "train.batch_size": None,
             "train.seed": 0,
         }
 
@@ -109,8 +110,69 @@ class TestConfig:
         assert cli.config_hash(as_int) == cli.config_hash(as_float)
 
     def test_default_config_hash_is_stable(self):
-        expected = "d88120bc90cf8ecfe3adcc28da80322faedae9e5646a2da83eeb712895b97718"
+        expected = "5d3571f1016b298e635e59face7bc80c357369df92c30de8c1bf149ea5ddd81a"
         assert cli.config_hash(dict(cli.DEFAULTS)) == expected
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("train.batch_size", None), ("model.readout_hidden", 0), ("model.activation_slope", 0.01)],
+    )
+    def test_removed_key_exits_5_naming_it(self, tmp_path, capsys, key, value):
+        config = make_workspace(tmp_path, **{key: value})
+        assert run("ingest", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown config key" in err and key in err
+        assert not (tmp_path / "cache").exists()
+
+
+def test_readme_key_table_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Batch CLI\n", 1)[1].split("\n## ", 1)[0]
+    (count,) = re.findall(r"There are (\d+) keys\.", section)
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
+    assert int(count) == len(cli.DEFAULTS)
+    assert sorted(keys) == sorted(cli.DEFAULTS)
+
+
+class TestUsageErrors:
+    """A command-line usage error exits 5 with a one-line message: never
+    argparse's 2 (the code for bad input data), never a traceback, and
+    never a flag ignored without a word."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "required: command"),
+            (["train"], "required: --config"),
+            (["graph", "--config", "{config}", "--day", "6"], "unrecognized arguments: --day 6"),
+            (["train", "--config", "{config}", "--seed", "x"], "invalid int value: 'x'"),
+            (["eval", "--config", "{config}", "--epochs", "999"], "--epochs applies only to --seeds runs"),
+            (
+                ["eval", "--config", "{config}", "--seeds", "1", "--checkpoint", "{missing}"],
+                "--checkpoint and --seeds exclude each other",
+            ),
+        ],
+        ids=["no-command", "no-config", "deleted-day-flag", "non-integer-seed", "eval-epochs-without-seeds",
+             "eval-checkpoint-with-seeds"],
+    )
+    def test_exits_5_with_one_line(self, tmp_path, capsys, argv, message):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        capsys.readouterr()
+        argv = [a.format(config=config, missing=tmp_path / "missing.bin") for a in argv]
+        assert run(*argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "exit codes:" in out and "--day" not in out
 
 
 # (key, wrong value in the file, the same value as MGDPR_* text or None
@@ -124,7 +186,7 @@ _BAD_VALUES = [
     ("train.seed", "x", "x"),
     ("model.num_layers", 1.5, "1.5"),
     ("model.lookback", "5", None),
-    ("train.batch_size", 1.5, "1.5"),
+    ("split.test", 1.5, "1.5"),
     ("train.epochs", True, "true"),
     ("paths.output_dir", 5, None),
 ]
@@ -179,6 +241,14 @@ class TestIngest:
             f.unlink()
         assert run("ingest", "--config", config) == 2
 
+    @pytest.mark.parametrize("coverage", [0, 1.5])
+    def test_coverage_outside_unit_interval_exits_5(self, tmp_path, capsys, coverage):
+        config = make_workspace(tmp_path, coverage=coverage)
+        assert run("ingest", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err == f"error: coverage must be in (0, 1], got {coverage}\n"
+        assert not (tmp_path / "cache").exists()
+
     def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         bad = tmp_path / "data" / "SYN01.csv"
@@ -204,10 +274,12 @@ class TestGraph:
         index = json.loads((tmp_path / "cache" / "graphs" / "index.json").read_text())
         assert index["days"] == [4]
 
-    def test_day_out_of_range_exits_3(self, tmp_path):
-        config = make_workspace(tmp_path)
+    def test_day_out_of_range_exits_3(self, tmp_path, capsys):
+        # lookback tau with tau days: no end day has a next-day label
+        config = make_workspace(tmp_path, num_days=5, lookback=5)
         assert run("ingest", "--config", config) == 0
-        assert run("graph", "--config", config, "--day", 99) == 3
+        assert run("graph", "--config", config) == 3
+        assert "no labeled end days" in capsys.readouterr().err
 
     def test_reload_matches_in_memory(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -219,21 +291,11 @@ class TestGraph:
             expected = build_day_graphs(panel, t, 5)
             assert adj.matrices.tobytes() == expected.matrices.tobytes()
 
-    def test_single_day_merges_into_index(self, tmp_path):
-        config = make_workspace(tmp_path)
-        assert run("ingest", "--config", config) == 0
-        assert run("graph", "--config", config) == 0
-        index_path = tmp_path / "cache" / "graphs" / "index.json"
-        full = json.loads(index_path.read_text())["days"]
-        assert run("graph", "--config", config, "--day", full[3]) == 0
-        assert json.loads(index_path.read_text())["days"] == full
-        assert run("train", "--config", config) == 0
-
     def test_no_temporary_files_left(self, tmp_path):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0
         assert run("graph", "--config", config) == 0
-        assert run("graph", "--config", config, "--day", 6) == 0
+        assert run("graph", "--config", config) == 0
         names = [p.name for p in (tmp_path / "cache" / "graphs").iterdir()]
         assert not [n for n in names if n.startswith(".") or "tmp" in n]
         assert "index.json" in names
@@ -355,12 +417,6 @@ class TestStaleGraphCache:
         assert run("train", "--config", config) == 5
         assert "re-run `mgdpr graph`" in capsys.readouterr().err
 
-    def test_single_day_drops_stale_days(self, tmp_path):
-        config = make_workspace(tmp_path)
-        self._reingest_other_prices(tmp_path, config)
-        assert run("graph", "--config", config, "--day", 6) == 0
-        assert json.loads((tmp_path / "cache" / "graphs" / "index.json").read_text())["days"] == [6]
-
 
 class TestCacheHoldsOnlyListedFiles:
     def test_smaller_reingest_and_graph_leave_no_stale_files(self, tmp_path):
@@ -447,12 +503,6 @@ class TestTrain:
         resolved_path = tmp_path / "out" / "resolved_config.json"
         assert run("train", "--config", resolved_path) == 0
         assert (tmp_path / "out" / "checkpoint.bin").read_bytes() == checkpoint
-
-    def test_minibatch_option_runs(self, tmp_path):
-        config = make_workspace(tmp_path, **{"train.batch_size": 4})
-        for cmd in ("ingest", "graph", "train", "eval"):
-            assert run(cmd, "--config", config) == 0
-        assert (tmp_path / "out" / "metrics.json").exists()
 
 
 class TestEval:
@@ -637,6 +687,50 @@ class TestDamagedCheckpoint:
         old.write_bytes(struct.pack("<Q", len(text)) + text + blob[8 + n :])
         assert run("eval", "--config", config, "--checkpoint", old) == 6
         assert "not a mgdpr-checkpoint-v2 file" in capsys.readouterr().err
+
+
+class TestCheckpointWithRemovedModelKeys:
+    """Checkpoints whose header config still records ``activation_slope`` and
+    ``readout_hidden``, as those of earlier versions do."""
+
+    def _trained(self, tmp_path):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph", "train"):
+            assert run(cmd, "--config", config) == 0
+        return config, tmp_path / "out" / "checkpoint.bin"
+
+    def _recording(self, path, slope=0.01, hidden=0):
+        def edit(header, payload):
+            header["config"].update(activation_slope=slope, readout_hidden=hidden)
+            return payload
+
+        _edit_checkpoint(edit)(path)
+        return path
+
+    def test_earlier_layout_loads_and_evaluates_the_same(self, tmp_path):
+        config, checkpoint = self._trained(tmp_path)
+        assert run("eval", "--config", config) == 0
+        expected = (tmp_path / "out" / "metrics.json").read_bytes()
+        self._recording(checkpoint)
+        assert run("eval", "--config", config) == 0
+        assert (tmp_path / "out" / "metrics.json").read_bytes() == expected
+
+    def test_other_slope_exits_6(self, tmp_path, capsys):
+        config, checkpoint = self._trained(tmp_path)
+        self._recording(checkpoint, slope=0.2)
+        assert run("eval", "--config", config) == 6
+        assert "activation_slope=0.2" in capsys.readouterr().err
+
+    def test_other_readout_width_exits_6(self, tmp_path, capsys):
+        config, checkpoint = self._trained(tmp_path)
+        model = load_checkpoint(checkpoint, cli.model_config(cli.load_config(config), num_stocks=3))
+        d = model.config.embed_dim
+        for name, shape in (("readout.W1", (d, 16)), ("readout.b1", (16,)), ("readout.W2", (16, 2))):
+            model.params[name] = Tensor(np.zeros(shape))
+        save_checkpoint(checkpoint, model)
+        self._recording(checkpoint, hidden=16)
+        assert run("eval", "--config", config) == 6
+        assert "'readout.W1' has shape (8, 16)" in capsys.readouterr().err
 
 
 def test_no_temporary_files_left_after_train_and_eval(tmp_path):

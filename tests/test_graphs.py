@@ -220,24 +220,15 @@ class TestGraphCache:
         assert len(lines) == 1 + 5 * 3
         assert lines[1].startswith("open,0,") and lines[-1].startswith("volume,2,")
 
-    def test_merge_keeps_existing_days_sorted(self, tmp_path):
-        _cached_days(tmp_path, days=(4, 6))
-        panel = _cache_panel()
-        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, panel.digest(), merge=True)
-        assert sorted(read_graphs(tmp_path)) == [4, 5, 6]
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["days"] == [4, 5, 6]
-        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, panel.digest())
-        assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
-
     def test_other_panel_rejected_and_not_merged(self, tmp_path):
         _cached_days(tmp_path, days=(4, 6))
         panel = _cache_panel()
         assert sorted(read_graphs(tmp_path, panel_digest=panel.digest())) == [4, 6]
         with pytest.raises(FormatError, match="another panel"):
             read_graphs(tmp_path, panel_digest="0" * 64)
-        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, "0" * 64, merge=True)
+        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, "0" * 64)
         assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["day00005.csv", "index.json"]
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FormatError):
@@ -289,9 +280,7 @@ class TestGraphCache:
         assert sorted(read_graphs(tmp_path)) == [4, 5]
 
     def test_index_records_each_day_file_digest(self, tmp_path):
-        _cached_days(tmp_path, days=(4, 6))
-        panel = _cache_panel()
-        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, panel.digest(), merge=True)
+        _cached_days(tmp_path, days=(6, 4, 5))
         index = json.loads((tmp_path / "index.json").read_text())
         assert index["format"] == "mgdpr-graph-factors/3"
         assert sorted(index["sha256"]) == ["day00004.csv", "day00005.csv", "day00006.csv"]

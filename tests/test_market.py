@@ -138,6 +138,16 @@ class TestAlignPanel:
         with pytest.raises(CoverageError, match="A="):
             align_panel([a, b], coverage=1.0)
 
+    @pytest.mark.parametrize("coverage", [0, -0.5, 1.5])
+    def test_coverage_outside_unit_interval_is_config_error(self, coverage):
+        # C trades only outside the shared calendar, so at coverage 0 it
+        # would be kept with no observation to fill from
+        d = _dates(10)
+        series = [_series("A", d), _series("B", d, base=20.0), _series("C", _dates(5, start=20), base=7.0)]
+        with pytest.raises(ConfigError, match=r"coverage must be in \(0, 1\]"):
+            align_panel(series, coverage=coverage)
+        assert align_panel(series, coverage=1.0).tickers == ["A", "B"]
+
     def test_needs_two_series(self):
         with pytest.raises(DataError):
             align_panel([_series("A", _dates(5))])

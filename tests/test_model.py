@@ -220,7 +220,6 @@ class TestLayerUpdate:
             b1=Tensor(mk(d) if not zero else np.zeros(d)),
             w2=Tensor(mk(2 * d, d)),
             b2=Tensor(rng.normal(size=d)),
-            slope=0.01,
         )
 
     def test_output_shape(self):
@@ -306,20 +305,20 @@ class TestReadout:
     def test_shape(self):
         w1, b1, w2, b2 = self._params(4, 4)
         state = Tensor(np.random.default_rng(14).normal(size=(5, 3, 4)))
-        assert readout(state, w1, b1, w2, b2, 0.01).shape == (5, 2)
+        assert readout(state, w1, b1, w2, b2).shape == (5, 2)
 
     def test_permuting_stocks_permutes_logits(self):
         w1, b1, w2, b2 = self._params(4, 4)
         state = np.random.default_rng(15).normal(size=(4, 3, 4))
         perm = np.array([2, 0, 3, 1])
-        base = readout(Tensor(state), w1, b1, w2, b2, 0.01).values
-        permuted = readout(Tensor(state[perm]), w1, b1, w2, b2, 0.01).values
+        base = readout(Tensor(state), w1, b1, w2, b2).values
+        permuted = readout(Tensor(state[perm]), w1, b1, w2, b2).values
         np.testing.assert_array_equal(permuted, base[perm])
 
     def test_constant_state_identical_logits(self):
         w1, b1, w2, b2 = self._params(4, 4)
         state = Tensor(np.full((6, 3, 4), 0.7))
-        out = readout(state, w1, b1, w2, b2, 0.01).values
+        out = readout(state, w1, b1, w2, b2).values
         assert np.array_equal(out, np.broadcast_to(out[0], out.shape))
 
 
@@ -345,7 +344,6 @@ class TestForward:
             params["readout.b1"],
             params["readout.W2"],
             params["readout.b2"],
-            cfg.activation_slope,
         )
         assert np.array_equal(logits.values, expected.values)
 
@@ -500,7 +498,7 @@ class TestDiffuseLayerScalarOracle:
         maps = [Tensor(np.array([[1.5]])), Tensor(np.array([[-1.0]]))]
         mix_w = Tensor(np.array([[0.25, 0.75]]))
         mix_b = Tensor(0.1)
-        out = diffuse_layer(state, s_matrices, maps, mix_w, mix_b, 0.01)
+        out = diffuse_layer(state, s_matrices, maps, mix_w, mix_b)
         # relation 0: 0.5*2*1.5 = 1.5; relation 1: 3*2*-1 = -6
         # mix: 0.25*1.5 + 0.75*(-6) + 0.1 = -4.025 -> leaky: -0.04025
         np.testing.assert_allclose(out.values, [[[-0.04025]]], rtol=1e-12)
@@ -510,7 +508,7 @@ class TestDiffuseLayerScalarOracle:
         state = Tensor(np.array([[[2.0]], [[-1.0]]]))  # h = (2, -1)
         s = Tensor(np.array([[0.5, 0.25], [1.0, 3.0]]))
         w = Tensor(np.array([[2.0]]))
-        out = diffuse_layer(state, [s], [w], Tensor(np.array([[1.0]])), Tensor(0.0), 0.01)
+        out = diffuse_layer(state, [s], [w], Tensor(np.array([[1.0]])), Tensor(0.0))
         # stock 0: (0.5*2 + 0.25*-1) * 2 = 1.5 -> 1.5
         # stock 1: (1.0*2 + 3.0*-1) * 2 = -2  -> leaky -0.02
         np.testing.assert_allclose(out.values, [[[1.5]], [[-0.02]]], rtol=1e-12)
@@ -521,8 +519,8 @@ class TestDiffuseLayerScalarOracle:
         s = Tensor(rng.uniform(0.1, 1.0, size=(3, 3)))
         w = Tensor(rng.normal(size=(4, 4)))
         mix_b = Tensor(0.0)
-        tied = diffuse_layer(state, [s, s], [w, w], Tensor(np.array([[0.3, 0.7]])), mix_b, 0.01)
-        single = diffuse_layer(state, [s], [w], Tensor(np.array([[1.0]])), mix_b, 0.01)
+        tied = diffuse_layer(state, [s, s], [w, w], Tensor(np.array([[0.3, 0.7]])), mix_b)
+        single = diffuse_layer(state, [s], [w], Tensor(np.array([[1.0]])), mix_b)
         np.testing.assert_allclose(tied.values, single.values, rtol=1e-12)
 
 

@@ -244,7 +244,7 @@ class TestEvaluate:
     def _constant_predictor(self, cfg, cls):
         model = Model.initialized(cfg, seed=8)
         logit_bias = np.array([1.0, 0.0]) if cls == 0 else np.array([0.0, 1.0])
-        model.params["readout.W2"] = Tensor(np.zeros(cfg.hidden * 2).reshape(cfg.hidden, 2), requires_grad=True)
+        model.params["readout.W2"] = Tensor(np.zeros((cfg.embed_dim, 2)), requires_grad=True)
         model.params["readout.b2"] = Tensor(logit_bias, requires_grad=True)
         return model
 
@@ -308,7 +308,8 @@ class TestEvaluate:
         graphs = graphs_for_samples(samples)
         preds = [model.predict(s.features, graphs[s.t_index]) for s in samples]
         assert 0 < np.concatenate(preds).mean() < 1
-        assert evaluate(model, samples).confusion == confusion_counts(preds, [s.labels for s in samples])
+        labels = np.concatenate([s.labels for s in samples])
+        assert evaluate(model, samples).confusion == confusion_counts(np.concatenate(preds), labels)
 
     def test_overflow_while_building_mixes_is_divergence(self, monkeypatch):
         cfg, samples = desk_setup()
