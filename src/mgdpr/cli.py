@@ -80,7 +80,7 @@ exit codes:
 def load_config(path, env: dict[str, str] | None = None) -> dict[str, object]:
     """Resolve defaults <- config file <- MGDPR_* environment overrides
     (JSON, or the raw text for string keys); ConfigError unless every value
-    has its key's type in ``_SCHEMA``."""
+    has its key's type in ``_SCHEMA`` and every MGDPR_* variable names a key."""
     env = os.environ if env is None else env
     try:
         loaded = read_json_object(Path(path), "config file", {})
@@ -91,9 +91,13 @@ def load_config(path, env: dict[str, str] | None = None) -> dict[str, object]:
     unknown = sorted(k for k in set(loaded) - set(DEFAULTS) if not k.startswith("derived."))
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    env_keys = {key: "MGDPR_" + key.upper().replace(".", "_") for key in _SCHEMA}
+    stray = sorted({name for name in env if name.startswith("MGDPR_")} - set(env_keys.values()))
+    if stray:
+        raise ConfigError(f"MGDPR_* variable(s) naming no config key: {', '.join(stray)}")
     resolved = dict(DEFAULTS)
     for key, (_, kind) in _SCHEMA.items():
-        env_key = "MGDPR_" + key.upper().replace(".", "_")
+        env_key = env_keys[key]
         if env_key in env:
             value, source = env[env_key], env_key
             if kind is not str:
@@ -267,11 +271,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.seeds is None and args.epochs is not None:
         raise UsageError("--epochs applies only to --seeds runs; a checkpoint is evaluated as trained")
+    if args.seeds is None and args.seed is not None:
+        raise UsageError("--seed applies only to --seeds runs; a checkpoint records its training seed")
     if args.seeds is not None and args.checkpoint is not None:
         raise UsageError("--checkpoint and --seeds exclude each other: --seeds trains its own models")
     resolved = load_config(args.config)
     out_dir = Path(resolved["paths.output_dir"])
-    base_seed = resolved["train.seed"] if args.seed is None else args.seed
     digest = config_hash(resolved)
     market = resolved["market"]
     period = resolved["split.test"]
@@ -279,6 +284,7 @@ def cmd_eval(args) -> int:
     if args.seeds is not None:
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        base_seed = resolved["train.seed"] if args.seed is None else args.seed
         inputs = _load_training_inputs(resolved)
         _, (_, _, test_s), graphs = inputs
         reports: list[MetricsReport] = []
@@ -301,7 +307,7 @@ def cmd_eval(args) -> int:
     graphs = _load_graphs(resolved, panel, sorted({s.t_index for s in test_s}))
     model = load_checkpoint(ckpt, model_config(resolved, panel.num_stocks))
     report = evaluate(model, test_s, graphs=graphs)
-    write_metrics_json(out_dir / "metrics.json", report, market, period, base_seed, digest)
+    write_metrics_json(out_dir / "metrics.json", report, market, period, model.seed, digest)
     print(f"acc={report.accuracy:.4f} mcc={report.mcc:.4f} f1={report.f1:.4f}")
     print(f"metrics: {out_dir / 'metrics.json'}")
     return 0
@@ -368,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    p_eval.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
+    p_eval.add_argument("--seed", type=int, default=None, help="first seed of --seeds runs")
     p_eval.add_argument("--seeds", type=int, default=None, help="train+eval n seeds, report mean/std")
     p_eval.add_argument("--epochs", type=int, default=None, help="override epochs for --seeds runs")
     p_eval.add_argument("--checkpoint", default=None, help="checkpoint path (default <output>/checkpoint.bin)")

@@ -219,31 +219,15 @@ def align_panel(series: list[InstrumentSeries], coverage: float = 0.98) -> Marke
     data = np.empty((n, len(RELATIONS), t_len), dtype=np.float64)
     fill_counts: dict[str, int] = {}
     for i, s in enumerate(kept):
-        index = {d: j for j, d in enumerate(s.dates)}
-        gaps = 0
-        last: np.ndarray | None = None
-        pending_lead = 0
-        for j, d in enumerate(calendar):
-            k = index.get(d)
-            if k is None:
-                gaps += 1
-                if last is None:
-                    pending_lead += 1  # back-filled once the first value shows up
-                else:
-                    data[i, :, j] = last
-                    data[i, VOLUME, j] = 0.0
-                continue
-            row = s.values[k]
-            if pending_lead:
-                data[i, :, j - pending_lead : j] = row[:, None]
-                data[i, VOLUME, j - pending_lead : j] = 0.0
-                pending_lead = 0
-            data[i, :, j] = row
-            last = row
-        if last is None:
-            # kept stocks have presence >= coverage > 0 (checked above), so this cannot happen
-            raise CoverageError(f"{s.ticker}: no observations on the shared calendar")
-        fill_counts[s.ticker] = gaps
+        index = {d: k for k, d in enumerate(s.dates)}
+        rows = np.array([index.get(d, -1) for d in calendar])
+        present = rows >= 0
+        # each date reads its latest observed date; leading gaps read the first
+        source = np.maximum.accumulate(np.where(present, np.arange(t_len), -1))
+        source[source < 0] = np.argmax(present)
+        data[i] = s.values[rows[source]].T
+        data[i, VOLUME, ~present] = 0.0
+        fill_counts[s.ticker] = t_len - int(np.count_nonzero(present))
     data[:, VOLUME, :] = np.maximum(data[:, VOLUME, :], 1.0)
     panel = MarketPanel(
         tickers=[s.ticker for s in kept],

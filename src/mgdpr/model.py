@@ -31,10 +31,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
-from .files import has_type, write_atomic
+from .files import write_atomic
 from .tensor import Tensor
 
-CHECKPOINT_FORMAT = "mgdpr-checkpoint-v2"
+CHECKPOINT_FORMAT = "mgdpr-checkpoint-v3"
+_HEADER_KEYS = ["config", "format", "payload_sha256", "seed"]
 # Negative-side slope of every leaky-ReLU activation.
 ACTIVATION_SLOPE = 0.01
 
@@ -379,17 +380,18 @@ def mixture_tensors(params: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]
 
 @dataclass
 class Model:
-    """Config plus parameters, with forward/predict conveniences."""
+    """Config, parameters and initialization seed (None for given params)."""
 
     config: ModelConfig
     params: dict[str, Tensor]
+    seed: int | None = None
 
     def __post_init__(self):
         self.config.validate()
 
     @classmethod
     def initialized(cls, config: ModelConfig, seed: int = 0) -> "Model":
-        return cls(config=config, params=init_params(config, seed))
+        return cls(config=config, params=init_params(config, seed), seed=seed)
 
     def forward(self, features: np.ndarray, adjacency) -> Tensor:
         return forward(self.params, self.config, features, adjacency)
@@ -410,100 +412,70 @@ class Model:
 
 
 def save_checkpoint(path, model: Model) -> None:
-    """Single binary file: little-endian float64 payload behind a JSON header.
-
-    Tensors are stored back to back in :func:`expected_param_shapes` order,
-    the header records the payload's SHA-256, and the file is written
-    atomically.
-    """
-    entries = []
-    payload = bytearray()
-    for name in expected_param_shapes(model.config):
-        tensor = model.params[name]
-        entries.append({"name": name, "shape": list(tensor.shape), "offset": len(payload)})
-        payload.extend(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
+    """Write atomically an 8-byte little-endian header length, a JSON header
+    of the format, config, seed and payload SHA-256, then every tensor as
+    little-endian float64, back to back in :func:`expected_param_shapes` order
+    (the config fixes every name, shape and offset, so a tensor of another
+    shape raises :class:`ShapeError`)."""
+    shapes = expected_param_shapes(model.config)
+    for name, shape in shapes.items():
+        if model.params[name].shape != shape:
+            raise ShapeError(f"save_checkpoint: {name!r} has shape {model.params[name].shape}, not {shape}")
+    arrays = [model.params[name].values.ravel() for name in shapes]
+    payload = np.concatenate(arrays).astype("<f8", copy=False).tobytes()
     header = json.dumps(
         {
             "format": CHECKPOINT_FORMAT,
             "config": asdict(model.config),
-            "tensors": entries,
+            "seed": model.seed,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
         },
         sort_keys=True,
     ).encode("utf-8")
-    write_atomic(path, struct.pack("<Q", len(header)) + header + bytes(payload))
-
-
-def _is_entry(entry) -> bool:
-    return isinstance(entry, dict) and all(
-        has_type(entry.get(key), kind) for key, kind in (("name", str), ("shape", list[int]), ("offset", int))
-    )
+    write_atomic(path, struct.pack("<Q", len(header)) + header + payload)
 
 
 def load_checkpoint(path, cfg: ModelConfig) -> Model:
-    """Load and validate a checkpoint against ``cfg``.
-
-    The payload must match the header's SHA-256 (a file of an earlier
-    format, which has none, is refused). Every field of ``cfg`` must equal
-    the header's recorded ``config`` (keys :class:`ModelConfig` no longer
-    has are ignored, except that a recorded ``activation_slope`` must be
-    :data:`ACTIVATION_SLOPE`). The tensor table must list exactly the expected
-    tensors in :func:`expected_param_shapes` order, stored back to back and
-    filling the payload, and every value must be finite; anything else
-    raises :class:`CheckpointError`.
-    """
+    """Load a checkpoint trained with ``cfg``; :class:`CheckpointError` unless
+    the header has exactly the keys :func:`save_checkpoint` writes, under this
+    format (earlier formats are refused), the payload matches its SHA-256, the
+    recorded config equals ``cfg`` with no extra field, the seed is an integer
+    or null, and the payload is exactly ``cfg``'s tensors, every value finite."""
     cfg.validate()
     try:
         size = Path(path).stat().st_size
         with open(path, "rb") as f:
             (header_len,) = struct.unpack("<Q", f.read(8))
             if header_len > size - 8:
-                raise CheckpointError(f"{path}: header length {header_len} exceeds file size {size}")
+                raise ValueError(f"header length {header_len} exceeds file size {size}")
             header = json.loads(f.read(header_len).decode("utf-8"))
             payload = f.read()
     except (OSError, ValueError, UnicodeDecodeError, struct.error, OverflowError, MemoryError) as e:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from e
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if header.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
+    if sorted(header) != _HEADER_KEYS:
+        raise CheckpointError(f"{path}: header keys {sorted(header)}, expected {_HEADER_KEYS}")
+    if header["payload_sha256"] != hashlib.sha256(payload).hexdigest():
         raise CheckpointError(f"{path}: payload does not match its recorded SHA-256")
-    saved = header.get("config") if isinstance(header.get("config"), dict) else {}
-    for name, value in asdict(cfg).items():
-        if saved.get(name) != value:
+    saved = header["config"] if isinstance(header["config"], dict) else {}
+    expected = asdict(cfg)
+    for name in [*expected, *saved]:
+        if json.dumps(saved.get(name)) != json.dumps(expected.get(name)):
             raise CheckpointError(
-                f"{path}: checkpoint was trained with {name}={saved.get(name)!r}, not {value!r}"
+                f"{path}: checkpoint was trained with {name}={saved.get(name)!r}, not {expected.get(name)!r}"
             )
-    if saved.get("activation_slope", ACTIVATION_SLOPE) != ACTIVATION_SLOPE:
-        raise CheckpointError(
-            f"{path}: checkpoint was trained with activation_slope={saved['activation_slope']!r}, "
-            f"not the fixed {ACTIVATION_SLOPE!r}"
-        )
-    entries = header.get("tensors")
-    if not (isinstance(entries, list) and all(_is_entry(e) for e in entries)):
-        raise CheckpointError(f"{path}: tensor table is not a list of {{name, shape, offset}} entries")
-    expected = expected_param_shapes(cfg)
-    if [e["name"] for e in entries] != list(expected):
-        raise CheckpointError(
-            f"{path}: checkpoint tensors do not match the config "
-            f"({len(entries)} stored vs {len(expected)} expected; names and order must agree)"
-        )
+    seed = header["seed"]
+    if not (seed is None or type(seed) is int):
+        raise CheckpointError(f"{path}: recorded seed {seed!r} is not an integer or null")
+    shapes = expected_param_shapes(cfg)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(payload) != 8 * sum(sizes):
+        raise CheckpointError(f"{path}: payload has {len(payload)} bytes, the config needs {8 * sum(sizes)}")
+    values = np.frombuffer(payload, dtype="<f8")
     params: dict[str, Tensor] = {}
-    start = 0
-    for entry, (name, shape) in zip(entries, expected.items()):
-        if tuple(entry["shape"]) != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tuple(entry['shape'])}, expected {shape}"
-            )
-        if entry["offset"] != start:
-            raise CheckpointError(f"{path}: tensor {name!r} at offset {entry['offset']}, expected {start}")
-        end = start + 8 * math.prod(shape)
-        if end > len(payload):
-            raise CheckpointError(f"{path}: tensor {name!r} overruns the payload")
-        values = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(values)):
+    for (name, shape), chunk in zip(shapes.items(), np.split(values, np.cumsum(sizes)[:-1])):
+        if not np.all(np.isfinite(chunk)):
             raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-        params[name] = Tensor(values, requires_grad=True)
-        start = end
-    if start != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - start} payload bytes after the last tensor")
-    return Model(config=cfg, params=params)
+        params[name] = Tensor(chunk.reshape(shape), requires_grad=True)
+    return Model(config=cfg, params=params, seed=seed)

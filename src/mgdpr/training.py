@@ -321,7 +321,9 @@ def evaluate(
 # report files
 
 
-def write_metrics_json(path, report: MetricsReport, market: str, period, seed: int, config_hash: str) -> None:
+def write_metrics_json(
+    path, report: MetricsReport, market: str, period, seed: int | None, config_hash: str
+) -> None:
     payload = {
         "market": market,
         "period": list(period) if period else None,

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from mgdpr import cli
-from mgdpr.errors import ConfigError
+from mgdpr.errors import CheckpointError, ConfigError
 from mgdpr.graphs import build_day_graphs, read_graphs
 from mgdpr.market import read_panel
-from mgdpr.model import Model, load_checkpoint, save_checkpoint
-from mgdpr.tensor import Tensor
+from mgdpr.model import Model, ModelConfig, expected_param_shapes, load_checkpoint, save_checkpoint
 from mgdpr.synthetic import planted_market, write_series_csv
 
 
@@ -148,13 +147,14 @@ class TestUsageErrors:
             (["graph", "--config", "{config}", "--day", "6"], "unrecognized arguments: --day 6"),
             (["train", "--config", "{config}", "--seed", "x"], "invalid int value: 'x'"),
             (["eval", "--config", "{config}", "--epochs", "999"], "--epochs applies only to --seeds runs"),
+            (["eval", "--config", "{config}", "--seed", "7"], "--seed applies only to --seeds runs"),
             (
                 ["eval", "--config", "{config}", "--seeds", "1", "--checkpoint", "{missing}"],
                 "--checkpoint and --seeds exclude each other",
             ),
         ],
         ids=["no-command", "no-config", "deleted-day-flag", "non-integer-seed", "eval-epochs-without-seeds",
-             "eval-checkpoint-with-seeds"],
+             "eval-seed-without-seeds", "eval-checkpoint-with-seeds"],
     )
     def test_exits_5_with_one_line(self, tmp_path, capsys, argv, message):
         config = make_workspace(tmp_path)
@@ -224,6 +224,20 @@ class TestBadConfigValue:
         config = make_workspace(tmp_path, **{"model.decay": 10**400})
         assert run("ingest", "--config", config) == 5
         assert "model.decay" in capsys.readouterr().err
+
+
+class TestUnknownEnvVariable:
+    """An MGDPR_* variable that names no config key exits 5, naming it, as
+    the same key in the config file does."""
+
+    @pytest.mark.parametrize("name", ["MGDPR_TRAIN_EPOCH", "MGDPR_TRAIN_BATCH_SIZE", "MGDPR_"])
+    def test_exits_5_naming_it(self, tmp_path, capsys, monkeypatch, name):
+        config = make_workspace(tmp_path)
+        monkeypatch.setenv(name, "5")
+        assert run("ingest", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "cache").exists()
 
 
 class TestIngest:
@@ -534,6 +548,12 @@ class TestEval:
         assert run("eval", "--config", config) == 6
         assert "decay" in capsys.readouterr().err
 
+    def test_report_records_the_training_seed(self, tmp_path):
+        config = self._pipeline(tmp_path)
+        assert run("train", "--config", config, "--seed", 7) == 0
+        assert run("eval", "--config", config) == 0
+        assert json.loads((tmp_path / "out" / "metrics.json").read_text())["seed"] == 7
+
     def test_corrupted_checkpoint_exits_6(self, tmp_path):
         config = self._pipeline(tmp_path)
         ckpt = tmp_path / "out" / "checkpoint.bin"
@@ -573,8 +593,8 @@ class TestOverflowOutsideTheTrainingStep:
         for cmd in ("ingest", "graph", "train"):
             assert run(cmd, "--config", config) == 0
         damaged = tmp_path / "huge.bin"
-        damaged.write_bytes((tmp_path / "out" / "checkpoint.bin").read_bytes())
-        _edit_checkpoint(_set_first_value("embed.W", 1e300))(damaged)
+        blob = (tmp_path / "out" / "checkpoint.bin").read_bytes()
+        damaged.write_bytes(_rewritten(_set_first_value("embed.W", 1e300))(blob))
         assert run("eval", "--config", config, "--checkpoint", damaged) == 4
         assert "non-finite prediction on day" in capsys.readouterr().err
 
@@ -588,149 +608,170 @@ class TestOverflowOutsideTheTrainingStep:
 
 def _set_first_value(name, value):
     def edit(header, payload):
-        entry = next(e for e in header["tensors"] if e["name"] == name)
-        k = entry["offset"]
+        shapes = expected_param_shapes(ModelConfig(**header["config"]))
+        names = list(shapes)
+        k = 8 * sum(math.prod(shapes[n]) for n in names[: names.index(name)])
         return payload[:k] + struct.pack("<d", value) + payload[k + 8 :]
 
     return edit
 
 
-def _edit_checkpoint(edit):
-    """Rewrite a checkpoint through ``edit(header, payload) -> payload`` and
-    record the edited payload's SHA-256, so the checks behind the digest see
-    the edit."""
+def _split(blob):
+    (n,) = struct.unpack("<Q", blob[:8])
+    return json.loads(blob[8 : 8 + n]), blob[8 + n :]
 
-    def damage(path):
-        blob = path.read_bytes()
+
+def _join(header, payload):
+    text = json.dumps(header).encode()
+    return struct.pack("<Q", len(text)) + text + payload
+
+
+def _flip(region, i):
+    """Flip bit ``i % 8`` of the byte ``i/16`` of the way into ``region``:
+    the length prefix, the header or the payload."""
+
+    def mutate(blob):
         (n,) = struct.unpack("<Q", blob[:8])
-        header = json.loads(blob[8 : 8 + n])
-        payload = edit(header, blob[8 + n :])
+        start, size = {"prefix": (0, 8), "header": (8, n), "payload": (8 + n, len(blob) - 8 - n)}[region]
+        k = start + (i if region == "prefix" else size * i // 16)
+        return blob[:k] + bytes([blob[k] ^ (1 << i % 8)]) + blob[k + 1 :]
+
+    return mutate
+
+
+def _truncate(where):
+    def mutate(blob):
+        (n,) = struct.unpack("<Q", blob[:8])
+        return blob[: {"0": 0, "8": 8, "mid-header": 8 + n // 2, "mid-payload": (len(blob) + 8 + n) // 2}[where]]
+
+    return mutate
+
+
+def _rewritten(edit):
+    """``edit(header, payload) -> payload`` applied to the bytes, with the
+    edited payload's SHA-256 recorded."""
+
+    def mutate(blob):
+        header, payload = _split(blob)
+        payload = edit(header, payload)
         header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-        text = json.dumps(header).encode()
-        path.write_bytes(struct.pack("<Q", len(text)) + text + payload)
+        return _join(header, payload)
 
-    return damage
+    return mutate
 
 
-def _set_entry(i, key, value):
+def _header_edit(**changes):
     def edit(header, payload):
-        header["tensors"][i][key] = value
+        header.update(changes)
         return payload
 
-    return edit
+    return _rewritten(edit)
 
 
-def _drop_shape(header, payload):
-    del header["tensors"][0]["shape"]
-    return payload
+def _config_edit(edit):
+    def wrapped(header, payload):
+        edit(header["config"])
+        return payload
+
+    return _rewritten(wrapped)
 
 
-def _tensors_not_a_list(header, payload):
-    header["tensors"] = "x"
-    return payload
+# One case list for every region of a checkpoint file: the 8-byte length
+# prefix, the JSON header and the float64 payload.
+_CHECKPOINT_MUTATIONS = [
+    *[(f"prefix-flip-{i}", _flip("prefix", i)) for i in range(8)],
+    *[(f"header-flip-{i}", _flip("header", i)) for i in range(16)],
+    *[(f"payload-flip-{i}", _flip("payload", i)) for i in range(16)],
+    *[(f"truncate-{where}", _truncate(where)) for where in ("0", "8", "mid-header", "mid-payload")],
+    ("one-trailing-byte", lambda blob: blob + b"\0"),
+    ("nan", _rewritten(lambda header, payload: payload[:-8] + struct.pack("<d", math.nan))),
+    ("trailing-bytes", _rewritten(lambda header, payload: payload + bytes(8))),
+    ("config-field-missing", _config_edit(lambda config: config.pop("decay"))),
+    ("config-field-changed", _config_edit(lambda config: config.update(decay=0.5))),
+    ("config-extra-key", _config_edit(lambda config: config.update(activation_slope=0.01))),
+    ("config-value-retyped", _config_edit(lambda config: config.update(num_layers=True, embed_dim=8.0))),
+    ("config-not-an-object", _header_edit(config=[])),
+    ("seed-not-an-integer", _header_edit(seed="0")),
+    ("seed-a-bool", _header_edit(seed=False)),
+    ("tensor-table", _header_edit(tensors=[])),
+    ("v1-format", _header_edit(format="mgdpr-checkpoint-v1")),
+    ("v2-format", _header_edit(format="mgdpr-checkpoint-v2")),
+]
+_MUTATIONS_BY_ID = dict(_CHECKPOINT_MUTATIONS)
 
 
-def _drop_config_field(header, payload):
-    del header["config"]["decay"]
-    return payload
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A trained 3-stock workspace: (config path, checkpoint bytes, model)."""
+    tmp_path = tmp_path_factory.mktemp("checkpoint")
+    config = make_workspace(tmp_path)
+    for cmd in ("ingest", "graph", "train"):
+        assert run(cmd, "--config", config) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    model = load_checkpoint(ckpt, cli.model_config(cli.load_config(config), num_stocks=3))
+    return config, ckpt.read_bytes(), model
 
 
 class TestDamagedCheckpoint:
-    """Mutations of a checkpoint: `eval --checkpoint` exits 6, never raises."""
+    """Mutations of a checkpoint: loading raises CheckpointError or, where
+    the header's meaning is unchanged, gives the same model; nothing else
+    is raised, and `eval --checkpoint` exits 6 with one error line."""
+
+    @pytest.mark.parametrize("mutate", [m for _, m in _CHECKPOINT_MUTATIONS], ids=list(_MUTATIONS_BY_ID))
+    def test_load_raises_checkpoint_error_or_loads_the_same(self, tmp_path, trained_checkpoint, mutate):
+        _, blob, model = trained_checkpoint
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(mutate(blob))
+        try:
+            loaded = load_checkpoint(damaged, model.config)
+        except CheckpointError:
+            return
+        assert loaded.seed == model.seed and list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            assert loaded.params[name].values.tobytes() == p.values.tobytes()
 
     @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda header, payload: payload[:-8] + struct.pack("<d", math.nan),
-            _drop_shape,
-            _tensors_not_a_list,
-            _set_entry(1, "offset", -8),
-            _set_entry(1, "offset", 0),
-            lambda header, payload: payload + bytes(8),
-            _set_entry(1, "shape", [1]),
-            _drop_config_field,
-        ],
-        ids=["nan", "no-shape", "tensors-not-a-list", "negative-offset", "overlapping-offsets", "trailing-bytes",
-             "wrong-shape", "config-field-missing"],
+        "case",
+        ["prefix-flip-7", "header-flip-8", "payload-flip-8", "truncate-mid-payload", "nan", "trailing-bytes",
+         "config-field-missing", "config-extra-key", "seed-not-an-integer", "tensor-table", "v2-format"],
     )
-    def test_eval_exits_6(self, tmp_path, edit):
-        config = make_workspace(tmp_path)
-        for cmd in ("ingest", "graph", "train"):
-            assert run(cmd, "--config", config) == 0
+    def test_eval_exits_6(self, tmp_path, capsys, trained_checkpoint, case):
+        config, blob, _ = trained_checkpoint
         damaged = tmp_path / "damaged.bin"
-        damaged.write_bytes((tmp_path / "out" / "checkpoint.bin").read_bytes())
-        _edit_checkpoint(edit)(damaged)
+        damaged.write_bytes(_MUTATIONS_BY_ID[case](blob))
+        capsys.readouterr()
         assert run("eval", "--config", config, "--checkpoint", damaged) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
-    def _trained(self, tmp_path):
-        config = make_workspace(tmp_path)
-        for cmd in ("ingest", "graph", "train"):
-            assert run(cmd, "--config", config) == 0
-        return config, (tmp_path / "out" / "checkpoint.bin").read_bytes()
-
-    def test_flipped_payload_bit_exits_6(self, tmp_path, capsys):
-        config, blob = self._trained(tmp_path)
+    def test_flipped_payload_bit_exits_6(self, tmp_path, capsys, trained_checkpoint):
+        config, blob, _ = trained_checkpoint
         damaged = tmp_path / "flipped.bin"
         damaged.write_bytes(blob[:-3] + bytes([blob[-3] ^ 0x10]) + blob[-2:])
         assert run("eval", "--config", config, "--checkpoint", damaged) == 6
         err = capsys.readouterr().err
         assert err.startswith("error:") and "SHA-256" in err and "Traceback" not in err
 
-    def test_earlier_format_without_digest_exits_6(self, tmp_path, capsys):
-        config, blob = self._trained(tmp_path)
-        (n,) = struct.unpack("<Q", blob[:8])
-        header = json.loads(blob[8 : 8 + n])
+    def test_earlier_format_without_digest_exits_6(self, tmp_path, capsys, trained_checkpoint):
+        config, blob, _ = trained_checkpoint
+        header, payload = _split(blob)
         del header["payload_sha256"]
         header["format"] = "mgdpr-checkpoint-v1"
-        text = json.dumps(header).encode()
         old = tmp_path / "v1.bin"
-        old.write_bytes(struct.pack("<Q", len(text)) + text + blob[8 + n :])
+        old.write_bytes(_join(header, payload))
+        capsys.readouterr()
         assert run("eval", "--config", config, "--checkpoint", old) == 6
-        assert "not a mgdpr-checkpoint-v2 file" in capsys.readouterr().err
+        assert "not a mgdpr-checkpoint-v3 file" in capsys.readouterr().err
 
-
-class TestCheckpointWithRemovedModelKeys:
-    """Checkpoints whose header config still records ``activation_slope`` and
-    ``readout_hidden``, as those of earlier versions do."""
-
-    def _trained(self, tmp_path):
-        config = make_workspace(tmp_path)
-        for cmd in ("ingest", "graph", "train"):
-            assert run(cmd, "--config", config) == 0
-        return config, tmp_path / "out" / "checkpoint.bin"
-
-    def _recording(self, path, slope=0.01, hidden=0):
-        def edit(header, payload):
-            header["config"].update(activation_slope=slope, readout_hidden=hidden)
-            return payload
-
-        _edit_checkpoint(edit)(path)
-        return path
-
-    def test_earlier_layout_loads_and_evaluates_the_same(self, tmp_path):
-        config, checkpoint = self._trained(tmp_path)
-        assert run("eval", "--config", config) == 0
-        expected = (tmp_path / "out" / "metrics.json").read_bytes()
-        self._recording(checkpoint)
-        assert run("eval", "--config", config) == 0
-        assert (tmp_path / "out" / "metrics.json").read_bytes() == expected
-
-    def test_other_slope_exits_6(self, tmp_path, capsys):
-        config, checkpoint = self._trained(tmp_path)
-        self._recording(checkpoint, slope=0.2)
-        assert run("eval", "--config", config) == 6
-        assert "activation_slope=0.2" in capsys.readouterr().err
-
-    def test_other_readout_width_exits_6(self, tmp_path, capsys):
-        config, checkpoint = self._trained(tmp_path)
-        model = load_checkpoint(checkpoint, cli.model_config(cli.load_config(config), num_stocks=3))
-        d = model.config.embed_dim
-        for name, shape in (("readout.W1", (d, 16)), ("readout.b1", (16,)), ("readout.W2", (16, 2))):
-            model.params[name] = Tensor(np.zeros(shape))
-        save_checkpoint(checkpoint, model)
-        self._recording(checkpoint, hidden=16)
-        assert run("eval", "--config", config) == 6
-        assert "'readout.W1' has shape (8, 16)" in capsys.readouterr().err
+    def test_config_edit_names_the_field(self, tmp_path, trained_checkpoint):
+        _, blob, model = trained_checkpoint
+        damaged = tmp_path / "edited.bin"
+        for case, message in (("config-field-changed", "decay=0.5, not 1.27"),
+                              ("config-extra-key", "activation_slope=0.01, not None"),
+                              ("config-value-retyped", "num_layers=True, not 1")):
+            damaged.write_bytes(_MUTATIONS_BY_ID[case](blob))
+            with pytest.raises(CheckpointError, match=re.escape(f"trained with {message}")):
+                load_checkpoint(damaged, model.config)
 
 
 def test_no_temporary_files_left_after_train_and_eval(tmp_path):

@@ -160,6 +160,18 @@ class TestAlignPanel:
         np.testing.assert_array_equal(panel.data[i, :4, 0], panel.data[i, :4, 2])
         assert panel.data[i, 4, 0] == 1.0  # leading volume gap floored
 
+    def test_leading_interior_and_trailing_gaps(self):
+        d = _dates(8)
+        full = _series("A", d)
+        gappy = _series("B", d, base=40.0)
+        keep = [2, 3, 5, 6]  # gaps at 0-1 (leading), 4 (interior), 7 (trailing)
+        panel = align_panel([full, InstrumentSeries("B", [d[j] for j in keep], gappy.values[keep])], coverage=0.5)
+        assert panel.fill_counts == {"A": 0, "B": 4}
+        close = panel.data[panel.tickers.index("B"), 3]
+        np.testing.assert_array_equal(close, [42.0, 42.0, 42.0, 43.0, 43.0, 45.0, 46.0, 46.0])
+        volume = panel.data[panel.tickers.index("B"), 4]
+        np.testing.assert_array_equal(volume, [1.0, 1.0, 1002.0, 1003.0, 1.0, 1005.0, 1006.0, 1.0])
+
 
 class TestTrendLabel:
     def test_up(self):

@@ -1,5 +1,3 @@
-import json
-import struct
 import tracemalloc
 
 import numpy as np
@@ -563,17 +561,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="decay"):
             load_checkpoint(path, small_config(lookback=21, decay=0.5))
 
-    def test_header_keys_the_config_no_longer_has_are_ignored(self, tmp_path):
+    def test_records_the_training_seed(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, Model.initialized(cfg, seed=16))
-        blob = path.read_bytes()
-        (n,) = struct.unpack("<Q", blob[:8])
-        header = json.loads(blob[8 : 8 + n])
-        header["config"]["adjacency_mode"] = "normalized"
-        text = json.dumps(header).encode()
-        path.write_bytes(struct.pack("<Q", len(text)) + text + blob[8 + n :])
-        assert list(load_checkpoint(path, cfg).params) == list(expected_param_shapes(cfg))
+        model = Model.initialized(cfg, seed=16)
+        save_checkpoint(path, model)
+        assert model.seed == 16 and load_checkpoint(path, cfg).seed == 16
+        save_checkpoint(path, Model(config=cfg, params=model.params))
+        assert load_checkpoint(path, cfg).seed is None
+
+    def test_tensor_of_another_shape_is_not_saved(self, tmp_path):
+        cfg = small_config()
+        model = Model.initialized(cfg, seed=17)
+        model.params["readout.W2"] = Tensor(model.params["readout.W2"].values.T)
+        with pytest.raises(ShapeError, match="readout.W2"):
+            save_checkpoint(tmp_path / "ckpt.bin", model)
+        assert not (tmp_path / "ckpt.bin").exists()
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = small_config()
