@@ -34,8 +34,8 @@ from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .files import write_atomic
 from .tensor import Tensor
 
-CHECKPOINT_FORMAT = "mgdpr-checkpoint-v3"
-_HEADER_KEYS = ["config", "format", "payload_sha256", "seed"]
+CHECKPOINT_FORMAT = "mgdpr-checkpoint-v4"
+_HEADER_KEYS = ["config", "format", "seed", "sha256"]
 # Negative-side slope of every leaky-ReLU activation.
 ACTIVATION_SLOPE = 0.01
 
@@ -393,9 +393,6 @@ class Model:
     def initialized(cls, config: ModelConfig, seed: int = 0) -> "Model":
         return cls(config=config, params=init_params(config, seed), seed=seed)
 
-    def forward(self, features: np.ndarray, adjacency) -> Tensor:
-        return forward(self.params, self.config, features, adjacency)
-
     def frozen(self) -> dict[str, Tensor]:
         """The parameters as constants: a forward pass over them records no
         tape, and each activation is freed once the next layer has used it."""
@@ -411,36 +408,37 @@ class Model:
 # checkpoints
 
 
+def _checkpoint_digest(header: dict, payload: bytes) -> str:
+    """SHA-256 of the canonical JSON of the header's format, config and seed,
+    followed by the payload."""
+    described = json.dumps({key: header[key] for key in ("config", "format", "seed")}, sort_keys=True)
+    return hashlib.sha256(described.encode("utf-8") + payload).hexdigest()
+
+
 def save_checkpoint(path, model: Model) -> None:
     """Write atomically an 8-byte little-endian header length, a JSON header
-    of the format, config, seed and payload SHA-256, then every tensor as
-    little-endian float64, back to back in :func:`expected_param_shapes` order
-    (the config fixes every name, shape and offset, so a tensor of another
-    shape raises :class:`ShapeError`)."""
+    of the format, config, seed and the SHA-256 of all three and the payload,
+    then every tensor as little-endian float64, back to back in
+    :func:`expected_param_shapes` order (the config fixes every name, shape
+    and offset, so a tensor of another shape raises :class:`ShapeError`)."""
     shapes = expected_param_shapes(model.config)
     for name, shape in shapes.items():
         if model.params[name].shape != shape:
             raise ShapeError(f"save_checkpoint: {name!r} has shape {model.params[name].shape}, not {shape}")
     arrays = [model.params[name].values.ravel() for name in shapes]
     payload = np.concatenate(arrays).astype("<f8", copy=False).tobytes()
-    header = json.dumps(
-        {
-            "format": CHECKPOINT_FORMAT,
-            "config": asdict(model.config),
-            "seed": model.seed,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    write_atomic(path, struct.pack("<Q", len(header)) + header + payload)
+    header = {"format": CHECKPOINT_FORMAT, "config": asdict(model.config), "seed": model.seed}
+    header["sha256"] = _checkpoint_digest(header, payload)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    write_atomic(path, struct.pack("<Q", len(text)) + text + payload)
 
 
 def load_checkpoint(path, cfg: ModelConfig) -> Model:
     """Load a checkpoint trained with ``cfg``; :class:`CheckpointError` unless
     the header has exactly the keys :func:`save_checkpoint` writes, under this
-    format (earlier formats are refused), the payload matches its SHA-256, the
-    recorded config equals ``cfg`` with no extra field, the seed is an integer
-    or null, and the payload is exactly ``cfg``'s tensors, every value finite."""
+    format (earlier formats are refused), header and payload match its SHA-256,
+    the recorded config equals ``cfg`` with no extra field, the seed is an
+    integer or null, and the payload is ``cfg``'s tensors, all finite."""
     cfg.validate()
     try:
         size = Path(path).stat().st_size
@@ -456,8 +454,8 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if sorted(header) != _HEADER_KEYS:
         raise CheckpointError(f"{path}: header keys {sorted(header)}, expected {_HEADER_KEYS}")
-    if header["payload_sha256"] != hashlib.sha256(payload).hexdigest():
-        raise CheckpointError(f"{path}: payload does not match its recorded SHA-256")
+    if header["sha256"] != _checkpoint_digest(header, payload):
+        raise CheckpointError(f"{path}: header and payload do not match their recorded SHA-256")
     saved = header["config"] if isinstance(header["config"], dict) else {}
     expected = asdict(cfg)
     for name in [*expected, *saved]:

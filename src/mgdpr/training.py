@@ -1,13 +1,15 @@
 """Constrained training objective, Adam loop, and classification metrics.
 
-The objective is mean per-stock cross-entropy over a batch of days plus the
-simplex-constraint term summed over every (layer, relation) mixture. Because
-mixtures are softmax-parametrized the term is zero in exact arithmetic; it
-is still computed, added, and asserted tiny, so a broken parametrization
-cannot fail silently. It is also still backpropagated: in floating point
-its gradient is not exactly zero (a K=7 mixture at initialization gets
-3.2e-17 on every raw entry), so dropping the backward pass would change
-the trained bits.
+The objective, defined once by :func:`epoch_loss` (which :func:`train`
+steps on and the full-model gradient check tests), is mean per-stock
+cross-entropy over the training days plus the simplex-constraint term
+summed over every (layer, relation) mixture. Because mixtures are
+softmax-parametrized the term is zero in exact arithmetic; it is still
+computed, added, and asserted tiny, so a broken parametrization cannot
+fail silently. It is also still backpropagated: in floating point its
+gradient is not exactly zero (a K=7 mixture at initialization gets 3.2e-17
+on every raw entry), so dropping the backward pass would change the
+trained bits.
 
 Training is full-batch: every training day's gradient is accumulated
 sample by sample (mathematically identical to one joint loss, but with
@@ -30,7 +32,7 @@ from .files import write_atomic
 from .graphs import MultiRelAdjacency, window_graphs
 from .graphs import build_adjacency  # noqa: F401 -- bench/tracing.py traces mgdpr.training.build_adjacency
 from .market import WindowSample
-from .model import Model, mixture_tensors
+from .model import Model, ModelConfig, mixture_tensors
 from .tensor import Tensor
 
 CONSTRAINT_TOLERANCE = 1e-9
@@ -112,17 +114,26 @@ def constraint_term(mixtures: list[Tensor]) -> Tensor:
     return total if total is not None else Tensor(0.0)
 
 
-def objective(logits_batch: list[Tensor], labels_batch: list[np.ndarray], mixtures: list[Tensor]) -> Tensor:
-    """Mean cross-entropy across days and stocks, plus the constraint term."""
-    if not logits_batch or len(logits_batch) != len(labels_batch):
-        raise UsageError(
-            f"objective: {len(logits_batch)} logit blocks vs {len(labels_batch)} label blocks"
-        )
-    total: Tensor | None = None
-    for logits, labels in zip(logits_batch, labels_batch):
-        ce = cross_entropy_mean(logits, labels)
-        total = ce if total is None else T.add(total, ce)
-    return T.add(T.scale(total, 1.0 / len(logits_batch)), constraint_term(mixtures))
+def epoch_loss(
+    params: dict[str, Tensor], cfg: ModelConfig, days: list[WindowSample], graphs: dict[int, MultiRelAdjacency]
+) -> tuple[float, float]:
+    """Mean cross-entropy across the (non-empty) ``days`` and their stocks,
+    plus the constraint term: returns (loss, constraint term) and adds the
+    loss's gradient into the ``grad`` of every ``requires_grad`` parameter.
+
+    Each day is backpropagated, in the given order, as soon as its forward
+    pass is done, so one day's tape is alive at a time. Each day's forward
+    builds its own diffusion mixes: ``backward`` releases the nodes it
+    passes, so mixes shared across days would pass on only the first day's
+    gradient."""
+    ce_sum = 0.0
+    for s in days:
+        ce = cross_entropy_mean(M.forward(params, cfg, s.features, graphs[s.t_index]), s.labels)
+        T.backward(T.scale(ce, 1.0 / len(days)))
+        ce_sum += ce.item()
+    penalty = constraint_term(mixture_tensors(params, cfg))
+    T.backward(penalty)
+    return ce_sum / len(days) + penalty.item(), penalty.item()
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +183,11 @@ def train(
     config: TrainConfig,
     graphs: dict[int, MultiRelAdjacency] | None = None,
 ) -> tuple[dict[str, Tensor], list[tuple[int, float, float]]]:
-    """Optimize the objective; returns (best parameters, per-epoch trace).
+    """Optimize :func:`epoch_loss`, the one definition of the objective, by
+    full-batch Adam; returns (best parameters, per-epoch trace).
 
-    Full-batch: every training day contributes to each epoch's one step.
-    The trace rows are (epoch, train loss, validation accuracy); the
+    Every training day, in date order, contributes to each epoch's one
+    step. The trace rows are (epoch, train loss, validation accuracy); the
     retained parameters are the best-validation-accuracy ones, or the final
     ones when there is no validation split. The run is deterministic for a
     fixed model and config.
@@ -196,28 +208,15 @@ def train(
         for p in params.values():
             p.grad = None
         try:
-            ce_sum = 0.0
-            for s in train_samples:
-                logits = model.forward(s.features, graphs[s.t_index])
-                ce = cross_entropy_mean(logits, s.labels)
-                T.backward(T.scale(ce, 1.0 / len(train_samples)))
-                ce_sum += ce.item()
-            penalty = constraint_term(mixture_tensors(params, model.config))
-            if penalty.requires_grad:
-                T.backward(penalty)
-            loss = ce_sum / len(train_samples) + penalty.item()
+            loss, penalty = epoch_loss(params, model.config, train_samples, graphs)
         except FloatingPointError as e:
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate}): {e}"
             ) from e
         if not math.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate})"
-            )
-        if abs(penalty.item()) > CONSTRAINT_TOLERANCE:
-            raise DivergenceError(
-                f"simplex constraint violated at epoch {epoch}: {penalty.item():.3e}"
-            )
+            raise DivergenceError(f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate})")
+        if abs(penalty) > CONSTRAINT_TOLERANCE:
+            raise DivergenceError(f"simplex constraint violated at epoch {epoch}: {penalty:.3e}")
         params = state.update(params, config.learning_rate)
         model.params = params
         if val_samples:

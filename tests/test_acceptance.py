@@ -19,7 +19,7 @@ from mgdpr.graphs import (
     information_entropy,
     window_graphs,
 )
-from mgdpr.market import align_panel, make_windows, split_periods
+from mgdpr.market import WindowSample, align_panel, make_windows, split_periods
 from mgdpr.model import (
     Model,
     ModelConfig,
@@ -33,7 +33,7 @@ from mgdpr.model import (
 )
 from mgdpr.synthetic import planted_market
 from mgdpr.tensor import Tensor
-from mgdpr.training import TrainConfig, evaluate, graphs_for_samples, objective, train
+from mgdpr.training import TrainConfig, epoch_loss, evaluate, graphs_for_samples, train
 
 from gradcheck import max_rel_err
 from test_cli import make_workspace, run
@@ -107,20 +107,21 @@ def test_criterion_3_full_model_gradient_check():
         for k, p in base.items()
     }
     days = []
-    for _ in range(2):
+    for t in range(2):
         features = rng.normal(size=(cfg.num_relations, cfg.num_stocks, cfg.lookback))
         raw = np.stack(
             [rng.uniform(0.5, 5.0, size=(cfg.num_stocks, cfg.lookback)) for _ in range(cfg.num_relations)]
         )
         labels = rng.integers(0, 2, size=cfg.num_stocks)
-        days.append((features, window_graphs(0, raw), labels))
+        days.append(WindowSample(t, f"day{t}", f"day{t + 1}", features, raw, labels))
+    graphs = graphs_for_samples(days)
 
-    def total_loss(p: dict[str, Tensor]) -> Tensor:
-        logits = [forward(p, cfg, f, a) for f, a, _ in days]
-        return objective(logits, [lab for _, _, lab in days], mixture_tensors(p, cfg))
+    # The gradient train() steps on: epoch_loss accumulates it into p.grad.
+    epoch_loss(params, cfg, days, graphs)
 
-    T.backward(total_loss(params))
-
+    # Probes run on constants: a probe over recording parameters would add
+    # its own gradient into the one under test.
+    frozen = {name: T.constant(p.values) for name, p in params.items()}
     step = 1e-5
     worst_name, worst_err = "", 0.0
     for name, p in params.items():
@@ -131,9 +132,9 @@ def test_criterion_3_full_model_gradient_check():
             def at(delta):
                 bumped = flat.copy()
                 bumped[i] += delta
-                probe = dict(params)
-                probe[name] = Tensor(bumped.reshape(p.shape))
-                return total_loss(probe).item()
+                probe = dict(frozen)
+                probe[name] = T.constant(bumped.reshape(p.shape))
+                return epoch_loss(probe, cfg, days, graphs)[0]
 
             numeric.ravel()[i] = (at(step) - at(-step)) / (2 * step)
         err = max_rel_err(analytic, numeric)

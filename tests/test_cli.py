@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -647,17 +650,43 @@ def _truncate(where):
     return mutate
 
 
+def _digest(header, payload):
+    """The v4 digest: SHA-256 of the canonical JSON of format, config and
+    seed, followed by the payload."""
+    described = json.dumps({key: header[key] for key in ("config", "format", "seed")}, sort_keys=True)
+    return hashlib.sha256(described.encode() + payload).hexdigest()
+
+
 def _rewritten(edit):
     """``edit(header, payload) -> payload`` applied to the bytes, with the
-    edited payload's SHA-256 recorded."""
+    edited file's SHA-256 recorded."""
 
     def mutate(blob):
         header, payload = _split(blob)
         payload = edit(header, payload)
-        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        header["sha256"] = _digest(header, payload)
         return _join(header, payload)
 
     return mutate
+
+
+def _hand_edit(**changes):
+    """Header values changed in place, the recorded SHA-256 left as it was."""
+
+    def mutate(blob):
+        header, payload = _split(blob)
+        header.update(changes)
+        return _join(header, payload)
+
+    return mutate
+
+
+def _as_v3(blob):
+    """The same model in the v3 format: a SHA-256 of the payload alone."""
+    header, payload = _split(blob)
+    del header["sha256"]
+    header.update(format="mgdpr-checkpoint-v3", payload_sha256=hashlib.sha256(payload).hexdigest())
+    return _join(header, payload)
 
 
 def _header_edit(**changes):
@@ -693,9 +722,11 @@ _CHECKPOINT_MUTATIONS = [
     ("config-not-an-object", _header_edit(config=[])),
     ("seed-not-an-integer", _header_edit(seed="0")),
     ("seed-a-bool", _header_edit(seed=False)),
+    ("seed-edited", _hand_edit(seed=1)),
     ("tensor-table", _header_edit(tensors=[])),
     ("v1-format", _header_edit(format="mgdpr-checkpoint-v1")),
     ("v2-format", _header_edit(format="mgdpr-checkpoint-v2")),
+    ("v3-format", _as_v3),
 ]
 _MUTATIONS_BY_ID = dict(_CHECKPOINT_MUTATIONS)
 
@@ -733,7 +764,8 @@ class TestDamagedCheckpoint:
     @pytest.mark.parametrize(
         "case",
         ["prefix-flip-7", "header-flip-8", "payload-flip-8", "truncate-mid-payload", "nan", "trailing-bytes",
-         "config-field-missing", "config-extra-key", "seed-not-an-integer", "tensor-table", "v2-format"],
+         "config-field-missing", "config-extra-key", "seed-not-an-integer", "seed-edited", "tensor-table",
+         "v2-format", "v3-format"],
     )
     def test_eval_exits_6(self, tmp_path, capsys, trained_checkpoint, case):
         config, blob, _ = trained_checkpoint
@@ -755,13 +787,16 @@ class TestDamagedCheckpoint:
     def test_earlier_format_without_digest_exits_6(self, tmp_path, capsys, trained_checkpoint):
         config, blob, _ = trained_checkpoint
         header, payload = _split(blob)
-        del header["payload_sha256"]
+        del header["sha256"]
         header["format"] = "mgdpr-checkpoint-v1"
-        old = tmp_path / "v1.bin"
-        old.write_bytes(_join(header, payload))
-        capsys.readouterr()
-        assert run("eval", "--config", config, "--checkpoint", old) == 6
-        assert "not a mgdpr-checkpoint-v3 file" in capsys.readouterr().err
+        # A v3 file, as the previous format wrote it, is refused as an
+        # earlier format too, not as a corrupt file.
+        for old_blob in (_join(header, payload), _as_v3(blob)):
+            old = tmp_path / "old.bin"
+            old.write_bytes(old_blob)
+            capsys.readouterr()
+            assert run("eval", "--config", config, "--checkpoint", old) == 6
+            assert "not a mgdpr-checkpoint-v4 file" in capsys.readouterr().err
 
     def test_config_edit_names_the_field(self, tmp_path, trained_checkpoint):
         _, blob, model = trained_checkpoint
@@ -782,6 +817,18 @@ def test_no_temporary_files_left_after_train_and_eval(tmp_path):
     names = [p.name for p in tmp_path.rglob("*")]
     assert not [n for n in names if n.startswith(".") or "tmp" in n]
     assert {"checkpoint.bin", "trace.csv", "resolved_config.json", "metrics.json", "manifest.json"} <= set(names)
+
+
+def test_pipeline_demo_removes_its_workspace(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_cli_pipeline.py"
+    package_root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": str(package_root)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert "metrics.json:" in done.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEndToEndDeterminism:

@@ -393,8 +393,8 @@ class TestForward:
 
         model, features, adjacency = desk_instance()
         factors_only = FactorsOnly(adjacency.t_index, adjacency.energy, adjacency.entropy)
-        logits = model.forward(features, factors_only).values
-        assert np.array_equal(logits, model.forward(features, adjacency).values)
+        logits = forward(model.params, model.config, features, factors_only).values
+        assert np.array_equal(logits, forward(model.params, model.config, features, adjacency).values)
         assert np.array_equal(model.predict(features, factors_only), np.argmax(logits, axis=1))
 
 
@@ -423,7 +423,7 @@ class TestMemory:
         model, features, adjacency = desk_instance()
         tracemalloc.start()
         try:
-            loss = T.sum_all(model.forward(features, adjacency))
+            loss = T.sum_all(forward(model.params, model.config, features, adjacency))
             retained = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             T.backward(loss)
@@ -450,7 +450,7 @@ class TestMemory:
 
     def test_predict_peak_is_below_half_a_recorded_forward(self):
         model, features, adjacency = desk_instance()
-        recorded = traced_peak(lambda: model.forward(features, adjacency))
+        recorded = traced_peak(lambda: forward(model.params, model.config, features, adjacency))
         predicted = traced_peak(lambda: model.predict(features, adjacency))
         assert predicted <= 0.5 * recorded, f"predict peak {predicted} B vs recorded forward {recorded} B"
 

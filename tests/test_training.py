@@ -10,7 +10,7 @@ from mgdpr import tensor as T
 from mgdpr.errors import DataError, DivergenceError, ShapeError, UsageError
 from mgdpr.graphs import build_day_graphs
 from mgdpr.market import align_panel, make_windows
-from mgdpr.model import Model, ModelConfig, init_params, mixture_tensors
+from mgdpr.model import Model, ModelConfig, forward, init_params
 from mgdpr.synthetic import planted_market
 from mgdpr.tensor import Tensor
 from mgdpr.training import (
@@ -19,11 +19,11 @@ from mgdpr.training import (
     accuracy,
     confusion_counts,
     cross_entropy_mean,
+    epoch_loss,
     evaluate,
     f1,
     graphs_for_samples,
     mcc,
-    objective,
     train,
     write_metrics_json,
     write_trace_csv,
@@ -80,13 +80,9 @@ class TestObjective:
             np.testing.assert_allclose(ce.item(), math.log(2), rtol=1e-12)
 
     def test_constraint_term_tiny_under_softmax_parametrization(self):
-        cfg, _ = desk_setup()
-        params = init_params(cfg, seed=1)
-        mixtures = mixture_tensors(params, cfg)
-        logits = [Tensor(np.zeros((3, 2)))]
-        labels = [np.zeros(3, dtype=int)]
-        loss = objective(logits, labels, mixtures)
-        constraint = loss.item() - math.log(2)
+        cfg, samples = desk_setup()
+        days = samples[:2]
+        _, constraint = epoch_loss(init_params(cfg, seed=1), cfg, days, graphs_for_samples(days))
         assert abs(constraint) < 1e-9
 
     def test_label_outside_binary_rejected(self):
@@ -94,10 +90,17 @@ class TestObjective:
             cross_entropy_mean(Tensor(np.zeros((2, 2))), np.array([0, 2]))
 
     def test_objective_averages_over_days(self):
-        logits = [Tensor(np.zeros((2, 2))), Tensor(np.array([[10.0, -10.0], [10.0, -10.0]]))]
-        labels = [np.array([0, 1]), np.array([0, 0])]
-        loss = objective(logits, labels, [])
-        np.testing.assert_allclose(loss.item(), math.log(2) / 2, atol=1e-4)
+        cfg, samples = desk_setup()
+        days = samples[:3]
+        graphs = graphs_for_samples(days)
+        params = init_params(cfg, seed=2)
+        frozen = {name: T.constant(p.values) for name, p in params.items()}
+        per_day = [
+            cross_entropy_mean(forward(frozen, cfg, s.features, graphs[s.t_index]), s.labels).item() for s in days
+        ]
+        assert len(set(per_day)) == len(days)
+        loss, constraint = epoch_loss(params, cfg, days, graphs)
+        assert loss == sum(per_day) / len(days) + constraint
 
 
 class TestMetrics:
@@ -169,31 +172,6 @@ class TestTrain:
             _, trace = train(model, samples[:4], samples[4:6], TrainConfig(epochs=3))
             runs.append(trace)
         assert runs[0] == runs[1]
-
-    def test_accumulated_gradients_match_joint_objective(self):
-        cfg, samples = desk_setup()
-        batch = samples[:3]
-        graphs = graphs_for_samples(batch)
-        model_a = Model.initialized(cfg, seed=4)
-        model_b = Model(config=cfg, params={
-            k: Tensor(v.values, requires_grad=True) for k, v in model_a.params.items()
-        })
-        # path A: per-sample accumulation, as the training loop does
-        for s in batch:
-            ce = cross_entropy_mean(model_a.forward(s.features, graphs[s.t_index]), s.labels)
-            T.backward(T.scale(ce, 1.0 / len(batch)))
-        from mgdpr.training import constraint_term
-
-        T.backward(constraint_term(mixture_tensors(model_a.params, cfg)))
-        # path B: one joint objective
-        logits = [model_b.forward(s.features, graphs[s.t_index]) for s in batch]
-        labels = [s.labels for s in batch]
-        T.backward(objective(logits, labels, mixture_tensors(model_b.params, cfg)))
-        for k in model_a.params:
-            ga = model_a.params[k].grad
-            gb = model_b.params[k].grad
-            assert ga is not None and gb is not None
-            np.testing.assert_allclose(ga, gb, rtol=1e-10, atol=1e-14)
 
     def test_best_validation_params_retained(self):
         cfg, samples = desk_setup(num_days=16)
