@@ -396,12 +396,7 @@ class Model:
     def frozen(self) -> dict[str, Tensor]:
         """The parameters as constants: a forward pass over them records no
         tape, and each activation is freed once the next layer has used it."""
-        return {name: T.constant(p.values) for name, p in self.params.items()}
-
-    def predict(self, features: np.ndarray, adjacency) -> np.ndarray:
-        """Per-stock class decisions (argmax of the two logits), computed
-        over :meth:`frozen` parameters."""
-        return np.argmax(forward(self.frozen(), self.config, features, adjacency).values, axis=1)
+        return {name: T.constant(p) for name, p in self.params.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ finite once, where it is made: by :class:`Tensor`, :func:`constant` and
 every operation that computes new values, so overflow surfaces as an error
 instead of an Inf that poisons a training run 200 steps later. Reshape,
 transpose and concat only view or copy values of tensors that were checked
-when they were made, so they skip the check. Tensors are immutable after
-creation (the underlying numpy buffer is marked read-only).
+when they were made, so they skip the check, as does :func:`constant` over
+a tensor. Tensors are immutable after creation (the underlying numpy buffer
+is marked read-only).
 """
 
 from __future__ import annotations
@@ -129,9 +130,12 @@ def constant(values) -> Tensor:
     """Read-only, non-recording tensor over ``values``.
 
     A float64 array is wrapped as a view, not copied; the caller's array
-    keeps its own write flag. Operations whose inputs are all constants
-    record no backward rule.
+    keeps its own write flag. A :class:`Tensor`'s values are wrapped the
+    same way but not checked again: they were checked when it was made.
+    Operations whose inputs are all constants record no backward rule.
     """
+    if isinstance(values, Tensor):
+        return _node(values.values.view(), (), None, "constant", check=False)
     return _node(np.asarray(values, dtype=np.float64).view(), (), None, "constant")
 
 

@@ -11,10 +11,12 @@ gradient is not exactly zero (a K=7 mixture at initialization gets 3.2e-17
 on every raw entry), so dropping the backward pass would change the
 trained bits.
 
-Training is full-batch: every training day's gradient is accumulated
-sample by sample (mathematically identical to one joint loss, but with
-per-sample memory), then one Adam step is taken per epoch. The best
-validation-accuracy parameters are retained.
+Training is full-batch, one Adam step per epoch. Each step builds the
+diffusion mixes, which depend on the parameters only, once; every training
+day's gradient is then accumulated sample by sample (mathematically
+identical to one joint loss, but with per-sample memory) and carried
+through the mixes once at the end. The best validation-accuracy parameters
+are retained.
 """
 
 from __future__ import annotations
@@ -121,18 +123,30 @@ def epoch_loss(
     plus the constraint term: returns (loss, constraint term) and adds the
     loss's gradient into the ``grad`` of every ``requires_grad`` parameter.
 
-    Each day is backpropagated, in the given order, as soon as its forward
-    pass is done, so one day's tape is alive at a time. Each day's forward
-    builds its own diffusion mixes: ``backward`` releases the nodes it
-    passes, so mixes shared across days would pass on only the first day's
-    gradient."""
+    The diffusion mixes depend on the parameters only, so they are built
+    once, on the tape. Each day's forward reads leaf copies of them and is
+    backpropagated, in the given order, as soon as it is done: one day's
+    tape is alive at a time, and the copies' ``grad`` sums every day's
+    gradient (``backward`` releases the nodes it passes, so days reading the
+    mixes themselves would pass on only the first day's gradient). A last
+    backward carries the sums through the mix graph, together with the
+    constraint term: the gradient of sum(mix * G) with respect to the mix
+    is G. Copies of mixes that record nothing are the mixes themselves, so
+    over constant parameters nothing records."""
+    mixes = M.diffusion_mixes(params, cfg)
+    shared = [[Tensor(m.values, requires_grad=True) if m.requires_grad else m for m in row] for row in mixes]
     ce_sum = 0.0
     for s in days:
-        ce = cross_entropy_mean(M.forward(params, cfg, s.features, graphs[s.t_index]), s.labels)
+        ce = cross_entropy_mean(M.forward(params, cfg, s.features, graphs[s.t_index], shared), s.labels)
         T.backward(T.scale(ce, 1.0 / len(days)))
         ce_sum += ce.item()
     penalty = constraint_term(mixture_tensors(params, cfg))
-    T.backward(penalty)
+    pullback = penalty
+    for row, shared_row in zip(mixes, shared):
+        for mix, leaf in zip(row, shared_row):
+            if leaf.grad is not None:
+                pullback = T.add(pullback, T.sum_all(T.hadamard(mix, T.constant(leaf.grad))))
+    T.backward(pullback)
     return ce_sum / len(days) + penalty.item(), penalty.item()
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mgdpr.model
 from mgdpr import tensor as T
 from mgdpr.errors import CheckpointError, ConfigError, ShapeError
 from mgdpr.graphs import MultiRelAdjacency, window_graphs
@@ -395,7 +394,8 @@ class TestForward:
         factors_only = FactorsOnly(adjacency.t_index, adjacency.energy, adjacency.entropy)
         logits = forward(model.params, model.config, features, factors_only).values
         assert np.array_equal(logits, forward(model.params, model.config, features, adjacency).values)
-        assert np.array_equal(model.predict(features, factors_only), np.argmax(logits, axis=1))
+        frozen = forward(model.frozen(), model.config, features, factors_only).values
+        assert np.array_equal(frozen, logits)
 
 
 def desk_instance(seed=5):
@@ -417,7 +417,7 @@ def traced_peak(fn):
 
 class TestMemory:
     """Byte counts from tracemalloc, no timing: the tape is released while
-    backward unwinds, and prediction records none."""
+    backward unwinds, and a forward over frozen parameters records none."""
 
     def test_backward_peak_stays_near_the_forward_tape(self):
         model, features, adjacency = desk_instance()
@@ -432,27 +432,19 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 1.25 * retained, f"backward peak {peak} B vs {retained} B retained after forward"
 
-    def test_predict_records_no_tape(self, monkeypatch):
+    def test_frozen_forward_records_no_tape(self):
         model, features, adjacency = desk_instance()
-        outputs = []
-
-        def spy(*args):
-            outputs.append(forward(*args))
-            return outputs[-1]
-
-        monkeypatch.setattr(mgdpr.model, "forward", spy)
-        pred = model.predict(features, adjacency)
-        assert len(outputs) == 1
-        assert outputs[0]._parents == () and not outputs[0].requires_grad
+        frozen = forward(model.frozen(), model.config, features, adjacency)
+        assert frozen._parents == () and not frozen.requires_grad
         recorded = forward(model.params, model.config, features, adjacency)
         assert recorded.requires_grad
-        assert np.array_equal(pred, np.argmax(recorded.values, axis=1))
+        assert np.array_equal(frozen.values, recorded.values)
 
-    def test_predict_peak_is_below_half_a_recorded_forward(self):
+    def test_frozen_forward_peak_is_below_half_a_recorded_forward(self):
         model, features, adjacency = desk_instance()
         recorded = traced_peak(lambda: forward(model.params, model.config, features, adjacency))
-        predicted = traced_peak(lambda: model.predict(features, adjacency))
-        assert predicted <= 0.5 * recorded, f"predict peak {predicted} B vs recorded forward {recorded} B"
+        frozen = traced_peak(lambda: forward(model.frozen(), model.config, features, adjacency))
+        assert frozen <= 0.5 * recorded, f"frozen forward peak {frozen} B vs recorded forward {recorded} B"
 
 
 def noised_params(cfg, seed):

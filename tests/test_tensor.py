@@ -248,6 +248,14 @@ class TestFiniteCheck:
 
         assert self._checked_ops(monkeypatch, build) == []
 
+    def test_constant_over_a_tensor_is_not_rechecked(self, monkeypatch):
+        a = leaf(np.arange(6.0).reshape(2, 3))
+        made = []
+        assert self._checked_ops(monkeypatch, lambda: made.append(T.constant(a))) == []
+        c = made[0]
+        assert np.shares_memory(c.values, a.values) and np.array_equal(c.values, a.values)
+        assert not c.requires_grad and c._parents == () and a.requires_grad
+
     def test_computing_ops_and_constructors_still_check(self, monkeypatch):
         def build():
             x = T.Tensor(np.ones((2, 2)))

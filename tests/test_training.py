@@ -10,7 +10,7 @@ from mgdpr import tensor as T
 from mgdpr.errors import DataError, DivergenceError, ShapeError, UsageError
 from mgdpr.graphs import build_day_graphs
 from mgdpr.market import align_panel, make_windows
-from mgdpr.model import Model, ModelConfig, forward, init_params
+from mgdpr.model import Model, ModelConfig, forward, init_params, mixture_tensors
 from mgdpr.synthetic import planted_market
 from mgdpr.tensor import Tensor
 from mgdpr.training import (
@@ -18,6 +18,7 @@ from mgdpr.training import (
     TrainConfig,
     accuracy,
     confusion_counts,
+    constraint_term,
     cross_entropy_mean,
     epoch_loss,
     evaluate,
@@ -68,6 +69,35 @@ def desk_setup(num_stocks=3, num_days=14, lookback=4, seed=0):
     return cfg, samples
 
 
+def counted(monkeypatch, name):
+    """Outputs, in order, of the calls made to ``mgdpr.model.<name>``
+    through the module."""
+    calls = []
+    real = getattr(mgdpr.model, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(mgdpr.model, name, spy)
+    return calls
+
+
+def per_day_reference(params, cfg, days, graphs):
+    """The objective with each day's forward building its own mixes: a
+    forward without ``mixes`` and one backward per day, then the constraint
+    term. Returns the loss."""
+    ce_sum = 0.0
+    for s in days:
+        ce = cross_entropy_mean(forward(params, cfg, s.features, graphs[s.t_index]), s.labels)
+        T.backward(T.scale(ce, 1.0 / len(days)))
+        ce_sum += ce.item()
+    penalty = constraint_term(mixture_tensors(params, cfg))
+    T.backward(penalty)
+    return ce_sum / len(days) + penalty.item()
+
+
 class TestObjective:
     def test_saturated_correct_prediction(self):
         logits = Tensor(np.array([[10.0, -10.0]]))
@@ -101,6 +131,46 @@ class TestObjective:
         assert len(set(per_day)) == len(days)
         loss, constraint = epoch_loss(params, cfg, days, graphs)
         assert loss == sum(per_day) / len(days) + constraint
+
+    @pytest.mark.parametrize("num_days", [1, 5])
+    def test_mixes_built_once_per_call_and_one_forward_per_day(self, monkeypatch, num_days):
+        cfg, samples = desk_setup(num_days=20)
+        cfg = dataclasses.replace(cfg, num_layers=2)
+        days = samples[:num_days]
+        graphs = graphs_for_samples(days)
+        params = init_params(cfg, seed=15)
+        transitions = counted(monkeypatch, "transition_matrices")
+        forwards = counted(monkeypatch, "forward")
+        epoch_loss(params, cfg, days, graphs)
+        assert len(transitions) == cfg.num_layers * cfg.num_relations
+        assert len(forwards) == num_days
+        assert all(logits.requires_grad for logits in forwards)
+
+        transitions.clear()
+        forwards.clear()
+        epoch_loss({k: T.constant(p) for k, p in params.items()}, cfg, days, graphs)
+        assert len(transitions) == cfg.num_layers * cfg.num_relations
+        assert len(forwards) == num_days
+        assert all(logits._parents == () and not logits.requires_grad for logits in forwards)
+
+    def test_equals_per_day_mixes_reference(self):
+        cfg, samples = desk_setup(num_days=20)
+        cfg = dataclasses.replace(cfg, num_layers=2)
+        days = samples[:5]
+        graphs = graphs_for_samples(days)
+        # A generic point: at the symmetric init several gradients are exactly zero.
+        rng = np.random.default_rng(16)
+        noised = {k: p.values + rng.normal(scale=0.5, size=p.shape) for k, p in init_params(cfg).items()}
+        point = {k: Tensor(v, requires_grad=True) for k, v in noised.items()}
+        ref = {k: Tensor(v, requires_grad=True) for k, v in noised.items()}
+        ref_loss = per_day_reference(ref, cfg, days, graphs)
+        loss, _ = epoch_loss(point, cfg, days, graphs)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, p in point.items():
+            want = ref[name].grad
+            assert want is not None and np.max(np.abs(want)) > 0, name
+            rel = np.max(np.abs(p.grad - want)) / np.max(np.abs(want))
+            assert rel <= 1e-12, f"{name}: max|delta| / max|ref| = {rel:.3e}"
 
 
 class TestMetrics:
@@ -255,36 +325,26 @@ class TestEvaluate:
         with pytest.raises(UsageError):
             evaluate(Model.initialized(cfg, seed=11), [])
 
-    def _counted(self, monkeypatch, name):
-        calls = []
-        real = getattr(mgdpr.model, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mgdpr.model, name, counted)
-        return calls
-
     @pytest.mark.parametrize("num_days", [1, 4, 9])
     def test_mixes_built_once_per_call_and_one_forward_per_day(self, monkeypatch, num_days):
         cfg, samples = desk_setup(num_days=20)
         cfg = dataclasses.replace(cfg, num_layers=2)
         model = Model.initialized(cfg, seed=12)
-        transitions = self._counted(monkeypatch, "transition_matrices")
-        forwards = self._counted(monkeypatch, "forward")
+        transitions = counted(monkeypatch, "transition_matrices")
+        forwards = counted(monkeypatch, "forward")
         evaluate(model, samples[:num_days])
         assert len(transitions) == cfg.num_layers * cfg.num_relations
         assert len(forwards) == num_days
 
-    def test_confusion_equals_per_day_predict(self):
+    def test_confusion_equals_per_day_frozen_forward(self):
         cfg, samples = desk_setup(num_days=20)
         cfg = dataclasses.replace(cfg, num_layers=2)
         rng = np.random.default_rng(13)
         params = {k: Tensor(p.values + rng.normal(scale=0.5, size=p.shape)) for k, p in init_params(cfg).items()}
         model = Model(config=cfg, params=params)
         graphs = graphs_for_samples(samples)
-        preds = [model.predict(s.features, graphs[s.t_index]) for s in samples]
+        frozen = model.frozen()
+        preds = [np.argmax(forward(frozen, cfg, s.features, graphs[s.t_index]).values, axis=1) for s in samples]
         assert 0 < np.concatenate(preds).mean() < 1
         labels = np.concatenate([s.labels for s in samples])
         assert evaluate(model, samples).confusion == confusion_counts(np.concatenate(preds), labels)
