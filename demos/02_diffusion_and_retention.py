@@ -30,19 +30,23 @@ print("with decay 1.27 the weights grow with distance instead:")
 print(np.array_str(decay_mask(5, 1.27), precision=3))
 
 print("\n== simplex and column-stochastic parametrization ==")
-raw_mix = Tensor(rng.normal(size=3))
+print("each per-relation parameter is one tensor stacked over the relations (here 2)")
+raw_mix = Tensor(rng.normal(size=(2, 3)))
 weights = mixture_weights(raw_mix)
-print("mixture weights:", np.round(weights.values, 4), "sum:", weights.values.sum())
-raw_t = Tensor(rng.normal(size=(3, 4, 4)))
+print("mixture weights (one row per relation):")
+print(np.round(weights.values, 4), "row sums:", weights.values.sum(axis=1))
+raw_t = Tensor(rng.normal(size=(2, 3, 4, 4)))
 transitions = transition_matrices(raw_t)
-print("transition column sums (per step):", np.round(transitions.values.sum(axis=1), 12)[0])
+print("transition column sums (relation 0, step 0):", np.round(transitions.values.sum(axis=2), 12)[0, 0])
 
-print("\n== a diffusion matrix: convex mix of transitions, masked by the day's graph ==")
-day = window_graphs(0, rng.uniform(0.5, 4.0, size=(1, 4, 6)))
-b = day.sender_weights[0]
-print("sender weights (every row of the row-normalized graph):", np.round(b, 4))
+print("\n== diffusion matrices: convex mix of transitions, masked by the day's graph ==")
+day = window_graphs(0, rng.uniform(0.5, 4.0, size=(2, 4, 6)))
+b = day.sender_weights
+print("sender weights (every row of each relation's row-normalized graph):")
+print(np.round(b, 4))
 s = diffusion_matrix(transition_mix(weights, transitions), b)
-print(np.array_str(s.values, precision=4, suppress_small=True))
+print("the (relations, stocks, stocks) stack, relation 0:")
+print(np.array_str(s.values[0], precision=4, suppress_small=True))
 
 print("\n== retention is causal ==")
 d, tau = 8, 6

@@ -6,7 +6,10 @@ runs two decoupled stages:
 - *diffusion* mixes the stock axis, one lookback slice at a time, through a
   learned convex combination of column-stochastic transition matrices masked
   by the day's row-normalized adjacency, independently per relation, then
-  collapses the relation channels with a learned 1x1 mix;
+  collapses the relation channels with a learned 1x1 mix. A layer holds each
+  kind of per-relation parameter as one tensor stacked over the R relations
+  (mixture (R, K), transition (R, K, N, N), relation map (R, d, d)), and every
+  diffusion step runs on the whole stack at once;
 - *retention* mixes the lookback axis per stock with a causally masked,
   distance-weighted score matrix, group-normalized, and merges the result
   with an affine carry of the previous layer's representation.
@@ -34,7 +37,7 @@ from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .files import write_atomic
 from .tensor import Tensor
 
-CHECKPOINT_FORMAT = "mgdpr-checkpoint-v4"
+CHECKPOINT_FORMAT = "mgdpr-checkpoint-v5"
 _HEADER_KEYS = ["config", "format", "seed", "sha256"]
 # Negative-side slope of every leaky-ReLU activation.
 ACTIVATION_SLOPE = 0.01
@@ -89,10 +92,9 @@ def expected_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "embed.b": (d,),
     }
     for l in range(cfg.num_layers):
-        for r in range(r_n):
-            shapes[f"diffusion.{l}.mixture.{r}"] = (k,)
-            shapes[f"diffusion.{l}.transition.{r}"] = (k, n, n)
-            shapes[f"diffusion.{l}.relmap.{r}"] = (d, d)
+        shapes[f"diffusion.{l}.mixture"] = (r_n, k)
+        shapes[f"diffusion.{l}.transition"] = (r_n, k, n, n)
+        shapes[f"diffusion.{l}.relmap"] = (r_n, d, d)
         shapes[f"diffusion.{l}.mix_w"] = (1, r_n)
         shapes[f"diffusion.{l}.mix_b"] = ()
         shapes[f"retention.{l}.query"] = (d, d)
@@ -110,7 +112,8 @@ def expected_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Seeded initialization: 1/sqrt(fan_in) normals for maps, zeros elsewhere.
+    """Seeded initialization: 1/sqrt(fan_in) normals for maps, fan-in along
+    the second-to-last axis, zeros elsewhere.
 
     Raw mixture and transition parameters start at zero, i.e. uniform simplex
     weights and uniform column-stochastic transitions; keeping transitions
@@ -121,12 +124,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     for name, shape in expected_param_shapes(cfg).items():
         leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("b", "b1", "b2", "mix_b") or ".mixture." in name or ".transition." in name:
+        if leaf in ("b", "b1", "b2", "mix_b", "mixture", "transition"):
             values = np.zeros(shape)
         elif leaf == "mix_w":
             values = np.full(shape, 1.0 / cfg.num_relations)
         else:
-            values = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+            values = rng.normal(0.0, 1.0 / np.sqrt(shape[-2]), size=shape)
         params[name] = Tensor(values, requires_grad=True)
     return params
 
@@ -152,79 +155,75 @@ def decay_mask(lookback: int, decay: float) -> np.ndarray:
 
 
 def mixture_weights(raw: Tensor) -> Tensor:
-    """Softmax over expansion steps: a point on the simplex by construction."""
-    return T.softmax(raw, axis=0)
+    """Softmax over expansion steps (the last axis): each relation's row of a
+    stacked (R, K) mixture is a point on the simplex by construction."""
+    return T.softmax(raw, axis=-1)
 
 
 def transition_matrices(raw: Tensor) -> Tensor:
-    """Column-wise softmax of each (N, N) slice: columns sum to one."""
-    if raw.ndim != 3:
-        raise ShapeError(f"transition_matrices: expected (steps, N, N), got {raw.shape}")
-    return T.softmax(raw, axis=1)
+    """Column-wise softmax of each (N, N) slice of a stacked (R, K, N, N)
+    tensor: columns sum to one."""
+    if raw.ndim != 4:
+        raise ShapeError(f"transition_matrices: expected (relations, steps, N, N), got {raw.shape}")
+    return T.softmax(raw, axis=2)
 
 
 def transition_mix(weights: Tensor, transitions: Tensor) -> Tensor:
-    """Convex mix of the transition steps, sum_k weights[k] * transitions[k]:
-    one (N, N) column-stochastic matrix."""
-    k, n, n2 = transitions.shape
-    if weights.shape != (k,):
+    """Convex mix of the transition steps of every relation,
+    sum_k weights[r, k] * transitions[r, k]: an (R, N, N) stack of
+    column-stochastic matrices, from one batched product."""
+    r, k, n, n2 = transitions.shape
+    if weights.shape != (r, k):
         raise ShapeError(f"transition_mix: weights {weights.shape} for transitions {transitions.shape}")
-    mix = T.matmul(T.reshape(weights, (1, k)), T.reshape(transitions, (k, n * n2)))
-    return T.reshape(mix, (n, n2))
+    mix = T.matmul(T.reshape(weights, (r, 1, k)), T.reshape(transitions, (r, k, n * n2)))
+    return T.reshape(mix, (r, n, n2))
 
 
-def diffusion_mixes(params: dict[str, Tensor], cfg: ModelConfig) -> list[list[Tensor]]:
-    """The parameter-only half of diffusion: the (N, N) transition mix of
-    every relation, one list per layer. No day's data enters, so a pass over
+def diffusion_mixes(params: dict[str, Tensor], weights: list[Tensor]) -> list[Tensor]:
+    """The parameter-only half of diffusion: each layer's (R, N, N) transition
+    mix, from that layer's (R, K) simplex weights in ``weights``, as
+    :func:`mixture_tensors` gives them. No day's data enters, so a pass over
     fixed parameters can build them once and hand them to each day's
     :func:`forward`."""
     return [
-        [
-            transition_mix(
-                mixture_weights(params[f"diffusion.{l}.mixture.{r}"]),
-                transition_matrices(params[f"diffusion.{l}.transition.{r}"]),
-            )
-            for r in range(cfg.num_relations)
-        ]
-        for l in range(cfg.num_layers)
+        transition_mix(w, transition_matrices(params[f"diffusion.{l}.transition"]))
+        for l, w in enumerate(weights)
     ]
 
 
 def diffusion_matrix(mix: Tensor, sender_weights: np.ndarray) -> Tensor:
-    """A transition mix masked by the day's row-normalized adjacency: every
-    row of it is ``sender_weights`` (one relation's row of
-    :attr:`MultiRelAdjacency.sender_weights`), so column j of the mix is
-    scaled by ``sender_weights[j]`` through a broadcast view, not an N x N copy.
-    """
-    n, n2 = mix.shape
-    if sender_weights.shape != (n2,):
+    """A layer's (R, N, N) transition mix masked by the day's row-normalized
+    adjacency: every row of relation r's is row r of the (R, N)
+    :attr:`MultiRelAdjacency.sender_weights`, so column j of mix r is scaled
+    by ``sender_weights[r, j]`` through a broadcast view, not a copy."""
+    r, n, n2 = mix.shape
+    if sender_weights.shape != (r, n2):
         raise ShapeError(
             f"diffusion_matrix: mix {mix.shape} and sender weights {sender_weights.shape} disagree"
         )
-    mask = T.constant(np.broadcast_to(sender_weights, (n, n2)))
+    mask = T.constant(np.broadcast_to(sender_weights[:, None, :], mix.shape))
     return T.hadamard(mix, mask)
 
 
 def diffuse_layer(
     state: Tensor,
-    diffusion_matrices: list[Tensor],
-    relation_maps: list[Tensor],
+    diffusion: Tensor,
+    relation_maps: Tensor,
     mix_w: Tensor,
     mix_b: Tensor,
 ) -> Tensor:
     """Propagate along each relation's graph, then mix relations pointwise.
 
-    The stock axis is mixed for every lookback slice at once by flattening
-    (lookback, channels); the 1x1 convolution across relation channels is a
-    learned length-R dot product plus bias applied at every grid point.
+    One product mixes the stock axis of every relation and lookback slice,
+    (R·N, N) @ (N, lookback·channels); a batched product applies each of the
+    (R, d, d) relation maps; the 1x1 convolution across relation channels is
+    a learned length-R dot product plus bias applied at every grid point.
     """
     n, tau, d = state.shape
-    flat = T.reshape(state, (n, tau * d))
-    parts = []
-    for s_r, w_r in zip(diffusion_matrices, relation_maps):
-        propagated = T.reshape(T.matmul(s_r, flat), (n * tau, d))
-        parts.append(T.reshape(T.matmul(propagated, w_r), (1, n * tau * d)))
-    mixed = T.reshape(T.matmul(mix_w, T.concat(parts, 0)), (n, tau, d))
+    r = diffusion.shape[0]
+    propagated = T.matmul(T.reshape(diffusion, (r * n, n)), T.reshape(state, (n, tau * d)))
+    mapped = T.matmul(T.reshape(propagated, (r, n * tau, d)), relation_maps)
+    mixed = T.reshape(T.matmul(mix_w, T.reshape(mapped, (r, n * tau * d))), (n, tau, d))
     return T.activation(T.add(mixed, mix_b), ACTIVATION_SLOPE)
 
 
@@ -310,14 +309,15 @@ def forward(
     cfg: ModelConfig,
     features: np.ndarray,
     adjacency,
-    mixes: list[list[Tensor]] | None = None,
+    mixes: list[Tensor] | None = None,
 ) -> Tensor:
     """Features + day graphs -> (num_stocks, 2) logits.
 
     ``features`` is the z-scored (relations, stocks, lookback) window;
     ``adjacency`` the same day's :class:`MultiRelAdjacency`, of which only the
     (relations, stocks) ``sender_weights`` are read. ``mixes`` are
-    :func:`diffusion_mixes` of ``params``, built here when not given.
+    :func:`diffusion_mixes` of ``params``, one (R, N, N) stack per layer,
+    built here when not given.
     """
     features = np.asarray(features, dtype=np.float64)
     expected = (cfg.num_relations, cfg.num_stocks, cfg.lookback)
@@ -329,21 +329,20 @@ def forward(
     senders = adjacency.sender_weights
     if senders.shape != expected[:2]:
         raise ShapeError(f"graph sender weights shape {senders.shape}, expected {expected[:2]}")
+    stack = (cfg.num_relations, cfg.num_stocks, cfg.num_stocks)
     if mixes is None:
-        mixes = diffusion_mixes(params, cfg)
-    elif [len(row) for row in mixes] != [cfg.num_relations] * cfg.num_layers:
-        raise UsageError(f"mixes must be {cfg.num_layers} layers of {cfg.num_relations} relations")
+        mixes = diffusion_mixes(params, mixture_tensors(params, cfg))
+    elif [m.shape for m in mixes] != [stack] * cfg.num_layers:
+        raise UsageError(f"mixes must be {cfg.num_layers} stacks of shape {stack}")
 
     mask = decay_mask(cfg.lookback, cfg.decay)
     state = init_state(features, params["embed.W"], params["embed.b"])
     carried = state
     for l in range(cfg.num_layers):
-        diffusion_matrices = [diffusion_matrix(mixes[l][r], senders[r]) for r in range(cfg.num_relations)]
-        relation_maps = [params[f"diffusion.{l}.relmap.{r}"] for r in range(cfg.num_relations)]
         state = diffuse_layer(
             state,
-            diffusion_matrices,
-            relation_maps,
+            diffusion_matrix(mixes[l], senders),
+            params[f"diffusion.{l}.relmap"],
             params[f"diffusion.{l}.mix_w"],
             params[f"diffusion.{l}.mix_b"],
         )
@@ -370,12 +369,8 @@ def forward(
 
 
 def mixture_tensors(params: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:
-    """Materialized simplex weights for every (layer, relation) pair."""
-    return [
-        mixture_weights(params[f"diffusion.{l}.mixture.{r}"])
-        for l in range(cfg.num_layers)
-        for r in range(cfg.num_relations)
-    ]
+    """Materialized simplex weights, one (R, K) stack per layer."""
+    return [mixture_weights(params[f"diffusion.{l}.mixture"]) for l in range(cfg.num_layers)]
 
 
 @dataclass

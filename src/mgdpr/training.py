@@ -3,8 +3,8 @@
 The objective, defined once by :func:`epoch_loss` (which :func:`train`
 steps on and the full-model gradient check tests), is mean per-stock
 cross-entropy over the training days plus the simplex-constraint term
-summed over every (layer, relation) mixture. Because mixtures are
-softmax-parametrized the term is zero in exact arithmetic; it is still
+summed over every layer's (relations, steps) mixture. Because mixtures
+are softmax-parametrized the term is zero in exact arithmetic; it is still
 computed, added, and asserted tiny, so a broken parametrization cannot
 fail silently. It is also still backpropagated: in floating point its
 gradient is not exactly zero (a K=7 mixture at initialization gets 3.2e-17
@@ -12,11 +12,11 @@ on every raw entry), so dropping the backward pass would change the
 trained bits.
 
 Training is full-batch, one Adam step per epoch. Each step builds the
-diffusion mixes, which depend on the parameters only, once; every training
-day's gradient is then accumulated sample by sample (mathematically
-identical to one joint loss, but with per-sample memory) and carried
-through the mixes once at the end. The best validation-accuracy parameters
-are retained.
+mixture weights and the diffusion mixes, which depend on the parameters
+only, once; every training day's gradient is then accumulated sample by
+sample (mathematically identical to one joint loss, but with per-sample
+memory) and carried through the mixes once at the end. The best
+validation-accuracy parameters are retained.
 """
 
 from __future__ import annotations
@@ -107,11 +107,11 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def constraint_term(mixtures: list[Tensor]) -> Tensor:
-    """Sum of (mixture mass - 1) over all layer/relation simplex weights."""
+    """Sum over layers of (mixture mass - R): each layer's (R, K) simplex
+    weights hold R rows that should each sum to one."""
     total: Tensor | None = None
-    one = Tensor(1.0)
     for m in mixtures:
-        part = T.sub(T.sum_all(m), one)
+        part = T.sub(T.sum_all(m), Tensor(float(m.shape[0])))
         total = part if total is None else T.add(total, part)
     return total if total is not None else Tensor(0.0)
 
@@ -123,29 +123,30 @@ def epoch_loss(
     plus the constraint term: returns (loss, constraint term) and adds the
     loss's gradient into the ``grad`` of every ``requires_grad`` parameter.
 
-    The diffusion mixes depend on the parameters only, so they are built
-    once, on the tape. Each day's forward reads leaf copies of them and is
-    backpropagated, in the given order, as soon as it is done: one day's
-    tape is alive at a time, and the copies' ``grad`` sums every day's
-    gradient (``backward`` releases the nodes it passes, so days reading the
-    mixes themselves would pass on only the first day's gradient). A last
-    backward carries the sums through the mix graph, together with the
-    constraint term: the gradient of sum(mix * G) with respect to the mix
-    is G. Copies of mixes that record nothing are the mixes themselves, so
+    The mixture weights and the diffusion mixes depend on the parameters
+    only, so they are built once, on the tape, and the weights serve both
+    the mixes and the constraint term. Each day's forward reads leaf copies
+    of the mixes and is backpropagated, in the given order, as soon as it is
+    done: one day's tape is alive at a time, and the copies' ``grad`` sums
+    every day's gradient (``backward`` releases the nodes it passes, so days
+    reading the mixes themselves would pass on only the first day's
+    gradient). A last backward carries the sums through the mix graph,
+    together with the constraint term: the gradient of sum(mix * G) with
+    respect to the mix is G. Copies of mixes that record nothing are the mixes themselves, so
     over constant parameters nothing records."""
-    mixes = M.diffusion_mixes(params, cfg)
-    shared = [[Tensor(m.values, requires_grad=True) if m.requires_grad else m for m in row] for row in mixes]
+    weights = mixture_tensors(params, cfg)
+    mixes = M.diffusion_mixes(params, weights)
+    shared = [Tensor(m.values, requires_grad=True) if m.requires_grad else m for m in mixes]
     ce_sum = 0.0
     for s in days:
         ce = cross_entropy_mean(M.forward(params, cfg, s.features, graphs[s.t_index], shared), s.labels)
         T.backward(T.scale(ce, 1.0 / len(days)))
         ce_sum += ce.item()
-    penalty = constraint_term(mixture_tensors(params, cfg))
+    penalty = constraint_term(weights)
     pullback = penalty
-    for row, shared_row in zip(mixes, shared):
-        for mix, leaf in zip(row, shared_row):
-            if leaf.grad is not None:
-                pullback = T.add(pullback, T.sum_all(T.hadamard(mix, T.constant(leaf.grad))))
+    for mix, leaf in zip(mixes, shared):
+        if leaf.grad is not None:
+            pullback = T.add(pullback, T.sum_all(T.hadamard(mix, T.constant(leaf.grad))))
     T.backward(pullback)
     return ce_sum / len(days) + penalty.item(), penalty.item()
 
@@ -306,7 +307,7 @@ def evaluate(
     graphs = graphs_for_samples(test_samples, graphs)
     frozen = model.frozen()
     try:
-        mixes = M.diffusion_mixes(frozen, model.config)
+        mixes = M.diffusion_mixes(frozen, mixture_tensors(frozen, model.config))
     except FloatingPointError as e:
         raise DivergenceError(f"non-finite diffusion mix: {e}") from e
     total = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}

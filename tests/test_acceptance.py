@@ -158,11 +158,11 @@ def test_criterion_4_constraints_hold_after_optimizer_steps():
     assert len(trace) == 50
     worst_mix = worst_col = 0.0
     for l in range(cfg.num_layers):
-        for r in range(cfg.num_relations):
-            mix = mixture_weights(model.params[f"diffusion.{l}.mixture.{r}"]).values
-            worst_mix = max(worst_mix, abs(float(mix.sum()) - 1.0))
-            cols = transition_matrices(model.params[f"diffusion.{l}.transition.{r}"]).values
-            worst_col = max(worst_col, float(np.abs(cols.sum(axis=1) - 1.0).max()))
+        mix = mixture_weights(model.params[f"diffusion.{l}.mixture"]).values
+        assert mix.shape == (cfg.num_relations, cfg.expansion_steps)
+        worst_mix = max(worst_mix, float(np.abs(mix.sum(axis=1) - 1.0).max()))
+        cols = transition_matrices(model.params[f"diffusion.{l}.transition"]).values
+        worst_col = max(worst_col, float(np.abs(cols.sum(axis=2) - 1.0).max()))
     assert worst_mix < 1e-12
     assert worst_col < 1e-12
     from mgdpr.training import constraint_term

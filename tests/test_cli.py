@@ -651,8 +651,8 @@ def _truncate(where):
 
 
 def _digest(header, payload):
-    """The v4 digest: SHA-256 of the canonical JSON of format, config and
-    seed, followed by the payload."""
+    """The v4 and v5 digest: SHA-256 of the canonical JSON of format, config
+    and seed, followed by the payload."""
     described = json.dumps({key: header[key] for key in ("config", "format", "seed")}, sort_keys=True)
     return hashlib.sha256(described.encode() + payload).hexdigest()
 
@@ -687,6 +687,29 @@ def _as_v3(blob):
     del header["sha256"]
     header.update(format="mgdpr-checkpoint-v3", payload_sha256=hashlib.sha256(payload).hexdigest())
     return _join(header, payload)
+
+
+def _as_v4(blob):
+    """The same model as the v4 format wrote it, under a valid v4 digest:
+    one tensor per relation, each layer's mixture, transition and relation
+    map interleaved relation by relation, where v5 stacks each kind over the
+    relations. The payload has the same length in another order."""
+    header, payload = _split(blob)
+    shapes = expected_param_shapes(ModelConfig(**header["config"]))
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = dict(zip(shapes, np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])))
+    chunks = []
+    for name, shape in shapes.items():
+        layer, kind = name.rsplit(".", 1)
+        if kind == "mixture":
+            stacks = [flat[f"{layer}.{k}"].reshape(shapes[f"{layer}.{k}"]) for k in ("mixture", "transition", "relmap")]
+            chunks += [stack[r].ravel() for r in range(shape[0]) for stack in stacks]
+        elif kind not in ("transition", "relmap"):
+            chunks.append(flat[name])
+    v4_payload = np.concatenate(chunks).astype("<f8").tobytes()
+    header["format"] = "mgdpr-checkpoint-v4"
+    header["sha256"] = _digest(header, v4_payload)
+    return _join(header, v4_payload)
 
 
 def _header_edit(**changes):
@@ -727,6 +750,7 @@ _CHECKPOINT_MUTATIONS = [
     ("v1-format", _header_edit(format="mgdpr-checkpoint-v1")),
     ("v2-format", _header_edit(format="mgdpr-checkpoint-v2")),
     ("v3-format", _as_v3),
+    ("v4-format", _as_v4),
 ]
 _MUTATIONS_BY_ID = dict(_CHECKPOINT_MUTATIONS)
 
@@ -765,7 +789,7 @@ class TestDamagedCheckpoint:
         "case",
         ["prefix-flip-7", "header-flip-8", "payload-flip-8", "truncate-mid-payload", "nan", "trailing-bytes",
          "config-field-missing", "config-extra-key", "seed-not-an-integer", "seed-edited", "tensor-table",
-         "v2-format", "v3-format"],
+         "v2-format", "v3-format", "v4-format"],
     )
     def test_eval_exits_6(self, tmp_path, capsys, trained_checkpoint, case):
         config, blob, _ = trained_checkpoint
@@ -796,7 +820,22 @@ class TestDamagedCheckpoint:
             old.write_bytes(old_blob)
             capsys.readouterr()
             assert run("eval", "--config", config, "--checkpoint", old) == 6
-            assert "not a mgdpr-checkpoint-v4 file" in capsys.readouterr().err
+            assert "not a mgdpr-checkpoint-v5 file" in capsys.readouterr().err
+
+    def test_genuine_v4_file_exits_6(self, tmp_path, capsys, trained_checkpoint):
+        # A v4 payload has v5's length in another tensor order: under its own
+        # valid digest it would load scrambled but for the format check.
+        config, blob, _ = trained_checkpoint
+        v4_header, v4_payload = _split(_as_v4(blob))
+        _, payload = _split(blob)
+        assert len(v4_payload) == len(payload) and v4_payload != payload
+        assert v4_header["sha256"] == _digest(v4_header, v4_payload)
+        old = tmp_path / "v4.bin"
+        old.write_bytes(_as_v4(blob))
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--checkpoint", old) == 6
+        err = capsys.readouterr().err
+        assert "not a mgdpr-checkpoint-v5 file" in err and err.count("\n") == 1
 
     def test_config_edit_names_the_field(self, tmp_path, trained_checkpoint):
         _, blob, model = trained_checkpoint

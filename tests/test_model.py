@@ -7,6 +7,7 @@ from mgdpr import tensor as T
 from mgdpr.errors import CheckpointError, ConfigError, ShapeError
 from mgdpr.graphs import MultiRelAdjacency, window_graphs
 from mgdpr.model import (
+    ACTIVATION_SLOPE,
     Model,
     ModelConfig,
     decay_mask,
@@ -80,45 +81,55 @@ class TestMixtureWeights:
 
 class TestTransitionMatrices:
     def test_uniform_from_zeros(self):
-        out = transition_matrices(Tensor(np.zeros((2, 3, 3))))
-        np.testing.assert_array_equal(out.values, np.full((2, 3, 3), 1.0 / 3.0))
+        out = transition_matrices(Tensor(np.zeros((2, 2, 3, 3))))
+        np.testing.assert_array_equal(out.values, np.full((2, 2, 3, 3), 1.0 / 3.0))
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(1)
-        out = transition_matrices(Tensor(rng.normal(scale=3, size=(2, 4, 4))))
-        np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
+        out = transition_matrices(Tensor(rng.normal(scale=3, size=(3, 2, 4, 4))))
+        np.testing.assert_allclose(out.values.sum(axis=2), 1.0, atol=1e-12)
 
     def test_entries_strictly_positive(self):
         rng = np.random.default_rng(2)
-        out = transition_matrices(Tensor(rng.normal(scale=8, size=(3, 5, 5))))
+        out = transition_matrices(Tensor(rng.normal(scale=8, size=(2, 3, 5, 5))))
         assert np.all(out.values > 0.0)
+
+    def test_unstacked_input_rejected(self):
+        with pytest.raises(ShapeError):
+            transition_matrices(Tensor(np.zeros((2, 3, 3))))
 
 
 class TestDiffusionMatrix:
     def test_single_step_uniform_on_all_ones(self):
-        weights = Tensor(np.ones(1))
-        transitions = transition_matrices(Tensor(np.zeros((1, 4, 4))))
-        out = diffusion_matrix(transition_mix(weights, transitions), np.ones(4))
+        weights = Tensor(np.ones((2, 1)))
+        transitions = transition_matrices(Tensor(np.zeros((2, 1, 4, 4))))
+        out = diffusion_matrix(transition_mix(weights, transitions), np.ones((2, 4)))
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_adjacency_zero_masks_entry(self):
-        # a zero sender weight masks that sender's whole column
-        senders = np.ones(3)
-        senders[2] = 0.0
+        # a zero sender weight masks that sender's whole column, in its relation only
+        senders = np.ones((2, 3))
+        senders[1, 2] = 0.0
         out = diffusion_matrix(
-            transition_mix(Tensor(np.ones(1)), transition_matrices(Tensor(np.zeros((1, 3, 3))))),
+            transition_mix(Tensor(np.ones((2, 1))), transition_matrices(Tensor(np.zeros((2, 1, 3, 3))))),
             senders,
         )
-        assert np.all(out.values[:, 2] == 0.0)
-        assert np.all(out.values[:, :2] > 0.0)
+        assert np.all(out.values[1, :, 2] == 0.0)
+        assert np.all(out.values[1, :, :2] > 0.0)
+        assert np.all(out.values[0] > 0.0)
 
     def test_degenerate_mixture_selects_first_step(self):
         rng = np.random.default_rng(3)
-        raw = rng.normal(size=(2, 3, 3))
+        raw = rng.normal(size=(1, 2, 3, 3))
         transitions = transition_matrices(Tensor(raw))
-        one_hot = Tensor(np.array([1.0, 0.0]))
-        out = diffusion_matrix(transition_mix(one_hot, transitions), np.ones(3))
-        np.testing.assert_allclose(out.values, transitions.values[0], atol=1e-15)
+        one_hot = Tensor(np.array([[1.0, 0.0]]))
+        out = diffusion_matrix(transition_mix(one_hot, transitions), np.ones((1, 3)))
+        np.testing.assert_allclose(out.values[0], transitions.values[0, 0], atol=1e-15)
+
+    def test_mismatched_sender_weights_rejected(self):
+        mix = transition_mix(Tensor(np.ones((2, 1))), transition_matrices(Tensor(np.zeros((2, 1, 3, 3)))))
+        with pytest.raises(ShapeError):
+            diffusion_matrix(mix, np.ones(3))
 
     @pytest.mark.parametrize("n", [12, 100])
     def test_equals_mix_masked_by_row_normalized_oracle(self, n):
@@ -127,13 +138,13 @@ class TestDiffusionMatrix:
         oracle."""
         rng = np.random.default_rng(n)
         window = rng.uniform(0.5, 5.0, size=(n, 21))
-        senders = window_graphs(0, window[None]).sender_weights[0]
-        weights = mixture_weights(Tensor(rng.normal(size=3)))
-        transitions = transition_matrices(Tensor(rng.normal(size=(3, n, n))))
+        senders = window_graphs(0, window[None]).sender_weights
+        weights = mixture_weights(Tensor(rng.normal(size=(1, 3))))
+        transitions = transition_matrices(Tensor(rng.normal(size=(1, 3, n, n))))
         adjacency = oracle_adjacency(window)
-        mix = np.einsum("k,kij->ij", weights.values, transitions.values)
+        mix = np.einsum("k,kij->ij", weights.values[0], transitions.values[0])
         expected = mix * (adjacency / adjacency.sum(axis=1, keepdims=True))
-        got = diffusion_matrix(transition_mix(weights, transitions), senders).values
+        got = diffusion_matrix(transition_mix(weights, transitions), senders).values[0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -484,8 +495,8 @@ class TestDiffuseLayerScalarOracle:
     def test_single_point_matches_hand_arithmetic(self):
         # one stock, one timestep, one channel: every op collapses to scalars
         state = Tensor(np.array([[[2.0]]]))
-        s_matrices = [Tensor(np.array([[0.5]])), Tensor(np.array([[3.0]]))]
-        maps = [Tensor(np.array([[1.5]])), Tensor(np.array([[-1.0]]))]
+        s_matrices = Tensor(np.array([[[0.5]], [[3.0]]]))
+        maps = Tensor(np.array([[[1.5]], [[-1.0]]]))
         mix_w = Tensor(np.array([[0.25, 0.75]]))
         mix_b = Tensor(0.1)
         out = diffuse_layer(state, s_matrices, maps, mix_w, mix_b)
@@ -496,9 +507,9 @@ class TestDiffuseLayerScalarOracle:
     def test_two_stocks_match_scalar_expansion(self):
         # two stocks, one timestep, one channel, one relation
         state = Tensor(np.array([[[2.0]], [[-1.0]]]))  # h = (2, -1)
-        s = Tensor(np.array([[0.5, 0.25], [1.0, 3.0]]))
-        w = Tensor(np.array([[2.0]]))
-        out = diffuse_layer(state, [s], [w], Tensor(np.array([[1.0]])), Tensor(0.0))
+        s = Tensor(np.array([[[0.5, 0.25], [1.0, 3.0]]]))
+        w = Tensor(np.array([[[2.0]]]))
+        out = diffuse_layer(state, s, w, Tensor(np.array([[1.0]])), Tensor(0.0))
         # stock 0: (0.5*2 + 0.25*-1) * 2 = 1.5 -> 1.5
         # stock 1: (1.0*2 + 3.0*-1) * 2 = -2  -> leaky -0.02
         np.testing.assert_allclose(out.values, [[[1.5]], [[-0.02]]], rtol=1e-12)
@@ -506,12 +517,81 @@ class TestDiffuseLayerScalarOracle:
     def test_identical_relations_collapse_to_weighted_single(self):
         rng = np.random.default_rng(19)
         state = Tensor(rng.normal(size=(3, 2, 4)))
-        s = Tensor(rng.uniform(0.1, 1.0, size=(3, 3)))
-        w = Tensor(rng.normal(size=(4, 4)))
+        s = rng.uniform(0.1, 1.0, size=(3, 3))
+        w = rng.normal(size=(4, 4))
         mix_b = Tensor(0.0)
-        tied = diffuse_layer(state, [s, s], [w, w], Tensor(np.array([[0.3, 0.7]])), mix_b)
-        single = diffuse_layer(state, [s], [w], Tensor(np.array([[1.0]])), mix_b)
+        tied = diffuse_layer(
+            state, Tensor(np.stack([s, s])), Tensor(np.stack([w, w])), Tensor(np.array([[0.3, 0.7]])), mix_b
+        )
+        single = diffuse_layer(state, Tensor(s[None]), Tensor(w[None]), Tensor(np.array([[1.0]])), mix_b)
         np.testing.assert_allclose(tied.values, single.values, rtol=1e-12)
+
+
+def per_relation_diffusion(weights, transitions, senders, state, maps, mix_w, mix_b, probe, slope):
+    """Value and gradients of sum(probe * diffuse_layer(...)) for diffusion
+    built by transition_mix and diffusion_matrix, by a plain numpy loop over
+    relations with the reverse pass written out by hand."""
+    r_n, k_n, n, _ = transitions.shape
+    _, tau, d = state.shape
+    x = state.reshape(n, tau * d)
+    s_mats, propagated, mapped = [], [], []
+    for r in range(r_n):
+        mix = sum(weights[r, k] * transitions[r, k] for k in range(k_n))
+        s_mats.append(mix * senders[r][None, :])
+        propagated.append((s_mats[r] @ x).reshape(n * tau, d))
+        mapped.append(propagated[r] @ maps[r])
+    pre = sum(mix_w[0, r] * mapped[r] for r in range(r_n)) + mix_b
+    out = np.where(pre >= 0.0, pre, slope * pre)
+    g_pre = probe.reshape(n * tau, d) * np.where(pre >= 0.0, 1.0, slope)
+    grads = {
+        "weights": np.zeros_like(weights),
+        "transitions": np.zeros_like(transitions),
+        "state": np.zeros_like(x),
+        "maps": np.zeros_like(maps),
+        "mix_w": np.zeros_like(mix_w),
+        "mix_b": np.asarray(g_pre.sum()),
+    }
+    for r in range(r_n):
+        grads["mix_w"][0, r] = (g_pre * mapped[r]).sum()
+        g_mapped = mix_w[0, r] * g_pre
+        grads["maps"][r] = propagated[r].T @ g_mapped
+        g_propagated = (g_mapped @ maps[r].T).reshape(n, tau * d)
+        grads["state"] += s_mats[r].T @ g_propagated
+        g_mix = (g_propagated @ x.T) * senders[r][None, :]
+        for k in range(k_n):
+            grads["weights"][r, k] = (g_mix * transitions[r, k]).sum()
+            grads["transitions"][r, k] = weights[r, k] * g_mix
+    grads["state"] = grads["state"].reshape(state.shape)
+    return out.reshape(n, tau, d), grads
+
+
+class TestStackedDiffusionOracle:
+    @pytest.mark.parametrize("r_n", [1, 3, 5])
+    def test_matches_per_relation_loop(self, r_n):
+        rng = np.random.default_rng(40 + r_n)
+        n, tau, d, k_n = 4, 3, 5, 2
+        arrays = {
+            "weights": rng.uniform(0.1, 1.0, size=(r_n, k_n)),
+            "transitions": rng.uniform(0.0, 1.0, size=(r_n, k_n, n, n)),
+            "state": rng.normal(size=(n, tau, d)),
+            "maps": rng.normal(size=(r_n, d, d)),
+            "mix_w": rng.normal(size=(1, r_n)),
+            "mix_b": np.asarray(rng.normal()),
+        }
+        senders = window_graphs(0, rng.uniform(0.5, 5.0, size=(r_n, n, 6))).sender_weights
+        probe = rng.normal(size=(n, tau, d))
+        leaves = {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
+        diffusion = diffusion_matrix(transition_mix(leaves["weights"], leaves["transitions"]), senders)
+        out = diffuse_layer(leaves["state"], diffusion, leaves["maps"], leaves["mix_w"], leaves["mix_b"])
+        T.backward(T.sum_all(T.hadamard(out, Tensor(probe))))
+        want, want_grads = per_relation_diffusion(
+            **arrays, senders=senders, probe=probe, slope=ACTIVATION_SLOPE
+        )
+        assert np.max(np.abs(out.values - want)) <= 1e-12 * np.max(np.abs(want))
+        for name, leaf in leaves.items():
+            ref = want_grads[name]
+            rel = np.max(np.abs(leaf.grad - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-12, f"{name}: max|delta| / max|ref| = {rel:.3e}"
 
 
 class TestCheckpoint:

@@ -139,17 +139,20 @@ class TestObjective:
         days = samples[:num_days]
         graphs = graphs_for_samples(days)
         params = init_params(cfg, seed=15)
+        weights = counted(monkeypatch, "mixture_weights")
         transitions = counted(monkeypatch, "transition_matrices")
         forwards = counted(monkeypatch, "forward")
         epoch_loss(params, cfg, days, graphs)
-        assert len(transitions) == cfg.num_layers * cfg.num_relations
+        # one stacked softmax of each kind per layer, shared by the mixes and the constraint term
+        assert len(weights) == len(transitions) == cfg.num_layers
         assert len(forwards) == num_days
         assert all(logits.requires_grad for logits in forwards)
 
+        weights.clear()
         transitions.clear()
         forwards.clear()
         epoch_loss({k: T.constant(p) for k, p in params.items()}, cfg, days, graphs)
-        assert len(transitions) == cfg.num_layers * cfg.num_relations
+        assert len(weights) == len(transitions) == cfg.num_layers
         assert len(forwards) == num_days
         assert all(logits._parents == () and not logits.requires_grad for logits in forwards)
 
@@ -333,7 +336,7 @@ class TestEvaluate:
         transitions = counted(monkeypatch, "transition_matrices")
         forwards = counted(monkeypatch, "forward")
         evaluate(model, samples[:num_days])
-        assert len(transitions) == cfg.num_layers * cfg.num_relations
+        assert len(transitions) == cfg.num_layers
         assert len(forwards) == num_days
 
     def test_confusion_equals_per_day_frozen_forward(self):
