@@ -222,6 +222,11 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def _require_test(test_s) -> None:
+    if not test_s:
+        raise ConfigError("test split matched no samples; check split.test dates")
+
+
 def _load_training_inputs(resolved):
     """Panel, (train, val, test) samples and the graphs of every sample day.
 
@@ -287,6 +292,7 @@ def cmd_eval(args) -> int:
         base_seed = resolved["train.seed"] if args.seed is None else args.seed
         inputs = _load_training_inputs(resolved)
         _, (_, _, test_s), graphs = inputs
+        _require_test(test_s)
         reports: list[MetricsReport] = []
         for k in range(args.seeds):
             seed = base_seed + k
@@ -302,8 +308,7 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise CheckpointError(f"{ckpt}: checkpoint not found; run `mgdpr train` first")
     panel, (_, _, test_s) = _load_split_samples(resolved)
-    if not test_s:
-        raise ConfigError("test split matched no samples; check split.test dates")
+    _require_test(test_s)
     graphs = _load_graphs(resolved, panel, sorted({s.t_index for s in test_s}))
     model = load_checkpoint(ckpt, model_config(resolved, panel.num_stocks))
     report = evaluate(model, test_s, graphs=graphs)

@@ -126,6 +126,12 @@ def _series_from_rows(ticker: str, rows: list[tuple[str, list[float]]], dropped:
     return InstrumentSeries(ticker=ticker, dates=dates, values=arr, dropped_rows=dropped)
 
 
+def _check_ticker(path: Path, ticker: str) -> None:
+    """A ticker names its panel cache file, so it must be a plain file-name stem."""
+    if not ticker or ticker.startswith(".") or any(c in ticker for c in "/\\\0"):
+        raise FormatError(f"{path}: ticker {ticker!r} is empty, starts with '.' or holds '/', '\\' or NUL")
+
+
 def _load_one_file(path: Path) -> list[InstrumentSeries]:
     groups: dict[str, list[tuple[str, list[float]]]] = {}
     dropped: dict[str, int] = {}
@@ -136,7 +142,7 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
         raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
     has_ticker = "ticker" in headers
     for row in reader:
-        ticker = (row.get("ticker") or path.stem) if has_ticker else path.stem
+        ticker = (row.get("ticker") or "") if has_ticker else path.stem
         try:
             date = (row["date"] or "").strip()
             if not _DATE_RE.match(date):
@@ -152,6 +158,8 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
         groups.setdefault(ticker, []).append((date, vals))
     for ticker in dropped:
         groups.setdefault(ticker, [])
+    for ticker in groups:
+        _check_ticker(path, ticker)
     return [
         _series_from_rows(t, rows, dropped.get(t, 0)) for t, rows in sorted(groups.items())
     ]
@@ -161,7 +169,11 @@ def load_csv(path) -> list[InstrumentSeries]:
     """Load instrument series from one CSV file or a directory of them.
 
     Rows with missing or unparsable fields (including non-positive prices
-    and negative volume) are dropped and counted on ``dropped_rows``.
+    and negative volume) are dropped and counted on ``dropped_rows``. A
+    ticker (a file's stem, or each row's ``ticker`` cell) names a panel cache
+    file, so it must be a plain file-name stem: not empty, no leading ``.``,
+    no ``/``, ``\\`` or NUL. It must also come from one file only. Otherwise
+    :class:`FormatError`.
     """
     path = Path(path)
     if path.is_dir():
@@ -169,8 +181,13 @@ def load_csv(path) -> list[InstrumentSeries]:
         if not files:
             raise EmptyInputError(f"{path}: no CSV files found")
         series: list[InstrumentSeries] = []
+        sources: dict[str, Path] = {}
         for f in files:
-            series.extend(_load_one_file(f))
+            for s in _load_one_file(f):
+                if s.ticker in sources:
+                    raise FormatError(f"ticker {s.ticker!r} appears in both {sources[s.ticker]} and {f}")
+                sources[s.ticker] = f
+                series.append(s)
     else:
         if not path.exists():
             raise FormatError(f"{path}: no such file")

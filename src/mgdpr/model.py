@@ -1,7 +1,8 @@
 """Multi-relational graph diffusion interleaved with parallel retention.
 
-The hidden state lives on a (stocks, lookback, channels) grid. Each layer
-runs two decoupled stages:
+The hidden state is one (stocks·lookback, channels) matrix, the lookback
+windows stacked stock after stock. Each layer runs two decoupled stages that
+take and return that matrix:
 
 - *diffusion* mixes the stock axis, one lookback slice at a time, through a
   learned convex combination of column-stochastic transition matrices masked
@@ -214,16 +215,17 @@ def diffuse_layer(
 ) -> Tensor:
     """Propagate along each relation's graph, then mix relations pointwise.
 
-    One product mixes the stock axis of every relation and lookback slice,
-    (R·N, N) @ (N, lookback·channels); a batched product applies each of the
-    (R, d, d) relation maps; the 1x1 convolution across relation channels is
-    a learned length-R dot product plus bias applied at every grid point.
+    ``state`` is the (N·lookback, d) matrix. One product mixes the stock axis
+    of every relation and lookback slice, (R·N, N) @ (N, lookback·d); a
+    batched product applies each of the (R, d, d) relation maps; the 1x1
+    convolution across relation channels is a learned length-R dot product
+    plus bias applied at every grid point. Returns an (N·lookback, d) matrix.
     """
-    n, tau, d = state.shape
-    r = diffusion.shape[0]
-    propagated = T.matmul(T.reshape(diffusion, (r * n, n)), T.reshape(state, (n, tau * d)))
-    mapped = T.matmul(T.reshape(propagated, (r, n * tau, d)), relation_maps)
-    mixed = T.reshape(T.matmul(mix_w, T.reshape(mapped, (r, n * tau * d))), (n, tau, d))
+    r, n = diffusion.shape[:2]
+    rows, d = state.shape
+    propagated = T.matmul(T.reshape(diffusion, (r * n, n)), T.reshape(state, (n, rows // n * d)))
+    mapped = T.matmul(T.reshape(propagated, (r, rows, d)), relation_maps)
+    mixed = T.reshape(T.matmul(mix_w, T.reshape(mapped, (r, rows * d))), (rows, d))
     return T.activation(T.add(mixed, mix_b), ACTIVATION_SLOPE)
 
 
@@ -237,24 +239,23 @@ def parallel_retention(
 ) -> Tensor:
     """Causal, distance-decayed sequence mixing with group normalization.
 
-    ``z`` is one stock's (lookback, channels) slice, or a stacked
-    (stocks, lookback, channels) batch; a slice runs as a batch of one.
-    Scores are scaled by 1/sqrt(d) before masking; with a super-unit decay
-    the unscaled products overflow at realistic lookbacks.
+    ``z`` is an (N·lookback, d) matrix of whole lookback windows stacked
+    stock after stock, with lookback = ``mask.shape[0]``; one stock's
+    (lookback, d) window is the N = 1 case. Returns a matrix of the same
+    shape. Scores are scaled by 1/sqrt(d) before masking; with a super-unit
+    decay the unscaled products overflow at realistic lookbacks.
     """
-    if z.ndim not in (2, 3):
-        raise ShapeError(f"parallel_retention: expected 2-D or 3-D input, got {z.shape}")
-    tau, d = z.shape[-2:]
-    n = z.size // (tau * d)
-    flat = T.reshape(z, (n * tau, d))
-    q = T.reshape(T.matmul(flat, query_map), (n, tau, d))
-    k = T.reshape(T.matmul(flat, key_map), (n, tau, d))
-    v = T.reshape(T.matmul(flat, value_map), (n, tau, d))
+    tau = mask.shape[0]
+    if z.ndim != 2 or z.shape[0] % tau != 0:
+        raise ShapeError(f"parallel_retention: expected (stocks·{tau}, channels), got {z.shape}")
+    n, d = z.shape[0] // tau, z.shape[1]
+    q = T.reshape(T.matmul(z, query_map), (n, tau, d))
+    k = T.reshape(T.matmul(z, key_map), (n, tau, d))
+    v = T.reshape(T.matmul(z, value_map), (n, tau, d))
     mask_t = T.constant(np.broadcast_to(mask, (n, tau, tau)))
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
     retained = T.matmul(T.hadamard(scores, mask_t), v)
-    normalized = T.group_normalize(T.reshape(retained, (n * tau, d)), num_groups)
-    return T.reshape(normalized, z.shape)
+    return T.group_normalize(T.reshape(retained, z.shape), num_groups)
 
 
 def layer_update(
@@ -273,28 +274,26 @@ def layer_update(
 ) -> Tensor:
     """Retain the diffused state per stock, concatenate an affine carry of the
     previous representation along the channel axis, and map back to width d."""
-    n, tau, d = diffused.shape
     if carried.shape != diffused.shape:
         raise ShapeError(f"layer_update: shapes {diffused.shape} and {carried.shape} differ")
     retention_out = parallel_retention(diffused, query_map, key_map, value_map, mask, num_groups)
-    carry = T.add_bias(T.matmul(T.reshape(carried, (n * tau, d)), w1), b1)
-    joined = T.concat([T.reshape(retention_out, (n * tau, d)), carry], 1)
-    out = T.add_bias(T.matmul(joined, w2), b2)
-    return T.reshape(T.activation(out, ACTIVATION_SLOPE), (n, tau, d))
+    carry = T.add_bias(T.matmul(carried, w1), b1)
+    out = T.add_bias(T.matmul(T.concat([retention_out, carry], 1), w2), b2)
+    return T.activation(out, ACTIVATION_SLOPE)
 
 
 def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor:
-    """Embed the per-timestep indicator vector of every stock into width d."""
+    """Embed the per-timestep indicator vector of every stock into width d:
+    the (N·lookback, d) state matrix, stock after stock."""
     r_n, n, tau = features.shape
     if embed_w.shape[0] != r_n:
         raise ShapeError(f"init_state: {r_n} relations but embedding expects {embed_w.shape[0]}")
     pointwise = np.ascontiguousarray(features.transpose(1, 2, 0)).reshape(n * tau, r_n)
-    emb = T.add_bias(T.matmul(Tensor(pointwise), embed_w), embed_b)
-    return T.reshape(emb, (n, tau, emb.shape[1]))
+    return T.add_bias(T.matmul(Tensor(pointwise), embed_w), embed_b)
 
 
 def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Mean-pool the lookback axis, then a 2-layer MLP to per-stock logits."""
+    """Mean-pool the lookback axis of (N, lookback, d), then a 2-layer MLP to (N, 2) logits."""
     pooled = T.mean_axis(state, 1)
     hidden = T.activation(T.add_bias(T.matmul(pooled, w1), b1), ACTIVATION_SLOPE)
     return T.add_bias(T.matmul(hidden, w2), b2)
@@ -359,13 +358,8 @@ def forward(
             w2=params[f"update.{l}.W2"],
             b2=params[f"update.{l}.b2"],
         )
-    return readout(
-        carried,
-        params["readout.W1"],
-        params["readout.b1"],
-        params["readout.W2"],
-        params["readout.b2"],
-    )
+    grid = T.reshape(carried, (cfg.num_stocks, cfg.lookback, cfg.embed_dim))
+    return readout(grid, *(params[f"readout.{name}"] for name in ("W1", "b1", "W2", "b2")))
 
 
 def mixture_tensors(params: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:

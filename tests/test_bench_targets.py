@@ -1,27 +1,98 @@
-"""Every function the benchmark tracer wraps exists in the library.
+"""Every library name the benchmark reads exists in the library.
 
 ``bench/tracing.py`` wraps library functions by (module, attribute) name,
-so renaming or deleting one breaks traced benchmark runs; this check runs
-with the unit tests rather than only with the benchmark's own smoke tests.
+and ``bench/workloads.py`` calls library functions and reads attributes of
+the objects they return, so renaming or deleting one breaks benchmark runs;
+these checks run with the unit tests rather than only with the benchmark's
+own smoke tests.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Attributes that bench/workloads.py reads off objects the library returns:
+# (module, class, attribute).
+RETURNED_ATTRIBUTES = [
+    ("mgdpr.graphs", "MultiRelAdjacency", "matrices"),
+    ("mgdpr.market", "InstrumentSeries", "dates"),
+    ("mgdpr.market", "MarketPanel", "calendar"),
+    ("mgdpr.market", "MarketPanel", "num_days"),
+    ("mgdpr.market", "MarketPanel", "num_stocks"),
+    ("mgdpr.model", "Model", "config"),
+    ("mgdpr.model", "Model", "initialized"),
+    ("mgdpr.model", "Model", "params"),
+    ("mgdpr.tensor", "Tensor", "item"),
+    ("mgdpr.tensor", "Tensor", "shape"),
+    ("mgdpr.tensor", "Tensor", "values"),
+    ("mgdpr.training", "MetricsReport", "accuracy"),
+    ("mgdpr.training", "MetricsReport", "to_dict"),
+]
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing.TARGETS
+
+
+def _workload_names():
+    """(module, attribute) for every name bench/workloads.py imports from an
+    ``mgdpr`` module or reads as ``<mgdpr module>.<name>``, from its syntax tree."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules = {
+        alias.asname or alias.name: f"mgdpr.{alias.name}"
+        for node in imports
+        if node.module == "mgdpr"
+        for alias in node.names
+    }
+    names = {
+        (node.module, alias.name)
+        for node in imports
+        if (node.module or "").startswith("mgdpr.")
+        for alias in node.names
+    }
+    names |= {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    return sorted(names)
 
 
 @pytest.mark.parametrize("module_name, attr, span", _targets(), ids=str)
 def test_traced_target_resolves(module_name, attr, span):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr} (span {span}) is not a library function"
+
+
+def test_workload_names_are_found():
+    names = _workload_names()
+    for expected in [
+        ("mgdpr.cli", "model_config"),
+        ("mgdpr.graphs", "build_day_graphs"),
+        ("mgdpr.model", "Model"),
+        ("mgdpr.training", "constraint_term"),
+    ]:
+        assert expected in names
+
+
+@pytest.mark.parametrize("module_name, attr", _workload_names(), ids=str)
+def test_workload_name_resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert hasattr(module, attr), f"bench/workloads.py reads {module_name}.{attr}, which the library lacks"
+
+
+@pytest.mark.parametrize("module_name, cls_name, attr", RETURNED_ATTRIBUTES, ids=str)
+def test_returned_attribute_resolves(module_name, cls_name, attr):
+    cls = getattr(importlib.import_module(module_name), cls_name)
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    assert attr in fields or hasattr(cls, attr), f"bench/workloads.py reads {cls_name}.{attr}"

@@ -273,6 +273,31 @@ class TestIngest:
         assert run("ingest", "--config", config) == 2
         assert str(bad) in capsys.readouterr().err
 
+    @staticmethod
+    def _long_file(data_dir, ticker):
+        """``data_dir/long.csv``: SYN00's rows under ``ticker`` in a ticker column."""
+        rows = (data_dir / "SYN00.csv").read_text().splitlines()
+        long = data_dir / "long.csv"
+        long.write_text("\n".join([rows[0] + ",ticker"] + [f"{row},{ticker}" for row in rows[1:]]) + "\n")
+        return long
+
+    def test_ticker_in_two_files_exits_2_naming_both(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        long = self._long_file(tmp_path / "data", "SYN00")
+        assert run("ingest", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "'SYN00'" in err and str(tmp_path / "data" / "SYN00.csv") in err and str(long) in err
+        assert not (tmp_path / "cache").exists()
+
+    def test_ticker_with_a_path_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        self._long_file(tmp_path / "data", "../../escaped")
+        before = sorted(tmp_path.rglob("*"))
+        assert run("ingest", "--config", config) == 2
+        assert "'../../escaped'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not (tmp_path / "escaped.csv").exists()
+
     def test_rerun_identical_manifest_hash(self, tmp_path):
         config = make_workspace(tmp_path)
         manifest = tmp_path / "cache" / "panel" / "manifest.json"
@@ -585,6 +610,16 @@ class TestEval:
             monkeypatch.setattr(cli, name, counted)
         assert run("eval", "--config", config, "--seeds", 3, "--epochs", 1) == 0
         assert calls == {"read_panel": 1, "make_windows": 1, "read_graphs": 1}
+
+    def test_multi_seed_checks_the_test_split_before_training(self, tmp_path, capsys, monkeypatch):
+        config = self._pipeline(tmp_path, **{"split.test": ["2021-01-01", "2021-12-31"]})
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("eval --seeds trained although the test split is empty")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        assert run("eval", "--config", config, "--seeds", 2) == 5
+        assert "test split matched no samples; check split.test dates" in capsys.readouterr().err
 
 
 class TestOverflowOutsideTheTrainingStep:

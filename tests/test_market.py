@@ -85,6 +85,28 @@ class TestLoadCsv:
             _write_csv(tmp_path / f"{t}.csv", [(d, 1, 2, 0.5, 1.5, 100) for d in _dates(3)])
         assert [s.ticker for s in load_csv(tmp_path)] == ["AAA", "BBB"]
 
+    def test_ticker_in_two_files_rejected(self, tmp_path):
+        rows = [(d, 1, 2, 0.5, 1.5, 100) for d in _dates(3)]
+        _write_csv(tmp_path / "AAA.csv", rows)
+        long_rows = [(*r, "AAA") for r in rows]
+        _write_csv(tmp_path / "long.csv", long_rows, header="date,open,high,low,close,volume,ticker")
+        with pytest.raises(FormatError, match="'AAA'") as e:
+            load_csv(tmp_path)
+        assert str(tmp_path / "AAA.csv") in str(e.value) and str(tmp_path / "long.csv") in str(e.value)
+
+    @pytest.mark.parametrize("ticker", ["../../escaped", "sub/AAA", "sub\\AAA", ".hidden", "..", "", "A\0B"])
+    def test_ticker_that_is_not_a_file_name_stem_rejected(self, tmp_path, ticker):
+        path = tmp_path / "long.csv"
+        rows = [(d, 1, 2, 0.5, 1.5, 100, t) for d in _dates(3) for t in ("AAA", ticker)]
+        _write_csv(path, rows, header="date,open,high,low,close,volume,ticker")
+        with pytest.raises(FormatError, match=f"{path}: ticker "):
+            load_csv(path)
+
+    def test_hidden_file_stem_rejected(self, tmp_path):
+        _write_csv(tmp_path / ".AAA.csv", [(d, 1, 2, 0.5, 1.5, 100) for d in _dates(3)])
+        with pytest.raises(FormatError, match="'.AAA'"):
+            load_csv(tmp_path / ".AAA.csv")
+
     def test_zero_valid_rows(self, tmp_path):
         _write_csv(tmp_path / "AAA.csv", [("not-a-date", 1, 2, 0.5, 1.5, 100)])
         with pytest.raises(EmptyInputError):

@@ -13,12 +13,14 @@ from mgdpr.model import (
     decay_mask,
     diffuse_layer,
     diffusion_matrix,
+    diffusion_mixes,
     expected_param_shapes,
     forward,
     init_params,
     init_state,
     layer_update,
     load_checkpoint,
+    mixture_tensors,
     mixture_weights,
     parallel_retention,
     readout,
@@ -208,10 +210,18 @@ class TestParallelRetention:
         q, k, v = self._params(d, seed=5)
         mask = decay_mask(tau, 1.27)
         z = np.random.default_rng(6).normal(size=(n, tau, d))
-        batched = parallel_retention(Tensor(z), q, k, v, mask, 2).values
+        batched = parallel_retention(Tensor(z.reshape(n * tau, d)), q, k, v, mask, 2).values
+        batched = batched.reshape(n, tau, d)
         for i in range(n):
             single = parallel_retention(Tensor(z[i]), q, k, v, mask, 2).values
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 4), (11, 4)], ids=["3-D", "stray-row"])
+    def test_input_that_is_not_stacked_windows_rejected(self, shape):
+        # one contract: (stocks·lookback, d), here with a 5-day lookback
+        q, k, v = self._params(4)
+        with pytest.raises(ShapeError, match="parallel_retention"):
+            parallel_retention(Tensor(np.zeros(shape)), q, k, v, decay_mask(5, 1.27), 2)
 
 
 class TestLayerUpdate:
@@ -233,28 +243,28 @@ class TestLayerUpdate:
     def test_output_shape(self):
         d = 4
         rng = np.random.default_rng(7)
-        diffused = Tensor(rng.normal(size=(3, 4, d)))
-        carried = Tensor(rng.normal(size=(3, 4, d)))
+        diffused = Tensor(rng.normal(size=(3 * 4, d)))
+        carried = Tensor(rng.normal(size=(3 * 4, d)))
         out = layer_update(diffused, carried, **self._kwargs(d))
-        assert out.shape == (3, 4, d)
+        assert out.shape == (3 * 4, d)
 
     def test_zero_weights_give_activated_bias(self):
         d = 4
         kwargs = self._kwargs(d, zero=True, seed=8)
         rng = np.random.default_rng(9)
-        diffused = Tensor(rng.normal(size=(2, 4, d)))
-        carried = Tensor(rng.normal(size=(2, 4, d)))
+        diffused = Tensor(rng.normal(size=(2 * 4, d)))
+        carried = Tensor(rng.normal(size=(2 * 4, d)))
         out = layer_update(diffused, carried, **kwargs)
         b2 = kwargs["b2"].values
         expected = np.where(b2 >= 0, b2, 0.01 * b2)
-        np.testing.assert_allclose(out.values, np.broadcast_to(expected, (2, 4, d)), atol=1e-15)
+        np.testing.assert_allclose(out.values, np.broadcast_to(expected, (2 * 4, d)), atol=1e-15)
 
     def test_gradient_reaches_both_branches(self):
         d, n, tau = 4, 2, 4
         kwargs = self._kwargs(d, seed=10)
         rng = np.random.default_rng(11)
-        arrays = {"diffused": rng.normal(size=(n, tau, d)), "carried": rng.normal(size=(n, tau, d))}
-        probe = rng.normal(size=(n, tau, d))
+        arrays = {"diffused": rng.normal(size=(n * tau, d)), "carried": rng.normal(size=(n * tau, d))}
+        probe = rng.normal(size=(n * tau, d))
 
         def fn(arrs):
             out = layer_update(Tensor(arrs["diffused"]), Tensor(arrs["carried"]), **kwargs)
@@ -274,7 +284,7 @@ class TestInitState:
         cfg = small_config()
         params = init_params(cfg, seed=0)
         features, _ = random_instance(cfg)
-        assert init_state(features, params["embed.W"], params["embed.b"]).shape == (3, 4, 4)
+        assert init_state(features, params["embed.W"], params["embed.b"]).shape == (3 * 4, 4)
 
     def test_zero_features_zero_bias_give_zero_state(self):
         cfg = small_config()
@@ -287,7 +297,7 @@ class TestInitState:
         rng = np.random.default_rng(12)
         features = rng.normal(size=(2, 3, 4))
         arrays = {"w": rng.normal(size=(2, 5)), "b": rng.normal(size=(5,))}
-        probe = rng.normal(size=(3, 4, 5))
+        probe = rng.normal(size=(3 * 4, 5))
 
         def fn(arrs):
             out = init_state(features, Tensor(arrs["w"]), Tensor(arrs["b"]))
@@ -347,7 +357,7 @@ class TestForward:
         logits = forward(params, cfg, features, adjacency)
         state = init_state(features, params["embed.W"], params["embed.b"])
         expected = readout(
-            state,
+            T.reshape(state, (cfg.num_stocks, cfg.lookback, cfg.embed_dim)),
             params["readout.W1"],
             params["readout.b1"],
             params["readout.W2"],
@@ -407,6 +417,33 @@ class TestForward:
         assert np.array_equal(logits, forward(model.params, model.config, features, adjacency).values)
         frozen = forward(model.frozen(), model.config, features, factors_only).values
         assert np.array_equal(frozen, logits)
+
+
+class TestStateLayout:
+    """The state stays one (N·lookback, d) matrix from the embedding to the
+    readout: over prebuilt mixes, a recording forward records 9 reshapes per
+    layer (5 in diffusion, 4 in retention) and one for the readout's
+    (N, lookback, d) view."""
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_recorded_reshapes(self, monkeypatch, layers):
+        cfg = small_config(num_layers=layers)
+        params = init_params(cfg, seed=20)
+        features, adjacency = random_instance(cfg, seed=21)
+        mixes = diffusion_mixes(params, mixture_tensors(params, cfg))
+        recorded = []
+        real = T._node
+
+        def spy(values, parents, backward_fn, op, check=True):
+            out = real(values, parents, backward_fn, op, check)
+            if out.requires_grad:
+                recorded.append(op)
+            return out
+
+        monkeypatch.setattr(T, "_node", spy)
+        logits = forward(params, cfg, features, adjacency, mixes=mixes)
+        assert logits.requires_grad
+        assert recorded.count("reshape") == 9 * layers + 1
 
 
 def desk_instance(seed=5):
@@ -494,7 +531,7 @@ class TestFullModelGradient:
 class TestDiffuseLayerScalarOracle:
     def test_single_point_matches_hand_arithmetic(self):
         # one stock, one timestep, one channel: every op collapses to scalars
-        state = Tensor(np.array([[[2.0]]]))
+        state = Tensor(np.array([[2.0]]))
         s_matrices = Tensor(np.array([[[0.5]], [[3.0]]]))
         maps = Tensor(np.array([[[1.5]], [[-1.0]]]))
         mix_w = Tensor(np.array([[0.25, 0.75]]))
@@ -502,21 +539,21 @@ class TestDiffuseLayerScalarOracle:
         out = diffuse_layer(state, s_matrices, maps, mix_w, mix_b)
         # relation 0: 0.5*2*1.5 = 1.5; relation 1: 3*2*-1 = -6
         # mix: 0.25*1.5 + 0.75*(-6) + 0.1 = -4.025 -> leaky: -0.04025
-        np.testing.assert_allclose(out.values, [[[-0.04025]]], rtol=1e-12)
+        np.testing.assert_allclose(out.values, [[-0.04025]], rtol=1e-12)
 
     def test_two_stocks_match_scalar_expansion(self):
         # two stocks, one timestep, one channel, one relation
-        state = Tensor(np.array([[[2.0]], [[-1.0]]]))  # h = (2, -1)
+        state = Tensor(np.array([[2.0], [-1.0]]))  # h = (2, -1)
         s = Tensor(np.array([[[0.5, 0.25], [1.0, 3.0]]]))
         w = Tensor(np.array([[[2.0]]]))
         out = diffuse_layer(state, s, w, Tensor(np.array([[1.0]])), Tensor(0.0))
         # stock 0: (0.5*2 + 0.25*-1) * 2 = 1.5 -> 1.5
         # stock 1: (1.0*2 + 3.0*-1) * 2 = -2  -> leaky -0.02
-        np.testing.assert_allclose(out.values, [[[1.5]], [[-0.02]]], rtol=1e-12)
+        np.testing.assert_allclose(out.values, [[1.5], [-0.02]], rtol=1e-12)
 
     def test_identical_relations_collapse_to_weighted_single(self):
         rng = np.random.default_rng(19)
-        state = Tensor(rng.normal(size=(3, 2, 4)))
+        state = Tensor(rng.normal(size=(3 * 2, 4)))
         s = rng.uniform(0.1, 1.0, size=(3, 3))
         w = rng.normal(size=(4, 4))
         mix_b = Tensor(0.0)
@@ -532,7 +569,8 @@ def per_relation_diffusion(weights, transitions, senders, state, maps, mix_w, mi
     built by transition_mix and diffusion_matrix, by a plain numpy loop over
     relations with the reverse pass written out by hand."""
     r_n, k_n, n, _ = transitions.shape
-    _, tau, d = state.shape
+    rows, d = state.shape
+    tau = rows // n
     x = state.reshape(n, tau * d)
     s_mats, propagated, mapped = [], [], []
     for r in range(r_n):
@@ -542,7 +580,7 @@ def per_relation_diffusion(weights, transitions, senders, state, maps, mix_w, mi
         mapped.append(propagated[r] @ maps[r])
     pre = sum(mix_w[0, r] * mapped[r] for r in range(r_n)) + mix_b
     out = np.where(pre >= 0.0, pre, slope * pre)
-    g_pre = probe.reshape(n * tau, d) * np.where(pre >= 0.0, 1.0, slope)
+    g_pre = probe * np.where(pre >= 0.0, 1.0, slope)
     grads = {
         "weights": np.zeros_like(weights),
         "transitions": np.zeros_like(transitions),
@@ -562,7 +600,7 @@ def per_relation_diffusion(weights, transitions, senders, state, maps, mix_w, mi
             grads["weights"][r, k] = (g_mix * transitions[r, k]).sum()
             grads["transitions"][r, k] = weights[r, k] * g_mix
     grads["state"] = grads["state"].reshape(state.shape)
-    return out.reshape(n, tau, d), grads
+    return out, grads
 
 
 class TestStackedDiffusionOracle:
@@ -573,13 +611,13 @@ class TestStackedDiffusionOracle:
         arrays = {
             "weights": rng.uniform(0.1, 1.0, size=(r_n, k_n)),
             "transitions": rng.uniform(0.0, 1.0, size=(r_n, k_n, n, n)),
-            "state": rng.normal(size=(n, tau, d)),
+            "state": rng.normal(size=(n * tau, d)),
             "maps": rng.normal(size=(r_n, d, d)),
             "mix_w": rng.normal(size=(1, r_n)),
             "mix_b": np.asarray(rng.normal()),
         }
         senders = window_graphs(0, rng.uniform(0.5, 5.0, size=(r_n, n, 6))).sender_weights
-        probe = rng.normal(size=(n, tau, d))
+        probe = rng.normal(size=(n * tau, d))
         leaves = {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
         diffusion = diffusion_matrix(transition_mix(leaves["weights"], leaves["transitions"]), senders)
         out = diffuse_layer(leaves["state"], diffusion, leaves["maps"], leaves["mix_w"], leaves["mix_b"])
