@@ -3,13 +3,13 @@
 One declarative config drives every stage. The config file is flat JSON
 with dotted keys (see DEFAULTS); any key can be overridden by an
 environment variable named ``MGDPR_<KEY>`` with dots replaced by
-underscores, e.g. ``MGDPR_TRAIN_EPOCHS=50``. Commands are idempotent for
-identical inputs and seed, and each run writes a fully resolved config so
-it can be reproduced exactly.
+underscores, e.g. ``MGDPR_TRAIN_EPOCHS=50``. The config is the only source
+of run values: no flag overrides a key, so the ``resolved_config.json``
+that ``train`` writes, fed back in, repeats the run byte for byte.
 
 Exit codes: 0 ok, 2 data/format problem, 3 graph generation problem,
-4 training divergence, 5 configuration or usage problem, 6 checkpoint
-problem.
+4 training divergence, 5 configuration or usage problem (also a path that
+cannot be written), 6 checkpoint problem.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-from .files import has_type, read_json_object, type_name, write_atomic
+from .files import has_type, make_dir, read_json_object, type_name, write_atomic
 from .graphs import build_day_graphs, read_graphs, write_graphs
 from .market import align_panel, label_balance, load_csv, make_windows, read_panel, split_periods, write_panel
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -72,7 +72,8 @@ exit codes:
   2  input data or file-format problem
   3  graph generation problem (degenerate window, too few days)
   4  training diverged (non-finite loss)
-  5  configuration or usage problem (bad key or flag, shape mismatch, missing cache)
+  5  configuration or usage problem (bad key or flag, shape mismatch, missing cache,
+     a paths.* value that cannot be written)
   6  checkpoint corrupt or inconsistent with the config
 """
 
@@ -86,9 +87,7 @@ def load_config(path, env: dict[str, str] | None = None) -> dict[str, object]:
         loaded = read_json_object(Path(path), "config file", {})
     except FormatError as e:
         raise ConfigError(str(e)) from e
-    # "derived.*" keys appear in resolved-config files; accept them so a
-    # resolved config is itself runnable, but they never override anything.
-    unknown = sorted(k for k in set(loaded) - set(DEFAULTS) if not k.startswith("derived."))
+    unknown = sorted(set(loaded) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     env_keys = {key: "MGDPR_" + key.upper().replace(".", "_") for key in _SCHEMA}
@@ -145,15 +144,8 @@ def model_config(resolved: dict[str, object], num_stocks: int) -> ModelConfig:
     return ModelConfig(num_stocks=num_stocks, **_dataclass_args(resolved, ModelConfig, "model"))
 
 
-def train_config(resolved: dict[str, object], epochs: int | None) -> TrainConfig:
-    args = _dataclass_args(resolved, TrainConfig, "train")
-    if epochs is not None:
-        args["epochs"] = epochs
-    return TrainConfig(**args)
-
-
-def _write_resolved(resolved: dict[str, object], extras: dict[str, object], path: Path) -> None:
-    write_atomic(path, json.dumps({**resolved, **extras}, indent=2, sort_keys=True) + "\n")
+def train_config(resolved: dict[str, object]) -> TrainConfig:
+    return TrainConfig(**_dataclass_args(resolved, TrainConfig, "train"))
 
 
 def _panel_dir(resolved) -> Path:
@@ -241,10 +233,10 @@ def _load_training_inputs(resolved):
     return panel, (train_s, val_s, test_s), graphs
 
 
-def _train_once(resolved, inputs, seed: int, epochs: int | None):
+def _train_once(resolved, inputs, seed: int):
     panel, (train_s, val_s, _), graphs = inputs
     mcfg = model_config(resolved, panel.num_stocks)
-    tcfg = train_config(resolved, epochs)
+    tcfg = train_config(resolved)
     model = Model.initialized(mcfg, seed=seed)
     _, trace = train(model, train_s, val_s, tcfg, graphs=graphs)
     return model, trace, tcfg
@@ -252,18 +244,13 @@ def _train_once(resolved, inputs, seed: int, epochs: int | None):
 
 def cmd_train(args) -> int:
     resolved = load_config(args.config)
-    seed = resolved["train.seed"] if args.seed is None else args.seed
-    out_dir = Path(resolved["paths.output_dir"])
+    out_dir = make_dir(Path(resolved["paths.output_dir"]))
     inputs = _load_training_inputs(resolved)
-    panel, (train_s, val_s, _), _ = inputs
-    model, trace, tcfg = _train_once(resolved, inputs, seed, args.epochs)
+    _, (train_s, val_s, _), _ = inputs
+    model, trace, tcfg = _train_once(resolved, inputs, resolved["train.seed"])
     save_checkpoint(out_dir / "checkpoint.bin", model)
     write_trace_csv(out_dir / "trace.csv", trace)
-    _write_resolved(
-        resolved,
-        {"derived.num_stocks": panel.num_stocks, "derived.seed": seed, "derived.epochs": tcfg.epochs},
-        out_dir / "resolved_config.json",
-    )
+    write_atomic(out_dir / "resolved_config.json", json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     balance = label_balance(train_s)
     best_val = max((row[2] for row in trace), default=math.nan)
     print(f"trained {tcfg.epochs} epochs on {len(train_s)} days ({len(val_s)} validation days)")
@@ -274,10 +261,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.seeds is None and args.epochs is not None:
-        raise UsageError("--epochs applies only to --seeds runs; a checkpoint is evaluated as trained")
-    if args.seeds is None and args.seed is not None:
-        raise UsageError("--seed applies only to --seeds runs; a checkpoint records its training seed")
     if args.seeds is not None and args.checkpoint is not None:
         raise UsageError("--checkpoint and --seeds exclude each other: --seeds trains its own models")
     resolved = load_config(args.config)
@@ -289,14 +272,15 @@ def cmd_eval(args) -> int:
     if args.seeds is not None:
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-        base_seed = resolved["train.seed"] if args.seed is None else args.seed
+        base_seed = resolved["train.seed"]
+        make_dir(out_dir)
         inputs = _load_training_inputs(resolved)
         _, (_, _, test_s), graphs = inputs
         _require_test(test_s)
         reports: list[MetricsReport] = []
         for k in range(args.seeds):
             seed = base_seed + k
-            model, _, _ = _train_once(resolved, inputs, seed, args.epochs)
+            model, _, _ = _train_once(resolved, inputs, seed)
             report = evaluate(model, test_s, graphs=graphs)
             reports.append(report)
             write_metrics_json(
@@ -350,7 +334,12 @@ def _write_aggregate(out_dir, reports, base_seed, n, market, period, digest) -> 
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as :class:`UsageError` (exit 5), not argparse's exit 2."""
+    """Reports a usage error as :class:`UsageError` (exit 5), not argparse's
+    exit 2, and reads no abbreviated flag: ``eval --seed 7`` is an error,
+    not seven ``--seeds`` runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -373,15 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_graph.set_defaults(func=cmd_graph)
 
-    p_train = sub.add_parser("train", help="train and write checkpoint + loss trace")
-    p_train.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p_train.add_argument("--epochs", type=int, default=None, help="override train.epochs")
+    p_train = sub.add_parser(
+        "train", help="train train.epochs epochs from train.seed; write checkpoint, loss trace and resolved config"
+    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    p_eval.add_argument("--seed", type=int, default=None, help="first seed of --seeds runs")
-    p_eval.add_argument("--seeds", type=int, default=None, help="train+eval n seeds, report mean/std")
-    p_eval.add_argument("--epochs", type=int, default=None, help="override epochs for --seeds runs")
+    p_eval.add_argument("--seeds", type=int, default=None, help="train+eval n seeds from train.seed, report mean/std")
     p_eval.add_argument("--checkpoint", default=None, help="checkpoint path (default <output>/checkpoint.bin)")
     p_eval.set_defaults(func=cmd_eval)
 

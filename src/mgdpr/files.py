@@ -1,12 +1,13 @@
 """The one way cache and output files are written and read back.
 
 Writers go through :func:`write_atomic` (a file is absent, the previous
-version or the new one in full), and a cache writer ends with
-:func:`remove_unlisted`. Readers go through :func:`read_text`, which turns a
-missing, undecodable or (against a recorded SHA-256) altered file into
-:class:`FormatError`. Both caches' data files are tables (:func:`write_table`,
-:func:`read_table`): a header, then one ``\n``-ended row per key, its key
-cells and then its numbers in ``repr`` form, so a reload is bit-exact.
+version or the new one in full; a path that cannot be written is a
+:class:`ConfigError`), and a cache writer ends with :func:`remove_unlisted`.
+Readers go through :func:`read_text`, which turns a missing, undecodable
+or (against a recorded SHA-256) altered file into :class:`FormatError`.
+Both caches' data files are tables (:func:`write_table`, :func:`read_table`):
+a header, then one ``\n``-ended row per key, its key cells and then its
+numbers in ``repr`` form, so a reload is bit-exact.
 JSON objects (manifest, index, config) are read by :func:`read_json_object`;
 their fields, and config values, are typed by :func:`has_type`. The owning
 modules add only their domain checks, such as the energy floor or a digest.
@@ -25,21 +26,35 @@ from typing import Literal, Sequence, get_args, get_origin
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
+
+
+def make_dir(directory: Path) -> Path:
+    """Create ``directory`` and its parents; ConfigError naming it if that
+    fails, as when a ``paths.*`` value names an existing file."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{directory}: cannot create directory ({e.strerror or e})") from e
+    return directory
 
 
 def write_atomic(path, data: str | bytes) -> None:
     """Write ``data`` (text is UTF-8 encoded) through a temporary sibling and
-    ``os.replace``, creating parent directories; ``path`` is never half-written."""
+    ``os.replace``, creating parent directories; ``path`` is never half-written.
+    A failed write raises ConfigError naming ``path``: its usual cause is a
+    ``paths.*`` value."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise ConfigError(f"{path}: cannot write ({e.strerror or e})") from e
         raise
 
 

@@ -76,10 +76,10 @@ def signal_energy(x) -> float:
     return float(np.sum(x * x))
 
 
-def information_entropy(x, decimals: int = ENTROPY_DECIMALS) -> float:
+def information_entropy(x) -> float:
     """Shannon entropy of the window's empirical value distribution.
 
-    Values are quantized to ``decimals`` places before counting repeats;
+    Values are quantized to ``ENTROPY_DECIMALS`` places before counting repeats;
     without that, real price data almost never repeats and the entropy
     saturates. The result is clamped to the theoretical range [0, ln n]
     (summation can otherwise overshoot the upper bound by an ulp).
@@ -87,7 +87,7 @@ def information_entropy(x, decimals: int = ENTROPY_DECIMALS) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise UsageError("information_entropy: empty sequence")
-    quantized = np.round(x, decimals)
+    quantized = np.round(x, ENTROPY_DECIMALS)
     _, counts = np.unique(quantized, return_counts=True)
     n = x.size
     h = 0.0

@@ -19,7 +19,7 @@ Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
 step by construction. A temporal mean-pool plus a 2-layer MLP of width
 ``embed_dim`` produces two logits per stock. Every activation is a leaky
-ReLU with the fixed negative slope :data:`ACTIVATION_SLOPE`.
+ReLU with the fixed negative slope :data:`mgdpr.tensor.ACTIVATION_SLOPE`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "mgdpr-checkpoint-v5"
 _HEADER_KEYS = ["config", "format", "seed", "sha256"]
-# Negative-side slope of every leaky-ReLU activation.
-ACTIVATION_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,11 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     Raw mixture and transition parameters start at zero, i.e. uniform simplex
     weights and uniform column-stochastic transitions; keeping transitions
     uniform also keeps a fresh model exactly permutation-equivariant.
+    ConfigError for a negative ``seed``.
     """
     cfg.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in expected_param_shapes(cfg).items():
@@ -226,7 +227,7 @@ def diffuse_layer(
     propagated = T.matmul(T.reshape(diffusion, (r * n, n)), T.reshape(state, (n, rows // n * d)))
     mapped = T.matmul(T.reshape(propagated, (r, rows, d)), relation_maps)
     mixed = T.reshape(T.matmul(mix_w, T.reshape(mapped, (r, rows * d))), (rows, d))
-    return T.activation(T.add(mixed, mix_b), ACTIVATION_SLOPE)
+    return T.activation(T.add(mixed, mix_b))
 
 
 def parallel_retention(
@@ -279,7 +280,7 @@ def layer_update(
     retention_out = parallel_retention(diffused, query_map, key_map, value_map, mask, num_groups)
     carry = T.add_bias(T.matmul(carried, w1), b1)
     out = T.add_bias(T.matmul(T.concat([retention_out, carry], 1), w2), b2)
-    return T.activation(out, ACTIVATION_SLOPE)
+    return T.activation(out)
 
 
 def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor:
@@ -295,7 +296,7 @@ def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor
 def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Mean-pool the lookback axis of (N, lookback, d), then a 2-layer MLP to (N, 2) logits."""
     pooled = T.mean_axis(state, 1)
-    hidden = T.activation(T.add_bias(T.matmul(pooled, w1), b1), ACTIVATION_SLOPE)
+    hidden = T.activation(T.add_bias(T.matmul(pooled, w1), b1))
     return T.add_bias(T.matmul(hidden, w2), b2)
 
 

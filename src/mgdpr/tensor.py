@@ -317,9 +317,10 @@ def _valid_axis(op: str, axis: int, ndim: int) -> int:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax; slices along ``axis`` sum to one."""
     axis = _valid_axis("softmax", axis, a.ndim)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    with np.errstate(all="ignore"):
+        shifted = a.values - a.values.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        p = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g: Array):
         return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
@@ -329,10 +330,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     axis = _valid_axis("log_softmax", axis, a.ndim)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    p = np.exp(out)
+    with np.errstate(all="ignore"):
+        shifted = a.values - a.values.max(axis=axis, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        out = shifted - lse
+        p = np.exp(out)
 
     def bw(g: Array):
         return (g - p * g.sum(axis=axis, keepdims=True),)
@@ -340,21 +342,25 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (a,), bw, "log_softmax")
 
 
-def activation(a: Tensor, slope: float = 0.01) -> Tensor:
-    """Leaky rectifier: identity for x >= 0, ``slope * x`` below."""
-    slope = float(slope)
-    out = np.where(a.values >= 0.0, a.values, slope * a.values)
+ACTIVATION_SLOPE = 0.01
+GROUP_NORM_EPS = 1e-5
+
+
+def activation(a: Tensor) -> Tensor:
+    """Leaky rectifier: identity for x >= 0, ``ACTIVATION_SLOPE * x`` below."""
+    out = np.where(a.values >= 0.0, a.values, ACTIVATION_SLOPE * a.values)
 
     def bw(g: Array):
-        return (g * np.where(a.values >= 0.0, 1.0, slope),)
+        return (g * np.where(a.values >= 0.0, 1.0, ACTIVATION_SLOPE),)
 
     return _node(out, (a,), bw, "activation")
 
 
-def group_normalize(z: Tensor, num_groups: int, eps: float = 1e-5) -> Tensor:
+def group_normalize(z: Tensor, num_groups: int) -> Tensor:
     """Normalize each row's channel groups to zero mean, unit variance.
 
-    No learnable affine: the output is exactly ``(x - mean) / sqrt(var + eps)``
+    No learnable affine: the output is exactly
+    ``(x - mean) / sqrt(var + GROUP_NORM_EPS)``
     within each of the ``num_groups`` contiguous channel slices of a row.
     """
     if z.ndim != 2:
@@ -368,7 +374,7 @@ def group_normalize(z: Tensor, num_groups: int, eps: float = 1e-5) -> Tensor:
         mu = x.mean(axis=2, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(axis=2, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
         xhat = xc * inv
         out = xhat.reshape(rows, d)
 

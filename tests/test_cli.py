@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -117,7 +118,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("train.batch_size", None), ("model.readout_hidden", 0), ("model.activation_slope", 0.01)],
+        [("train.batch_size", None), ("model.readout_hidden", 0), ("model.activation_slope", 0.01),
+         ("derived.seed", 7)],
     )
     def test_removed_key_exits_5_naming_it(self, tmp_path, capsys, key, value):
         config = make_workspace(tmp_path, **{key: value})
@@ -127,14 +129,32 @@ class TestConfig:
         assert not (tmp_path / "cache").exists()
 
 
-def test_readme_key_table_matches_the_schema():
+def _readme_cli_section() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Batch CLI\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n## Batch CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_key_table_matches_the_schema():
+    section = _readme_cli_section()
     (count,) = re.findall(r"There are (\d+) keys\.", section)
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
     assert int(count) == len(cli.DEFAULTS)
     assert sorted(keys) == sorted(cli.DEFAULTS)
+
+
+def test_readme_synopsis_names_the_flags_of_each_command():
+    documented: dict[str, set[str]] = {}
+    for line in _readme_cli_section().splitlines():
+        if line.startswith("mgdpr "):
+            usage = line.split("#", 1)[0]
+            documented.setdefault(usage.split()[1], set()).update(re.findall(r"--[a-z-]+", usage))
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in commands.choices.items()
+    }
+    assert documented == accepted
 
 
 class TestUsageErrors:
@@ -148,16 +168,19 @@ class TestUsageErrors:
             ([], "required: command"),
             (["train"], "required: --config"),
             (["graph", "--config", "{config}", "--day", "6"], "unrecognized arguments: --day 6"),
-            (["train", "--config", "{config}", "--seed", "x"], "invalid int value: 'x'"),
-            (["eval", "--config", "{config}", "--epochs", "999"], "--epochs applies only to --seeds runs"),
-            (["eval", "--config", "{config}", "--seed", "7"], "--seed applies only to --seeds runs"),
+            (["eval", "--config", "{config}", "--seeds", "x"], "invalid int value: 'x'"),
+            (["train", "--config", "{config}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["train", "--config", "{config}", "--epochs", "5"], "unrecognized arguments: --epochs 5"),
+            (["eval", "--config", "{config}", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            (["eval", "--config", "{config}", "--seeds", "2", "--epochs", "1"], "unrecognized arguments: --epochs 1"),
             (
                 ["eval", "--config", "{config}", "--seeds", "1", "--checkpoint", "{missing}"],
                 "--checkpoint and --seeds exclude each other",
             ),
         ],
-        ids=["no-command", "no-config", "deleted-day-flag", "non-integer-seed", "eval-epochs-without-seeds",
-             "eval-seed-without-seeds", "eval-checkpoint-with-seeds"],
+        ids=["no-command", "no-config", "deleted-day-flag", "non-integer-seeds", "deleted-train-seed-flag",
+             "deleted-train-epochs-flag", "deleted-eval-seed-flag", "deleted-eval-epochs-flag",
+             "eval-checkpoint-with-seeds"],
     )
     def test_exits_5_with_one_line(self, tmp_path, capsys, argv, message):
         config = make_workspace(tmp_path)
@@ -297,6 +320,15 @@ class TestIngest:
         assert "'../../escaped'" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
         assert not (tmp_path / "escaped.csv").exists()
+
+    def test_cache_dir_that_is_a_file_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch):
+        config = make_workspace(tmp_path)
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("MGDPR_PATHS_CACHE_DIR", str(blocker))
+        assert run("ingest", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(blocker / "panel") in err
 
     def test_rerun_identical_manifest_hash(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -498,11 +530,12 @@ class TestCacheHoldsOnlyListedFiles:
 
 
 class TestTrain:
-    def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
+    def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, monkeypatch):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0
         assert run("graph", "--config", config) == 0
-        assert run("train", "--config", config, "--epochs", 0) == 0
+        monkeypatch.setenv("MGDPR_TRAIN_EPOCHS", "0")
+        assert run("train", "--config", config) == 0
         resolved = cli.load_config(config)
         mcfg = cli.model_config(resolved, num_stocks=3)
         trained = load_checkpoint(tmp_path / "out" / "checkpoint.bin", mcfg)
@@ -511,13 +544,14 @@ class TestTrain:
         assert (tmp_path / "out" / "checkpoint.bin").read_bytes() == reference.read_bytes()
         assert set(trained.params) == set(Model.initialized(mcfg, seed=0).params)
 
-    def test_same_seed_identical_checkpoint_bytes(self, tmp_path):
+    def test_same_seed_identical_checkpoint_bytes(self, tmp_path, monkeypatch):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0
         assert run("graph", "--config", config) == 0
+        monkeypatch.setenv("MGDPR_TRAIN_SEED", "5")
         checkpoints = []
         for _ in range(2):
-            assert run("train", "--config", config, "--seed", 5) == 0
+            assert run("train", "--config", config) == 0
             checkpoints.append((tmp_path / "out" / "checkpoint.bin").read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
@@ -534,17 +568,55 @@ class TestTrain:
         trace = (tmp_path / "out" / "trace.csv").read_text().strip().split("\n")
         assert trace[0] == "epoch,loss,val_acc" and len(trace) == 3
         resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
-        assert resolved["derived.num_stocks"] == 3
+        assert resolved == cli.load_config(config)
         assert resolved["train.epochs"] == 2
 
-    def test_resolved_config_reproduces_the_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "env", [{}, {"MGDPR_TRAIN_SEED": "7", "MGDPR_TRAIN_EPOCHS": "5"}], ids=["file-values", "env-overrides"]
+    )
+    def test_resolved_config_reproduces_the_run(self, tmp_path, monkeypatch, env):
         config = make_workspace(tmp_path)
-        for cmd in ("ingest", "graph", "train"):
+        for cmd in ("ingest", "graph"):
             assert run(cmd, "--config", config) == 0
-        checkpoint = (tmp_path / "out" / "checkpoint.bin").read_bytes()
-        resolved_path = tmp_path / "out" / "resolved_config.json"
-        assert run("train", "--config", resolved_path) == 0
-        assert (tmp_path / "out" / "checkpoint.bin").read_bytes() == checkpoint
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run("train", "--config", config) == 0
+        out = tmp_path / "out"
+        outputs = [(out / name).read_bytes() for name in ("checkpoint.bin", "trace.csv")]
+        for name in env:
+            monkeypatch.delenv(name)
+        assert run("train", "--config", out / "resolved_config.json") == 0
+        assert [(out / name).read_bytes() for name in ("checkpoint.bin", "trace.csv")] == outputs
+        assert len(outputs[1].splitlines()) == 1 + int(env.get("MGDPR_TRAIN_EPOCHS", 2))
+
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_negative_seed_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch, source):
+        config = make_workspace(tmp_path, **({"train.seed": -1} if source == "file" else {}))
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        if source == "env":
+            monkeypatch.setenv("MGDPR_TRAIN_SEED", "-1")
+        capsys.readouterr()
+        assert run("train", "--config", config) == 5
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("argv", [["train"], ["eval", "--seeds", "2"]], ids=["train", "eval-seeds"])
+    def test_output_dir_that_is_a_file_exits_5_before_training(self, tmp_path, capsys, monkeypatch, argv):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph"):
+            assert run(cmd, "--config", config) == 0
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("MGDPR_PATHS_OUTPUT_DIR", str(blocker / "out"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained although the output directory cannot be made")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        capsys.readouterr()
+        assert run(*argv, "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(blocker / "out") in err
 
 
 class TestEval:
@@ -576,11 +648,25 @@ class TestEval:
         assert run("eval", "--config", config) == 6
         assert "decay" in capsys.readouterr().err
 
-    def test_report_records_the_training_seed(self, tmp_path):
+    def test_report_records_the_training_seed(self, tmp_path, monkeypatch):
         config = self._pipeline(tmp_path)
-        assert run("train", "--config", config, "--seed", 7) == 0
+        monkeypatch.setenv("MGDPR_TRAIN_SEED", "7")
+        assert run("train", "--config", config) == 0
+        monkeypatch.delenv("MGDPR_TRAIN_SEED")
         assert run("eval", "--config", config) == 0
         assert json.loads((tmp_path / "out" / "metrics.json").read_text())["seed"] == 7
+
+    def test_metrics_path_that_is_a_directory_exits_5_with_one_line(self, tmp_path, capsys):
+        config = self._pipeline(tmp_path)
+        metrics = tmp_path / "out" / "metrics.json"
+        metrics.mkdir()
+        capsys.readouterr()
+        assert run("eval", "--config", config) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and f"{metrics}: cannot write" in err
+        assert sorted(p.name for p in metrics.parent.iterdir()) == [
+            "checkpoint.bin", "metrics.json", "resolved_config.json", "trace.csv"
+        ]
 
     def test_corrupted_checkpoint_exits_6(self, tmp_path):
         config = self._pipeline(tmp_path)
@@ -588,17 +674,20 @@ class TestEval:
         ckpt.write_bytes(b"\xff" * 64)
         assert run("eval", "--config", config) == 6
 
-    def test_multi_seed_aggregate(self, tmp_path):
+    def test_multi_seed_aggregate(self, tmp_path, monkeypatch):
         config = self._pipeline(tmp_path)
-        assert run("eval", "--config", config, "--seeds", 2, "--epochs", 1) == 0
+        monkeypatch.setenv("MGDPR_TRAIN_SEED", "3")
+        monkeypatch.setenv("MGDPR_TRAIN_EPOCHS", "1")
+        assert run("eval", "--config", config, "--seeds", 2) == 0
         payload = json.loads((tmp_path / "out" / "metrics.json").read_text())
-        assert payload["seeds"] == [0, 1]
+        assert payload["seeds"] == [3, 4]
         assert {"acc_mean", "acc_std", "mcc_mean", "f1_mean"} <= set(payload)
-        assert (tmp_path / "out" / "metrics_seed0.json").exists()
-        assert (tmp_path / "out" / "metrics_seed1.json").exists()
+        assert (tmp_path / "out" / "metrics_seed3.json").exists()
+        assert (tmp_path / "out" / "metrics_seed4.json").exists()
 
     def test_multi_seed_loads_inputs_once(self, tmp_path, monkeypatch):
         config = self._pipeline(tmp_path)
+        monkeypatch.setenv("MGDPR_TRAIN_EPOCHS", "1")
         calls = {"read_panel": 0, "make_windows": 0, "read_graphs": 0}
         for name in calls:
             real = getattr(cli, name)
@@ -608,7 +697,7 @@ class TestEval:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counted)
-        assert run("eval", "--config", config, "--seeds", 3, "--epochs", 1) == 0
+        assert run("eval", "--config", config, "--seeds", 3) == 0
         assert calls == {"read_panel": 1, "make_windows": 1, "read_graphs": 1}
 
     def test_multi_seed_checks_the_test_split_before_training(self, tmp_path, capsys, monkeypatch):
@@ -883,11 +972,12 @@ class TestDamagedCheckpoint:
                 load_checkpoint(damaged, model.config)
 
 
-def test_no_temporary_files_left_after_train_and_eval(tmp_path):
+def test_no_temporary_files_left_after_train_and_eval(tmp_path, monkeypatch):
     config = make_workspace(tmp_path)
     for cmd in ("ingest", "graph", "train", "eval"):
         assert run(cmd, "--config", config) == 0
-    assert run("eval", "--config", config, "--seeds", 2, "--epochs", 1) == 0
+    monkeypatch.setenv("MGDPR_TRAIN_EPOCHS", "1")
+    assert run("eval", "--config", config, "--seeds", 2) == 0
     names = [p.name for p in tmp_path.rglob("*")]
     assert not [n for n in names if n.startswith(".") or "tmp" in n]
     assert {"checkpoint.bin", "trace.csv", "resolved_config.json", "metrics.json", "manifest.json"} <= set(names)

@@ -7,7 +7,6 @@ from mgdpr import tensor as T
 from mgdpr.errors import CheckpointError, ConfigError, ShapeError
 from mgdpr.graphs import MultiRelAdjacency, window_graphs
 from mgdpr.model import (
-    ACTIVATION_SLOPE,
     Model,
     ModelConfig,
     decay_mask,
@@ -623,7 +622,7 @@ class TestStackedDiffusionOracle:
         out = diffuse_layer(leaves["state"], diffusion, leaves["maps"], leaves["mix_w"], leaves["mix_b"])
         T.backward(T.sum_all(T.hadamard(out, Tensor(probe))))
         want, want_grads = per_relation_diffusion(
-            **arrays, senders=senders, probe=probe, slope=ACTIVATION_SLOPE
+            **arrays, senders=senders, probe=probe, slope=T.ACTIVATION_SLOPE
         )
         assert np.max(np.abs(out.values - want)) <= 1e-12 * np.max(np.abs(want))
         for name, leaf in leaves.items():
@@ -700,6 +699,10 @@ class TestConfigValidation:
     def test_groups_must_divide_width(self):
         with pytest.raises(ConfigError):
             small_config(embed_dim=6, num_groups=4).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            init_params(small_config(), seed=-1)
 
     def test_param_shapes_deterministic_order(self):
         cfg = small_config(num_layers=2)

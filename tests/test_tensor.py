@@ -81,6 +81,13 @@ class TestSoftmax:
         with pytest.raises(UsageError, match="axis 2"):
             T.softmax(T.Tensor([[1.0]]), 2)
 
+    def test_overflowing_shift_warns_nothing(self):
+        # max - x overflows to -inf; pytest turns numpy's RuntimeWarning into an error
+        x = T.Tensor([1.7e308, -1.7e308])
+        np.testing.assert_array_equal(T.softmax(x, 0).values, [1.0, 0.0])
+        with pytest.raises(FloatingPointError, match="log_softmax produced a non-finite value"):
+            T.log_softmax(x, 0)
+
 
 class TestActivation:
     @pytest.mark.parametrize("x,y", [(2.0, 2.0), (0.0, 0.0), (-1.0, -0.01)])
