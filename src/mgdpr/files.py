@@ -10,7 +10,7 @@ a header, then one ``\n``-ended row per key, its key cells and then its
 numbers in ``repr`` form, so a reload is bit-exact.
 JSON objects (manifest, index, config) are read by :func:`read_json_object`;
 their fields, and config values, are typed by :func:`has_type`. The owning
-modules add only their domain checks, such as the energy floor or a digest.
+modules add only their domain checks, such as a positive weight or a digest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Literal, Sequence, get_args, get_origin
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, UsageError
 
 
 def make_dir(directory: Path) -> Path:
@@ -128,9 +128,19 @@ def read_json_object(path: Path, what: str, types: dict[str, object]) -> dict:
     return value
 
 
+def _width(columns: Sequence[str], keys: Sequence[str]) -> int:
+    """Number of value columns: ``columns`` less the key cells of each row."""
+    return len(columns) - 1 - (keys[0].count(",") if keys else 0)
+
+
 def write_table(path, columns: Sequence[str], keys: Sequence[str], values: np.ndarray) -> str:
     """Write a table atomically and return the SHA-256 of its bytes: header
-    ``columns``, then row k is ``keys[k]`` (key cells) and ``values[k]``."""
+    ``columns``, then row k is ``keys[k]`` (key cells) and ``values[k]``.
+    UsageError, before anything is written, unless ``values`` has one row per
+    key and one column per value column."""
+    expected = (len(keys), _width(columns, keys))
+    if np.shape(values) != expected:
+        raise UsageError(f"{path}: table values have shape {np.shape(values)}, expected {expected}")
     lines = [",".join(columns)]
     lines += [f"{key},{','.join(map(repr, row))}" for key, row in zip(keys, values.tolist())]
     data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -153,7 +163,7 @@ def read_table(
         raise FormatError(f"{path}: unexpected header {header!r}")
     if len(lines) != len(keys):
         raise FormatError(f"{path}: {len(lines)} rows, expected {len(keys)}")
-    width = len(columns) - 1 - (keys[0].count(",") if keys else 0)
+    width = _width(columns, keys)
     numbers: list[float] = []
     for j, (line, key) in enumerate(zip(lines, keys), start=2):
         row = line[len(key) + 1 :].split(",")

@@ -10,13 +10,15 @@ no sparsification is applied here — pruning task-irrelevant edges is the
 diffusion stage's job. Weights are reciprocal in pairs (w_ij * w_ji = 1)
 with an exactly-unit diagonal.
 
-The weight depends on two numbers per stock, so each relation's matrix is
-the rank-one outer ratio w_ij = s_i / s_j with s = energy * exp(entropy).
-A day's graph is held as those factors (:class:`MultiRelAdjacency`), built
-from a raw window by :func:`window_graphs` and expanded on demand by
-:func:`outer_ratio`; the cache stores the same R * N numbers per day, so
-reloaded matrices are bit-identical to freshly built ones. The model reads
-only the R * N :attr:`MultiRelAdjacency.sender_weights`, never N x N matrices.
+The weight is the rank-one ratio w_ij = s_i / s_j with s = energy *
+exp(entropy), so every row of a relation's row-normalized matrix is the
+same vector b = (1/s) / sum(1/s), and w_ij = b_j / b_i. A day's graph is
+held as those R * N sender weights (:class:`MultiRelAdjacency`), computed
+once from a raw window by :func:`window_graphs`; the cache stores the same
+numbers, so reloaded graphs are bit-identical to freshly built ones. The
+model reads only :attr:`MultiRelAdjacency.sender_weights`; N x N matrices
+are expanded only on request (:attr:`MultiRelAdjacency.matrices`,
+:func:`build_adjacency`).
 """
 
 from __future__ import annotations
@@ -35,37 +37,30 @@ from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
-GRAPH_FORMAT = "mgdpr-graph-factors/3"
-_DAY_COLUMNS = ("relation", "stock", "energy", "entropy")
+GRAPH_FORMAT = "mgdpr-graph-weights/4"
+_DAY_COLUMNS = ("relation", "stock", "weight")
 
 
 @dataclass
 class MultiRelAdjacency:
-    """One day's per-relation directed adjacency matrices, held as factors:
-    relation r's matrix is ``outer_ratio(energy[r], entropy[r])``, and
-    :attr:`matrices` expands all R of them on each access.
+    """One day's graph as its (num_relations, num_stocks) sender weights
+    b = (1/s) / sum(1/s), s = energy * exp(entropy): every row of relation
+    r's row-normalized matrix, (s_i/s_j) / sum_k (s_i/s_k), is b[r].
     """
 
     t_index: int
-    energy: np.ndarray  # (num_relations, num_stocks), each >= ENERGY_FLOOR
-    entropy: np.ndarray  # (num_relations, num_stocks), each >= 0
+    sender_weights: np.ndarray  # (num_relations, num_stocks), each > 0
 
     @property
     def num_stocks(self) -> int:
-        return self.energy.shape[-1]
+        return self.sender_weights.shape[-1]
 
     @property
     def matrices(self) -> np.ndarray:
-        """(num_relations, num_stocks, num_stocks), strictly positive."""
-        return np.stack([outer_ratio(e, h) for e, h in zip(self.energy, self.entropy)])
-
-    @property
-    def sender_weights(self) -> np.ndarray:
-        """(num_relations, num_stocks) b = (1/s) / sum(1/s), s = energy * exp(entropy):
-        every row of relation r's row-normalized matrix, (s_i/s_j) / sum_k (s_i/s_k), is b[r].
-        """
-        inverse = 1.0 / (self.energy * np.exp(self.entropy))
-        return inverse / inverse.sum(axis=-1, keepdims=True)
+        """(num_relations, num_stocks, num_stocks) w_ij = b_j / b_i = s_i / s_j,
+        strictly positive with an exactly-unit diagonal."""
+        b = self.sender_weights
+        return b[:, None, :] / b[:, :, None]
 
 
 def signal_energy(x) -> float:
@@ -119,33 +114,25 @@ def stock_factors(window: np.ndarray, tickers: list[str] | None = None) -> tuple
     return energy, entropy
 
 
-def outer_ratio(energy: np.ndarray, entropy: np.ndarray) -> np.ndarray:
-    """Dense (N, N) matrix energy_i / energy_j * exp(entropy_i - entropy_j).
-
-    Every adjacency matrix, built or reloaded, is expanded by this one
-    expression, so equal factors give bit-identical matrices.
-    """
-    return (energy[:, None] / energy[None, :]) * np.exp(entropy[:, None] - entropy[None, :])
+def window_graphs(t: int, raw: np.ndarray, tickers: list[str] | None = None) -> MultiRelAdjacency:
+    """Graph of the raw (relations, stocks, lookback) window ending at day ``t``."""
+    factors = np.array([stock_factors(window, tickers) for window in raw])  # (relations, 2, stocks)
+    inverse = 1.0 / (factors[:, 0] * np.exp(factors[:, 1]))
+    return MultiRelAdjacency(t, inverse / inverse.sum(axis=-1, keepdims=True))
 
 
 def build_adjacency(window: np.ndarray, tickers: list[str] | None = None) -> np.ndarray:
     """Dense positive edge-weight matrix for one relation's (N, lookback) window.
 
     Entry (i, j) weights the directed edge from stock i to stock j. The
-    formula makes the diagonal exactly 1 and opposite edges exact
-    reciprocals up to float rounding.
+    diagonal is exactly 1 and opposite edges are exact reciprocals up to
+    float rounding.
     """
-    return outer_ratio(*stock_factors(window, tickers))
-
-
-def window_graphs(t: int, raw: np.ndarray, tickers: list[str] | None = None) -> MultiRelAdjacency:
-    """Graph stack of the raw (relations, stocks, lookback) window ending at day ``t``."""
-    factors = [stock_factors(window, tickers) for window in raw]
-    return MultiRelAdjacency(t, np.array([e for e, _ in factors]), np.array([h for _, h in factors]))
+    return window_graphs(0, np.asarray(window)[None], tickers).matrices[0]
 
 
 def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjacency:
-    """Graph stack of the panel window ending at calendar index ``t``."""
+    """Graph of the panel window ending at calendar index ``t``."""
     if t < lookback - 1 or t >= panel.num_days:
         raise DayRangeError(
             f"end day {t} outside [{lookback - 1}, {panel.num_days - 1}] for lookback {lookback}"
@@ -163,9 +150,10 @@ def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjac
 #                              built from; sha256 maps each day file's name
 #                              to the SHA-256 of its bytes
 # <directory>/dayNNNNN.csv    a mgdpr.files table: header
-#                             "relation,stock,energy,entropy", then one row per
+#                             "relation,stock,weight", then one row per
 #                             (relation, stock), relations in RELATIONS order,
-#                             stocks 0..N-1 within each relation
+#                             stocks 0..N-1 within each relation; weight is
+#                             MultiRelAdjacency.sender_weights[relation, stock]
 
 
 def _day_filename(t: int) -> str:
@@ -178,7 +166,7 @@ def _day_keys(n: int) -> list[str]:
 
 
 def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str) -> None:
-    """Cache each day's per-stock energy and entropy, one table per day.
+    """Cache each day's sender weights, one table per day.
 
     A day's file is a :func:`mgdpr.files.write_table` table of R * N rows,
     written atomically and bit-exact on reload. ``index.json`` lists
@@ -191,9 +179,9 @@ def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str) 
     n = graphs[0].num_stocks if graphs else 0
     sha256: dict[str, str] = {}
     for adj in graphs:
-        factors = np.stack([adj.energy.ravel(), adj.entropy.ravel()], axis=1)
         name = _day_filename(adj.t_index)
-        sha256[name] = write_table(directory / name, _DAY_COLUMNS, _day_keys(n), factors)
+        weights = adj.sender_weights.reshape(-1, 1)
+        sha256[name] = write_table(directory / name, _DAY_COLUMNS, _day_keys(n), weights)
     index = {
         "format": GRAPH_FORMAT,
         "days": sorted(g.t_index for g in graphs),
@@ -226,25 +214,19 @@ def _read_index(directory: Path) -> dict:
     return index
 
 
-def _read_day(path: Path, n: int, sha256: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read one day file as a checked table, then check its energy floor and
-    entropy sign."""
-    factors = read_table(path, "graph file", _DAY_COLUMNS, _day_keys(n), sha256)
-    energy, entropy = np.ascontiguousarray(factors.T).reshape(2, len(RELATIONS), n)
-    for name, values, floor in (("energy", energy, ENERGY_FLOOR), ("entropy", entropy, 0.0)):
-        low = values < floor
-        if low.any():
-            r, i = np.argwhere(low)[0]
-            raise FormatError(
-                f"{path}: {name} {float(values[r, i])!r} of {RELATIONS[r]} stock {i} is below {floor!r}"
-            )
-    return energy, entropy
+def _read_day(path: Path, n: int, sha256: str) -> np.ndarray:
+    """Read one day file as a checked table, then check that every weight is positive."""
+    weights = read_table(path, "graph file", _DAY_COLUMNS, _day_keys(n), sha256).reshape(len(RELATIONS), n)
+    if (weights <= 0.0).any():
+        r, i = np.argwhere(weights <= 0.0)[0]
+        raise FormatError(f"{path}: weight {float(weights[r, i])!r} of {RELATIONS[r]} stock {i} is not positive")
+    return weights
 
 
 def read_graphs(
     directory, days: list[int] | None = None, panel_digest: str | None = None
 ) -> dict[int, MultiRelAdjacency]:
-    """Reload adjacency stacks written by :func:`write_graphs`.
+    """Reload the graphs written by :func:`write_graphs`.
 
     Every file is checked in full; a missing, truncated, malformed or
     old-format cache raises :class:`FormatError` rather than loading. With
@@ -263,6 +245,5 @@ def read_graphs(
         if t not in listed:
             raise FormatError(f"{directory / 'index.json'}: day {t} is not in the graph index")
         name = _day_filename(t)
-        energy, entropy = _read_day(directory / name, index["num_stocks"], index["sha256"][name])
-        out[t] = MultiRelAdjacency(t, energy, entropy)
+        out[t] = MultiRelAdjacency(t, _read_day(directory / name, index["num_stocks"], index["sha256"][name]))
     return out

@@ -6,10 +6,10 @@ file with an extra ``ticker`` column. Series are aligned onto a shared
 trading calendar, gap-filled, and cut into lookback windows whose next-day
 close movement provides the binary label.
 
-Two copies of each window are kept: ``raw`` (the exact panel slice, which
-feeds graph generation — energy ratios are meaningless after
-standardization) and ``features`` (per-stock per-indicator z-scores, which
-feed the model).
+Each window is seen two ways: ``raw``, a read-only view of the panel slice
+that feeds graph generation (energy ratios are meaningless after
+standardization), and ``features``, its per-stock per-indicator z-scores,
+which feed the model.
 """
 
 from __future__ import annotations
@@ -95,16 +95,17 @@ class MarketPanel:
 class WindowSample:
     """One training instance: a lookback window ending at day ``t_index``.
 
-    ``raw`` is the untouched panel slice; ``features`` is its per-(stock,
-    indicator) z-scored copy; ``labels[i]`` flags whether stock i's close
-    rises on the following trading day.
+    ``raw`` is a read-only view of the panel slice, so it follows
+    ``panel.data``; ``features`` is its per-(stock, indicator) z-scored
+    copy; ``labels[i]`` flags whether stock i's close rises on the
+    following trading day.
     """
 
     t_index: int
     end_date: str
     label_date: str
     features: np.ndarray  # (5, num_stocks, lookback)
-    raw: np.ndarray  # (5, num_stocks, lookback)
+    raw: np.ndarray  # (5, num_stocks, lookback) view into MarketPanel.data
     labels: np.ndarray  # (num_stocks,) of {0, 1}
 
 
@@ -277,7 +278,12 @@ def zscore_window(raw: np.ndarray) -> np.ndarray:
 
 
 def make_windows(panel: MarketPanel, lookback: int) -> list[WindowSample]:
-    """One sample per end-day with a next-day label: count = T - lookback."""
+    """One sample per end-day with a next-day label: count = T - lookback.
+
+    The panel is validated first (:meth:`MarketPanel.validate`), so a
+    non-finite or non-positive price raises :class:`DataError`.
+    """
+    panel.validate()
     t_len = panel.num_days
     if lookback < 1:
         raise ConfigError(f"lookback must be positive, got {lookback}")
@@ -288,7 +294,8 @@ def make_windows(panel: MarketPanel, lookback: int) -> list[WindowSample]:
     samples = []
     close = panel.data[:, CLOSE, :]
     for t in range(lookback - 1, t_len - 1):
-        raw = panel.data[:, :, t - lookback + 1 : t + 1].transpose(1, 0, 2).copy()
+        raw = panel.data[:, :, t - lookback + 1 : t + 1].transpose(1, 0, 2)
+        raw.flags.writeable = False
         labels = np.fromiter(
             (trend_label(close[i, t], close[i, t + 1]) for i in range(panel.num_stocks)),
             dtype=np.int64,

@@ -182,8 +182,8 @@ class _AdamState:
 def graphs_for_samples(
     samples: list[WindowSample], graphs: dict[int, MultiRelAdjacency] | None = None
 ) -> dict[int, MultiRelAdjacency]:
-    """Ensure each sample's end day has an adjacency stack, building from the
-    raw window where none was supplied."""
+    """Ensure each sample's end day has a graph, building from the raw
+    window where none was supplied."""
     cache = dict(graphs) if graphs else {}
     for s in samples:
         if s.t_index not in cache:

@@ -218,7 +218,7 @@ def test_criterion_6_stock_permutation_equivariance():
             params,
             cfg,
             features[:, perm],
-            MultiRelAdjacency(0, adjacency.energy[:, perm], adjacency.entropy[:, perm]),
+            MultiRelAdjacency(0, adjacency.sender_weights[:, perm]),
         ).values
         np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
     _report(6, "20 random permutations agree within 1e-9")

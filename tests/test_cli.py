@@ -12,11 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgdpr import cli
+from mgdpr import cli, graphs
 from mgdpr.errors import CheckpointError, ConfigError
-from mgdpr.graphs import build_day_graphs, read_graphs
-from mgdpr.market import read_panel
-from mgdpr.model import Model, ModelConfig, expected_param_shapes, load_checkpoint, save_checkpoint
+from mgdpr.files import write_table
+from mgdpr.graphs import build_day_graphs, read_graphs, stock_factors
+from mgdpr.market import RELATIONS, read_panel
+from mgdpr.model import (
+    CHECKPOINT_FORMAT,
+    Model,
+    ModelConfig,
+    expected_param_shapes,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mgdpr.synthetic import planted_market, write_series_csv
 
 
@@ -129,9 +137,12 @@ class TestConfig:
         assert not (tmp_path / "cache").exists()
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_cli_section() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("\n## Batch CLI\n", 1)[1].split("\n## ", 1)[0]
+    return _readme().split("\n## Batch CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_key_table_matches_the_schema():
@@ -141,6 +152,13 @@ def test_readme_key_table_matches_the_schema():
     keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
     assert int(count) == len(cli.DEFAULTS)
     assert sorted(keys) == sorted(cli.DEFAULTS)
+
+
+def test_readme_names_the_current_file_formats():
+    readme = _readme()
+    assert set(re.findall(r"mgdpr-graph[\w/-]*", readme)) == {graphs.GRAPH_FORMAT}
+    assert set(re.findall(r"`(relation,stock[^`]*)`", readme)) == {",".join(graphs._DAY_COLUMNS)}
+    assert set(re.findall(r"mgdpr-checkpoint[\w/-]*", readme)) == {CHECKPOINT_FORMAT}
 
 
 def test_readme_synopsis_names_the_flags_of_each_command():
@@ -476,6 +494,48 @@ class TestDamagedPanelCache:
         damage(tmp_path / "cache" / "panel" / "SYN01.csv")
         assert run("graph", "--config", config) == 2
         assert "re-run `mgdpr ingest`" in capsys.readouterr().err
+
+
+def _as_factors_v3(graph_dir, panel, lookback):
+    """Rewrite a graph cache as the mgdpr-graph-factors/3 format wrote it,
+    under valid digests: each (relation, stock) row held the window's
+    energy and entropy, where the current format holds one sender weight."""
+    index_path = graph_dir / "index.json"
+    index = json.loads(index_path.read_text())
+    keys = [f"{relation},{i}" for relation in RELATIONS for i in range(panel.num_stocks)]
+    for t in index["days"]:
+        window = panel.data[:, :, t - lookback + 1 : t + 1]
+        factors = np.array([stock_factors(window[:, r]) for r in range(len(RELATIONS))])
+        name = f"day{t:05d}.csv"
+        columns = ("relation", "stock", "energy", "entropy")
+        index["sha256"][name] = write_table(graph_dir / name, columns, keys, factors.transpose(0, 2, 1).reshape(-1, 2))
+    index["format"] = "mgdpr-graph-factors/3"
+    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+
+
+class TestPreviousGraphFormat:
+    def test_train_and_eval_exit_5_until_graph_rewrites_the_cache(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        for cmd in ("ingest", "graph", "train"):
+            assert run(cmd, "--config", config) == 0
+        graph_dir = tmp_path / "cache" / "graphs"
+        _as_factors_v3(graph_dir, read_panel(tmp_path / "cache" / "panel"), lookback=5)
+        assert (graph_dir / "day00010.csv").read_text().startswith("relation,stock,energy,entropy\n")
+        capsys.readouterr()
+        for cmd in ("train", "eval"):
+            assert run(cmd, "--config", config) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and "re-run `mgdpr graph`" in err
+
+        assert run("graph", "--config", config) == 0
+        index = json.loads((graph_dir / "index.json").read_text())
+        assert index["format"] == graphs.GRAPH_FORMAT
+        day_files = [f"day{t:05d}.csv" for t in index["days"]]
+        assert sorted(p.name for p in graph_dir.iterdir()) == sorted(["index.json"] + day_files)
+        for name in day_files:
+            assert (graph_dir / name).read_text().startswith("relation,stock,weight\n")
+        for cmd in ("train", "eval"):
+            assert run(cmd, "--config", config) == 0
 
 
 class TestStaleGraphCache:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 
 from mgdpr.errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
+from mgdpr.files import write_table
 from mgdpr.graphs import (
     ENTROPY_DECIMALS,
+    MultiRelAdjacency,
     build_adjacency,
     build_day_graphs,
     information_entropy,
     read_graphs,
     signal_energy,
+    stock_factors,
     write_graphs,
 )
 from mgdpr.market import align_panel
@@ -165,6 +169,22 @@ class TestBuildDayGraphs:
                 window = panel.data[:, r, t - 4 : t + 1]
                 np.testing.assert_allclose(adj.matrices[r], oracle_adjacency(window), rtol=1e-12)
 
+    def test_holds_only_the_sender_weights(self):
+        assert [f.name for f in dataclasses.fields(MultiRelAdjacency)] == ["t_index", "sender_weights"]
+        panel = self._panel()
+        rng = np.random.default_rng(7)
+        panel.data[:, :4, :] *= 1.0 + rng.uniform(0.0, 0.2, size=panel.data[:, :4, :].shape)
+        adj = build_day_graphs(panel, 8, 5)
+        for r in range(5):
+            energy, entropy = stock_factors(panel.data[:, r, 4:9])
+            inverse = 1.0 / (energy * np.exp(entropy))
+            assert adj.sender_weights[r].tobytes() == (inverse / inverse.sum()).tobytes()
+            b = adj.sender_weights[r]
+            assert adj.matrices[r].tobytes() == (b[None, :] / b[:, None]).tobytes()
+            assert adj.matrices[r].tobytes() == build_adjacency(panel.data[:, r, 4:9]).tobytes()
+            normalized = adj.matrices[r] / adj.matrices[r].sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(normalized, np.broadcast_to(b, (3, 3)), rtol=1e-14)
+
     def test_day_out_of_range(self):
         panel = self._panel()
         with pytest.raises(DayRangeError):
@@ -208,15 +228,14 @@ class TestGraphCache:
         assert sorted(reloaded) == [4, 5]
         for g in graphs:
             got = reloaded[g.t_index]
+            assert got.sender_weights.tobytes() == g.sender_weights.tobytes()
             assert got.matrices.tobytes() == g.matrices.tobytes()
-            assert got.energy.tobytes() == g.energy.tobytes()
-            assert got.entropy.tobytes() == g.entropy.tobytes()
 
     def test_one_small_table_per_day(self, tmp_path):
         _cached_days(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["day00004.csv", "day00005.csv", "index.json"]
         lines = (tmp_path / "day00004.csv").read_text().splitlines()
-        assert lines[0] == "relation,stock,energy,entropy"
+        assert lines[0] == "relation,stock,weight"
         assert len(lines) == 1 + 5 * 3
         assert lines[1].startswith("open,0,") and lines[-1].startswith("volume,2,")
 
@@ -229,6 +248,13 @@ class TestGraphCache:
         write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, "0" * 64)
         assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["day00005.csv", "index.json"]
+
+    def test_graph_of_another_relation_count_is_refused_before_writing(self, tmp_path):
+        (graph,) = _cached_days(tmp_path / "first", days=(4,))
+        six = MultiRelAdjacency(4, np.concatenate([graph.sender_weights, graph.sender_weights[:1]]))
+        with pytest.raises(UsageError, match=r"shape \(18, 1\), expected \(15, 1\)"):
+            write_graphs([six], tmp_path / "second", "0" * 64)
+        assert not (tmp_path / "second").exists()
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(FormatError):
@@ -252,10 +278,11 @@ class TestGraphCache:
             (lambda text: text.replace("open,1,", "open,2,", 1), "expected the row"),
             (lambda text: text.replace("relation,", "rel,", 1), "header"),
             (lambda text: _set_cell(text, 3, 2, "abc"), "non-numeric"),
-            (lambda text: _set_cell(text, 3, 2, "nan"), "energy"),
-            (lambda text: _set_cell(text, 3, 2, "1e-300"), "energy"),
-            (lambda text: _set_cell(text, 3, 3, "-0.5"), "entropy"),
-            (lambda text: _set_cell(text, 3, 3, "inf"), "entropy"),
+            (lambda text: _set_cell(text, 3, 2, "nan"), "non-finite weight"),
+            (lambda text: _set_cell(text, 3, 2, "inf"), "non-finite weight"),
+            (lambda text: _set_cell(text, 3, 2, "0.0"), "not positive"),
+            (lambda text: _set_cell(text, 3, 2, "-0.5"), "not positive"),
+            (lambda text: _set_cell(text, 3, 2, "0.5,0.5"), "expected the row"),
         ],
     )
     def test_damaged_day_file_rejected(self, tmp_path, damage, match):
@@ -282,7 +309,7 @@ class TestGraphCache:
     def test_index_records_each_day_file_digest(self, tmp_path):
         _cached_days(tmp_path, days=(6, 4, 5))
         index = json.loads((tmp_path / "index.json").read_text())
-        assert index["format"] == "mgdpr-graph-factors/3"
+        assert index["format"] == "mgdpr-graph-weights/4"
         assert sorted(index["sha256"]) == ["day00004.csv", "day00005.csv", "day00006.csv"]
         for name, digest in index["sha256"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -326,3 +353,18 @@ def _set_cell(text, row, col, value):
     cells[col] = value
     lines[row] = ",".join(cells)
     return "\n".join(lines)
+
+
+class TestWriteTable:
+    """A table is written only when its values fill exactly one row per key
+    and one column per value column; otherwise nothing is written."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.ones((2, 1)), np.ones((4, 1)), np.ones((3, 2)), np.ones(3)],
+        ids=["fewer-rows", "more-rows", "wider-rows", "one-dimensional"],
+    )
+    def test_mismatched_values_raise_and_write_nothing(self, tmp_path, values):
+        with pytest.raises(UsageError, match=r"expected \(3, 1\)"):
+            write_table(tmp_path / "t.csv", ("relation", "stock", "weight"), ["a,0", "a,1", "a,2"], values)
+        assert list(tmp_path.iterdir()) == []

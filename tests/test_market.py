@@ -241,6 +241,24 @@ class TestMakeWindows:
             expected = panel.data[:, :, s.t_index - 20 : s.t_index + 1].transpose(1, 0, 2)
             assert np.array_equal(s.raw, expected)
 
+    def test_raw_is_a_read_only_view_of_the_panel(self):
+        panel = self._panel(25)
+        samples = make_windows(panel, 21)
+        for s in samples:
+            assert np.shares_memory(s.raw, panel.data)
+            assert not s.raw.flags.writeable
+            with pytest.raises(ValueError):
+                s.raw[0, 0, 0] = 1.0
+        panel.data[1, 4, samples[-1].t_index] = 5.0  # raw follows the panel
+        assert samples[-1].raw[4, 1, -1] == 5.0
+        assert panel.data.flags.writeable
+
+    def test_non_finite_close_raises_data_error(self):
+        panel = self._panel(25)
+        panel.data[0, 3, 22] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            make_windows(panel, 21)
+
     def test_features_are_zscored_raw(self):
         panel = self._panel(25)
         for s in make_windows(panel, 21):

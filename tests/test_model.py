@@ -382,7 +382,7 @@ class TestForward:
         base = forward(params, cfg, features, adjacency).values
         for _ in range(5):
             perm = rng.permutation(cfg.num_stocks)
-            permuted_adj = MultiRelAdjacency(0, adjacency.energy[:, perm], adjacency.entropy[:, perm])
+            permuted_adj = MultiRelAdjacency(0, adjacency.sender_weights[:, perm])
             permuted = forward(params, cfg, features[:, perm], permuted_adj).values
             np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
 
@@ -400,21 +400,21 @@ class TestForward:
         features, adjacency = random_instance(cfg, seed=8)
         with pytest.raises(ShapeError):
             forward(params, cfg, features[:, :, :-1], adjacency)
-        fewer_stocks = MultiRelAdjacency(0, adjacency.energy[:, :-1], adjacency.entropy[:, :-1])
+        fewer_stocks = MultiRelAdjacency(0, adjacency.sender_weights[:, :-1])
         with pytest.raises(ShapeError):
             forward(params, cfg, features, fewer_stocks)
 
     def test_graph_is_read_without_n_by_n_matrices(self):
-        class FactorsOnly(MultiRelAdjacency):
+        class WeightsOnly(MultiRelAdjacency):
             @property
             def matrices(self):
                 raise AssertionError("the model expanded a day's N x N adjacency")
 
         model, features, adjacency = desk_instance()
-        factors_only = FactorsOnly(adjacency.t_index, adjacency.energy, adjacency.entropy)
-        logits = forward(model.params, model.config, features, factors_only).values
+        weights_only = WeightsOnly(adjacency.t_index, adjacency.sender_weights)
+        logits = forward(model.params, model.config, features, weights_only).values
         assert np.array_equal(logits, forward(model.params, model.config, features, adjacency).values)
-        frozen = forward(model.frozen(), model.config, features, factors_only).values
+        frozen = forward(model.frozen(), model.config, features, weights_only).values
         assert np.array_equal(frozen, logits)
 
 

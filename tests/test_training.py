@@ -286,8 +286,7 @@ class TestGraphsForSamples:
             expected = build_day_graphs(panel, s.t_index, 5)
             got = graphs[s.t_index]
             assert got.t_index == s.t_index
-            assert got.energy.tobytes() == expected.energy.tobytes()
-            assert got.entropy.tobytes() == expected.entropy.tobytes()
+            assert got.sender_weights.tobytes() == expected.sender_weights.tobytes()
             assert got.matrices.tobytes() == expected.matrices.tobytes()
 
 
