@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_graph = sub.add_parser(
-        "graph", help="cache each day's per-stock sender weights (one CSV per day) from the panel"
+        "graph", help="cache each day's per-stock sender weights (one table, a column per day) from the panel"
     )
     p_graph.set_defaults(func=cmd_graph)
 

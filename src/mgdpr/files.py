@@ -1,28 +1,30 @@
 """The one way cache and output files are written and read back.
 
-Writers go through :func:`write_atomic` (a file is absent, the previous
+Writers go through :func:`write_atomic`: a file is absent, the previous
 version or the new one in full; a path that cannot be written is a
-:class:`ConfigError`), and a cache writer ends with :func:`remove_unlisted`.
-Readers go through :func:`read_text`, which turns a missing, undecodable
-or (against a recorded SHA-256) altered file into :class:`FormatError`.
-Both caches' data files are tables (:func:`write_table`, :func:`read_table`):
-a header, then one ``\n``-ended row per key, its key cells and then its
-numbers in ``repr`` form, so a reload is bit-exact.
-JSON objects (manifest, index, config) are read by :func:`read_json_object`;
-their fields, and config values, are typed by :func:`has_type`. The owning
-modules add only their domain checks, such as a positive weight or a digest.
+:class:`ConfigError`. A reader turns a missing, undecodable or (against a
+recorded SHA-256) altered file into :class:`FormatError`. Each cache is one
+JSON object plus one table (:func:`write_table`, :func:`read_table`): a
+header, then one ``\n``-ended row per key, its key cells and then its
+numbers in ``repr`` form, so a reload is bit-exact. JSON objects (manifest,
+index, config) are read by :func:`read_json_object`, raw CSV by
+:func:`read_text`; JSON fields, and config values, are typed by
+:func:`has_type`. The owning modules add only their domain checks, such as
+a positive weight or a digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
-import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Literal, Sequence, get_args, get_origin
+from typing import BinaryIO, Iterable, Iterator, Literal, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -39,17 +41,20 @@ def make_dir(directory: Path) -> Path:
     return directory
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write ``data`` (text is UTF-8 encoded) through a temporary sibling and
-    ``os.replace``, creating parent directories; ``path`` is never half-written.
-    A failed write raises ConfigError naming ``path``: its usual cause is a
+def write_atomic(path, data: str | bytes | Iterable[bytes]) -> None:
+    """Write ``data`` (text is UTF-8 encoded; an iterable of byte chunks is
+    written as it is consumed) through a temporary sibling and ``os.replace``,
+    creating parent directories; ``path`` is never half-written. A failed
+    write raises ConfigError naming ``path``: its usual cause is a
     ``paths.*`` value."""
     path = Path(path)
     make_dir(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     try:
         with open(tmp, "wb") as f:
-            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+            f.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException as e:
         tmp.unlink(missing_ok=True)
@@ -58,25 +63,24 @@ def write_atomic(path, data: str | bytes) -> None:
         raise
 
 
-def remove_unlisted(directory: Path, pattern: str, listed: set[str]) -> None:
-    """Delete the files of ``directory`` whose names fully match the regular
-    expression ``pattern`` but are not in ``listed``; other files stay."""
-    for path in directory.iterdir():
-        if path.is_file() and re.fullmatch(pattern, path.name) and path.name not in listed:
-            path.unlink(missing_ok=True)
-
-
-def read_text(path: Path, what: str, sha256: str | None = None) -> str:
-    """UTF-8 text of ``path`` (newlines normalized); FormatError if missing,
-    unreadable, or (given ``sha256``) if its bytes have another SHA-256."""
+@contextmanager
+def _reading(path: Path, what: str) -> Iterator[BinaryIO]:
+    """``path`` open for binary reading; FormatError if it is missing or a
+    read fails."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as f:
+            yield f
     except FileNotFoundError:
         raise FormatError(f"{path}: {what} not found") from None
     except OSError as e:
         raise FormatError(f"{path}: unreadable {what} ({e})") from e
-    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
-        raise FormatError(f"{path}: {what} does not match the sha256 recorded for it")
+
+
+def read_text(path: Path, what: str) -> str:
+    """UTF-8 text of ``path`` (newlines normalized); FormatError if missing,
+    unreadable or not UTF-8."""
+    with _reading(path, what) as f:
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -141,41 +145,64 @@ def write_table(path, columns: Sequence[str], keys: Sequence[str], values: np.nd
     expected = (len(keys), _width(columns, keys))
     if np.shape(values) != expected:
         raise UsageError(f"{path}: table values have shape {np.shape(values)}, expected {expected}")
-    lines = [",".join(columns)]
-    lines += [f"{key},{','.join(map(repr, row))}" for key, row in zip(keys, values.tolist())]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    write_atomic(path, data)
-    return hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256()
+
+    def lines() -> Iterator[bytes]:
+        rows = (f"{key},{','.join(map(repr, row.tolist()))}" for key, row in zip(keys, values))
+        for line in itertools.chain([",".join(columns)], rows):
+            data = f"{line}\n".encode("utf-8")
+            digest.update(data)
+            yield data
+
+    write_atomic(path, lines())  # row by row: the file's text is never held whole
+    return digest.hexdigest()
 
 
 def read_table(
     path: Path, what: str, columns: Sequence[str], keys: Sequence[str], sha256: str | None = None
 ) -> np.ndarray:
     """The (len(keys), width) numbers of a :func:`write_table` table; FormatError
-    naming ``file:line`` unless it matches ``sha256`` (if given), ends with a
-    newline, has the header, one row per key in order with ``width`` numbers
-    each, and every number parses and is finite."""
-    text = read_text(path, what, sha256)
-    if not text.endswith("\n"):
-        raise FormatError(f"{path}: truncated (no final newline)")
-    header, *lines = text[:-1].split("\n")
-    if header != ",".join(columns):
-        raise FormatError(f"{path}: unexpected header {header!r}")
-    if len(lines) != len(keys):
-        raise FormatError(f"{path}: {len(lines)} rows, expected {len(keys)}")
+    naming ``file:line`` unless its bytes have the SHA-256 ``sha256`` (if
+    given), it is UTF-8 text ending with a newline, it has the header and one
+    row per key in order with ``width`` numbers each, and every number parses
+    and is finite. The rows are read line by line into the result, so a
+    read holds no copy of the file's text beside it."""
     width = _width(columns, keys)
-    numbers: list[float] = []
-    for j, (line, key) in enumerate(zip(lines, keys), start=2):
-        row = line[len(key) + 1 :].split(",")
-        if not line.startswith(key + ",") or len(row) != width:
-            raise FormatError(f"{path}:{j}: expected the row {key!r} with {width} numbers, got {line!r}")
+    values = np.empty((len(keys), width), dtype=np.float64)
+    with _reading(path, what) as f:
+        if sha256 is not None and hashlib.sha256(f.read()).hexdigest() != sha256:
+            raise FormatError(f"{path}: {what} does not match the sha256 recorded for it")
+        f.seek(0)
+        lines = io.TextIOWrapper(f, encoding="utf-8", newline=None)
         try:
-            numbers += map(float, row)
-        except ValueError:
-            raise FormatError(f"{path}:{j}: non-numeric value in {line!r}") from None
-    values = np.array(numbers, dtype=np.float64).reshape(len(keys), width)
+            header = lines.readline()
+            if not header.endswith("\n"):
+                raise FormatError(f"{path}: truncated (no final newline)")
+            if header[:-1] != ",".join(columns):
+                raise FormatError(f"{path}: unexpected header {header[:-1]!r:.80}")
+            for j, key in enumerate(keys):
+                line = lines.readline()
+                if not line:
+                    raise FormatError(f"{path}: {j} rows, expected {len(keys)}")
+                if not line.endswith("\n"):
+                    raise FormatError(f"{path}: truncated (no final newline)")
+                line = line[:-1]
+                row = line[len(key) + 1 :].split(",")
+                if not line.startswith(key + ",") or len(row) != width:
+                    raise FormatError(
+                        f"{path}:{j + 2}: expected the row {key!r} with {width} numbers, got {line!r:.80}"
+                    )
+                try:
+                    values[j] = list(map(float, row))
+                except ValueError:
+                    raise FormatError(f"{path}:{j + 2}: non-numeric value in {line!r:.80}") from None
+            extra = sum(1 for _ in lines)
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: unreadable {what} ({e})") from e
+    if extra:
+        raise FormatError(f"{path}: {len(keys) + extra} rows, expected {len(keys)}")
     bad = ~np.isfinite(values)
     if bad.any():
         j, c = np.argwhere(bad)[0]
-        raise FormatError(f"{path}:{j + 2}: non-finite {columns[c - width]} in {lines[j]!r}")
+        raise FormatError(f"{path}:{j + 2}: non-finite value in column {columns[c - width]!r} of the row {keys[j]!r}")
     return values

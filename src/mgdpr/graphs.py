@@ -14,8 +14,9 @@ The weight is the rank-one ratio w_ij = s_i / s_j with s = energy *
 exp(entropy), so every row of a relation's row-normalized matrix is the
 same vector b = (1/s) / sum(1/s), and w_ij = b_j / b_i. A day's graph is
 held as those R * N sender weights (:class:`MultiRelAdjacency`), computed
-once from a raw window by :func:`window_graphs`; the cache stores the same
-numbers, so reloaded graphs are bit-identical to freshly built ones. The
+once from a raw window by :func:`window_graphs`. The cache stores the same
+numbers, every day's as one column of a single table, so reloaded graphs
+are bit-identical to freshly built ones. The
 model reads only :attr:`MultiRelAdjacency.sender_weights`; N x N matrices
 are expanded only on request (:attr:`MultiRelAdjacency.matrices`,
 :func:`build_adjacency`).
@@ -32,13 +33,12 @@ from typing import Literal
 import numpy as np
 
 from .errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
-from .files import read_json_object, read_table, remove_unlisted, write_atomic, write_table
+from .files import read_json_object, read_table, write_atomic, write_table
 from .market import RELATIONS, MarketPanel
 
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
-GRAPH_FORMAT = "mgdpr-graph-weights/4"
-_DAY_COLUMNS = ("relation", "stock", "weight")
+GRAPH_FORMAT = "mgdpr-graph-weights/5"
 
 
 @dataclass
@@ -147,51 +147,47 @@ def build_day_graphs(panel: MarketPanel, t: int, lookback: int) -> MultiRelAdjac
 # <directory>/index.json      {"format", "days", "relations", "num_stocks",
 #                              "panel_sha256", "sha256"}: panel_sha256 is the
 #                              MarketPanel.digest of the panel the graphs were
-#                              built from; sha256 maps each day file's name
-#                              to the SHA-256 of its bytes
-# <directory>/dayNNNNN.csv    a mgdpr.files table: header
-#                             "relation,stock,weight", then one row per
-#                             (relation, stock), relations in RELATIONS order,
-#                             stocks 0..N-1 within each relation; weight is
+#                              built from; sha256 is the SHA-256 of
+#                              weights.csv's bytes
+# <directory>/weights.csv     a mgdpr.files table: header
+#                             "relation,stock,<day>,<day>,...", the days in
+#                             index order, then one row per (relation, stock),
+#                             relations in RELATIONS order, stocks 0..N-1
+#                             within each relation; the cell of day t is
 #                             MultiRelAdjacency.sender_weights[relation, stock]
 
 
-def _day_filename(t: int) -> str:
-    return f"day{t:05d}.csv"
-
-
-def _day_keys(n: int) -> list[str]:
-    """The key cells of a day file's rows: relation name, stock index."""
-    return [f"{relation},{i}" for relation in RELATIONS for i in range(n)]
+def _table_layout(days: list[int], n: int) -> tuple[list[str], list[str]]:
+    """The header cells and row keys of the weights table."""
+    columns = ["relation", "stock", *map(str, days)]
+    return columns, [f"{relation},{i}" for relation in RELATIONS for i in range(n)]
 
 
 def write_graphs(graphs: list[MultiRelAdjacency], directory, panel_digest: str) -> None:
-    """Cache each day's sender weights, one table per day.
+    """Cache every day's sender weights in one table, a column per day.
 
-    A day's file is a :func:`mgdpr.files.write_table` table of R * N rows,
-    written atomically and bit-exact on reload. ``index.json`` lists
-    the written days with the SHA-256 of each day file and records
-    ``panel_digest``, the :meth:`MarketPanel.digest` of the panel the graphs
-    were built from. Once the index is in place, day files it does not list
-    are deleted.
+    ``weights.csv`` is a :func:`mgdpr.files.write_table` table of R * N rows,
+    written atomically and bit-exact on reload. ``index.json`` lists the
+    days, records the SHA-256 of the table's bytes and ``panel_digest``, the
+    :meth:`MarketPanel.digest` of the panel the graphs were built from.
     """
     directory = Path(directory)
+    graphs = sorted(graphs, key=lambda g: g.t_index)
+    days = [g.t_index for g in graphs]
     n = graphs[0].num_stocks if graphs else 0
-    sha256: dict[str, str] = {}
-    for adj in graphs:
-        name = _day_filename(adj.t_index)
-        weights = adj.sender_weights.reshape(-1, 1)
-        sha256[name] = write_table(directory / name, _DAY_COLUMNS, _day_keys(n), weights)
+    shapes = sorted({g.sender_weights.shape for g in graphs})
+    if len(shapes) > 1:
+        raise UsageError(f"{directory}: graphs of different shapes {shapes} cannot share one table")
+    weights = np.array([g.sender_weights.reshape(-1) for g in graphs]).T
     index = {
         "format": GRAPH_FORMAT,
-        "days": sorted(g.t_index for g in graphs),
+        "days": days,
         "relations": list(RELATIONS),
         "num_stocks": n,
         "panel_sha256": panel_digest,
-        "sha256": sha256,
+        "sha256": write_table(directory / "weights.csv", *_table_layout(days, n), weights),
     }
     write_atomic(directory / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
-    remove_unlisted(directory, r"day\d{5,}\.csv", set(sha256))
 
 
 _INDEX_TYPES = {
@@ -200,27 +196,8 @@ _INDEX_TYPES = {
     "num_stocks": int,
     "days": list[int],
     "panel_sha256": str,
-    "sha256": dict[str, str],
+    "sha256": str,
 }
-
-
-def _read_index(directory: Path) -> dict:
-    path = directory / "index.json"
-    index = read_json_object(path, "graph index", _INDEX_TYPES)
-    if index["relations"] != list(RELATIONS):
-        raise FormatError(f"{path}: relations {index['relations']!r}, expected {list(RELATIONS)}")
-    if set(index["sha256"]) != {_day_filename(t) for t in index["days"]}:
-        raise FormatError(f"{path}: sha256 does not map each listed day file to a digest")
-    return index
-
-
-def _read_day(path: Path, n: int, sha256: str) -> np.ndarray:
-    """Read one day file as a checked table, then check that every weight is positive."""
-    weights = read_table(path, "graph file", _DAY_COLUMNS, _day_keys(n), sha256).reshape(len(RELATIONS), n)
-    if (weights <= 0.0).any():
-        r, i = np.argwhere(weights <= 0.0)[0]
-        raise FormatError(f"{path}: weight {float(weights[r, i])!r} of {RELATIONS[r]} stock {i} is not positive")
-    return weights
 
 
 def read_graphs(
@@ -228,22 +205,34 @@ def read_graphs(
 ) -> dict[int, MultiRelAdjacency]:
     """Reload the graphs written by :func:`write_graphs`.
 
-    Every file is checked in full; a missing, truncated, malformed or
-    old-format cache raises :class:`FormatError` rather than loading. With
+    The index and the whole table are checked; a missing, truncated,
+    malformed, altered or old-format cache, or a weight that is not
+    positive, raises :class:`FormatError` rather than loading. With
     ``panel_digest``, so does a cache built from another panel.
     """
     directory = Path(directory)
-    index = _read_index(directory)
+    path = directory / "index.json"
+    index = read_json_object(path, "graph index", _INDEX_TYPES)
+    if index["relations"] != list(RELATIONS):
+        raise FormatError(f"{path}: relations {index['relations']!r}, expected {list(RELATIONS)}")
     if panel_digest is not None and index["panel_sha256"] != panel_digest:
         raise FormatError(
-            f"{directory / 'index.json'}: graphs were built from another panel "
+            f"{path}: graphs were built from another panel "
             f"(digest {index['panel_sha256']!r}, current panel {panel_digest!r})"
         )
-    listed = set(index["days"])
-    out: dict[int, MultiRelAdjacency] = {}
-    for t in index["days"] if days is None else days:
-        if t not in listed:
-            raise FormatError(f"{directory / 'index.json'}: day {t} is not in the graph index")
-        name = _day_filename(t)
-        out[t] = MultiRelAdjacency(t, _read_day(directory / name, index["num_stocks"], index["sha256"][name]))
-    return out
+    listed, n = index["days"], index["num_stocks"]
+    column = {t: k for k, t in enumerate(listed)}
+    days = listed if days is None else days
+    for t in days:
+        if t not in column:
+            raise FormatError(f"{path}: day {t} is not in the graph index")
+    table = directory / "weights.csv"
+    weights = read_table(table, "graph weights", *_table_layout(listed, n), index["sha256"])
+    if (weights <= 0.0).any():
+        row, k = np.argwhere(weights <= 0.0)[0]
+        raise FormatError(
+            f"{table}: weight {float(weights[row, k])!r} of {RELATIONS[row // n]} stock {row % n} "
+            f"on day {listed[k]} is not positive"
+        )
+    by_day = np.ascontiguousarray(weights.T).reshape(len(listed), len(RELATIONS), n)
+    return {t: MultiRelAdjacency(t, by_day[column[t]]) for t in days}

@@ -10,6 +10,10 @@ Each window is seen two ways: ``raw``, a read-only view of the panel slice
 that feeds graph generation (energy ratios are meaningless after
 standardization), and ``features``, its per-stock per-indicator z-scores,
 which feed the model.
+
+The aligned panel is cached as ``manifest.json`` plus one table,
+``panel.csv``: a row per (stock index, relation), a column per calendar
+date (:func:`write_panel`, :func:`read_panel`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
 )
-from .files import read_json_object, read_table, read_text, remove_unlisted, write_atomic, write_table
+from .files import read_json_object, read_table, read_text, write_atomic, write_table
 
 RELATIONS = ("open", "high", "low", "close", "volume")
 CLOSE = RELATIONS.index("close")
@@ -128,7 +132,8 @@ def _series_from_rows(ticker: str, rows: list[tuple[str, list[float]]], dropped:
 
 
 def _check_ticker(path: Path, ticker: str) -> None:
-    """A ticker names its panel cache file, so it must be a plain file-name stem."""
+    """A ticker is what a per-ticker raw file's stem can be, so that a long
+    file and a directory of per-ticker files hold the same tickers."""
     if not ticker or ticker.startswith(".") or any(c in ticker for c in "/\\\0"):
         raise FormatError(f"{path}: ticker {ticker!r} is empty, starts with '.' or holds '/', '\\' or NUL")
 
@@ -137,26 +142,29 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
     groups: dict[str, list[tuple[str, list[float]]]] = {}
     dropped: dict[str, int] = {}
     reader = csv.DictReader(io.StringIO(read_text(path, "raw CSV")))
-    headers = reader.fieldnames or []
-    missing = [c for c in _REQUIRED if c not in headers]
-    if missing:
-        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
-    has_ticker = "ticker" in headers
-    for row in reader:
-        ticker = (row.get("ticker") or "") if has_ticker else path.stem
-        try:
-            date = (row["date"] or "").strip()
-            if not _DATE_RE.match(date):
-                raise ValueError(date)
-            vals = [float(row[c]) for c in RELATIONS]
-            if not all(np.isfinite(vals)):
-                raise ValueError("non-finite")
-            if any(v <= 0.0 for v in vals[:VOLUME]) or vals[VOLUME] < 0.0:
-                raise ValueError("non-positive price")
-        except (KeyError, TypeError, ValueError):
-            dropped[ticker] = dropped.get(ticker, 0) + 1
-            continue
-        groups.setdefault(ticker, []).append((date, vals))
+    try:
+        headers = reader.fieldnames or []
+        missing = [c for c in _REQUIRED if c not in headers]
+        if missing:
+            raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+        has_ticker = "ticker" in headers
+        for row in reader:
+            ticker = (row.get("ticker") or "") if has_ticker else path.stem
+            try:
+                date = (row["date"] or "").strip()
+                if not _DATE_RE.match(date):
+                    raise ValueError(date)
+                vals = [float(row[c]) for c in RELATIONS]
+                if not all(np.isfinite(vals)):
+                    raise ValueError("non-finite")
+                if any(v <= 0.0 for v in vals[:VOLUME]) or vals[VOLUME] < 0.0:
+                    raise ValueError("non-positive price")
+            except (KeyError, TypeError, ValueError):
+                dropped[ticker] = dropped.get(ticker, 0) + 1
+                continue
+            groups.setdefault(ticker, []).append((date, vals))
+    except csv.Error as e:
+        raise FormatError(f"{path}: unreadable raw CSV ({e})") from None
     for ticker in dropped:
         groups.setdefault(ticker, [])
     for ticker in groups:
@@ -171,10 +179,11 @@ def load_csv(path) -> list[InstrumentSeries]:
 
     Rows with missing or unparsable fields (including non-positive prices
     and negative volume) are dropped and counted on ``dropped_rows``. A
-    ticker (a file's stem, or each row's ``ticker`` cell) names a panel cache
-    file, so it must be a plain file-name stem: not empty, no leading ``.``,
-    no ``/``, ``\\`` or NUL. It must also come from one file only. Otherwise
-    :class:`FormatError`.
+    ticker (a file's stem, or each row's ``ticker`` cell) must be a plain
+    file-name stem, as in a directory of per-ticker files: not empty, no
+    leading ``.``, no ``/``, ``\\`` or NUL. It must also come from one file
+    only. Otherwise, and for a file the ``csv`` module cannot parse (such as
+    a field over its size limit), :class:`FormatError`.
     """
     path = Path(path)
     if path.is_dir():
@@ -370,15 +379,20 @@ def split_periods(
 # panel cache
 
 
+def _table_layout(n: int, calendar: list[str]) -> tuple[list[str], list[str]]:
+    """The header cells and row keys of the panel table."""
+    columns = ["stock", "relation", *calendar]
+    return columns, [f"{i},{relation}" for i in range(n) for relation in RELATIONS]
+
+
 def write_panel(panel: MarketPanel, directory) -> None:
-    """Persist a panel as one table per ticker (:func:`mgdpr.files.write_table`,
-    a row per calendar date) plus a JSON manifest recording the panel's
-    :meth:`MarketPanel.digest` as ``panel_sha256``. Once the manifest is in
-    place, ``*.csv`` files it does not list (earlier tickers) are deleted.
+    """Persist a panel as one table, ``panel.csv`` (:func:`mgdpr.files.write_table`:
+    a row per (stock, relation), a column per calendar date), plus a JSON
+    manifest recording the panel's :meth:`MarketPanel.digest` as ``panel_sha256``.
     """
     directory = Path(directory)
-    for i, ticker in enumerate(panel.tickers):
-        write_table(directory / f"{ticker}.csv", _REQUIRED, panel.calendar, panel.data[i].T)
+    values = panel.data.reshape(-1, panel.num_days)
+    write_table(directory / "panel.csv", *_table_layout(panel.num_stocks, panel.calendar), values)
     manifest = {
         "tickers": panel.tickers,
         "calendar": panel.calendar,
@@ -386,7 +400,6 @@ def write_panel(panel: MarketPanel, directory) -> None:
         "panel_sha256": panel.digest(),
     }
     write_atomic(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    remove_unlisted(directory, r".+\.csv", {f"{ticker}.csv" for ticker in panel.tickers})
 
 
 _MANIFEST_TYPES = {
@@ -404,21 +417,20 @@ def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int], st
 def read_panel(directory) -> MarketPanel:
     """Reload a panel written by :func:`write_panel`.
 
-    The manifest and every ticker file are checked in full, and the loaded
-    panel's digest must equal the manifest's ``panel_sha256``; a missing,
-    truncated, malformed or altered cache raises :class:`FormatError` that
-    names the file and asks to re-run ``mgdpr ingest``.
+    The manifest and the table are checked in full, and the loaded panel's
+    digest must equal the manifest's ``panel_sha256``; a missing, truncated,
+    malformed or altered cache raises :class:`FormatError` that names the
+    file and asks to re-run ``mgdpr ingest``.
     """
     directory = Path(directory)
     try:
         tickers, calendar, fills, digest = _read_manifest(directory / "manifest.json")
-        data = np.empty((len(tickers), len(RELATIONS), len(calendar)), dtype=np.float64)
-        for i, ticker in enumerate(tickers):
-            data[i] = read_table(directory / f"{ticker}.csv", "panel file", _REQUIRED, calendar).T
+        values = read_table(directory / "panel.csv", "panel table", *_table_layout(len(tickers), calendar))
+        data = values.reshape(len(tickers), len(RELATIONS), len(calendar))
         panel = MarketPanel(tickers=tickers, calendar=calendar, data=data, fill_counts=fills)
         panel.validate()
         if panel.digest() != digest:
-            raise FormatError(f"{directory / 'manifest.json'}: panel_sha256 does not match the ticker files")
+            raise FormatError(f"{directory / 'manifest.json'}: panel_sha256 does not match panel.csv")
     except DataError as e:
         raise FormatError(f"{directory}: unusable panel cache ({e}); re-run `mgdpr ingest`") from e
     return panel

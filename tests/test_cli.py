@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgdpr import cli, graphs
+from mgdpr import cli, graphs, market
 from mgdpr.errors import CheckpointError, ConfigError
 from mgdpr.files import write_table
-from mgdpr.graphs import build_day_graphs, read_graphs, stock_factors
+from mgdpr.graphs import build_day_graphs, read_graphs
 from mgdpr.market import RELATIONS, read_panel
 from mgdpr.model import (
     CHECKPOINT_FORMAT,
@@ -157,8 +157,13 @@ def test_readme_key_table_matches_the_schema():
 def test_readme_names_the_current_file_formats():
     readme = _readme()
     assert set(re.findall(r"mgdpr-graph[\w/-]*", readme)) == {graphs.GRAPH_FORMAT}
-    assert set(re.findall(r"`(relation,stock[^`]*)`", readme)) == {",".join(graphs._DAY_COLUMNS)}
     assert set(re.findall(r"mgdpr-checkpoint[\w/-]*", readme)) == {CHECKPOINT_FORMAT}
+    cache_files = set(re.findall(r"`([\w<>-]+\.csv)`", readme)) - {"trace.csv"}
+    assert cache_files == {"panel.csv", "weights.csv"}
+    headers = set(re.findall(r"`((?:stock,relation|relation,stock)[^`]*)`", readme))
+    assert headers == {"stock,relation,<dates…>", "relation,stock,<days…>"}
+    assert market._table_layout(1, ["2020-01-02"])[0] == ["stock", "relation", "2020-01-02"]
+    assert graphs._table_layout([4], 1)[0] == ["relation", "stock", "4"]
 
 
 def test_readme_synopsis_names_the_flags_of_each_command():
@@ -314,6 +319,15 @@ class TestIngest:
         assert run("ingest", "--config", config) == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_field_over_the_csv_size_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        bad = tmp_path / "data" / "SYN01.csv"
+        bad.write_text(bad.read_text() + '2020-03-01,1,1,1,1,"' + "9" * 131073 + '"\n')
+        assert run("ingest", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: unreadable raw CSV (field larger than field limit (131072))\n"
+        assert not (tmp_path / "cache").exists()
+
     @staticmethod
     def _long_file(data_dir, ticker):
         """``data_dir/long.csv``: SYN00's rows under ``ticker`` in a ticker column."""
@@ -393,147 +407,275 @@ class TestGraph:
         assert "index.json" in names
 
 
-def _truncate_at(fraction):
-    def damage(path):
-        data = path.read_bytes()
-        path.write_bytes(data[: int(len(data) * fraction)])
-
-    return damage
-
-
-def _replace_cell(path):
-    lines = path.read_text().split("\n")
-    cells = lines[5].split(",")
-    cells[2] = "12.3.4"
-    lines[5] = ",".join(cells)
-    path.write_text("\n".join(lines))
+def _set_cell(text, row, col, value):
+    """``text`` with cell ``col`` of line ``row`` (0 is the header) set to ``value``."""
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
 
 
-def _change_one_digit(path):
-    lines = path.read_text().split("\n")
-    cells = lines[5].split(",")
-    k = cells[2].index(".") + 1
-    cells[2] = cells[2][:k] + str((int(cells[2][k]) + 1) % 10) + cells[2][k + 1 :]
-    lines[5] = ",".join(cells)
-    path.write_text("\n".join(lines))
+def _edit_row(text, row, edit):
+    lines = text.split("\n")
+    lines[row] = ",".join(edit(lines[row].split(",")))
+    return "\n".join(lines)
 
 
-def _old_format_index(path):
-    index = path.parent / "index.json"
-    payload = json.loads(index.read_text())
-    del payload["format"]
-    payload["forms"] = ["raw", "normalized"]
-    index.write_text(json.dumps(payload))
+def _bump_digit(text):
+    """``text`` with the digit after the decimal point of line 3's first number changed."""
+    cell = text.split("\n")[3].split(",")[2]
+    k = cell.index(".") + 1
+    return _set_cell(text, 3, 2, cell[:k] + str((int(cell[k]) + 1) % 10) + cell[k + 1 :])
 
 
-class TestDamagedGraphCache:
-    """Mutations of a small graph cache: `train` exits 5, never raises."""
+# One list of damage to a cache table, applied to both caches. Line 3 of the
+# panel table is the row '0,low' and of the weights table the row 'open,2';
+# cell 2 is the first number of a row. Each case gives the edit of the
+# table's text to new text or bytes (None deletes the file), then the
+# message expected from panel.csv and from weights.csv; None for
+# weights.csv means the edit leaves a valid table, which only its digest in
+# index.json tells apart.
+TABLE_DAMAGE = {
+    "truncate-0": (lambda t: "", "truncated", "truncated"),
+    "truncate-1pct": (lambda t: t[: len(t) // 100], "truncated", "truncated"),
+    "truncate-half": (lambda t: t[: len(t) // 2], "truncated", "truncated"),
+    "truncate-last-byte": (lambda t: t[:-1], "truncated", "truncated"),
+    "truncate-after-a-row": (
+        lambda t: "".join(t.splitlines(keepends=True)[:2]), "1 rows, expected 15", "1 rows, expected 15"
+    ),
+    "header": (lambda t: "x" + t, "unexpected header", "unexpected header"),
+    "wrong-key": (
+        lambda t: _edit_row(t, 3, lambda cells: cells[:1] + [cells[1] + "x"] + cells[2:]),
+        r"panel.csv:4: expected the row '0,low' with 30 numbers",
+        r"weights.csv:4: expected the row 'open,2' with 25 numbers",
+    ),
+    "short-row": (
+        lambda t: _edit_row(t, 3, lambda cells: cells[:-1]),
+        r"panel.csv:4: expected the row '0,low' with 30 numbers",
+        r"weights.csv:4: expected the row 'open,2' with 25 numbers",
+    ),
+    "long-row": (
+        lambda t: _edit_row(t, 3, lambda cells: cells + ["1.0"]),
+        r"panel.csv:4: expected the row '0,low' with 30 numbers",
+        r"weights.csv:4: expected the row 'open,2' with 25 numbers",
+    ),
+    "two-numbers-in-a-cell": (
+        lambda t: _set_cell(t, 3, 2, "0.5,0.5"),
+        r"panel.csv:4: expected the row '0,low' with 30 numbers",
+        r"weights.csv:4: expected the row 'open,2' with 25 numbers",
+    ),
+    "non-numeric-cell": (
+        lambda t: _set_cell(t, 3, 2, "12.3.4"), r"panel.csv:4: non-numeric", r"weights.csv:4: non-numeric"
+    ),
+    "nan": (
+        lambda t: _set_cell(t, 3, 2, "nan"),
+        r"panel.csv:4: non-finite value in column '2020-01-01' of the row '0,low'",
+        r"weights.csv:4: non-finite value in column '4' of the row 'open,2'",
+    ),
+    "inf": (
+        lambda t: _set_cell(t, 3, 2, "inf"),
+        r"panel.csv:4: non-finite value in column '2020-01-01' of the row '0,low'",
+        r"weights.csv:4: non-finite value in column '4' of the row 'open,2'",
+    ),
+    "zero": (
+        lambda t: _set_cell(t, 3, 2, "0.0"),
+        "non-positive prices",
+        r"weights.csv: weight 0.0 of open stock 2 on day 4 is not positive",
+    ),
+    "negative": (
+        lambda t: _set_cell(t, 3, 2, "-0.5"),
+        "non-positive prices",
+        r"weights.csv: weight -0.5 of open stock 2 on day 4 is not positive",
+    ),
+    "non-utf8": (
+        lambda t: t.encode()[:8] + b"\xff" + t.encode()[9:], "unreadable panel table", "unreadable graph weights"
+    ),
+    "one-changed-digit": (_bump_digit, "panel_sha256 does not match panel.csv", None),
+    "deleted": (None, "panel.csv: panel table not found", "weights.csv: graph weights not found"),
+}
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            _truncate_at(0.0),
-            _truncate_at(0.01),
-            _truncate_at(0.5),
-            _truncate_at(0.999),
-            _replace_cell,
-            _change_one_digit,
-            lambda path: path.unlink(),
-            _old_format_index,
-            lambda path: (path.parent / "index.json").write_text("{not json"),
-        ],
-        ids=["truncate-0", "truncate-1pct", "truncate-half", "truncate-last-byte",
-             "non-numeric-cell", "one-changed-digit", "deleted", "old-format-index", "garbage-index"],
-    )
-    def test_train_exits_5(self, tmp_path, capsys, damage):
+
+def _damage(path, edit):
+    if edit is None:
+        path.unlink()
+    else:
+        damaged = edit(path.read_text())
+        path.write_bytes(damaged if isinstance(damaged, bytes) else damaged.encode())
+
+
+def _restamp(graph_dir):
+    """Record the weights table's current digest in the index, so that the
+    table's own checks, not its checksum, meet a damaged table."""
+    index_path = graph_dir / "index.json"
+    index = json.loads(index_path.read_text())
+    index["sha256"] = hashlib.sha256((graph_dir / "weights.csv").read_bytes()).hexdigest()
+    index_path.write_text(json.dumps(index))
+
+
+def _one_line_error(capsys, *patterns):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for pattern in patterns:
+        assert re.search(pattern, err), (pattern, err)
+
+
+class TestDamagedCacheTable:
+    """The same damage to either cache's table fails the next command with a
+    one-line message that names it and says which command rebuilds it."""
+
+    @pytest.mark.parametrize("edit, panel_match, weights_match", TABLE_DAMAGE.values(), ids=list(TABLE_DAMAGE))
+    def test_panel_table_graph_exits_2(self, tmp_path, capsys, edit, panel_match, weights_match):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        _damage(tmp_path / "cache" / "panel" / "panel.csv", edit)
+        capsys.readouterr()
+        assert run("graph", "--config", config) == 2
+        _one_line_error(capsys, panel_match, r"re-run `mgdpr ingest`")
+
+    @pytest.mark.parametrize("edit, panel_match, weights_match", TABLE_DAMAGE.values(), ids=list(TABLE_DAMAGE))
+    def test_weights_table_train_exits_5(self, tmp_path, capsys, edit, panel_match, weights_match):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0
         assert run("graph", "--config", config) == 0
-        damage(tmp_path / "cache" / "graphs" / "day00010.csv")
-        assert run("train", "--config", config) == 5
-        assert "re-run `mgdpr graph`" in capsys.readouterr().err
+        graph_dir = tmp_path / "cache" / "graphs"
+        _damage(graph_dir / "weights.csv", edit)
+        capsys.readouterr()
+        if edit is not None:
+            assert run("train", "--config", config) == 5
+            _one_line_error(capsys, "does not match the sha256", r"re-run `mgdpr graph`")
+            _restamp(graph_dir)
+        if weights_match is None:
+            assert run("train", "--config", config) == 0
+        else:
+            assert run("train", "--config", config) == 5
+            _one_line_error(capsys, weights_match, r"re-run `mgdpr graph`")
 
 
-def _edit_panel_row(edit):
-    def damage(path):
-        lines = path.read_text().split("\n")
-        lines[5] = ",".join(edit(lines[5].split(",")))
-        path.write_text("\n".join(lines))
-
-    return damage
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
 
 
-def _edit_fill_count(path):
-    manifest = path.parent / "manifest.json"
-    payload = json.loads(manifest.read_text())
-    payload["fill_counts"][path.stem] = 99
-    manifest.write_text(json.dumps(payload))
+def _old_format_index(index):
+    del index["format"]
+    index["forms"] = ["raw", "normalized"]
 
 
-class TestDamagedPanelCache:
-    """Mutations of the panel cache: `graph` exits 2, never raises."""
+class TestDamagedCacheObject:
+    """Damage to a cache's JSON object fails like damage to its table."""
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, match",
         [
-            _edit_panel_row(lambda cells: cells[:2] + ["12.3.4"] + cells[3:]),
-            _edit_panel_row(lambda cells: cells[:-1]),
-            _change_one_digit,
-            lambda path: path.unlink(),
-            lambda path: (path.parent / "manifest.json").write_text("{not json"),
-            lambda path: (path.parent / "manifest.json").write_text("{}"),
-            _truncate_at(0.5),
-            _edit_fill_count,
+            (lambda path: path.write_text("{not json"), "not valid JSON"),
+            (lambda path: path.write_text("{}"), "field tickers must be"),
+            (lambda path: _edit_json(path, lambda m: m["fill_counts"].update(SYN01=99)), "panel_sha256 does not match"),
         ],
-        ids=["non-numeric-cell", "short-row", "one-changed-digit", "deleted", "garbage-manifest",
-             "empty-manifest", "truncate-half", "edited-fill-count"],
+        ids=["garbage-manifest", "empty-manifest", "edited-fill-count"],
     )
-    def test_graph_exits_2(self, tmp_path, capsys, damage):
+    def test_panel_manifest_graph_exits_2(self, tmp_path, capsys, damage, match):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0
-        damage(tmp_path / "cache" / "panel" / "SYN01.csv")
+        damage(tmp_path / "cache" / "panel" / "manifest.json")
+        capsys.readouterr()
         assert run("graph", "--config", config) == 2
-        assert "re-run `mgdpr ingest`" in capsys.readouterr().err
+        _one_line_error(capsys, match, r"re-run `mgdpr ingest`")
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda path: path.write_text("{not json"), "not valid JSON"),
+            (lambda path: _edit_json(path, _old_format_index), "field format must be"),
+            (lambda path: _edit_json(path, lambda index: index.pop("sha256")), "field sha256 must be str"),
+            (lambda path: _edit_json(path, lambda index: index.update(sha256={})), "field sha256 must be str"),
+            (lambda path: _edit_json(path, lambda index: index["days"].pop()), "day 28 is not in the graph index"),
+            (lambda path: _edit_json(path, lambda index: index["days"].append(99)), "unexpected header"),
+            (lambda path: _edit_json(path, lambda index: index["days"].reverse()), "unexpected header"),
+        ],
+        ids=["garbage-index", "old-format-index", "no-digest", "digest-map", "day-missing", "extra-day",
+             "days-reordered"],
+    )
+    def test_graph_index_train_exits_5(self, tmp_path, capsys, damage, match):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        assert run("graph", "--config", config) == 0
+        damage(tmp_path / "cache" / "graphs" / "index.json")
+        capsys.readouterr()
+        assert run("train", "--config", config) == 5
+        _one_line_error(capsys, match, r"re-run `mgdpr graph`")
 
 
-def _as_factors_v3(graph_dir, panel, lookback):
-    """Rewrite a graph cache as the mgdpr-graph-factors/3 format wrote it,
-    under valid digests: each (relation, stock) row held the window's
-    energy and entropy, where the current format holds one sender weight."""
+def _as_per_ticker_panel(panel_dir):
+    """Rewrite a panel cache in the per-ticker layout of earlier versions:
+    one `<ticker>.csv` per stock with a row per calendar date, the manifest
+    unchanged."""
+    panel = read_panel(panel_dir)
+    for i, ticker in enumerate(panel.tickers):
+        write_table(panel_dir / f"{ticker}.csv", ("date", *RELATIONS), panel.calendar, panel.data[i].T)
+    (panel_dir / "panel.csv").unlink()
+
+
+def _as_weights_v4(graph_dir):
+    """Rewrite a graph cache as the mgdpr-graph-weights/4 format wrote it:
+    one `dayNNNNN.csv` table per day, `relation,stock,weight`, and an index
+    mapping each day file's name to its digest."""
     index_path = graph_dir / "index.json"
     index = json.loads(index_path.read_text())
-    keys = [f"{relation},{i}" for relation in RELATIONS for i in range(panel.num_stocks)]
-    for t in index["days"]:
-        window = panel.data[:, :, t - lookback + 1 : t + 1]
-        factors = np.array([stock_factors(window[:, r]) for r in range(len(RELATIONS))])
+    keys = [f"{relation},{i}" for relation in RELATIONS for i in range(index["num_stocks"])]
+    digests = {}
+    for t, adj in read_graphs(graph_dir).items():
         name = f"day{t:05d}.csv"
-        columns = ("relation", "stock", "energy", "entropy")
-        index["sha256"][name] = write_table(graph_dir / name, columns, keys, factors.transpose(0, 2, 1).reshape(-1, 2))
-    index["format"] = "mgdpr-graph-factors/3"
+        digests[name] = write_table(graph_dir / name, ("relation", "stock", "weight"), keys, adj.sender_weights.reshape(-1, 1))
+    (graph_dir / "weights.csv").unlink()
+    index.update(format="mgdpr-graph-weights/4", sha256=digests)
     index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 
-class TestPreviousGraphFormat:
-    def test_train_and_eval_exit_5_until_graph_rewrites_the_cache(self, tmp_path, capsys):
+def _contents(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestPreviousCacheLayout:
+    """A cache of an earlier layout is refused, with one line, until the
+    command that writes it runs again; that command leaves the earlier
+    layout's files in place, and nothing reads them."""
+
+    def test_per_ticker_panel_graph_exits_2_until_ingest_rewrites_it(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        panel_dir = tmp_path / "cache" / "panel"
+        _as_per_ticker_panel(panel_dir)
+        earlier = _contents(panel_dir)
+        capsys.readouterr()
+        assert run("graph", "--config", config) == 2
+        _one_line_error(capsys, "panel.csv: panel table not found", r"re-run `mgdpr ingest`")
+
+        assert run("ingest", "--config", config) == 0
+        now = _contents(panel_dir)
+        assert set(now) == set(earlier) | {"panel.csv"}
+        assert all(now[name] == data for name, data in earlier.items() if name != "manifest.json")
+        assert run("graph", "--config", config) == 0
+
+    def test_weights_v4_train_and_eval_exit_5_until_graph_rewrites_it(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
         for cmd in ("ingest", "graph", "train"):
             assert run(cmd, "--config", config) == 0
         graph_dir = tmp_path / "cache" / "graphs"
-        _as_factors_v3(graph_dir, read_panel(tmp_path / "cache" / "panel"), lookback=5)
-        assert (graph_dir / "day00010.csv").read_text().startswith("relation,stock,energy,entropy\n")
+        _as_weights_v4(graph_dir)
+        earlier = _contents(graph_dir)
+        assert earlier["day00010.csv"].startswith(b"relation,stock,weight\n")
         capsys.readouterr()
         for cmd in ("train", "eval"):
             assert run(cmd, "--config", config) == 5
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1 and "re-run `mgdpr graph`" in err
+            _one_line_error(capsys, "mgdpr-graph-weights/5", r"re-run `mgdpr graph`")
 
         assert run("graph", "--config", config) == 0
-        index = json.loads((graph_dir / "index.json").read_text())
-        assert index["format"] == graphs.GRAPH_FORMAT
-        day_files = [f"day{t:05d}.csv" for t in index["days"]]
-        assert sorted(p.name for p in graph_dir.iterdir()) == sorted(["index.json"] + day_files)
-        for name in day_files:
-            assert (graph_dir / name).read_text().startswith("relation,stock,weight\n")
+        now = _contents(graph_dir)
+        assert json.loads(now["index.json"])["format"] == graphs.GRAPH_FORMAT
+        assert set(now) == set(earlier) | {"weights.csv"}
+        assert all(now[name] == data for name, data in earlier.items() if name != "index.json")
         for cmd in ("train", "eval"):
             assert run(cmd, "--config", config) == 0
 
@@ -552,8 +694,8 @@ class TestStaleGraphCache:
         assert "re-run `mgdpr graph`" in capsys.readouterr().err
 
 
-class TestCacheHoldsOnlyListedFiles:
-    def test_smaller_reingest_and_graph_leave_no_stale_files(self, tmp_path):
+class TestEachCacheIsTwoFiles:
+    def test_smaller_reingest_and_graph_rewrite_both_files(self, tmp_path):
         config = make_workspace(tmp_path)
         data_dir = tmp_path / "data"
         write_series_csv(planted_market(num_stocks=4, num_days=30, momentum_lag=3, seed=1), data_dir)
@@ -566,16 +708,11 @@ class TestCacheHoldsOnlyListedFiles:
             assert run(cmd, "--config", config) == 0
 
         panel_dir, graph_dir = tmp_path / "cache" / "panel", tmp_path / "cache" / "graphs"
-        manifest = json.loads((panel_dir / "manifest.json").read_text())
-        assert len(manifest["tickers"]) == 3 and len(manifest["calendar"]) == 20
-        assert sorted(p.name for p in panel_dir.iterdir()) == sorted(
-            ["manifest.json"] + [f"{t}.csv" for t in manifest["tickers"]]
-        )
-        days = json.loads((graph_dir / "index.json").read_text())["days"]
-        assert len(days) == 20 - 5
-        assert sorted(p.name for p in graph_dir.iterdir()) == sorted(
-            ["index.json"] + [f"day{t:05d}.csv" for t in days]
-        )
+        assert sorted(p.name for p in panel_dir.iterdir()) == ["manifest.json", "panel.csv"]
+        assert sorted(p.name for p in graph_dir.iterdir()) == ["index.json", "weights.csv"]
+        panel = read_panel(panel_dir)
+        assert panel.num_stocks == 3 and panel.num_days == 20
+        assert sorted(read_graphs(graph_dir, panel_digest=panel.digest())) == list(range(4, 19))
 
     def test_other_files_are_kept(self, tmp_path):
         config = make_workspace(tmp_path)

@@ -231,13 +231,18 @@ class TestGraphCache:
             assert got.sender_weights.tobytes() == g.sender_weights.tobytes()
             assert got.matrices.tobytes() == g.matrices.tobytes()
 
-    def test_one_small_table_per_day(self, tmp_path):
-        _cached_days(tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["day00004.csv", "day00005.csv", "index.json"]
-        lines = (tmp_path / "day00004.csv").read_text().splitlines()
-        assert lines[0] == "relation,stock,weight"
+    def test_one_table_with_a_column_per_day(self, tmp_path):
+        graphs = _cached_days(tmp_path, days=(5, 4))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "weights.csv"]
+        lines = (tmp_path / "weights.csv").read_text().splitlines()
+        assert lines[0] == "relation,stock,4,5"
         assert len(lines) == 1 + 5 * 3
         assert lines[1].startswith("open,0,") and lines[-1].startswith("volume,2,")
+        assert lines[2] == "open,1," + ",".join(repr(float(g.sender_weights[0, 1])) for g in graphs[::-1])
+
+    def test_requested_days_only(self, tmp_path):
+        _cached_days(tmp_path, days=(4, 5, 6))
+        assert sorted(read_graphs(tmp_path, days=[6, 4])) == [4, 6]
 
     def test_other_panel_rejected_and_not_merged(self, tmp_path):
         _cached_days(tmp_path, days=(4, 6))
@@ -247,7 +252,7 @@ class TestGraphCache:
             read_graphs(tmp_path, panel_digest="0" * 64)
         write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, "0" * 64)
         assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["day00005.csv", "index.json"]
+        assert sorted(read_graphs(tmp_path)) == [5]
 
     def test_graph_of_another_relation_count_is_refused_before_writing(self, tmp_path):
         (graph,) = _cached_days(tmp_path / "first", days=(4,))
@@ -256,103 +261,31 @@ class TestGraphCache:
             write_graphs([six], tmp_path / "second", "0" * 64)
         assert not (tmp_path / "second").exists()
 
+    def test_graphs_of_different_stock_counts_are_refused_before_writing(self, tmp_path):
+        (graph,) = _cached_days(tmp_path / "first", days=(4,))
+        four = MultiRelAdjacency(5, np.full((5, 4), 0.25))
+        with pytest.raises(UsageError, match=r"graphs of different shapes \[\(5, 3\), \(5, 4\)\]"):
+            write_graphs([graph, four], tmp_path / "second", "0" * 64)
+        assert not (tmp_path / "second").exists()
+
     def test_missing_index(self, tmp_path):
         with pytest.raises(FormatError):
             read_graphs(tmp_path)
 
-    def test_missing_day_file(self, tmp_path):
+    def test_missing_day_or_table(self, tmp_path):
         _cached_days(tmp_path, days=(7,))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="day 8 is not in the graph index"):
             read_graphs(tmp_path, days=[8])
-        (tmp_path / "day00007.csv").unlink()
+        (tmp_path / "weights.csv").unlink()
         with pytest.raises(FormatError, match="not found"):
             read_graphs(tmp_path)
 
-    @pytest.mark.parametrize(
-        "damage, match",
-        [
-            (lambda text: "", "truncated"),
-            (lambda text: text[:10], "truncated"),
-            (lambda text: text[: text.index("\n", 40) + 1], "rows"),
-            (lambda text: text[:-3], "truncated"),
-            (lambda text: text.replace("open,1,", "open,2,", 1), "expected the row"),
-            (lambda text: text.replace("relation,", "rel,", 1), "header"),
-            (lambda text: _set_cell(text, 3, 2, "abc"), "non-numeric"),
-            (lambda text: _set_cell(text, 3, 2, "nan"), "non-finite weight"),
-            (lambda text: _set_cell(text, 3, 2, "inf"), "non-finite weight"),
-            (lambda text: _set_cell(text, 3, 2, "0.0"), "not positive"),
-            (lambda text: _set_cell(text, 3, 2, "-0.5"), "not positive"),
-            (lambda text: _set_cell(text, 3, 2, "0.5,0.5"), "expected the row"),
-        ],
-    )
-    def test_damaged_day_file_rejected(self, tmp_path, damage, match):
-        # The index is re-stamped with the damaged file's digest, so these
-        # cases reach the parser's own checks rather than the checksum.
-        _cached_days(tmp_path)
-        path = tmp_path / "day00004.csv"
-        path.write_text(damage(path.read_text()))
-        _restamp(path)
-        with pytest.raises(FormatError, match=match):
-            read_graphs(tmp_path)
-
-    def test_changed_digit_fails_checksum(self, tmp_path):
-        _cached_days(tmp_path)
-        path = tmp_path / "day00004.csv"
-        text = path.read_text()
-        cell = text.split("\n")[3].split(",")[2]
-        path.write_text(_set_cell(text, 3, 2, _bump_digit(cell)))
-        with pytest.raises(FormatError, match="sha256"):
-            read_graphs(tmp_path)
-        _restamp(path)
-        assert sorted(read_graphs(tmp_path)) == [4, 5]
-
-    def test_index_records_each_day_file_digest(self, tmp_path):
+    def test_index_records_the_table_digest(self, tmp_path):
         _cached_days(tmp_path, days=(6, 4, 5))
         index = json.loads((tmp_path / "index.json").read_text())
-        assert index["format"] == "mgdpr-graph-weights/4"
-        assert sorted(index["sha256"]) == ["day00004.csv", "day00005.csv", "day00006.csv"]
-        for name, digest in index["sha256"].items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda index: index.pop("sha256"),
-            lambda index: index["sha256"].pop("day00005.csv"),
-            lambda index: index["sha256"].update({"day00009.csv": "0" * 64}),
-            lambda index: index["sha256"].update({"day00005.csv": 5}),
-        ],
-        ids=["missing", "day-missing", "extra-day", "not-a-string"],
-    )
-    def test_damaged_digest_table_rejected(self, tmp_path, edit):
-        _cached_days(tmp_path)
-        path = tmp_path / "index.json"
-        index = json.loads(path.read_text())
-        edit(index)
-        path.write_text(json.dumps(index))
-        with pytest.raises(FormatError, match="sha256"):
-            read_graphs(tmp_path)
-
-
-def _restamp(path):
-    index_path = path.parent / "index.json"
-    index = json.loads(index_path.read_text())
-    index["sha256"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    index_path.write_text(json.dumps(index))
-
-
-def _bump_digit(cell):
-    """``cell`` with the digit after its decimal point changed."""
-    k = cell.index(".") + 1
-    return cell[:k] + str((int(cell[k]) + 1) % 10) + cell[k + 1 :]
-
-
-def _set_cell(text, row, col, value):
-    lines = text.split("\n")
-    cells = lines[row].split(",")
-    cells[col] = value
-    lines[row] = ",".join(cells)
-    return "\n".join(lines)
+        assert index["format"] == "mgdpr-graph-weights/5"
+        assert index["days"] == [4, 5, 6]
+        assert index["sha256"] == hashlib.sha256((tmp_path / "weights.csv").read_bytes()).hexdigest()
 
 
 class TestWriteTable:

@@ -107,6 +107,20 @@ class TestLoadCsv:
         with pytest.raises(FormatError, match="'.AAA'"):
             load_csv(tmp_path / ".AAA.csv")
 
+    def test_bare_cr_line_endings_load(self, tmp_path):
+        path = tmp_path / "AAA.csv"
+        _write_csv(path, [(d, 1, 2, 0.5, 1.5, 100) for d in _dates(3)])
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        (series,) = load_csv(path)
+        assert series.dates == _dates(3) and series.dropped_rows == 0
+
+    def test_field_over_the_csv_size_limit_rejected(self, tmp_path):
+        path = tmp_path / "AAA.csv"
+        huge = '"' + "9" * 131073 + '"'  # one quoted field over csv's default limit of 131,072 characters
+        _write_csv(path, [(d, 1, 2, 0.5, 1.5, 100) for d in _dates(3)] + [("2020-01-09", 1, 2, 0.5, 1.5, huge)])
+        with pytest.raises(FormatError, match=f"{path}: unreadable raw CSV \\(field larger than field limit"):
+            load_csv(path)
+
     def test_zero_valid_rows(self, tmp_path):
         _write_csv(tmp_path / "AAA.csv", [("not-a-date", 1, 2, 0.5, 1.5, 100)])
         with pytest.raises(EmptyInputError):
@@ -323,7 +337,7 @@ class TestPanelCache:
         reloaded = read_panel(tmp_path / "panel")
         assert reloaded.tickers == panel.tickers
         assert reloaded.calendar == panel.calendar
-        assert np.array_equal(reloaded.data, panel.data)
+        assert reloaded.data.tobytes() == panel.data.tobytes()
         assert reloaded.fill_counts == panel.fill_counts
 
     def test_missing_manifest(self, tmp_path):
@@ -341,17 +355,6 @@ class TestPanelCache:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["panel_sha256"] == panel.digest()
 
-    def test_changed_value_fails_digest(self, tmp_path):
-        self._written(tmp_path)
-        path = tmp_path / "B.csv"
-        lines = path.read_text().split("\n")
-        cells = lines[3].split(",")
-        cells[4] = str(float(cells[4]) + 0.5)
-        lines[3] = ",".join(cells)
-        path.write_text("\n".join(lines))
-        with pytest.raises(FormatError, match="panel_sha256"):
-            read_panel(tmp_path)
-
     def test_manifest_without_digest_rejected(self, tmp_path):
         self._written(tmp_path)
         path = tmp_path / "manifest.json"
@@ -361,32 +364,11 @@ class TestPanelCache:
         with pytest.raises(FormatError, match="panel_sha256"):
             read_panel(tmp_path)
 
-    def test_lines_end_with_newline_and_crlf_cache_still_loads(self, tmp_path):
+    def test_one_table_with_a_row_per_stock_and_relation(self, tmp_path):
         panel = self._written(tmp_path)
-        for ticker in panel.tickers:
-            path = tmp_path / f"{ticker}.csv"
-            blob = path.read_bytes()
-            assert b"\r" not in blob and blob.count(b"\n") == 1 + panel.num_days
-            path.write_bytes(blob.replace(b"\n", b"\r\n"))  # as csv.writer wrote it
-        reloaded = read_panel(tmp_path)
-        assert reloaded.data.tobytes() == panel.data.tobytes()
-
-    @pytest.mark.parametrize(
-        "edit, match",
-        [
-            (lambda cells: ["2020-02-30"] + cells[1:], "B.csv:4: expected the row '2020-01-03' with 5"),
-            (lambda cells: cells[:-1], "B.csv:4: expected the row '2020-01-03' with 5 numbers"),
-            (lambda cells: cells + ["1.0"], "B.csv:4: expected the row '2020-01-03' with 5 numbers"),
-            (lambda cells: cells[:2] + ["12.3.4"] + cells[3:], "B.csv:4: non-numeric"),
-            (lambda cells: cells[:4] + ["nan"] + cells[5:], "B.csv:4: non-finite close"),
-        ],
-        ids=["wrong-date", "short-row", "long-row", "non-numeric", "nan"],
-    )
-    def test_damaged_ticker_file_rejected(self, tmp_path, edit, match):
-        self._written(tmp_path)
-        path = tmp_path / "B.csv"
-        lines = path.read_text().split("\n")
-        lines[3] = ",".join(edit(lines[3].split(",")))
-        path.write_text("\n".join(lines))
-        with pytest.raises(FormatError, match=match):
-            read_panel(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "panel.csv"]
+        lines = (tmp_path / "panel.csv").read_text().split("\n")
+        assert lines[0] == "stock,relation," + ",".join(panel.calendar)
+        assert lines[-1] == "" and len(lines) == 2 + 2 * 5
+        assert lines[4] == "0,close," + ",".join(map(repr, panel.data[0, 3].tolist()))
+        assert lines[-2].startswith("1,volume,")
