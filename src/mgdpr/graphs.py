@@ -14,9 +14,14 @@ The weight is the rank-one ratio w_ij = s_i / s_j with s = energy *
 exp(entropy), so every row of a relation's row-normalized matrix is the
 same vector b = (1/s) / sum(1/s), and w_ij = b_j / b_i. A day's graph is
 held as those R * N sender weights (:class:`MultiRelAdjacency`), computed
-once from a raw window by :func:`window_graphs`. The cache stores the same
-numbers, every day's as one column of a single table, so reloaded graphs
-are bit-identical to freshly built ones. The
+once from a raw (R, N, lookback) window by :func:`window_graphs`. It
+reduces all R * N windows in one pass, with the bits of the one-window
+definitions :func:`signal_energy` and :func:`information_entropy`, which
+run the same code on one window. A window whose energy is below
+``ENERGY_FLOOR`` or whose s or sender weight overflows or underflows is
+refused with :class:`DegenerateSeriesError`.
+The cache stores the same numbers, every day's as one column of a single
+table, so reloaded graphs are bit-identical to freshly built ones. The
 model reads only :attr:`MultiRelAdjacency.sender_weights`; N x N matrices
 are expanded only on request (:attr:`MultiRelAdjacency.matrices`,
 :func:`build_adjacency`).
@@ -64,11 +69,9 @@ class MultiRelAdjacency:
 
 
 def signal_energy(x) -> float:
-    """Sum of squared magnitudes of a window."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise UsageError("signal_energy: empty sequence")
-    return float(np.sum(x * x))
+    """Sum of squared magnitudes of a window: the one-window case of the
+    batched code :func:`window_graphs` runs (inf where it overflows)."""
+    return float(_energies(_one_window(x, "signal_energy")))
 
 
 def information_entropy(x) -> float:
@@ -77,19 +80,72 @@ def information_entropy(x) -> float:
     Values are quantized to ``ENTROPY_DECIMALS`` places before counting repeats;
     without that, real price data almost never repeats and the entropy
     saturates. The result is clamped to the theoretical range [0, ln n]
-    (summation can otherwise overshoot the upper bound by an ulp).
+    (summation can otherwise overshoot the upper bound by an ulp). This is
+    the one-window case of the batched code :func:`window_graphs` runs.
     """
-    x = np.asarray(x, dtype=np.float64)
+    return float(_entropies(_one_window(x, "information_entropy")))
+
+
+def _one_window(x, caller: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size == 0:
-        raise UsageError("information_entropy: empty sequence")
-    quantized = np.round(x, ENTROPY_DECIMALS)
-    _, counts = np.unique(quantized, return_counts=True)
-    n = x.size
-    h = 0.0
-    for c in counts:
-        p = c / n
-        h -= p * math.log(p)
-    return min(max(h, 0.0), math.log(n))
+        raise UsageError(f"{caller}: empty sequence")
+    return x
+
+
+def _energies(windows: np.ndarray) -> np.ndarray:
+    """Signal energy of every window along the last axis, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.sum(windows * windows, axis=-1)
+
+
+def _entropies(windows: np.ndarray) -> np.ndarray:
+    """Entropy of every window along the last axis.
+
+    Each window's quantized values are sorted; a run of c equal values is
+    one outcome of probability p = c/n. The terms p*ln(p) come from a table
+    of the n possible counts, and are subtracted one column at a time, so
+    each window's sum runs over its outcomes in ascending value order.
+    """
+    n = windows.shape[-1]
+    table = np.array([(c / n) * math.log(c / n) for c in range(1, n + 1)])
+    ordered = np.sort(np.round(windows, ENTROPY_DECIMALS), axis=-1)
+    new = ordered[..., 1:] != ordered[..., :-1]
+    edge = np.ones(ordered.shape[:-1] + (1,), dtype=bool)
+    first = np.concatenate([edge, new], axis=-1)  # a run of equal values starts here
+    last = np.concatenate([new, edge], axis=-1)  # ... and ends here
+    k = np.arange(n)
+    start = np.maximum.accumulate(np.where(first, k, 0), axis=-1)
+    terms = np.where(last, table[k - start], 0.0)  # each run's p*ln(p) at its end, else 0
+    h = np.zeros(ordered.shape[:-1])
+    for column in np.moveaxis(terms, -1, 0):
+        h -= column
+    return np.minimum(np.maximum(h, 0.0), math.log(n))
+
+
+def _refuse_first(ok: np.ndarray, tickers: list[str] | None, reason) -> None:
+    """Raise :class:`DegenerateSeriesError` for the first False of the
+    (relations, stocks) mask ``ok``, in relation order, then stock order,
+    naming its ticker (or index) and ``reason(relation, stock)``."""
+    if not ok.all():
+        r, i = np.argwhere(~ok)[0]
+        name = tickers[i] if tickers else f"stock {i}"
+        raise DegenerateSeriesError(f"{name}: {reason(r, i)}")
+
+
+def _factors(raw: np.ndarray, tickers: list[str] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(relations, stocks) energy and entropy of a (relations, stocks, lookback)
+    window, refusing a window whose energy is below ``ENERGY_FLOOR`` or not finite."""
+    if raw.shape[-1] == 0:
+        raise UsageError(f"empty lookback window of shape {raw.shape}")
+    energy = _energies(raw)
+    _refuse_first(
+        (energy >= ENERGY_FLOOR) & (energy < math.inf),
+        tickers,
+        lambda r, i: f"window energy {energy[r, i]:.3e} "
+        + (f"below floor {ENERGY_FLOOR:.0e}" if energy[r, i] < ENERGY_FLOOR else "is not finite"),
+    )
+    return energy, _entropies(raw)
 
 
 def stock_factors(window: np.ndarray, tickers: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -97,28 +153,40 @@ def stock_factors(window: np.ndarray, tickers: list[str] | None = None) -> tuple
     (N, lookback) window.
 
     Raises :class:`DegenerateSeriesError`, naming the stock, when a window's
-    energy is below ``ENERGY_FLOOR`` (its ratios would blow up).
+    energy is below ``ENERGY_FLOOR`` (its ratios would blow up) or not finite.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise UsageError(f"stock_factors: expected (stocks, lookback), got {window.shape}")
-    energy = np.array([signal_energy(row) for row in window])
-    weak = energy < ENERGY_FLOOR
-    if weak.any():
-        i = int(np.argmax(weak))
-        name = tickers[i] if tickers else f"stock {i}"
-        raise DegenerateSeriesError(
-            f"{name}: window energy {energy[i]:.3e} below floor {ENERGY_FLOOR:.0e}"
-        )
-    entropy = np.array([information_entropy(row) for row in window])
-    return energy, entropy
+    energy, entropy = _factors(window[None], tickers)
+    return energy[0], entropy[0]
 
 
 def window_graphs(t: int, raw: np.ndarray, tickers: list[str] | None = None) -> MultiRelAdjacency:
-    """Graph of the raw (relations, stocks, lookback) window ending at day ``t``."""
-    factors = np.array([stock_factors(window, tickers) for window in raw])  # (relations, 2, stocks)
-    inverse = 1.0 / (factors[:, 0] * np.exp(factors[:, 1]))
-    return MultiRelAdjacency(t, inverse / inverse.sum(axis=-1, keepdims=True))
+    """Graph of the raw (relations, stocks, lookback) window ending at day ``t``.
+
+    All R * N windows are reduced at once. Raises :class:`DegenerateSeriesError`,
+    naming the first such stock in relation order, then stock order, when a
+    window's energy is below ``ENERGY_FLOOR``, when s = energy * exp(entropy)
+    is not finite, or when a sender weight is not positive.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim != 3:
+        raise UsageError(f"window_graphs: expected (relations, stocks, lookback), got {raw.shape}")
+    energy, entropy = _factors(raw, tickers)
+    with np.errstate(over="ignore"):
+        s = energy * np.exp(entropy)
+    _refuse_first(
+        np.isfinite(s), tickers, lambda r, i: f"window energy {energy[r, i]:.3e} times exp(entropy) is not finite"
+    )
+    inverse = 1.0 / s
+    weights = inverse / inverse.sum(axis=-1, keepdims=True)
+    _refuse_first(
+        weights > 0.0,
+        tickers,
+        lambda r, i: f"sender weight {float(weights[r, i])!r} is not positive (window energy {energy[r, i]:.3e})",
+    )
+    return MultiRelAdjacency(t, weights)
 
 
 def build_adjacency(window: np.ndarray, tickers: list[str] | None = None) -> np.ndarray:

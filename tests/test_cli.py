@@ -387,6 +387,18 @@ class TestGraph:
         assert run("graph", "--config", config) == 3
         assert "no labeled end days" in capsys.readouterr().err
 
+    def test_price_whose_square_overflows_exits_3_naming_the_stock(self, tmp_path, capsys):
+        # 1e160 is finite, so ingest keeps it, but its square is not: the graph
+        # is refused in one line rather than cached with a zero sender weight
+        config = make_workspace(tmp_path)
+        path = tmp_path / "data" / "SYN01.csv"
+        path.write_text(_set_cell(path.read_text(), 10, RELATIONS.index("close") + 1, "1e160"))
+        assert run("ingest", "--config", config) == 0
+        capsys.readouterr()
+        assert run("graph", "--config", config) == 3
+        assert capsys.readouterr().err == "error: SYN01: window energy inf is not finite\n"
+        assert not (tmp_path / "cache" / "graphs").exists()
+
     def test_reload_matches_in_memory(self, tmp_path):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0

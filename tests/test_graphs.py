@@ -18,9 +18,10 @@ from mgdpr.graphs import (
     read_graphs,
     signal_energy,
     stock_factors,
+    window_graphs,
     write_graphs,
 )
-from mgdpr.market import align_panel
+from mgdpr.market import RELATIONS, align_panel
 from test_market import _dates, _series
 
 
@@ -54,6 +55,112 @@ def oracle_adjacency(window) -> np.ndarray:
                 oracle_entropy(window[i]) - oracle_entropy(window[j])
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-row formulas that window_graphs computes in one pass, written one
+# window at a time: np.sum per row, np.unique counts summed in value order
+
+
+def per_row_energy(x) -> float:
+    return float(np.sum(x * x))
+
+
+def per_row_entropy(x) -> float:
+    _, counts = np.unique(np.round(x, ENTROPY_DECIMALS), return_counts=True)
+    h = 0.0
+    for c in counts:
+        p = c / x.size
+        h -= p * math.log(p)
+    return min(max(h, 0.0), math.log(x.size))
+
+
+def per_row_sender_weights(raw) -> np.ndarray:
+    factors = np.array(
+        [([per_row_energy(row) for row in window], [per_row_entropy(row) for row in window]) for window in raw]
+    )
+    inverse = 1.0 / (factors[:, 0] * np.exp(factors[:, 1]))
+    return inverse / inverse.sum(axis=-1, keepdims=True)
+
+
+WINDOW_VALUES = {
+    "uniform": lambda rng, shape: rng.uniform(0.5, 50.0, size=shape),
+    "small-integers": lambda rng, shape: rng.integers(1, 5, size=shape).astype(float),
+    "two-decimal-prices": lambda rng, shape: np.round(rng.uniform(5.0, 200.0, size=shape), 2),
+    # distinct values that tie once rounded to ENTROPY_DECIMALS places
+    "ties-after-rounding": lambda rng, shape: rng.integers(1, 4, size=shape) + rng.integers(-3, 4, size=shape) * 1e-12,
+}
+
+
+class TestBatchedMatchesPerRowFormulas:
+    """window_graphs reduces all R * N windows at once; its bits equal the
+    per-row formulas' for lookbacks on both sides of numpy's 8-wide
+    pairwise-sum unroll, with and without ties, on contiguous windows and
+    on the strided panel view that build_day_graphs passes."""
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_VALUES))
+    @pytest.mark.parametrize("tau", [1, 2, 7, 8, 9, 16, 21, 29])
+    def test_sender_weights_bit_for_bit(self, tau, kind):
+        rng = np.random.default_rng(tau)
+        for n in (1, 2, 37):
+            data = WINDOW_VALUES[kind](rng, (n, len(RELATIONS), tau + 3))  # a panel's (stocks, relations, days)
+            view = data[:, :, 2 : 2 + tau].transpose(1, 0, 2)
+            for raw in (view, np.ascontiguousarray(view)):
+                expected = per_row_sender_weights(raw)
+                assert window_graphs(0, raw).sender_weights.tobytes() == expected.tobytes()
+                energy, entropy = stock_factors(raw[1])
+                assert energy.tobytes() == np.array([per_row_energy(row) for row in raw[1]]).tobytes()
+                assert entropy.tobytes() == np.array([per_row_entropy(row) for row in raw[1]]).tobytes()
+
+    def test_ties_after_rounding_are_distinct_before(self):
+        x = WINDOW_VALUES["ties-after-rounding"](np.random.default_rng(0), 29)
+        assert np.unique(np.round(x, ENTROPY_DECIMALS)).size < np.unique(x).size
+
+    def test_one_window_functions_are_the_per_row_formulas(self):
+        rng = np.random.default_rng(12)
+        for tau in (1, 2, 7, 8, 9, 16, 21, 29):
+            for kind in sorted(WINDOW_VALUES):
+                x = WINDOW_VALUES[kind](rng, tau)
+                assert signal_energy(x) == per_row_energy(x)
+                assert information_entropy(x) == per_row_entropy(x)
+
+
+class TestDegenerateWindows:
+    def test_first_weak_window_in_relation_then_stock_order(self):
+        raw = np.random.default_rng(13).uniform(1.0, 2.0, size=(5, 4, 6))
+        raw[2, 0] = 0.0
+        raw[0, 3] = 0.0
+        with pytest.raises(DegenerateSeriesError) as error:
+            window_graphs(0, raw)
+        assert str(error.value) == "stock 3: window energy 0.000e+00 below floor 1e-12"
+        with pytest.raises(DegenerateSeriesError) as error:
+            window_graphs(0, raw, ["AAA", "BBB", "CCC", "DDD"])
+        assert str(error.value) == "DDD: window energy 0.000e+00 below floor 1e-12"
+
+    # pytest turns every warning into an error here, so none may leak
+    def test_energy_that_overflows_names_the_stock(self):
+        raw = np.ones((5, 4, 6))
+        raw[3, 1, 2] = 1e160
+        with pytest.raises(DegenerateSeriesError) as error:
+            window_graphs(0, raw, ["AAA", "BBB", "CCC", "DDD"])
+        assert str(error.value) == "BBB: window energy inf is not finite"
+        with pytest.raises(DegenerateSeriesError, match="^stock 1: window energy inf is not finite$"):
+            stock_factors(raw[3])
+        assert signal_energy([1e160]) == math.inf
+
+    def test_signal_that_overflows_names_the_stock(self):
+        raw = np.ones((1, 2, 2))
+        raw[0, 1] = [7e153, 7.1e153]  # energy 9.9e307 is finite; times exp(ln 2) it is not
+        with pytest.raises(DegenerateSeriesError) as error:
+            window_graphs(0, raw)
+        assert str(error.value) == "stock 1: window energy 9.941e+307 times exp(entropy) is not finite"
+
+    def test_sender_weight_that_underflows_names_the_stock(self):
+        raw = np.full((1, 5000, 1), 1.01e-6)  # s just above the floor, 5000 times
+        raw[0, 4321, 0] = 1.3e154  # s = 1.69e308: its weight is below the least subnormal
+        with pytest.raises(DegenerateSeriesError) as error:
+            window_graphs(0, raw)
+        assert str(error.value) == "stock 4321: sender weight 0.0 is not positive (window energy 1.690e+308)"
 
 
 class TestSignalEnergy:
