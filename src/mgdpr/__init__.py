@@ -24,7 +24,6 @@ from .market import (
     RELATIONS,
     load_csv,
     align_panel,
-    trend_label,
     make_windows,
     split_periods,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "RELATIONS",
     "load_csv",
     "align_panel",
-    "trend_label",
     "make_windows",
     "split_periods",
     "MultiRelAdjacency",

@@ -5,7 +5,9 @@ with dotted keys (see DEFAULTS); any key can be overridden by an
 environment variable named ``MGDPR_<KEY>`` with dots replaced by
 underscores, e.g. ``MGDPR_TRAIN_EPOCHS=50``. The config is the only source
 of run values: no flag overrides a key, so the ``resolved_config.json``
-that ``train`` writes, fed back in, repeats the run byte for byte.
+that ``train`` writes, fed back in, repeats the run byte for byte. ``eval``
+reads ``<paths.output_dir>/checkpoint.bin``: to evaluate another run's
+checkpoint, point ``paths.output_dir`` (or ``MGDPR_PATHS_OUTPUT_DIR``) there.
 
 Exit codes: 0 ok, 2 data/format problem, 3 graph generation problem,
 4 training divergence, 5 configuration or usage problem (also a path that
@@ -261,8 +263,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.seeds is not None and args.checkpoint is not None:
-        raise UsageError("--checkpoint and --seeds exclude each other: --seeds trains its own models")
     resolved = load_config(args.config)
     out_dir = Path(resolved["paths.output_dir"])
     digest = config_hash(resolved)
@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
             )
         return _write_aggregate(out_dir, reports, base_seed, args.seeds, market, period, digest)
 
-    ckpt = Path(args.checkpoint) if args.checkpoint else out_dir / "checkpoint.bin"
+    ckpt = out_dir / "checkpoint.bin"
     if not ckpt.exists():
         raise CheckpointError(f"{ckpt}: checkpoint not found; run `mgdpr train` first")
     panel, (_, _, test_s) = _load_split_samples(resolved)
@@ -367,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
+    p_eval = sub.add_parser("eval", help="evaluate <paths.output_dir>/checkpoint.bin on the test split")
     p_eval.add_argument("--seeds", type=int, default=None, help="train+eval n seeds from train.seed, report mean/std")
-    p_eval.add_argument("--checkpoint", default=None, help="checkpoint path (default <output>/checkpoint.bin)")
     p_eval.set_defaults(func=cmd_eval)
 
     for p in (p_ingest, p_graph, p_train, p_eval):

@@ -165,14 +165,18 @@ def read_table(
     naming ``file:line`` unless its bytes have the SHA-256 ``sha256`` (if
     given), it is UTF-8 text ending with a newline, it has the header and one
     row per key in order with ``width`` numbers each, and every number parses
-    and is finite. The rows are read line by line into the result, so a
-    read holds no copy of the file's text beside it."""
+    and is finite. The digest reads 1 MiB at a time and the rows line by line,
+    so a read holds no copy of the file's text beside the result."""
     width = _width(columns, keys)
     values = np.empty((len(keys), width), dtype=np.float64)
     with _reading(path, what) as f:
-        if sha256 is not None and hashlib.sha256(f.read()).hexdigest() != sha256:
-            raise FormatError(f"{path}: {what} does not match the sha256 recorded for it")
-        f.seek(0)
+        if sha256 is not None:
+            digest, buffer = hashlib.sha256(), bytearray(1 << 20)
+            while size := f.readinto(buffer):
+                digest.update(memoryview(buffer)[:size])
+            if digest.hexdigest() != sha256:
+                raise FormatError(f"{path}: {what} does not match the sha256 recorded for it")
+            f.seek(0)
         lines = io.TextIOWrapper(f, encoding="utf-8", newline=None)
         try:
             header = lines.readline()

@@ -14,7 +14,8 @@ The weight is the rank-one ratio w_ij = s_i / s_j with s = energy *
 exp(entropy), so every row of a relation's row-normalized matrix is the
 same vector b = (1/s) / sum(1/s), and w_ij = b_j / b_i. A day's graph is
 held as those R * N sender weights (:class:`MultiRelAdjacency`), computed
-once from a raw (R, N, lookback) window by :func:`window_graphs`. It
+once from a raw (R, N, lookback) window by :func:`window_graphs`, the one
+builder (:func:`build_day_graphs` cuts the window from a panel). It
 reduces all R * N windows in one pass, with the bits of the one-window
 definitions :func:`signal_energy` and :func:`information_entropy`, which
 run the same code on one window. A window whose energy is below
@@ -133,11 +134,18 @@ def _refuse_first(ok: np.ndarray, tickers: list[str] | None, reason) -> None:
         raise DegenerateSeriesError(f"{name}: {reason(r, i)}")
 
 
-def _factors(raw: np.ndarray, tickers: list[str] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(relations, stocks) energy and entropy of a (relations, stocks, lookback)
-    window, refusing a window whose energy is below ``ENERGY_FLOOR`` or not finite."""
-    if raw.shape[-1] == 0:
-        raise UsageError(f"empty lookback window of shape {raw.shape}")
+def window_graphs(t: int, raw: np.ndarray, tickers: list[str] | None = None) -> MultiRelAdjacency:
+    """Graph of the raw (relations, stocks, lookback) window ending at day ``t``.
+
+    All R * N windows are reduced at once. Raises :class:`DegenerateSeriesError`,
+    naming the first such stock in relation order, then stock order, when a
+    window's energy is below ``ENERGY_FLOOR`` (its ratios would blow up) or
+    not finite, when s = energy * exp(entropy) is not finite, or when a
+    sender weight is not positive.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim != 3 or raw.shape[-1] == 0:
+        raise UsageError(f"window_graphs: expected (relations, stocks, lookback > 0), got {raw.shape}")
     energy = _energies(raw)
     _refuse_first(
         (energy >= ENERGY_FLOOR) & (energy < math.inf),
@@ -145,35 +153,7 @@ def _factors(raw: np.ndarray, tickers: list[str] | None) -> tuple[np.ndarray, np
         lambda r, i: f"window energy {energy[r, i]:.3e} "
         + (f"below floor {ENERGY_FLOOR:.0e}" if energy[r, i] < ENERGY_FLOOR else "is not finite"),
     )
-    return energy, _entropies(raw)
-
-
-def stock_factors(window: np.ndarray, tickers: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stock signal energy and information entropy of one relation's
-    (N, lookback) window.
-
-    Raises :class:`DegenerateSeriesError`, naming the stock, when a window's
-    energy is below ``ENERGY_FLOOR`` (its ratios would blow up) or not finite.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise UsageError(f"stock_factors: expected (stocks, lookback), got {window.shape}")
-    energy, entropy = _factors(window[None], tickers)
-    return energy[0], entropy[0]
-
-
-def window_graphs(t: int, raw: np.ndarray, tickers: list[str] | None = None) -> MultiRelAdjacency:
-    """Graph of the raw (relations, stocks, lookback) window ending at day ``t``.
-
-    All R * N windows are reduced at once. Raises :class:`DegenerateSeriesError`,
-    naming the first such stock in relation order, then stock order, when a
-    window's energy is below ``ENERGY_FLOOR``, when s = energy * exp(entropy)
-    is not finite, or when a sender weight is not positive.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 3:
-        raise UsageError(f"window_graphs: expected (relations, stocks, lookback), got {raw.shape}")
-    energy, entropy = _factors(raw, tickers)
+    entropy = _entropies(raw)
     with np.errstate(over="ignore"):
         s = energy * np.exp(entropy)
     _refuse_first(

@@ -3,8 +3,10 @@
 Raw per-stock indicator files come in as CSV (UTF-8, ISO-8601 dates, header
 ``date,open,high,low,close,volume``), either one file per ticker or one long
 file with an extra ``ticker`` column. Series are aligned onto a shared
-trading calendar, gap-filled, and cut into lookback windows whose next-day
-close movement provides the binary label.
+trading calendar, gap-filled, and cut into lookback windows, each labeled
+by one comparison: 1 where a stock's next-day close is strictly higher.
+Every price is positive and every cell at most ``MAX_CELL`` in magnitude
+(:meth:`MarketPanel.validate`), so no window's sum of squares overflows.
 
 Each window is seen two ways: ``raw``, a read-only view of the panel slice
 that feeds graph generation (energy ratios are meaningless after
@@ -41,6 +43,8 @@ from .files import read_json_object, read_table, read_text, write_atomic, write_
 RELATIONS = ("open", "high", "low", "close", "volume")
 CLOSE = RELATIONS.index("close")
 VOLUME = RELATIONS.index("volume")
+# Largest cell magnitude a panel holds: x * x summed over 1e8 such cells is finite.
+MAX_CELL = 1e150
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _REQUIRED = ("date",) + RELATIONS
@@ -86,6 +90,11 @@ class MarketPanel:
             raise DataError("panel contains non-finite cells")
         if np.any(self.data[:, :VOLUME, :] <= 0.0):
             raise DataError("panel contains non-positive prices")
+        huge = np.abs(self.data) > MAX_CELL
+        if huge.any():
+            i, r, t = np.argwhere(huge)[0]
+            cell = f"{self.tickers[i]}: {RELATIONS[r]} {float(self.data[i, r, t])!r} on {self.calendar[t]}"
+            raise DataError(f"{cell} exceeds {MAX_CELL:.0e} in magnitude")
 
     def digest(self) -> str:
         """SHA-256 over the tickers, the calendar, the gap-fill counts and the data bytes."""
@@ -270,13 +279,6 @@ def align_panel(series: list[InstrumentSeries], coverage: float = 0.98) -> Marke
 # labels and windows
 
 
-def trend_label(close_t: float, close_next: float) -> int:
-    """1 for a strict close-to-close rise, 0 otherwise (ties count as 0)."""
-    if close_t <= 0.0 or close_next <= 0.0:
-        raise DataError(f"non-positive close price ({close_t!r} -> {close_next!r})")
-    return 1 if close_next > close_t else 0
-
-
 def zscore_window(raw: np.ndarray) -> np.ndarray:
     """Z-score each trailing-axis series; constant series map to zeros."""
     mean = raw.mean(axis=-1, keepdims=True)
@@ -290,7 +292,8 @@ def make_windows(panel: MarketPanel, lookback: int) -> list[WindowSample]:
     """One sample per end-day with a next-day label: count = T - lookback.
 
     The panel is validated first (:meth:`MarketPanel.validate`), so a
-    non-finite or non-positive price raises :class:`DataError`.
+    non-finite, non-positive or above-``MAX_CELL`` price raises
+    :class:`DataError`. A label is 1 for a strict next-day rise, 0 for a tie.
     """
     panel.validate()
     t_len = panel.num_days
@@ -305,11 +308,6 @@ def make_windows(panel: MarketPanel, lookback: int) -> list[WindowSample]:
     for t in range(lookback - 1, t_len - 1):
         raw = panel.data[:, :, t - lookback + 1 : t + 1].transpose(1, 0, 2)
         raw.flags.writeable = False
-        labels = np.fromiter(
-            (trend_label(close[i, t], close[i, t + 1]) for i in range(panel.num_stocks)),
-            dtype=np.int64,
-            count=panel.num_stocks,
-        )
         samples.append(
             WindowSample(
                 t_index=t,
@@ -317,7 +315,7 @@ def make_windows(panel: MarketPanel, lookback: int) -> list[WindowSample]:
                 label_date=panel.calendar[t + 1],
                 features=zscore_window(raw),
                 raw=raw,
-                labels=labels,
+                labels=(close[:, t + 1] > close[:, t]).astype(np.int64),
             )
         )
     return samples

@@ -17,6 +17,10 @@ only, once; every training day's gradient is then accumulated sample by
 sample (mathematically identical to one joint loss, but with per-sample
 memory) and carried through the mixes once at the end. The best
 validation-accuracy parameters are retained.
+
+:func:`train` and :func:`evaluate` read the day graphs they are given, which
+must hold every sample's end day (:class:`UsageError` names one that is
+missing), or, given none, build them all with :func:`graphs_for_samples`.
 """
 
 from __future__ import annotations
@@ -179,16 +183,22 @@ class _AdamState:
 # training loop
 
 
-def graphs_for_samples(
-    samples: list[WindowSample], graphs: dict[int, MultiRelAdjacency] | None = None
+def graphs_for_samples(samples: list[WindowSample]) -> dict[int, MultiRelAdjacency]:
+    """The graph of each sample's end day, built from its raw window."""
+    return {s.t_index: window_graphs(s.t_index, s.raw) for s in samples}
+
+
+def _day_graphs(
+    caller: str, samples: list[WindowSample], graphs: dict[int, MultiRelAdjacency] | None
 ) -> dict[int, MultiRelAdjacency]:
-    """Ensure each sample's end day has a graph, building from the raw
-    window where none was supplied."""
-    cache = dict(graphs) if graphs else {}
+    """``graphs``, which must hold every sample's end day (UsageError naming
+    the first that it lacks), or when it is None, :func:`graphs_for_samples`."""
+    if graphs is None:
+        return graphs_for_samples(samples)
     for s in samples:
-        if s.t_index not in cache:
-            cache[s.t_index] = window_graphs(s.t_index, s.raw)
-    return cache
+        if s.t_index not in graphs:
+            raise UsageError(f"{caller}: no graph for day {s.t_index} ({s.end_date}) in the graphs given")
+    return graphs
 
 
 def train(
@@ -211,7 +221,7 @@ def train(
     if not train_samples:
         raise UsageError("train: no training samples")
     train_samples = sorted(train_samples, key=lambda s: s.t_index)
-    graphs = graphs_for_samples(list(train_samples) + list(val_samples), graphs)
+    graphs = _day_graphs("train", list(train_samples) + list(val_samples), graphs)
 
     params = model.params
     state = _AdamState(params)
@@ -304,7 +314,7 @@ def evaluate(
     """
     if not test_samples:
         raise UsageError("evaluate: empty test set")
-    graphs = graphs_for_samples(test_samples, graphs)
+    graphs = _day_graphs("evaluate", test_samples, graphs)
     frozen = model.frozen()
     try:
         mixes = M.diffusion_mixes(frozen, mixture_tensors(frozen, model.config))

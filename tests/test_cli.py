@@ -196,21 +196,18 @@ class TestUsageErrors:
             (["train", "--config", "{config}", "--epochs", "5"], "unrecognized arguments: --epochs 5"),
             (["eval", "--config", "{config}", "--seed", "7"], "unrecognized arguments: --seed 7"),
             (["eval", "--config", "{config}", "--seeds", "2", "--epochs", "1"], "unrecognized arguments: --epochs 1"),
-            (
-                ["eval", "--config", "{config}", "--seeds", "1", "--checkpoint", "{missing}"],
-                "--checkpoint and --seeds exclude each other",
-            ),
+            (["eval", "--config", "{config}", "--checkpoint", "x"], "unrecognized arguments: --checkpoint x"),
         ],
         ids=["no-command", "no-config", "deleted-day-flag", "non-integer-seeds", "deleted-train-seed-flag",
              "deleted-train-epochs-flag", "deleted-eval-seed-flag", "deleted-eval-epochs-flag",
-             "eval-checkpoint-with-seeds"],
+             "deleted-eval-checkpoint-flag"],
     )
     def test_exits_5_with_one_line(self, tmp_path, capsys, argv, message):
         config = make_workspace(tmp_path)
         for cmd in ("ingest", "graph"):
             assert run(cmd, "--config", config) == 0
         capsys.readouterr()
-        argv = [a.format(config=config, missing=tmp_path / "missing.bin") for a in argv]
+        argv = [a.format(config=config) for a in argv]
         assert run(*argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
@@ -362,6 +359,25 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and str(blocker / "panel") in err
 
+    def test_price_whose_square_overflows_exits_2_naming_the_stock(self, tmp_path, capsys):
+        # 1e160 is finite, but its square is not: the panel refuses it in one
+        # line, so no later command meets it (the graph builder's own refusal
+        # of an overflowing window is tested in tests/test_graphs.py)
+        config = make_workspace(tmp_path)
+        path = tmp_path / "data" / "SYN01.csv"
+        path.write_text(_set_cell(path.read_text(), 10, RELATIONS.index("close") + 1, "1e160"))
+        assert run("ingest", "--config", config) == 2
+        assert capsys.readouterr().err == "error: SYN01: close 1e+160 on 2020-01-10 exceeds 1e+150 in magnitude\n"
+        assert not (tmp_path / "cache").exists()
+
+    def test_cached_price_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        _damage(tmp_path / "cache" / "panel" / "panel.csv", lambda t: _set_cell(t, 3, 2, "1e160"))
+        capsys.readouterr()
+        assert run("graph", "--config", config) == 2
+        _one_line_error(capsys, r"SYN00: low 1e\+160 on 2020-01-01 exceeds 1e\+150", r"re-run `mgdpr ingest`")
+
     def test_rerun_identical_manifest_hash(self, tmp_path):
         config = make_workspace(tmp_path)
         manifest = tmp_path / "cache" / "panel" / "manifest.json"
@@ -386,18 +402,6 @@ class TestGraph:
         assert run("ingest", "--config", config) == 0
         assert run("graph", "--config", config) == 3
         assert "no labeled end days" in capsys.readouterr().err
-
-    def test_price_whose_square_overflows_exits_3_naming_the_stock(self, tmp_path, capsys):
-        # 1e160 is finite, so ingest keeps it, but its square is not: the graph
-        # is refused in one line rather than cached with a zero sender weight
-        config = make_workspace(tmp_path)
-        path = tmp_path / "data" / "SYN01.csv"
-        path.write_text(_set_cell(path.read_text(), 10, RELATIONS.index("close") + 1, "1e160"))
-        assert run("ingest", "--config", config) == 0
-        capsys.readouterr()
-        assert run("graph", "--config", config) == 3
-        assert capsys.readouterr().err == "error: SYN01: window energy inf is not finite\n"
-        assert not (tmp_path / "cache" / "graphs").exists()
 
     def test_reload_matches_in_memory(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -928,10 +932,9 @@ class TestOverflowOutsideTheTrainingStep:
         config = make_workspace(tmp_path)
         for cmd in ("ingest", "graph", "train"):
             assert run(cmd, "--config", config) == 0
-        damaged = tmp_path / "huge.bin"
-        blob = (tmp_path / "out" / "checkpoint.bin").read_bytes()
-        damaged.write_bytes(_rewritten(_set_first_value("embed.W", 1e300))(blob))
-        assert run("eval", "--config", config, "--checkpoint", damaged) == 4
+        ckpt = tmp_path / "out" / "checkpoint.bin"
+        ckpt.write_bytes(_rewritten(_set_first_value("embed.W", 1e300))(ckpt.read_bytes()))
+        assert run("eval", "--config", config) == 4
         assert "non-finite prediction on day" in capsys.readouterr().err
 
     def test_train_whose_validation_overflows_exits_4(self, tmp_path, capsys):
@@ -1100,10 +1103,19 @@ def trained_checkpoint(tmp_path_factory):
     return config, ckpt.read_bytes(), model
 
 
+def _eval_checkpoint(config, blob, directory, monkeypatch) -> int:
+    """`mgdpr eval` of ``blob`` written as ``<directory>/checkpoint.bin``,
+    with ``paths.output_dir`` pointed at ``directory``."""
+    directory.mkdir(exist_ok=True)
+    (directory / "checkpoint.bin").write_bytes(blob)
+    monkeypatch.setenv("MGDPR_PATHS_OUTPUT_DIR", str(directory))
+    return run("eval", "--config", config)
+
+
 class TestDamagedCheckpoint:
     """Mutations of a checkpoint: loading raises CheckpointError or, where
     the header's meaning is unchanged, gives the same model; nothing else
-    is raised, and `eval --checkpoint` exits 6 with one error line."""
+    is raised, and `eval` of it exits 6 with one error line."""
 
     @pytest.mark.parametrize("mutate", [m for _, m in _CHECKPOINT_MUTATIONS], ids=list(_MUTATIONS_BY_ID))
     def test_load_raises_checkpoint_error_or_loads_the_same(self, tmp_path, trained_checkpoint, mutate):
@@ -1124,24 +1136,21 @@ class TestDamagedCheckpoint:
          "config-field-missing", "config-extra-key", "seed-not-an-integer", "seed-edited", "tensor-table",
          "v2-format", "v3-format", "v4-format"],
     )
-    def test_eval_exits_6(self, tmp_path, capsys, trained_checkpoint, case):
+    def test_eval_exits_6(self, tmp_path, capsys, monkeypatch, trained_checkpoint, case):
         config, blob, _ = trained_checkpoint
-        damaged = tmp_path / "damaged.bin"
-        damaged.write_bytes(_MUTATIONS_BY_ID[case](blob))
         capsys.readouterr()
-        assert run("eval", "--config", config, "--checkpoint", damaged) == 6
+        assert _eval_checkpoint(config, _MUTATIONS_BY_ID[case](blob), tmp_path / "damaged", monkeypatch) == 6
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
-    def test_flipped_payload_bit_exits_6(self, tmp_path, capsys, trained_checkpoint):
+    def test_flipped_payload_bit_exits_6(self, tmp_path, capsys, monkeypatch, trained_checkpoint):
         config, blob, _ = trained_checkpoint
-        damaged = tmp_path / "flipped.bin"
-        damaged.write_bytes(blob[:-3] + bytes([blob[-3] ^ 0x10]) + blob[-2:])
-        assert run("eval", "--config", config, "--checkpoint", damaged) == 6
+        flipped = blob[:-3] + bytes([blob[-3] ^ 0x10]) + blob[-2:]
+        assert _eval_checkpoint(config, flipped, tmp_path / "flipped", monkeypatch) == 6
         err = capsys.readouterr().err
         assert err.startswith("error:") and "SHA-256" in err and "Traceback" not in err
 
-    def test_earlier_format_without_digest_exits_6(self, tmp_path, capsys, trained_checkpoint):
+    def test_earlier_format_without_digest_exits_6(self, tmp_path, capsys, monkeypatch, trained_checkpoint):
         config, blob, _ = trained_checkpoint
         header, payload = _split(blob)
         del header["sha256"]
@@ -1149,13 +1158,11 @@ class TestDamagedCheckpoint:
         # A v3 file, as the previous format wrote it, is refused as an
         # earlier format too, not as a corrupt file.
         for old_blob in (_join(header, payload), _as_v3(blob)):
-            old = tmp_path / "old.bin"
-            old.write_bytes(old_blob)
             capsys.readouterr()
-            assert run("eval", "--config", config, "--checkpoint", old) == 6
+            assert _eval_checkpoint(config, old_blob, tmp_path / "old", monkeypatch) == 6
             assert "not a mgdpr-checkpoint-v5 file" in capsys.readouterr().err
 
-    def test_genuine_v4_file_exits_6(self, tmp_path, capsys, trained_checkpoint):
+    def test_genuine_v4_file_exits_6(self, tmp_path, capsys, monkeypatch, trained_checkpoint):
         # A v4 payload has v5's length in another tensor order: under its own
         # valid digest it would load scrambled but for the format check.
         config, blob, _ = trained_checkpoint
@@ -1163,10 +1170,8 @@ class TestDamagedCheckpoint:
         _, payload = _split(blob)
         assert len(v4_payload) == len(payload) and v4_payload != payload
         assert v4_header["sha256"] == _digest(v4_header, v4_payload)
-        old = tmp_path / "v4.bin"
-        old.write_bytes(_as_v4(blob))
         capsys.readouterr()
-        assert run("eval", "--config", config, "--checkpoint", old) == 6
+        assert _eval_checkpoint(config, _as_v4(blob), tmp_path / "v4", monkeypatch) == 6
         err = capsys.readouterr().err
         assert "not a mgdpr-checkpoint-v5 file" in err and err.count("\n") == 1
 

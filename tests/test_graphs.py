@@ -2,22 +2,24 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from mgdpr.errors import DayRangeError, DegenerateSeriesError, FormatError, UsageError
-from mgdpr.files import write_table
+from mgdpr.files import read_table, write_table
 from mgdpr.graphs import (
     ENTROPY_DECIMALS,
+    _energies,
+    _entropies,
     MultiRelAdjacency,
     build_adjacency,
     build_day_graphs,
     information_entropy,
     read_graphs,
     signal_energy,
-    stock_factors,
     window_graphs,
     write_graphs,
 )
@@ -108,7 +110,7 @@ class TestBatchedMatchesPerRowFormulas:
             for raw in (view, np.ascontiguousarray(view)):
                 expected = per_row_sender_weights(raw)
                 assert window_graphs(0, raw).sender_weights.tobytes() == expected.tobytes()
-                energy, entropy = stock_factors(raw[1])
+                energy, entropy = _energies(raw[1]), _entropies(raw[1])
                 assert energy.tobytes() == np.array([per_row_energy(row) for row in raw[1]]).tobytes()
                 assert entropy.tobytes() == np.array([per_row_entropy(row) for row in raw[1]]).tobytes()
 
@@ -145,7 +147,7 @@ class TestDegenerateWindows:
             window_graphs(0, raw, ["AAA", "BBB", "CCC", "DDD"])
         assert str(error.value) == "BBB: window energy inf is not finite"
         with pytest.raises(DegenerateSeriesError, match="^stock 1: window energy inf is not finite$"):
-            stock_factors(raw[3])
+            window_graphs(0, raw[3:4])
         assert signal_energy([1e160]) == math.inf
 
     def test_signal_that_overflows_names_the_stock(self):
@@ -283,7 +285,9 @@ class TestBuildDayGraphs:
         panel.data[:, :4, :] *= 1.0 + rng.uniform(0.0, 0.2, size=panel.data[:, :4, :].shape)
         adj = build_day_graphs(panel, 8, 5)
         for r in range(5):
-            energy, entropy = stock_factors(panel.data[:, r, 4:9])
+            window = panel.data[:, r, 4:9]
+            energy = np.array([signal_energy(row) for row in window])
+            entropy = np.array([information_entropy(row) for row in window])
             inverse = 1.0 / (energy * np.exp(entropy))
             assert adj.sender_weights[r].tobytes() == (inverse / inverse.sum()).tobytes()
             b = adj.sender_weights[r]
@@ -408,3 +412,22 @@ class TestWriteTable:
         with pytest.raises(UsageError, match=r"expected \(3, 1\)"):
             write_table(tmp_path / "t.csv", ("relation", "stock", "weight"), ["a,0", "a,1", "a,2"], values)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestReadTableMemory:
+    def test_checked_read_peaks_below_the_file_size(self, tmp_path):
+        # 2,000 x 100 values take 1.6 MB, and their repr text three times that
+        values = np.random.default_rng(3).uniform(-1.0, -0.1, size=(2000, 100)) * 1e-300
+        columns, keys = ["key", *map(str, range(100))], [str(k) for k in range(2000)]
+        path = tmp_path / "t.csv"
+        digest = write_table(path, columns, keys, values)
+        size = path.stat().st_size
+        assert size > 2.5 * values.nbytes
+        tracemalloc.start()
+        try:
+            loaded = read_table(path, "table", columns, keys, digest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == values.tobytes()
+        assert peak < size

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from mgdpr.errors import (
     InsufficientDataError,
 )
 from mgdpr.market import (
+    MAX_CELL,
+    RELATIONS,
     InstrumentSeries,
     align_panel,
     label_balance,
@@ -19,9 +22,9 @@ from mgdpr.market import (
     make_windows,
     read_panel,
     split_periods,
-    trend_label,
     write_panel,
 )
+from mgdpr.synthetic import planted_market
 
 
 def _dates(n, start=1):
@@ -209,21 +212,6 @@ class TestAlignPanel:
         np.testing.assert_array_equal(volume, [1.0, 1.0, 1002.0, 1003.0, 1.0, 1005.0, 1006.0, 1.0])
 
 
-class TestTrendLabel:
-    def test_up(self):
-        assert trend_label(100.0, 101.0) == 1
-
-    def test_down(self):
-        assert trend_label(100.0, 99.0) == 0
-
-    def test_tie_is_zero(self):
-        assert trend_label(100.0, 100.0) == 0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DataError):
-            trend_label(100.0, 0.0)
-
-
 class TestMakeWindows:
     def _panel(self, t_len):
         d = _dates(t_len) if t_len <= 28 else [f"2020-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(t_len)]
@@ -240,14 +228,23 @@ class TestMakeWindows:
             make_windows(self._panel(21), 21)
 
     def test_label_uses_next_day_close(self):
+        panel = align_panel(planted_market(num_stocks=7, num_days=40, momentum_lag=3, seed=4))
+        samples = make_windows(panel, 5)
+        assert [s.t_index for s in samples] == list(range(4, 39))
+        close = panel.data[:, RELATIONS.index("close"), :]
+        for s in samples:
+            expected = [1 if close[i, s.t_index + 1] > close[i, s.t_index] else 0 for i in range(7)]
+            assert s.labels.dtype == np.int64
+            assert s.labels.tolist() == expected
+        assert 0 < label_balance(samples) < 1
+
+    def test_tie_labels_zero(self):
         panel = self._panel(23)
-        rng = np.random.default_rng(0)
-        panel.data[:, 3, :] = 50.0 + rng.normal(size=panel.data[:, 3, :].shape)
-        samples = make_windows(panel, 21)
-        s = samples[0]
-        close = panel.data[:, 3, :]
-        expected = (close[:, s.t_index + 1] > close[:, s.t_index]).astype(int)
-        np.testing.assert_array_equal(s.labels, expected)
+        close = panel.data[:, RELATIONS.index("close"), :]
+        close[:, 20:] = [[30.0, 31.0, 31.0], [30.0, 31.0, 30.0]]  # both rise, then A ties and B falls
+        first, last = make_windows(panel, 21)
+        assert first.labels.tolist() == [1, 1]
+        assert last.labels.tolist() == [0, 0]
 
     def test_raw_window_equals_panel_slice_exactly(self):
         panel = self._panel(25)
@@ -272,6 +269,23 @@ class TestMakeWindows:
         panel.data[0, 3, 22] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             make_windows(panel, 21)
+
+    def test_price_whose_square_overflows_raises_data_error_without_warning(self):
+        panel = self._panel(25)
+        panel.data[1, RELATIONS.index("close"), 22] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as error:
+                make_windows(panel, 21)
+        assert str(error.value) == "B: close 1e+160 on 2020-01-23 exceeds 1e+150 in magnitude"
+
+    def test_largest_allowed_cell_is_kept(self):
+        panel = self._panel(25)
+        panel.data[1, RELATIONS.index("close"), 22] = MAX_CELL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = make_windows(panel, 21)
+        assert np.isfinite(samples[-1].features).all()
 
     def test_features_are_zscored_raw(self):
         panel = self._panel(25)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mgdpr.model
+import mgdpr.training
 from mgdpr import tensor as T
 from mgdpr.errors import DataError, DivergenceError, ShapeError, UsageError
 from mgdpr.graphs import build_day_graphs
@@ -288,6 +289,42 @@ class TestGraphsForSamples:
             assert got.t_index == s.t_index
             assert got.sender_weights.tobytes() == expected.sender_weights.tobytes()
             assert got.matrices.tobytes() == expected.matrices.tobytes()
+
+
+class TestGraphMapping:
+    """train and evaluate use the mapping they are given, which must hold
+    every sample's day, or build every day when given none."""
+
+    def test_train_given_a_mapping_without_a_day_raises_naming_it(self):
+        cfg, samples = desk_setup()
+        graphs = graphs_for_samples(samples)
+        missing = samples[5]  # a validation day
+        del graphs[missing.t_index]
+        message = rf"^train: no graph for day {missing.t_index} \({missing.end_date}\) in the graphs given$"
+        with pytest.raises(UsageError, match=message):
+            train(Model.initialized(cfg, seed=2), samples[:4], samples[4:6], TrainConfig(epochs=1), graphs)
+
+    def test_evaluate_given_a_mapping_without_a_day_raises_naming_it(self):
+        cfg, samples = desk_setup()
+        graphs = graphs_for_samples(samples[1:])
+        first = samples[0]
+        message = rf"^evaluate: no graph for day {first.t_index} \({first.end_date}\) in the graphs given$"
+        with pytest.raises(UsageError, match=message):
+            evaluate(Model.initialized(cfg, seed=2), samples, graphs)
+
+    def test_a_full_mapping_is_used_as_given(self, monkeypatch):
+        cfg, samples = desk_setup()
+        graphs = graphs_for_samples(samples)
+        expected = evaluate(Model.initialized(cfg, seed=2), samples[4:], graphs)
+
+        def no_building(*args):
+            raise AssertionError("a graph was built although every day was given")
+
+        monkeypatch.setattr(mgdpr.training, "window_graphs", no_building)
+        train(Model.initialized(cfg, seed=2), samples[:4], samples[4:6], TrainConfig(epochs=1), graphs)
+        assert evaluate(Model.initialized(cfg, seed=2), samples[4:], graphs) == expected
+        with pytest.raises(AssertionError, match="was built"):
+            evaluate(Model.initialized(cfg, seed=2), samples[4:])
 
 
 class TestEvaluate:
