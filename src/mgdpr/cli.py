@@ -396,10 +396,3 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(e)
 
-
-def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -45,6 +45,9 @@ from .market import RELATIONS, MarketPanel
 ENERGY_FLOOR = 1e-12
 ENTROPY_DECIMALS = 9
 GRAPH_FORMAT = "mgdpr-graph-weights/5"
+# A day's sender weights for one relation are normalized to sum to 1; their
+# float sum is off by about N ulps, far below this.
+WEIGHT_SUM_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -254,9 +257,10 @@ def read_graphs(
     """Reload the graphs written by :func:`write_graphs`.
 
     The index and the whole table are checked; a missing, truncated,
-    malformed, altered or old-format cache, or a weight that is not
-    positive, raises :class:`FormatError` rather than loading. With
-    ``panel_digest``, so does a cache built from another panel.
+    malformed, altered or old-format cache, a weight that is not positive,
+    or a relation's weights on a day that do not sum to 1 within
+    ``WEIGHT_SUM_TOLERANCE`` raise :class:`FormatError` rather than
+    loading. With ``panel_digest``, so does a cache built from another panel.
     """
     directory = Path(directory)
     path = directory / "index.json"
@@ -281,6 +285,14 @@ def read_graphs(
         raise FormatError(
             f"{table}: weight {float(weights[row, k])!r} of {RELATIONS[row // n]} stock {row % n} "
             f"on day {listed[k]} is not positive"
+        )
+    sums = weights.reshape(len(RELATIONS), n, len(listed)).sum(axis=1)
+    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOLERANCE
+    if off.any():
+        r, k = np.argwhere(off)[0]
+        raise FormatError(
+            f"{table}: weights of {RELATIONS[r]} on day {listed[k]} sum to {float(sums[r, k])!r}, "
+            f"not 1 within {WEIGHT_SUM_TOLERANCE:.0e}"
         )
     by_day = np.ascontiguousarray(weights.T).reshape(len(listed), len(RELATIONS), n)
     return {t: MultiRelAdjacency(t, by_day[column[t]]) for t in days}

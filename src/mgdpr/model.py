@@ -24,6 +24,7 @@ ReLU with the fixed negative slope :data:`mgdpr.tensor.ACTIVATION_SLOPE`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -278,8 +279,8 @@ def layer_update(
     if carried.shape != diffused.shape:
         raise ShapeError(f"layer_update: shapes {diffused.shape} and {carried.shape} differ")
     retention_out = parallel_retention(diffused, query_map, key_map, value_map, mask, num_groups)
-    carry = T.add_bias(T.matmul(carried, w1), b1)
-    out = T.add_bias(T.matmul(T.concat([retention_out, carry], 1), w2), b2)
+    carry = T.linear(carried, w1, b1)
+    out = T.linear(T.concat([retention_out, carry], 1), w2, b2)
     return T.activation(out)
 
 
@@ -290,14 +291,14 @@ def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor
     if embed_w.shape[0] != r_n:
         raise ShapeError(f"init_state: {r_n} relations but embedding expects {embed_w.shape[0]}")
     pointwise = np.ascontiguousarray(features.transpose(1, 2, 0)).reshape(n * tau, r_n)
-    return T.add_bias(T.matmul(Tensor(pointwise), embed_w), embed_b)
+    return T.linear(Tensor(pointwise), embed_w, embed_b)
 
 
 def readout(state: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Mean-pool the lookback axis of (N, lookback, d), then a 2-layer MLP to (N, 2) logits."""
     pooled = T.mean_axis(state, 1)
-    hidden = T.activation(T.add_bias(T.matmul(pooled, w1), b1))
-    return T.add_bias(T.matmul(hidden, w2), b2)
+    hidden = T.activation(T.linear(pooled, w1, b1))
+    return T.linear(hidden, w2, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,8 @@ def forward(
     expected = (cfg.num_relations, cfg.num_stocks, cfg.lookback)
     if features.shape != expected:
         raise ShapeError(f"features shape {features.shape}, expected {expected}")
-    missing = [name for name in expected_param_shapes(cfg) if name not in params]
+    names, mask = _day_constants(cfg)
+    missing = [name for name in names if name not in params]
     if missing:
         raise UsageError(f"params missing {len(missing)} tensors, e.g. {missing[0]!r}")
     senders = adjacency.sender_weights
@@ -335,7 +337,6 @@ def forward(
     elif [m.shape for m in mixes] != [stack] * cfg.num_layers:
         raise UsageError(f"mixes must be {cfg.num_layers} stacks of shape {stack}")
 
-    mask = decay_mask(cfg.lookback, cfg.decay)
     state = init_state(features, params["embed.W"], params["embed.b"])
     carried = state
     for l in range(cfg.num_layers):
@@ -361,6 +362,15 @@ def forward(
         )
     grid = T.reshape(carried, (cfg.num_stocks, cfg.lookback, cfg.embed_dim))
     return readout(grid, *(params[f"readout.{name}"] for name in ("W1", "b1", "W2", "b2")))
+
+
+@functools.lru_cache(maxsize=4)
+def _day_constants(cfg: ModelConfig) -> tuple[tuple[str, ...], np.ndarray]:
+    """What every day's :func:`forward` reads from ``cfg`` alone: the
+    parameter names and the (read-only) decay mask, built once per config."""
+    mask = decay_mask(cfg.lookback, cfg.decay)
+    mask.setflags(write=False)
+    return tuple(expected_param_shapes(cfg)), mask
 
 
 def mixture_tensors(params: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:

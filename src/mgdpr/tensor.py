@@ -3,7 +3,10 @@
 A small autograd core in the micrograd style, but array-valued: each
 operation on a tensor that requires gradients stores its parent tensors and
 a backward rule on the output, and ``backward(loss)`` replays that implicit
-record in reverse topological order. The record is released while the
+record in reverse topological order. A rule computes only the gradients its
+parents need: for a parent that does not require gradients (a constant
+operand of a product, say) it returns None instead of an array, and
+``backward`` skips that parent. The record is released while the
 reverse pass unwinds: once a node's rule has run, the node drops its
 parents, its rule and its gradient, so activations and interior gradients
 are freed layer by layer and only leaves keep a ``grad``. Operations whose
@@ -12,7 +15,8 @@ inputs runs without a tape. Just enough surface to express graph diffusion,
 parallel retention, and a cross-entropy training objective:
 
 - arithmetic: add / sub / hadamard / scale, matmul (2-D or batched 3-D),
-  bias addition over the last axis;
+  bias addition over the last axis, and ``linear`` (a 2-D matmul plus a
+  bias in one op);
 - shape plumbing: reshape, transpose of the trailing two axes,
   concatenation of any number of tensors in one copy, axis mean, full sum;
 - nonlinearities: leaky rectifier, softmax / log-softmax along an axis,
@@ -31,6 +35,8 @@ is marked read-only).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
@@ -46,6 +52,7 @@ __all__ = [
     "scale",
     "matmul",
     "add_bias",
+    "linear",
     "concat",
     "reshape",
     "transpose",
@@ -60,7 +67,7 @@ __all__ = [
 
 
 def _check_finite(arr: Array, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced a non-finite value")
 
 
@@ -115,14 +122,15 @@ def _node(values: Array, parents: tuple[Tensor, ...], backward_fn, op: str, chec
     values.setflags(write=False)
     out.values = values
     out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward_fn
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -161,7 +169,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = np.add(a.values, b.values)
 
     def bw(g: Array):
-        return _to_shape(g, a.shape), _to_shape(g, b.shape)
+        return (
+            _to_shape(g, a.shape) if a.requires_grad else None,
+            _to_shape(g, b.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), bw, "add")
 
@@ -171,7 +182,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = np.subtract(a.values, b.values)
 
     def bw(g: Array):
-        return _to_shape(g, a.shape), _to_shape(-g, b.shape)
+        return (
+            _to_shape(g, a.shape) if a.requires_grad else None,
+            _to_shape(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), bw, "sub")
 
@@ -183,7 +197,10 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         out = np.multiply(a.values, b.values)
 
     def bw(g: Array):
-        return _to_shape(g * b.values, a.shape), _to_shape(g * a.values, b.shape)
+        return (
+            _to_shape(g * b.values, a.shape) if a.requires_grad else None,
+            _to_shape(g * a.values, b.shape) if b.requires_grad else None,
+        )
 
     return _node(out, (a, b), bw, "hadamard")
 
@@ -214,15 +231,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not ok:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     with np.errstate(all="ignore"):
-        out = np.matmul(a.values, b.values)
+        out = _product(a.values, b.values)
 
     def bw(g: Array):
-        return (
-            np.matmul(g, b.values.swapaxes(-1, -2)),
-            np.matmul(a.values.swapaxes(-1, -2), g),
-        )
+        return _product_grads(g, a, b)
 
     return _node(out, (a, b), bw, "matmul")
+
+
+def _product_grads(g: Array, a: Tensor, b: Tensor) -> tuple[Array | None, Array | None]:
+    """The gradients of ``a @ b`` that its parents need, given the output's ``g``.
+
+    The transposed operands stay strided views: a contiguous copy is
+    faster, but the product then takes another summation path and the
+    trained bits change.
+    """
+    return (
+        _product(g, b.values.swapaxes(-1, -2)) if a.requires_grad else None,
+        _product(a.values.swapaxes(-1, -2), g) if b.requires_grad else None,
+    )
+
+
+def _product(x: Array, y: Array) -> Array:
+    """``np.matmul(x, y)``, bit for bit.
+
+    A contraction of length 1 is an outer product: each entry is one
+    product, formed here by ``np.multiply`` instead of a GEMM call that
+    takes several times as long. Adding 0.0 turns a -0.0 product into the
+    +0.0 that a GEMM's zero-started sum gives.
+    """
+    if x.shape[-1] != 1:
+        return np.matmul(x, y)
+    out = np.multiply(x, y)
+    out += 0.0
+    return out
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -232,9 +274,23 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     out = x.values + b.values
 
     def bw(g: Array):
-        return g, g.sum(axis=0)
+        return g if x.requires_grad else None, g.sum(axis=0) if b.requires_grad else None
 
     return _node(out, (x, b), bw, "add_bias")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add_bias(matmul(x, w), b)`` as one op: an (m, k) @ (k, d) product
+    plus a length-d bias on every row, with the same numpy expressions."""
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} are incompatible")
+    with np.errstate(all="ignore"):
+        out = _product(x.values, w.values) + b.values
+
+    def bw(g: Array):
+        return (*_product_grads(g, x, w), g.sum(axis=0) if b.requires_grad else None)
+
+    return _node(out, (x, w, b), bw, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +317,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     out = a.values.reshape(shape)
     old = a.shape
@@ -394,7 +450,10 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
 
-    ``loss`` must be scalar. Nodes are popped off the topological order and
+    ``loss`` must be scalar. Only nodes with a rule enter the topological
+    order; leaves are reached as parents. Each rule returns the gradients its
+    parents need and None for a parent without ``requires_grad``, which is
+    skipped. Nodes are popped off the topological order and
     released as soon as their rule has run: each drops its parents, its rule
     and its ``grad``, so the graph is freed while the pass unwinds, interior
     gradients are not kept, and a second backward through the same nodes is
@@ -422,7 +481,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p._backward is not None and id(p) not in seen:
                 stack.append((p, False))
 
     loss.grad = np.ones((), dtype=np.float64) if loss.grad is None else loss.grad + 1.0
@@ -432,7 +491,7 @@ def backward(loss: Tensor) -> None:
         if fn is None or node.grad is None:
             continue
         for parent, pg in zip(node._parents, fn(node.grad)):
-            if not parent.requires_grad:
+            if pg is None or not parent.requires_grad:
                 continue
             pg = np.asarray(pg, dtype=np.float64)
             if parent.grad is not None:

@@ -92,8 +92,9 @@ class MetricsReport:
 
 def _check_labels(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.size and not np.isin(labels, (0, 1)).all():
-        bad = labels[~np.isin(labels, (0, 1))][0]
+    valid = (labels == 0) | (labels == 1)
+    if not valid.all():
+        bad = labels[~valid][0]
         raise DataError(f"label {bad!r} outside {{0, 1}}")
     return labels.astype(np.int64)
 

@@ -449,9 +449,7 @@ def _bump_digit(text):
 # panel table is the row '0,low' and of the weights table the row 'open,2';
 # cell 2 is the first number of a row. Each case gives the edit of the
 # table's text to new text or bytes (None deletes the file), then the
-# message expected from panel.csv and from weights.csv; None for
-# weights.csv means the edit leaves a valid table, which only its digest in
-# index.json tells apart.
+# message expected from panel.csv and from weights.csv.
 TABLE_DAMAGE = {
     "truncate-0": (lambda t: "", "truncated", "truncated"),
     "truncate-1pct": (lambda t: t[: len(t) // 100], "truncated", "truncated"),
@@ -507,7 +505,16 @@ TABLE_DAMAGE = {
     "non-utf8": (
         lambda t: t.encode()[:8] + b"\xff" + t.encode()[9:], "unreadable panel table", "unreadable graph weights"
     ),
-    "one-changed-digit": (_bump_digit, "panel_sha256 does not match panel.csv", None),
+    "huge": (
+        lambda t: _set_cell(t, 3, 2, "1e160"),
+        r"exceeds 1e\+150 in magnitude",
+        r"weights.csv: weights of open on day 4 sum to 1e\+160, not 1 within 1e-09",
+    ),
+    "one-changed-digit": (
+        _bump_digit,
+        "panel_sha256 does not match panel.csv",
+        r"weights.csv: weights of open on day 4 sum to [0-9.]+, not 1 within 1e-09",
+    ),
     "deleted": (None, "panel.csv: panel table not found", "weights.csv: graph weights not found"),
 }
 
@@ -561,11 +568,8 @@ class TestDamagedCacheTable:
             assert run("train", "--config", config) == 5
             _one_line_error(capsys, "does not match the sha256", r"re-run `mgdpr graph`")
             _restamp(graph_dir)
-        if weights_match is None:
-            assert run("train", "--config", config) == 0
-        else:
-            assert run("train", "--config", config) == 5
-            _one_line_error(capsys, weights_match, r"re-run `mgdpr graph`")
+        assert run("train", "--config", config) == 5
+        _one_line_error(capsys, weights_match, r"re-run `mgdpr graph`")
 
 
 def _edit_json(path, edit):
@@ -1220,3 +1224,63 @@ class TestEndToEndDeterminism:
                 assert run(cmd, "--config", config) == 0
             blobs.append((base / "out" / "metrics.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _console(argv, env_overrides, timeout=300):
+    """``python -m mgdpr_console <argv>``, the module behind the ``mgdpr`` console script."""
+    package_root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root), **env_overrides}
+    return subprocess.run(
+        [sys.executable, "-W", "error", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+class TestConsoleScript:
+    def test_module_loads_no_numpy_before_it_pins_blas(self):
+        done = _console(["-c", "import sys, mgdpr_console; print('numpy' in sys.modules)"], {})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    @pytest.mark.skipif(_cores() < 2, reason="two BLAS threads split a reduction only on 2 or more cores")
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 100 stocks, width 64, 2 layers, 2 steps, 30 training days, 2 epochs:
+        # the weight gradients sum over N * lookback = 500 rows, a reduction
+        # that two OpenBLAS threads split. Unpinned, the bytes differ.
+        lookback = 5
+        series = planted_market(num_stocks=100, num_days=lookback + 35, momentum_lag=3, seed=3)
+        write_series_csv(series, tmp_path / "data")
+        cal = series[0].dates
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "market": "planted",
+            "paths.data_dir": str(tmp_path / "data"),
+            "paths.cache_dir": str(tmp_path / "cache"),
+            "paths.output_dir": str(tmp_path / "out"),
+            "split.train": [cal[0], cal[lookback + 28]],
+            "split.val": [cal[lookback + 29], cal[lookback + 31]],
+            "split.test": [cal[lookback + 32], cal[lookback + 34]],
+            "model.lookback": lookback,
+            "model.num_layers": 2,
+            "model.expansion_steps": 2,
+            "model.embed_dim": 64,
+            "model.num_groups": 4,
+            "train.epochs": 2,
+            "train.seed": 0,
+        }))
+        assert run("ingest", "--config", config) == 0
+        assert run("graph", "--config", config) == 0
+        checkpoints = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            done = _console(
+                ["-m", "mgdpr_console", "train", "--config", str(config)],
+                {"OPENBLAS_NUM_THREADS": threads, "MGDPR_PATHS_OUTPUT_DIR": str(out)},
+            )
+            assert done.returncode == 0, done.stderr
+            checkpoints.append((out / "checkpoint.bin").read_bytes())
+        assert len((tmp_path / "out1" / "trace.csv").read_text().splitlines()) == 3
+        assert checkpoints[0] == checkpoints[1]

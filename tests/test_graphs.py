@@ -379,6 +379,17 @@ class TestGraphCache:
             write_graphs([graph, four], tmp_path / "second", "0" * 64)
         assert not (tmp_path / "second").exists()
 
+    @pytest.mark.parametrize("excess, loads", [(5e-10, True), (2e-9, False), (1e160, False)])
+    def test_weights_of_a_relation_and_day_sum_to_one_within_tolerance(self, tmp_path, excess, loads):
+        weights = np.full((5, 4), 0.25)
+        weights[1, 2] += excess
+        write_graphs([MultiRelAdjacency(5, weights)], tmp_path, "0" * 64)
+        if loads:
+            assert read_graphs(tmp_path)[5].sender_weights.tobytes() == weights.tobytes()
+        else:
+            with pytest.raises(FormatError, match=r"weights of high on day 5 sum to .*, not 1 within 1e-09"):
+                read_graphs(tmp_path)
+
     def test_missing_index(self, tmp_path):
         with pytest.raises(FormatError):
             read_graphs(tmp_path)

@@ -211,6 +211,113 @@ class TestBackward:
         np.testing.assert_array_equal(y.grad, [11.0, 21.0, 33.0])
 
 
+def _signed_zeros(rng, shape):
+    """Normal draws with a quarter of the entries set to +0.0 or -0.0."""
+    x = rng.normal(size=shape)
+    x.ravel()[::4] = 0.0
+    x.ravel()[1::8] = -0.0
+    return x
+
+
+class TestOnlyNeededGradients:
+    """Each rule computes only the gradients its parents need."""
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((1, 5), (5, 64)), ((7, 5), (5, 1)), ((3, 1, 4), (3, 4, 50)), ((3, 6, 4), (3, 4, 1))],
+        ids=["2d-one-row", "2d-one-column", "3d-one-row", "3d-one-column"],
+    )
+    def test_contraction_length_one_gradients_have_matmul_bytes(self, a_shape, b_shape):
+        rng = np.random.default_rng(3)
+        a_vals, b_vals = _signed_zeros(rng, a_shape), _signed_zeros(rng, b_shape)
+        a, b = leaf(a_vals), leaf(b_vals)
+        out = T.matmul(a, b)
+        g = _signed_zeros(rng, out.shape)
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(g))))
+        assert a.grad.tobytes() == np.matmul(g, b_vals.swapaxes(-1, -2)).tobytes()
+        assert b.grad.tobytes() == np.matmul(a_vals.swapaxes(-1, -2), g).tobytes()
+
+    def test_contraction_length_one_product_has_matmul_bytes(self):
+        rng = np.random.default_rng(4)
+        x, y = _signed_zeros(rng, (2, 6, 1)), _signed_zeros(rng, (2, 1, 7))
+        assert T._product(x, y).tobytes() == np.matmul(x, y).tobytes()
+
+    @pytest.mark.parametrize("constant_side", ["a", "b"])
+    def test_constant_matmul_operand_gets_no_gradient_and_no_product(self, monkeypatch, constant_side):
+        rng = np.random.default_rng(5)
+        arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}
+        tensors = {k: T.constant(v) if k == constant_side else leaf(v) for k, v in arrays.items()}
+        loss = T.sum_all(T.matmul(tensors["a"], tensors["b"]))
+        calls = []
+        real = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T.np, "matmul", counting)
+        T.backward(loss)
+        assert len(calls) == 1
+        assert tensors[constant_side].grad is None
+        learned = "b" if constant_side == "a" else "a"
+        assert tensors[learned].grad.shape == arrays[learned].shape
+
+    @pytest.mark.parametrize("op", [T.hadamard, T.matmul, T.add, T.sub, T.add_bias])
+    def test_rule_returns_none_for_a_constant_parent(self, op):
+        x = leaf(np.ones((2, 2)))
+        c = T.constant(np.full((2,) if op is T.add_bias else (2, 2), 3.0))
+        out = op(x, c)
+        grads = out._backward(np.ones(out.shape))
+        assert grads[1] is None and grads[0] is not None
+
+    def test_linear_rule_returns_none_for_constant_parents(self):
+        x = T.constant(np.ones((4, 3)))
+        out = T.linear(x, leaf(np.ones((3, 2))), T.constant(np.zeros(2)))
+        gx, gw, gb = out._backward(np.ones(out.shape))
+        assert gx is None and gb is None and gw.shape == (3, 2)
+
+
+class TestLinear:
+    def test_equals_add_bias_of_matmul_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        arrays = {"x": rng.normal(size=(6, 4)), "w": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}
+        weights = T.Tensor(rng.normal(size=(6, 3)))
+
+        def run(build):
+            t = {k: leaf(v) for k, v in arrays.items()}
+            out = build(t)
+            T.backward(T.sum_all(T.hadamard(out, weights)))
+            return [out.values.tobytes()] + [t[k].grad.tobytes() for k in arrays]
+
+        fused = run(lambda t: T.linear(t["x"], t["w"], t["b"]))
+        composed = run(lambda t: T.add_bias(T.matmul(t["x"], t["w"]), t["b"]))
+        assert fused == composed
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(10)
+        arrays = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2)), "b": rng.normal(size=(2,))}
+
+        def fn(arrs):
+            return float(np.cos(arrs["x"] @ arrs["w"] + arrs["b"]).sum())
+
+        leaves = {k: leaf(v) for k, v in arrays.items()}
+        out = T.linear(leaves["x"], leaves["w"], leaves["b"])
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(-np.sin(out.values)))))
+        # d/dz sum cos(z) = -sin(z), so the weighted loss has fn's gradient.
+        numeric = numeric_grad(fn, arrays)
+        for k in arrays:
+            assert max_rel_err(leaves[k].grad, numeric[k]) < 1e-6, k
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\).*\(2,\)"):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(2)))
+
+    def test_overflow_raises(self):
+        big = T.Tensor(np.full((2, 2), 1e200))
+        with pytest.raises(FloatingPointError, match="linear produced a non-finite value"):
+            T.linear(big, big, T.Tensor(np.zeros(2)))
+
+
 class TestConstant:
     def test_wraps_without_copy_and_records_nothing(self):
         arr = np.arange(6.0).reshape(2, 3)
