@@ -2,10 +2,11 @@
 """Drive the whole batch pipeline from one config, the way a cron job would.
 
 Writes a synthetic market to a temporary directory, then runs
-ingest -> graph -> train -> eval through the `mgdpr` command surface and
-prints the resulting metrics report; the directory is removed when the
-demo ends. Everything is reproducible: same config + seed means
-byte-identical outputs.
+ingest -> train -> eval through the `mgdpr` command surface and prints the
+resulting metrics report; the directory is removed when the demo ends.
+`train` and `eval` build each day's graph from the ingested panel, so the
+optional `mgdpr graph` export is not needed. Everything is reproducible:
+same config + seed means byte-identical outputs.
 """
 
 import json
@@ -39,7 +40,7 @@ with tempfile.TemporaryDirectory(prefix="mgdpr-demo-") as workspace:
     config_path.write_text(json.dumps(config, indent=2))
     print(f"workspace: {root}\n")
 
-    for command in ("ingest", "graph", "train", "eval"):
+    for command in ("ingest", "train", "eval"):
         print(f"$ mgdpr {command} --config {config_path.name}")
         code = main([command, "--config", str(config_path)])
         assert code == 0, f"{command} exited {code}"

@@ -1,5 +1,8 @@
 """Batch command-line pipeline: ``mgdpr ingest|graph|train|eval``.
 
+``train`` and ``eval`` build the graphs they need from the panel that
+``ingest`` caches; ``graph`` only exports them, to a cache no command reads.
+
 One declarative config drives every stage. The config file is flat JSON
 with dotted keys (see DEFAULTS); any key can be overridden by an
 environment variable named ``MGDPR_<KEY>`` with dots replaced by
@@ -9,9 +12,9 @@ that ``train`` writes, fed back in, repeats the run byte for byte. ``eval``
 reads ``<paths.output_dir>/checkpoint.bin``: to evaluate another run's
 checkpoint, point ``paths.output_dir`` (or ``MGDPR_PATHS_OUTPUT_DIR``) there.
 
-Exit codes: 0 ok, 2 data/format problem, 3 graph generation problem,
-4 training divergence, 5 configuration or usage problem (also a path that
-cannot be written), 6 checkpoint problem.
+Exit codes: 0 ok, 2 data/format problem or too few days, 3 degenerate
+graph window, 4 training divergence, 5 configuration or usage problem
+(also a path that cannot be written), 6 checkpoint problem.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from typing import get_type_hints
 from .errors import (
     CheckpointError,
     ConfigError,
-    DataError,
-    DayRangeError,
     DegenerateSeriesError,
     DivergenceError,
     FormatError,
@@ -39,8 +40,18 @@ from .errors import (
     UsageError,
 )
 from .files import has_type, make_dir, read_json_object, type_name, write_atomic
-from .graphs import build_day_graphs, read_graphs, write_graphs
-from .market import align_panel, label_balance, load_csv, make_windows, read_panel, split_periods, write_panel
+from .graphs import build_day_graphs, write_graphs
+from .graphs import read_graphs  # noqa: F401 -- bench/tracing.py traces mgdpr.cli.read_graphs
+from .market import (
+    align_panel,
+    label_balance,
+    labeled_days,
+    load_csv,
+    make_windows,
+    read_panel,
+    split_periods,
+    write_panel,
+)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import MetricsReport, TrainConfig, evaluate, train, write_metrics_json, write_trace_csv
 
@@ -71,10 +82,10 @@ EXIT_CODES = {"data": 2, "graph": 3, "divergence": 4, "config": 5, "checkpoint":
 
 _EPILOG = """\
 exit codes:
-  2  input data or file-format problem
-  3  graph generation problem (degenerate window, too few days)
+  2  input data or file-format problem (also too few days for model.lookback)
+  3  graph generation problem (degenerate window)
   4  training diverged (non-finite loss)
-  5  configuration or usage problem (bad key or flag, shape mismatch, missing cache,
+  5  configuration or usage problem (bad key or flag, shape mismatch,
      a paths.* value that cannot be written)
   6  checkpoint corrupt or inconsistent with the config
 """
@@ -158,10 +169,6 @@ def _graph_dir(resolved) -> Path:
     return Path(resolved["paths.cache_dir"]) / "graphs"
 
 
-def _labeled_days(num_days: int, lookback: int) -> list[int]:
-    return list(range(lookback - 1, num_days - 1))
-
-
 def _load_split_samples(resolved):
     panel = read_panel(_panel_dir(resolved))
     samples = make_windows(panel, resolved["model.lookback"])
@@ -169,17 +176,10 @@ def _load_split_samples(resolved):
     return panel, splits
 
 
-def _load_graphs(resolved, panel, days: list[int]):
-    """The cached graphs of ``days``, which must have been built from ``panel``."""
-    directory = _graph_dir(resolved)
-    if not (directory / "index.json").exists():
-        raise ConfigError(
-            f"{directory}: graph cache not found; run `mgdpr graph --config <path>` first"
-        )
-    try:
-        return read_graphs(directory, days=days, panel_digest=panel.digest())
-    except DataError as e:
-        raise ConfigError(f"graph cache unusable ({e}); re-run `mgdpr graph`") from e
+def _build_graphs(resolved, panel, samples):
+    """The graph of every end day of ``samples``, each built once from ``panel``."""
+    lookback = resolved["model.lookback"]
+    return {t: build_day_graphs(panel, t, lookback) for t in sorted({s.t_index for s in samples})}
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +205,7 @@ def cmd_graph(args) -> int:
     resolved = load_config(args.config)
     panel = read_panel(_panel_dir(resolved))
     lookback = resolved["model.lookback"]
-    days = _labeled_days(panel.num_days, lookback)
-    if not days:
-        raise DayRangeError(
-            f"no labeled end days: need at least {lookback + 1} days, panel has {panel.num_days}"
-        )
+    days = labeled_days(panel.num_days, lookback)
     graphs = [build_day_graphs(panel, t, lookback) for t in days]
     write_graphs(graphs, _graph_dir(resolved), panel.digest())
     print(f"wrote graphs for {len(days)} day(s) x {panel.num_stocks} stocks to {_graph_dir(resolved)}")
@@ -230,8 +226,7 @@ def _load_training_inputs(resolved):
     panel, (train_s, val_s, test_s) = _load_split_samples(resolved)
     if not train_s:
         raise ConfigError("training split matched no samples; check split.train dates")
-    needed = sorted({s.t_index for s in train_s + val_s + test_s})
-    graphs = _load_graphs(resolved, panel, needed)
+    graphs = _build_graphs(resolved, panel, train_s + val_s + test_s)
     return panel, (train_s, val_s, test_s), graphs
 
 
@@ -293,7 +288,7 @@ def cmd_eval(args) -> int:
         raise CheckpointError(f"{ckpt}: checkpoint not found; run `mgdpr train` first")
     panel, (_, _, test_s) = _load_split_samples(resolved)
     _require_test(test_s)
-    graphs = _load_graphs(resolved, panel, sorted({s.t_index for s in test_s}))
+    graphs = _build_graphs(resolved, panel, test_s)
     model = load_checkpoint(ckpt, model_config(resolved, panel.num_stocks))
     report = evaluate(model, test_s, graphs=graphs)
     write_metrics_json(out_dir / "metrics.json", report, market, period, model.seed, digest)
@@ -358,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_graph = sub.add_parser(
-        "graph", help="cache each day's per-stock sender weights (one table, a column per day) from the panel"
+        "graph", help="optional export of each day's sender weights (a column per day); train/eval never read it"
     )
     p_graph.set_defaults(func=cmd_graph)
 
@@ -381,7 +376,7 @@ def _exit_code(e: MgdprError) -> int:
         return EXIT_CODES["checkpoint"]
     if isinstance(e, DivergenceError):
         return EXIT_CODES["divergence"]
-    if isinstance(e, (DegenerateSeriesError, DayRangeError)):
+    if isinstance(e, DegenerateSeriesError):
         return EXIT_CODES["graph"]
     if isinstance(e, (ConfigError, ShapeError, UsageError)):
         return EXIT_CODES["config"]

@@ -21,9 +21,11 @@ definitions :func:`signal_energy` and :func:`information_entropy`, which
 run the same code on one window. A window whose energy is below
 ``ENERGY_FLOOR`` or whose s or sender weight overflows or underflows is
 refused with :class:`DegenerateSeriesError`.
-The cache stores the same numbers, every day's as one column of a single
-table, so reloaded graphs are bit-identical to freshly built ones. The
-model reads only :attr:`MultiRelAdjacency.sender_weights`; N x N matrices
+The pipeline builds each day's graph when it needs it. The cache that
+``mgdpr graph`` writes is an export only: it stores the same numbers,
+every day's as one column of a single table, so reloaded graphs are
+bit-identical to freshly built ones, but nothing in the pipeline reads it
+back. The model reads only :attr:`MultiRelAdjacency.sender_weights`; N x N matrices
 are expanded only on request (:attr:`MultiRelAdjacency.matrices`,
 :func:`build_adjacency`).
 """
@@ -251,27 +253,20 @@ _INDEX_TYPES = {
 }
 
 
-def read_graphs(
-    directory, days: list[int] | None = None, panel_digest: str | None = None
-) -> dict[int, MultiRelAdjacency]:
+def read_graphs(directory, days: list[int] | None = None) -> dict[int, MultiRelAdjacency]:
     """Reload the graphs written by :func:`write_graphs`.
 
     The index and the whole table are checked; a missing, truncated,
     malformed, altered or old-format cache, a weight that is not positive,
     or a relation's weights on a day that do not sum to 1 within
     ``WEIGHT_SUM_TOLERANCE`` raise :class:`FormatError` rather than
-    loading. With ``panel_digest``, so does a cache built from another panel.
+    loading.
     """
     directory = Path(directory)
     path = directory / "index.json"
     index = read_json_object(path, "graph index", _INDEX_TYPES)
     if index["relations"] != list(RELATIONS):
         raise FormatError(f"{path}: relations {index['relations']!r}, expected {list(RELATIONS)}")
-    if panel_digest is not None and index["panel_sha256"] != panel_digest:
-        raise FormatError(
-            f"{path}: graphs were built from another panel "
-            f"(digest {index['panel_sha256']!r}, current panel {panel_digest!r})"
-        )
     listed, n = index["days"], index["num_stocks"]
     column = {t: k for k, t in enumerate(listed)}
     days = listed if days is None else days

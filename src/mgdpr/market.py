@@ -288,24 +288,30 @@ def zscore_window(raw: np.ndarray) -> np.ndarray:
     return np.where(std < 1e-12, 0.0, out)
 
 
+def labeled_days(num_days: int, lookback: int) -> range:
+    """The end days with a full lookback window and a next-day label,
+    ``lookback - 1`` to ``num_days - 2``: ConfigError for a lookback below
+    1, InsufficientDataError when there is none."""
+    if lookback < 1:
+        raise ConfigError(f"lookback must be positive, got {lookback}")
+    if num_days < lookback + 1:
+        raise InsufficientDataError(
+            f"no labeled end days: need at least {lookback + 1} days for lookback {lookback}, have {num_days}"
+        )
+    return range(lookback - 1, num_days - 1)
+
+
 def make_windows(panel: MarketPanel, lookback: int) -> list[WindowSample]:
-    """One sample per end-day with a next-day label: count = T - lookback.
+    """One sample per :func:`labeled_days` end day: count = T - lookback.
 
     The panel is validated first (:meth:`MarketPanel.validate`), so a
     non-finite, non-positive or above-``MAX_CELL`` price raises
     :class:`DataError`. A label is 1 for a strict next-day rise, 0 for a tie.
     """
     panel.validate()
-    t_len = panel.num_days
-    if lookback < 1:
-        raise ConfigError(f"lookback must be positive, got {lookback}")
-    if t_len < lookback + 1:
-        raise InsufficientDataError(
-            f"need at least {lookback + 1} days for lookback {lookback}, have {t_len}"
-        )
     samples = []
     close = panel.data[:, CLOSE, :]
-    for t in range(lookback - 1, t_len - 1):
+    for t in labeled_days(panel.num_days, lookback):
         raw = panel.data[:, :, t - lookback + 1 : t + 1].transpose(1, 0, 2)
         raw.flags.writeable = False
         samples.append(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mgdpr import cli, graphs, market
-from mgdpr.errors import CheckpointError, ConfigError
+from mgdpr.errors import CheckpointError, ConfigError, FormatError
 from mgdpr.files import write_table
 from mgdpr.graphs import build_day_graphs, read_graphs
 from mgdpr.market import RELATIONS, read_panel
@@ -286,6 +286,47 @@ class TestUnknownEnvVariable:
         assert not (tmp_path / "cache").exists()
 
 
+def _mutations(data: bytes, count: int, seed: int):
+    """``count`` seeded one-step mutations of ``data``: (kind, mutated bytes)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kind = ("bit-flip", "truncation", "line-swap", "inserted-byte")[rng.integers(4)]
+        if kind == "bit-flip":
+            bit = int(rng.integers(len(data) * 8))
+            mutated = bytearray(data)
+            mutated[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "truncation":
+            mutated = data[: rng.integers(len(data))]
+        elif kind == "line-swap":
+            lines = data.split(b"\n")
+            i, j = rng.integers(len(lines), size=2)
+            lines[i], lines[j] = lines[j], lines[i]
+            mutated = b"\n".join(lines)
+        else:
+            at = int(rng.integers(len(data) + 1))
+            mutated = data[:at] + bytes([rng.integers(256)]) + data[at:]
+        yield kind, bytes(mutated)
+
+
+@pytest.mark.parametrize("target", ["data/SYN01.csv", "config.json"])
+def test_mutated_input_fails_ingest_with_one_line_or_not_at_all(tmp_path, capsys, monkeypatch, target):
+    config = make_workspace(tmp_path)
+    # The paths come from the environment, so that a mutated path in the
+    # config cannot send a write, or a read, outside this test's directory.
+    monkeypatch.setenv("MGDPR_PATHS_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.setenv("MGDPR_PATHS_CACHE_DIR", str(tmp_path / "cache"))
+    path = tmp_path / target
+    original = path.read_bytes()
+    capsys.readouterr()
+    for k, (kind, mutated) in enumerate(_mutations(original, 300, seed=21)):
+        path.write_bytes(mutated)
+        code = run("ingest", "--config", config)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 5), (k, kind, code, err)
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1, (k, kind, err)
+
+
 class TestIngest:
     def test_manifest_lists_tickers(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -396,12 +437,28 @@ class TestGraph:
         index = json.loads((tmp_path / "cache" / "graphs" / "index.json").read_text())
         assert index["days"] == [4]
 
-    def test_day_out_of_range_exits_3(self, tmp_path, capsys):
+    def test_too_few_days_exits_2(self, tmp_path, capsys):
         # lookback tau with tau days: no end day has a next-day label
         config = make_workspace(tmp_path, num_days=5, lookback=5)
         assert run("ingest", "--config", config) == 0
-        assert run("graph", "--config", config) == 3
-        assert "no labeled end days" in capsys.readouterr().err
+        capsys.readouterr()
+        for argv in (["graph"], ["train"], ["eval", "--seeds", "1"]):
+            assert run(*argv, "--config", config) == 2
+            _one_line_error(capsys, r"no labeled end days: need at least 6 days for lookback 5, have 5")
+
+    def test_degenerate_window_exits_3_naming_the_stock(self, tmp_path, capsys):
+        # an open price of 1e-8 gives a window energy below the floor on every day
+        config = make_workspace(tmp_path)
+        raw = tmp_path / "data" / "SYN01.csv"
+        header, *rows = raw.read_text().splitlines()
+        rows = [_set_cell(row, 0, 1, "1e-08") for row in rows]
+        raw.write_text("\n".join([header, *rows]) + "\n")
+        assert run("ingest", "--config", config) == 0
+        capsys.readouterr()
+        for argv in (["graph"], ["train"], ["eval", "--seeds", "1"]):
+            assert run(*argv, "--config", config) == 3
+            _one_line_error(capsys, r"SYN01: window energy [0-9.e+-]+ below floor 1e-12")
+        assert not (tmp_path / "cache" / "graphs").exists()
 
     def test_reload_matches_in_memory(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -519,6 +576,18 @@ TABLE_DAMAGE = {
 }
 
 
+# The labeled end days of make_workspace's default 30 days at lookback 5.
+LABELED_DAYS = list(range(4, 29))
+
+
+def _graph_cache(tmp_path):
+    """The graph cache directory of a default workspace after `ingest` and `graph`."""
+    config = make_workspace(tmp_path)
+    for cmd in ("ingest", "graph"):
+        assert run(cmd, "--config", config) == 0
+    return tmp_path / "cache" / "graphs"
+
+
 def _damage(path, edit):
     if edit is None:
         path.unlink()
@@ -544,8 +613,10 @@ def _one_line_error(capsys, *patterns):
 
 
 class TestDamagedCacheTable:
-    """The same damage to either cache's table fails the next command with a
-    one-line message that names it and says which command rebuilds it."""
+    """The same damage to either cache's table fails its reader: the next
+    command exits with a one-line message that names the panel table and
+    says to re-run `mgdpr ingest`, and read_graphs raises FormatError
+    naming the weights table."""
 
     @pytest.mark.parametrize("edit, panel_match, weights_match", TABLE_DAMAGE.values(), ids=list(TABLE_DAMAGE))
     def test_panel_table_graph_exits_2(self, tmp_path, capsys, edit, panel_match, weights_match):
@@ -557,19 +628,15 @@ class TestDamagedCacheTable:
         _one_line_error(capsys, panel_match, r"re-run `mgdpr ingest`")
 
     @pytest.mark.parametrize("edit, panel_match, weights_match", TABLE_DAMAGE.values(), ids=list(TABLE_DAMAGE))
-    def test_weights_table_train_exits_5(self, tmp_path, capsys, edit, panel_match, weights_match):
-        config = make_workspace(tmp_path)
-        assert run("ingest", "--config", config) == 0
-        assert run("graph", "--config", config) == 0
-        graph_dir = tmp_path / "cache" / "graphs"
+    def test_weights_table_read_graphs_raises(self, tmp_path, edit, panel_match, weights_match):
+        graph_dir = _graph_cache(tmp_path)
         _damage(graph_dir / "weights.csv", edit)
-        capsys.readouterr()
         if edit is not None:
-            assert run("train", "--config", config) == 5
-            _one_line_error(capsys, "does not match the sha256", r"re-run `mgdpr graph`")
+            with pytest.raises(FormatError, match="does not match the sha256"):
+                read_graphs(graph_dir, days=LABELED_DAYS)
             _restamp(graph_dir)
-        assert run("train", "--config", config) == 5
-        _one_line_error(capsys, weights_match, r"re-run `mgdpr graph`")
+        with pytest.raises(FormatError, match=weights_match):
+            read_graphs(graph_dir, days=LABELED_DAYS)
 
 
 def _edit_json(path, edit):
@@ -617,14 +684,11 @@ class TestDamagedCacheObject:
         ids=["garbage-index", "old-format-index", "no-digest", "digest-map", "day-missing", "extra-day",
              "days-reordered"],
     )
-    def test_graph_index_train_exits_5(self, tmp_path, capsys, damage, match):
-        config = make_workspace(tmp_path)
-        assert run("ingest", "--config", config) == 0
-        assert run("graph", "--config", config) == 0
-        damage(tmp_path / "cache" / "graphs" / "index.json")
-        capsys.readouterr()
-        assert run("train", "--config", config) == 5
-        _one_line_error(capsys, match, r"re-run `mgdpr graph`")
+    def test_graph_index_read_graphs_raises(self, tmp_path, damage, match):
+        graph_dir = _graph_cache(tmp_path)
+        damage(graph_dir / "index.json")
+        with pytest.raises(FormatError, match=match):
+            read_graphs(graph_dir, days=LABELED_DAYS)
 
 
 def _as_per_ticker_panel(panel_dir):
@@ -658,9 +722,9 @@ def _contents(directory):
 
 
 class TestPreviousCacheLayout:
-    """A cache of an earlier layout is refused, with one line, until the
-    command that writes it runs again; that command leaves the earlier
-    layout's files in place, and nothing reads them."""
+    """A cache of an earlier layout is refused until the command that writes
+    it runs again; that command leaves the earlier layout's files in place,
+    and nothing reads them."""
 
     def test_per_ticker_panel_graph_exits_2_until_ingest_rewrites_it(self, tmp_path, capsys):
         config = make_workspace(tmp_path)
@@ -678,40 +742,57 @@ class TestPreviousCacheLayout:
         assert all(now[name] == data for name, data in earlier.items() if name != "manifest.json")
         assert run("graph", "--config", config) == 0
 
-    def test_weights_v4_train_and_eval_exit_5_until_graph_rewrites_it(self, tmp_path, capsys):
-        config = make_workspace(tmp_path)
-        for cmd in ("ingest", "graph", "train"):
-            assert run(cmd, "--config", config) == 0
-        graph_dir = tmp_path / "cache" / "graphs"
+    def test_weights_v4_is_refused_until_graph_rewrites_it(self, tmp_path):
+        graph_dir = _graph_cache(tmp_path)
         _as_weights_v4(graph_dir)
         earlier = _contents(graph_dir)
         assert earlier["day00010.csv"].startswith(b"relation,stock,weight\n")
-        capsys.readouterr()
-        for cmd in ("train", "eval"):
-            assert run(cmd, "--config", config) == 5
-            _one_line_error(capsys, "mgdpr-graph-weights/5", r"re-run `mgdpr graph`")
+        with pytest.raises(FormatError, match="mgdpr-graph-weights/5"):
+            read_graphs(graph_dir)
 
-        assert run("graph", "--config", config) == 0
+        assert run("graph", "--config", tmp_path / "config.json") == 0
         now = _contents(graph_dir)
         assert json.loads(now["index.json"])["format"] == graphs.GRAPH_FORMAT
         assert set(now) == set(earlier) | {"weights.csv"}
         assert all(now[name] == data for name, data in earlier.items() if name != "index.json")
+        assert sorted(read_graphs(graph_dir)) == LABELED_DAYS
+
+
+def _other_panel_graphs(tmp_path, config):
+    """Leave the graph cache of another market's prices, then put back
+    make_workspace's own prices."""
+    write_series_csv(planted_market(num_stocks=3, num_days=30, momentum_lag=3, seed=2), tmp_path / "data")
+    for cmd in ("ingest", "graph"):
+        assert run(cmd, "--config", config) == 0
+    write_series_csv(planted_market(num_stocks=3, num_days=30, momentum_lag=3, seed=1), tmp_path / "data")
+
+
+# What is left in <cache_dir>/graphs/ before `train` and `eval` run.
+GRAPH_CACHE_STATES = {
+    "absent": lambda tmp_path, config: None,
+    "damaged": lambda tmp_path, config: _damage(_graph_cache(tmp_path) / "weights.csv", TABLE_DAMAGE["nan"][0]),
+    "other-panel": _other_panel_graphs,
+    "weights-v4": lambda tmp_path, config: _as_weights_v4(_graph_cache(tmp_path)),
+}
+
+
+@pytest.mark.parametrize("state", GRAPH_CACHE_STATES.values(), ids=list(GRAPH_CACHE_STATES))
+def test_train_and_eval_build_their_graphs_whatever_the_graph_cache_holds(tmp_path, state):
+    outputs = []
+    for side in ("after-graph", "other"):
+        base = tmp_path / side
+        base.mkdir()
+        config = make_workspace(base)
+        if side == "after-graph":
+            for cmd in ("ingest", "graph"):
+                assert run(cmd, "--config", config) == 0
+        else:
+            state(base, config)
+            assert run("ingest", "--config", config) == 0
         for cmd in ("train", "eval"):
             assert run(cmd, "--config", config) == 0
-
-
-class TestStaleGraphCache:
-    def _reingest_other_prices(self, tmp_path, config):
-        for cmd in ("ingest", "graph"):
-            assert run(cmd, "--config", config) == 0
-        write_series_csv(planted_market(num_stocks=3, num_days=30, momentum_lag=3, seed=2), tmp_path / "data")
-        assert run("ingest", "--config", config) == 0
-
-    def test_train_exits_5(self, tmp_path, capsys):
-        config = make_workspace(tmp_path)
-        self._reingest_other_prices(tmp_path, config)
-        assert run("train", "--config", config) == 5
-        assert "re-run `mgdpr graph`" in capsys.readouterr().err
+        outputs.append([(base / "out" / name).read_bytes() for name in ("checkpoint.bin", "trace.csv", "metrics.json")])
+    assert outputs[0] == outputs[1]
 
 
 class TestEachCacheIsTwoFiles:
@@ -732,7 +813,8 @@ class TestEachCacheIsTwoFiles:
         assert sorted(p.name for p in graph_dir.iterdir()) == ["index.json", "weights.csv"]
         panel = read_panel(panel_dir)
         assert panel.num_stocks == 3 and panel.num_days == 20
-        assert sorted(read_graphs(graph_dir, panel_digest=panel.digest())) == list(range(4, 19))
+        assert sorted(read_graphs(graph_dir)) == list(range(4, 19))
+        assert json.loads((graph_dir / "index.json").read_text())["panel_sha256"] == panel.digest()
 
     def test_other_files_are_kept(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -771,12 +853,6 @@ class TestTrain:
             assert run("train", "--config", config) == 0
             checkpoints.append((tmp_path / "out" / "checkpoint.bin").read_bytes())
         assert checkpoints[0] == checkpoints[1]
-
-    def test_missing_graph_cache_exits_5(self, tmp_path, capsys):
-        config = make_workspace(tmp_path)
-        assert run("ingest", "--config", config) == 0
-        assert run("train", "--config", config) == 5
-        assert "mgdpr graph" in capsys.readouterr().err
 
     def test_writes_trace_and_resolved_config(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -904,8 +980,10 @@ class TestEval:
 
     def test_multi_seed_loads_inputs_once(self, tmp_path, monkeypatch):
         config = self._pipeline(tmp_path)
+        _, splits = cli._load_split_samples(cli.load_config(config))
+        days = {s.t_index for samples in splits for s in samples}
         monkeypatch.setenv("MGDPR_TRAIN_EPOCHS", "1")
-        calls = {"read_panel": 0, "make_windows": 0, "read_graphs": 0}
+        calls = {"read_panel": 0, "make_windows": 0, "build_day_graphs": 0}
         for name in calls:
             real = getattr(cli, name)
 
@@ -915,7 +993,8 @@ class TestEval:
 
             monkeypatch.setattr(cli, name, counted)
         assert run("eval", "--config", config, "--seeds", 3) == 0
-        assert calls == {"read_panel": 1, "make_windows": 1, "read_graphs": 1}
+        # one graph per day of the splits, for all three seeds together
+        assert calls == {"read_panel": 1, "make_windows": 1, "build_day_graphs": len(days)}
 
     def test_multi_seed_checks_the_test_split_before_training(self, tmp_path, capsys, monkeypatch):
         config = self._pipeline(tmp_path, **{"split.test": ["2021-01-01", "2021-12-31"]})
@@ -1272,7 +1351,6 @@ class TestConsoleScript:
             "train.seed": 0,
         }))
         assert run("ingest", "--config", config) == 0
-        assert run("graph", "--config", config) == 0
         checkpoints = []
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"

@@ -355,14 +355,11 @@ class TestGraphCache:
         _cached_days(tmp_path, days=(4, 5, 6))
         assert sorted(read_graphs(tmp_path, days=[6, 4])) == [4, 6]
 
-    def test_other_panel_rejected_and_not_merged(self, tmp_path):
+    def test_other_panel_replaces_and_is_not_merged(self, tmp_path):
         _cached_days(tmp_path, days=(4, 6))
-        panel = _cache_panel()
-        assert sorted(read_graphs(tmp_path, panel_digest=panel.digest())) == [4, 6]
-        with pytest.raises(FormatError, match="another panel"):
-            read_graphs(tmp_path, panel_digest="0" * 64)
-        write_graphs([build_day_graphs(panel, 5, 5)], tmp_path, "0" * 64)
-        assert json.loads((tmp_path / "index.json").read_text())["days"] == [5]
+        write_graphs([build_day_graphs(_cache_panel(), 5, 5)], tmp_path, "0" * 64)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index["days"] == [5] and index["panel_sha256"] == "0" * 64
         assert sorted(read_graphs(tmp_path)) == [5]
 
     def test_graph_of_another_relation_count_is_refused_before_writing(self, tmp_path):
