@@ -1,18 +1,34 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-A small autograd core in the micrograd style, but array-valued: each
-operation on a tensor that requires gradients stores its parent tensors and
-a backward rule on the output, and ``backward(loss)`` replays that implicit
-record in reverse topological order. A rule computes only the gradients its
-parents need: for a parent that does not require gradients (a constant
-operand of a product, say) it returns None instead of an array, and
-``backward`` skips that parent. The record is released while the
-reverse pass unwinds: once a node's rule has run, the node drops its
-parents, its rule and its gradient, so activations and interior gradients
-are freed layer by layer and only leaves keep a ``grad``. Operations whose
-inputs need no gradient record nothing, so evaluation over :func:`constant`
-inputs runs without a tape. Just enough surface to express graph diffusion,
-parallel retention, and a cross-entropy training objective:
+A small autograd core in the micrograd style, but array-valued. A tensor
+that requires gradients carries a *record*: its parents' records, a backward
+rule and a gradient slot. A record never holds a :class:`Tensor`: each rule
+closes over only the arrays and shapes that it reads, so an op output that
+no rule reads is freed as soon as the caller drops it, while the tape lives
+on in the records. ``backward(loss)`` replays the records in reverse
+topological order. A rule computes only the gradients its parents need: for
+a parent that does not require gradients (a constant operand of a product,
+say) it returns None instead of an array, and ``backward`` skips that
+parent. The record is released while the reverse pass unwinds: once a
+node's rule has run, its record drops its parents, its rule (and with it
+the saved arrays) and its gradient, so activations and interior gradients
+are freed layer by layer and only leaves keep a ``grad``. Tensors that do
+not require gradients carry no record, and operations whose inputs carry
+none record nothing, so evaluation over :func:`constant` inputs runs
+without a tape.
+
+What each rule saves:
+
+- ``matmul`` and ``linear``: each operand, and only when the other
+  operand's gradient is needed; ``hadamard`` likewise;
+- ``softmax`` and ``log_softmax``: the probabilities; ``group_normalize``:
+  the normalized values and the inverse deviations; ``activation``: the
+  boolean mask of non-negative inputs;
+- ``add``, ``sub``, ``scale``, ``add_bias``, ``reshape``, ``transpose``,
+  ``concat``, ``mean_axis`` and ``sum_all``: shapes and constants only.
+
+Just enough surface to express graph diffusion, parallel retention, and a
+cross-entropy training objective:
 
 - arithmetic: add / sub / hadamard / scale, matmul (2-D or batched 3-D),
   bias addition over the last axis, and ``linear`` (a 2-D matmul plus a
@@ -71,25 +87,50 @@ def _check_finite(arr: Array, op: str) -> None:
         raise FloatingPointError(f"{op} produced a non-finite value")
 
 
+class _Record:
+    """A tensor's entry on the tape: its parents' records (None for a parent
+    that does not require gradients), the rule that maps its gradient to
+    theirs (None for a leaf) and the gradient summed so far."""
+
+    __slots__ = ("parents", "rule", "grad")
+
+    def __init__(self, parents: tuple, rule):
+        self.parents = parents
+        self.rule = rule
+        self.grad: Array | None = None
+
+
 class Tensor:
-    """Immutable float64 array plus the bookkeeping for reverse-mode AD.
+    """Immutable float64 array plus, when it requires gradients, its record.
 
     A leaf's ``grad`` accumulates across successive ``backward`` calls (the
     natural fit for full-batch gradient accumulation); callers reset it by
-    assigning ``None``. Interior tensors drop theirs during ``backward``.
+    assigning ``None``. Interior tensors drop theirs during ``backward``. A
+    tensor that does not require gradients keeps an assigned ``grad`` to
+    itself: it stays off the tape.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "_record", "_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.array(values, dtype=np.float64)  # owning copy
-        _check_finite(arr, "tensor construction")
-        arr.setflags(write=False)
-        self.values: Array = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        _own(self, np.array(values, dtype=np.float64), requires_grad)  # owning copy
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None
+
+    @property
+    def grad(self) -> Array | None:
+        rec = self._record
+        return self._grad if rec is None else rec.grad
+
+    @grad.setter
+    def grad(self, value: Array | None) -> None:
+        rec = self._record
+        if rec is None:
+            self._grad = value
+        else:
+            rec.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,26 +152,39 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _node(values: Array, parents: tuple[Tensor, ...], backward_fn, op: str, check: bool = True) -> Tensor:
-    """Wrap an op result; drop the record when no parent needs gradients.
+def _own(t: Tensor, arr: Array, requires_grad: bool) -> Tensor:
+    _check_finite(arr, "tensor construction")
+    arr.setflags(write=False)
+    t.values = arr
+    t._record = _Record((), None) if requires_grad else None
+    t._grad = None
+    return t
 
-    ``check=False`` is for ops whose values only rearrange their parents'.
+
+def _leaf(arr: Array) -> Tensor:
+    """``Tensor(arr, requires_grad=True)`` without its copy: ``arr`` is a
+    float64 array that the caller hands over and no one else holds."""
+    return _own(Tensor.__new__(Tensor), arr, True)
+
+
+def _node(values: Array, parents: tuple, rule, op: str, check: bool = True) -> Tensor:
+    """Wrap an op result; record ``rule`` only when a parent record exists.
+
+    ``parents`` are the input tensors' records, None for an input that does
+    not require gradients. ``check=False`` is for ops whose values only
+    rearrange their parents'.
     """
     if check:
         _check_finite(values, op)
     out = Tensor.__new__(Tensor)
     values.setflags(write=False)
     out.values = values
-    out.grad = None
+    out._grad = None
     for p in parents:
-        if p.requires_grad:
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward_fn
+        if p is not None:
+            out._record = _Record(parents, rule)
             return out
-    out.requires_grad = False
-    out._parents = ()
-    out._backward = None
+    out._record = None
     return out
 
 
@@ -160,6 +214,12 @@ def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
     raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ (only scalar broadcasting is supported)")
 
 
+def _shape_if_needed(t: Tensor) -> tuple[int, ...] | None:
+    """``t``'s shape when it requires gradients: all that ``add``'s and
+    ``sub``'s rules keep of an operand."""
+    return t.shape if t._record is not None else None
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
@@ -167,27 +227,29 @@ def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("add", a, b)
     out = np.add(a.values, b.values)
+    sa, sb = _shape_if_needed(a), _shape_if_needed(b)
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (
-            _to_shape(g, a.shape) if a.requires_grad else None,
-            _to_shape(g, b.shape) if b.requires_grad else None,
+            _to_shape(g, sa) if sa is not None else None,
+            _to_shape(g, sb) if sb is not None else None,
         )
 
-    return _node(out, (a, b), bw, "add")
+    return _node(out, (a._record, b._record), rule, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("sub", a, b)
     out = np.subtract(a.values, b.values)
+    sa, sb = _shape_if_needed(a), _shape_if_needed(b)
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (
-            _to_shape(g, a.shape) if a.requires_grad else None,
-            _to_shape(-g, b.shape) if b.requires_grad else None,
+            _to_shape(g, sa) if sa is not None else None,
+            _to_shape(-g, sb) if sb is not None else None,
         )
 
-    return _node(out, (a, b), bw, "sub")
+    return _node(out, (a._record, b._record), rule, "sub")
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -195,14 +257,18 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("hadamard", a, b)
     with np.errstate(all="ignore"):
         out = np.multiply(a.values, b.values)
+    sa, sb = a.shape, b.shape
+    # Each operand is kept only for the other's gradient.
+    bv = b.values if a._record is not None else None
+    av = a.values if b._record is not None else None
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (
-            _to_shape(g * b.values, a.shape) if a.requires_grad else None,
-            _to_shape(g * a.values, b.shape) if b.requires_grad else None,
+            _to_shape(g * bv, sa) if bv is not None else None,
+            _to_shape(g * av, sb) if av is not None else None,
         )
 
-    return _node(out, (a, b), bw, "hadamard")
+    return _node(out, (a._record, b._record), rule, "hadamard")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -210,10 +276,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = a.values * c
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (g * c,)
 
-    return _node(out, (a,), bw, "scale")
+    return _node(out, (a._record,), rule, "scale")
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +298,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     with np.errstate(all="ignore"):
         out = _product(a.values, b.values)
-
-    def bw(g: Array):
-        return _product_grads(g, a, b)
-
-    return _node(out, (a, b), bw, "matmul")
+    return _node(out, (a._record, b._record), _product_rule(a, b), "matmul")
 
 
-def _product_grads(g: Array, a: Tensor, b: Tensor) -> tuple[Array | None, Array | None]:
-    """The gradients of ``a @ b`` that its parents need, given the output's ``g``.
+def _product_rule(a: Tensor, b: Tensor):
+    """The rule of ``a @ b``: the gradients its parents need, given the
+    output's ``g``. Each operand is kept only for the other's gradient.
 
     The transposed operands stay strided views: a contiguous copy is
     faster, but the product then takes another summation path and the
     trained bits change.
     """
-    return (
-        _product(g, b.values.swapaxes(-1, -2)) if a.requires_grad else None,
-        _product(a.values.swapaxes(-1, -2), g) if b.requires_grad else None,
-    )
+    bv = b.values if a._record is not None else None
+    av = a.values if b._record is not None else None
+
+    def rule(g: Array):
+        return (
+            _product(g, bv.swapaxes(-1, -2)) if bv is not None else None,
+            _product(av.swapaxes(-1, -2), g) if av is not None else None,
+        )
+
+    return rule
 
 
 def _product(x: Array, y: Array) -> Array:
@@ -272,11 +341,12 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape} are incompatible")
     out = x.values + b.values
+    need_x, need_b = x._record is not None, b._record is not None
 
-    def bw(g: Array):
-        return g if x.requires_grad else None, g.sum(axis=0) if b.requires_grad else None
+    def rule(g: Array):
+        return g if need_x else None, g.sum(axis=0) if need_b else None
 
-    return _node(out, (x, b), bw, "add_bias")
+    return _node(out, (x._record, b._record), rule, "add_bias")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -286,11 +356,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} are incompatible")
     with np.errstate(all="ignore"):
         out = _product(x.values, w.values) + b.values
+    product_rule = _product_rule(x, w)
+    need_b = b._record is not None
 
-    def bw(g: Array):
-        return (*_product_grads(g, x, w), g.sum(axis=0) if b.requires_grad else None)
+    def rule(g: Array):
+        return (*product_rule(g), g.sum(axis=0) if need_b else None)
 
-    return _node(out, (x, w, b), bw, "linear")
+    return _node(out, (x._record, w._record, b._record), rule, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +371,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     """Join tensors along ``axis`` in one copy; every other axis must agree."""
+    if not parts:
+        raise UsageError("concat: no tensors to join")
     first = parts[0]
     axis = _valid_axis("concat", axis, first.ndim)
     for p in parts[1:]:
@@ -309,10 +383,10 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
     out = np.concatenate([p.values for p in parts], axis=axis)
     splits = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
-    def bw(g: Array):
+    def rule(g: Array):
         return np.split(g, splits, axis=axis)
 
-    return _node(out, tuple(parts), bw, "concat", check=False)
+    return _node(out, tuple(p._record for p in parts), rule, "concat", check=False)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -322,10 +396,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.values.reshape(shape)
     old = a.shape
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (g.reshape(old),)
 
-    return _node(out, (a,), bw, "reshape", check=False)
+    return _node(out, (a._record,), rule, "reshape", check=False)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -334,30 +408,32 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose: expected 2-D or 3-D, got {a.shape}")
     out = np.ascontiguousarray(a.values.swapaxes(-1, -2))
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (g.swapaxes(-1, -2),)
 
-    return _node(out, (a,), bw, "transpose", check=False)
+    return _node(out, (a._record,), rule, "transpose", check=False)
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     axis = _valid_axis("mean_axis", axis, a.ndim)
     out = a.values.mean(axis=axis)
-    n = a.shape[axis]
+    shape = a.shape
+    n = shape[axis]
 
-    def bw(g: Array):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape) / n,)
+    def rule(g: Array):
+        return (np.broadcast_to(np.expand_dims(g, axis), shape) / n,)
 
-    return _node(out, (a,), bw, "mean_axis")
+    return _node(out, (a._record,), rule, "mean_axis")
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.values.sum(), dtype=np.float64)
+    shape = a.shape
 
-    def bw(g: Array):
-        return (np.broadcast_to(g, a.shape),)
+    def rule(g: Array):
+        return (np.broadcast_to(g, shape),)
 
-    return _node(out, (a,), bw, "sum_all")
+    return _node(out, (a._record,), rule, "sum_all")
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +454,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         e = np.exp(shifted)
         p = e / e.sum(axis=axis, keepdims=True)
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
 
-    return _node(p, (a,), bw, "softmax")
+    return _node(p, (a._record,), rule, "softmax")
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -392,10 +468,10 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         out = shifted - lse
         p = np.exp(out)
 
-    def bw(g: Array):
+    def rule(g: Array):
         return (g - p * g.sum(axis=axis, keepdims=True),)
 
-    return _node(out, (a,), bw, "log_softmax")
+    return _node(out, (a._record,), rule, "log_softmax")
 
 
 ACTIVATION_SLOPE = 0.01
@@ -404,12 +480,14 @@ GROUP_NORM_EPS = 1e-5
 
 def activation(a: Tensor) -> Tensor:
     """Leaky rectifier: identity for x >= 0, ``ACTIVATION_SLOPE * x`` below."""
-    out = np.where(a.values >= 0.0, a.values, ACTIVATION_SLOPE * a.values)
+    x = a.values
+    nonnegative = x >= 0.0
+    out = np.where(nonnegative, x, ACTIVATION_SLOPE * x)
 
-    def bw(g: Array):
-        return (g * np.where(a.values >= 0.0, 1.0, ACTIVATION_SLOPE),)
+    def rule(g: Array):
+        return (g * np.where(nonnegative, 1.0, ACTIVATION_SLOPE),)
 
-    return _node(out, (a,), bw, "activation")
+    return _node(out, (a._record,), rule, "activation")
 
 
 def group_normalize(z: Tensor, num_groups: int) -> Tensor:
@@ -434,13 +512,13 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
         xhat = xc * inv
         out = xhat.reshape(rows, d)
 
-    def bw(g: Array):
+    def rule(g: Array):
         g3 = g.reshape(rows, num_groups, gs)
         gmean = g3.mean(axis=2, keepdims=True)
         proj = (g3 * xhat).mean(axis=2, keepdims=True)
         return ((inv * (g3 - gmean - xhat * proj)).reshape(rows, d),)
 
-    return _node(out, (z,), bw, "group_normalize")
+    return _node(out, (z._record,), rule, "group_normalize")
 
 
 # ---------------------------------------------------------------------------
@@ -450,54 +528,58 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
 
-    ``loss`` must be scalar. Only nodes with a rule enter the topological
-    order; leaves are reached as parents. Each rule returns the gradients its
-    parents need and None for a parent without ``requires_grad``, which is
-    skipped. Nodes are popped off the topological order and
-    released as soon as their rule has run: each drops its parents, its rule
-    and its ``grad``, so the graph is freed while the pass unwinds, interior
+    ``loss`` must be scalar. The pass walks records, not tensors: only
+    records with a rule enter the topological order; leaf records are
+    reached as parents. Each rule returns the gradients its parents need and
+    None for a parent without a record, which is skipped. Records are popped
+    off the topological order and released as soon as their rule has run:
+    each drops its parents, its rule (with the arrays it saved) and its
+    gradient, so the tape is freed while the pass unwinds, interior
     gradients are not kept, and a second backward through the same nodes is
     a no-op rather than a double count.
 
-    An interior node adopts the first gradient handed to it without a copy.
-    Such buffers may be shared (``add`` hands one array to both parents) or
-    be views (reshape, transpose, concat), so no gradient is ever written in
-    place: accumulation always makes a new array. A leaf copies its first
-    gradient, so ``leaf.grad`` owns writable memory.
+    An interior record adopts the first gradient handed to it without a
+    copy. Such buffers may be shared (``add`` hands one array to both
+    parents) or be views (reshape, transpose, concat), so no gradient is
+    ever written in place: accumulation always makes a new array. A leaf
+    copies its first gradient, so ``leaf.grad`` owns writable memory.
     """
     if loss.ndim != 0:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
 
-    order: list[Tensor] = []
+    loss.grad = np.ones((), dtype=np.float64) if loss.grad is None else loss.grad + 1.0
+    root = loss._record
+    if root is None:
+        return
+    order: list[_Record] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Record, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        rec, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(rec)
             continue
-        if id(node) in seen:
+        if id(rec) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p._backward is not None and id(p) not in seen:
+        seen.add(id(rec))
+        stack.append((rec, True))
+        for p in rec.parents:
+            if p is not None and p.rule is not None and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones((), dtype=np.float64) if loss.grad is None else loss.grad + 1.0
     while order:
-        node = order.pop()
-        fn = node._backward
-        if fn is None or node.grad is None:
+        rec = order.pop()
+        rule = rec.rule
+        if rule is None or rec.grad is None:
             continue
-        for parent, pg in zip(node._parents, fn(node.grad)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(rec.parents, rule(rec.grad)):
+            if pg is None or parent is None:
                 continue
             pg = np.asarray(pg, dtype=np.float64)
             if parent.grad is not None:
                 parent.grad = parent.grad + pg
             else:
-                parent.grad = pg if parent._backward is not None else pg.copy()
-        node._parents = ()
-        node._backward = None
-        node.grad = None
+                parent.grad = pg if parent.rule is not None else pg.copy()
+        rec.parents = ()
+        rec.rule = None
+        rec.grad = None

@@ -167,16 +167,34 @@ class _AdamState:
         self.step = 0
 
     def update(self, params: dict[str, Tensor], learning_rate: float) -> dict[str, Tensor]:
+        """One step: new leaves for ``params``. The moments are updated in
+        place in the elementwise order of the textbook formulas, each
+        gradient is dropped once it is consumed, and each new leaf takes its
+        stepped array without a copy."""
         self.step += 1
         bc1 = 1.0 - ADAM_BETA1**self.step
         bc2 = 1.0 - ADAM_BETA2**self.step
         out: dict[str, Tensor] = {}
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros(p.shape)
-            m = self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            v = self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            stepped = p.values - learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            out[name] = Tensor(stepped, requires_grad=True)
+            p.grad = None
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            g2 = np.multiply(g, g)
+            del g
+            g2 *= 1.0 - ADAM_BETA2
+            v += g2
+            del g2
+            step = np.divide(m, bc1, out=np.empty_like(m))
+            step *= learning_rate
+            den = np.divide(v, bc2, out=np.empty_like(v))
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            step /= den
+            del den
+            out[name] = T._leaf(np.subtract(p.values, step, out=step))
         return out
 
 

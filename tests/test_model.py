@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -452,6 +454,33 @@ def desk_instance(seed=5):
     return Model.initialized(cfg, seed=seed), features, adjacency
 
 
+def tape_records(out):
+    """Every record reachable from ``out``'s."""
+    records, seen, stack = [], set(), [out._record]
+    while stack:
+        rec = stack.pop()
+        if rec is None or id(rec) in seen:
+            continue
+        seen.add(id(rec))
+        records.append(rec)
+        stack.extend(rec.parents)
+    return records
+
+
+def closure_objects(fn):
+    """Every object that ``fn`` reaches through closure cells, nested
+    functions and tuples or lists."""
+    found, stack = [], [fn]
+    while stack:
+        obj = stack.pop()
+        found.append(obj)
+        if getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return found
+
+
 def traced_peak(fn):
     """Peak bytes that numpy and Python allocate while ``fn`` runs."""
     tracemalloc.start()
@@ -482,10 +511,68 @@ class TestMemory:
     def test_frozen_forward_records_no_tape(self):
         model, features, adjacency = desk_instance()
         frozen = forward(model.frozen(), model.config, features, adjacency)
-        assert frozen._parents == () and not frozen.requires_grad
+        assert frozen._record is None and not frozen.requires_grad
         recorded = forward(model.params, model.config, features, adjacency)
         assert recorded.requires_grad
         assert np.array_equal(frozen.values, recorded.values)
+
+    def test_no_rule_holds_a_tensor(self):
+        model, features, adjacency = desk_instance()
+        records = tape_records(forward(model.params, model.config, features, adjacency))
+        rules = [rec.rule for rec in records if rec.rule is not None]
+        assert len(rules) > 50
+        for rec in records:
+            assert all(p is None or isinstance(p, T._Record) for p in rec.parents)
+        for rule in rules:
+            held = closure_objects(rule)
+            assert not any(isinstance(obj, Tensor) for obj in held), rule.__qualname__
+
+    # (caller, op, that op's calls per caller invocation, which call)
+    UNREAD_OUTPUTS = [
+        ("layer_update", "linear", 2, 0),  # the carry
+        ("layer_update", "linear", 2, 1),  # the pre-activation sum
+        ("diffuse_layer", "matmul", 3, 2),  # the relation mix
+        ("diffuse_layer", "add", 1, 0),  # the pre-activation sum
+        ("parallel_retention", "matmul", 5, 1),  # k, before its transposed copy
+        ("parallel_retention", "matmul", 5, 4),  # the product before group norm
+    ]
+
+    def test_outputs_no_rule_reads_are_freed_by_forward_and_gradients_keep_their_bits(self, monkeypatch):
+        model, features, adjacency = desk_instance()
+        outputs: dict[tuple[str, str], list] = {}
+        kept = []
+
+        def spy(op):
+            real = getattr(T, op)
+
+            def traced(*args):
+                out = real(*args)
+                outputs.setdefault((sys._getframe(1).f_code.co_name, op), []).append(weakref.ref(out.values))
+                if keep:
+                    kept.append(out)
+                return out
+
+            monkeypatch.setattr(T, op, traced)
+
+        def gradients():
+            leaves = {k: Tensor(p.values, requires_grad=True) for k, p in model.params.items()}
+            logits = forward(leaves, model.config, features, adjacency)
+            live = {key: [ref() is not None for ref in refs] for key, refs in outputs.items()}
+            T.backward(T.sum_all(logits))
+            return live, [leaves[k].grad.tobytes() for k in leaves]
+
+        for op in ("linear", "matmul", "add"):
+            spy(op)
+        keep = False
+        live, grads = gradients()
+        for caller, op, per_call, which in self.UNREAD_OUTPUTS:
+            calls = live[(caller, op)]
+            assert len(calls) == per_call * model.config.num_layers
+            assert not any(calls[which::per_call]), (caller, op, which)
+        assert all(live[("parallel_retention", "matmul")][0::5])  # q, which the scores product reads
+        outputs.clear()
+        keep = True
+        assert gradients()[1] == grads
 
     def test_frozen_forward_peak_is_below_half_a_recorded_forward(self):
         model, features, adjacency = desk_instance()

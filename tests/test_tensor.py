@@ -132,6 +132,10 @@ class TestConcat:
         out = T.concat([T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((2, 5))), T.Tensor(np.ones((2, 1)))], 1)
         assert out.shape == (2, 9)
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(UsageError, match="concat: no tensors"):
+            T.concat([], 0)
+
     def test_axis_mismatch(self):
         with pytest.raises(ShapeError):
             T.concat([T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 3)))], 1)
@@ -171,8 +175,22 @@ class TestBackward:
         x = leaf([2.0])
         y = T.hadamard(x, x)
         loss = T.sum_all(y)
+        record = y._record
         T.backward(loss)
-        assert y._parents == () and y._backward is None
+        assert record.parents == () and record.rule is None and record.grad is None
+        assert y._record is record and y.grad is None
+
+    def test_grad_on_a_constant_stays_off_the_tape(self):
+        c = T.Tensor([1.0, 2.0])
+        c.grad = np.ones(2)
+        assert not c.requires_grad and c._record is None
+        assert T.hadamard(c, c)._record is None
+        x = leaf([3.0, 4.0])
+        T.backward(T.sum_all(T.hadamard(x, c)))
+        np.testing.assert_array_equal(c.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0])
+        x.grad = None
+        assert x.grad is None and x.requires_grad
 
     def test_concat_splits_gradient(self):
         a, b, c = leaf([1.0, 2.0]), leaf([3.0]), leaf([4.0, 5.0, 6.0])
@@ -267,13 +285,14 @@ class TestOnlyNeededGradients:
         x = leaf(np.ones((2, 2)))
         c = T.constant(np.full((2,) if op is T.add_bias else (2, 2), 3.0))
         out = op(x, c)
-        grads = out._backward(np.ones(out.shape))
+        grads = out._record.rule(np.ones(out.shape))
         assert grads[1] is None and grads[0] is not None
+        assert out._record.parents[1] is None
 
     def test_linear_rule_returns_none_for_constant_parents(self):
         x = T.constant(np.ones((4, 3)))
         out = T.linear(x, leaf(np.ones((3, 2))), T.constant(np.zeros(2)))
-        gx, gw, gb = out._backward(np.ones(out.shape))
+        gx, gw, gb = out._record.rule(np.ones(out.shape))
         assert gx is None and gb is None and gw.shape == (3, 2)
 
 
@@ -324,9 +343,9 @@ class TestConstant:
         c = T.constant(arr)
         assert np.shares_memory(c.values, arr)
         assert not c.values.flags.writeable and arr.flags.writeable
-        assert not c.requires_grad and c._parents == ()
+        assert not c.requires_grad and c._record is None
         out = T.matmul(c, T.constant(np.ones((3, 1))))
-        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not out.requires_grad and out._record is None
 
     def test_broadcast_view_is_not_materialized(self):
         base = np.array([[1.0, 0.0], [2.0, 1.0]])
@@ -368,7 +387,7 @@ class TestFiniteCheck:
         assert self._checked_ops(monkeypatch, lambda: made.append(T.constant(a))) == []
         c = made[0]
         assert np.shares_memory(c.values, a.values) and np.array_equal(c.values, a.values)
-        assert not c.requires_grad and c._parents == () and a.requires_grad
+        assert not c.requires_grad and c._record is None and a.requires_grad
 
     def test_computing_ops_and_constructors_still_check(self, monkeypatch):
         def build():

@@ -155,7 +155,7 @@ class TestObjective:
         epoch_loss({k: T.constant(p) for k, p in params.items()}, cfg, days, graphs)
         assert len(weights) == len(transitions) == cfg.num_layers
         assert len(forwards) == num_days
-        assert all(logits._parents == () and not logits.requires_grad for logits in forwards)
+        assert all(logits._record is None and not logits.requires_grad for logits in forwards)
 
     def test_equals_per_day_mixes_reference(self):
         cfg, samples = desk_setup(num_days=20)
@@ -175,6 +175,34 @@ class TestObjective:
             assert want is not None and np.max(np.abs(want)) > 0, name
             rel = np.max(np.abs(p.grad - want)) / np.max(np.abs(want))
             assert rel <= 1e-12, f"{name}: max|delta| / max|ref| = {rel:.3e}"
+
+
+class TestAdam:
+    def test_in_place_step_has_the_textbook_bits_and_consumes_each_gradient(self):
+        rng = np.random.default_rng(17)
+        shapes = {"w": (3, 4), "b": (), "idle": (2,)}
+        values = {k: rng.normal(size=s) for k, s in shapes.items()}
+        params = {k: Tensor(v, requires_grad=True) for k, v in values.items()}
+        state = mgdpr.training._AdamState(params)
+        moments = (dict(state.m), dict(state.v))
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2, eps, lr = mgdpr.training.ADAM_BETA1, mgdpr.training.ADAM_BETA2, mgdpr.training.ADAM_EPS, 1e-3
+        for step in (1, 2, 3):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "idle"}
+            for k, g in grads.items():
+                params[k].grad = g.copy()
+            stepped = state.update(params, lr)
+            assert all(p.grad is None for p in params.values())
+            for k, p in stepped.items():
+                g = grads.get(k, np.zeros(shapes[k]))
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                want = values[k] - lr * (m[k] / (1.0 - b1**step)) / (np.sqrt(v[k] / (1.0 - b2**step)) + eps)
+                assert p.requires_grad and p.shape == shapes[k] and p.values.tobytes() == want.tobytes(), k
+                values[k] = want
+            params = stepped
+        assert all(state.m[k] is moments[0][k] and state.v[k] is moments[1][k] for k in shapes)
 
 
 class TestMetrics:
