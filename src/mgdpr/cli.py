@@ -12,9 +12,8 @@ that ``train`` writes, fed back in, repeats the run byte for byte. ``eval``
 reads ``<paths.output_dir>/checkpoint.bin``: to evaluate another run's
 checkpoint, point ``paths.output_dir`` (or ``MGDPR_PATHS_OUTPUT_DIR``) there.
 
-Exit codes: 0 ok, 2 data/format problem or too few days, 3 degenerate
-graph window, 4 training divergence, 5 configuration or usage problem
-(also a path that cannot be written), 6 checkpoint problem.
+Exit codes are stable for scripting: 0 ok, otherwise the first row of
+``EXIT_TABLE`` whose error classes match (also printed by ``mgdpr --help``).
 """
 
 from __future__ import annotations
@@ -78,17 +77,16 @@ _SCHEMA: dict[str, tuple[object, object]] = {
 }
 DEFAULTS: dict[str, object] = {key: default for key, (default, _) in _SCHEMA.items()}
 
-EXIT_CODES = {"data": 2, "graph": 3, "divergence": 4, "config": 5, "checkpoint": 6}
-
-_EPILOG = """\
-exit codes:
-  2  input data or file-format problem (also too few days for model.lookback)
-  3  graph generation problem (degenerate window)
-  4  training diverged (non-finite loss)
-  5  configuration or usage problem (bad key or flag, shape mismatch,
-     a paths.* value that cannot be written)
-  6  checkpoint corrupt or inconsistent with the config
-"""
+# (exit code, error classes, --help line), in match order: an error exits
+# with the code of the first row that names one of its classes, so the last
+# row takes every other package error.
+EXIT_TABLE = (
+    (6, (CheckpointError,), "checkpoint missing, corrupt or inconsistent with the config"),
+    (4, (DivergenceError,), "training diverged (non-finite value)"),
+    (3, (DegenerateSeriesError,), "degenerate graph window of a day the command reads"),
+    (5, (ConfigError, ShapeError, UsageError), "config, usage or shape problem (bad key or flag, unwritable paths.*)"),
+    (2, (MgdprError,), "input data or file-format problem (also too few days for model.lookback)"),
+)
 
 
 def load_config(path, env: dict[str, str] | None = None) -> dict[str, object]:
@@ -169,17 +167,28 @@ def _graph_dir(resolved) -> Path:
     return Path(resolved["paths.cache_dir"]) / "graphs"
 
 
-def _load_split_samples(resolved):
+def _load(resolved, *, trains: bool, evaluates: bool):
+    """Panel, (train, val, test) samples and the graph of every end day of
+    the splits the command reads: train and val when it trains, test when it
+    evaluates, each built once from the panel.
+
+    ConfigError, before any graph is built, when the train split (for a
+    command that trains) or the test split (for one that evaluates) matched
+    no sample. Training reads but never modifies the result, so one load
+    serves any number of seeded runs.
+    """
     panel = read_panel(_panel_dir(resolved))
-    samples = make_windows(panel, resolved["model.lookback"])
-    splits = split_periods(samples, resolved["split.train"], resolved["split.val"], resolved["split.test"])
-    return panel, splits
-
-
-def _build_graphs(resolved, panel, samples):
-    """The graph of every end day of ``samples``, each built once from ``panel``."""
     lookback = resolved["model.lookback"]
-    return {t: build_day_graphs(panel, t, lookback) for t in sorted({s.t_index for s in samples})}
+    train_s, val_s, test_s = split_periods(
+        make_windows(panel, lookback), resolved["split.train"], resolved["split.val"], resolved["split.test"]
+    )
+    if trains and not train_s:
+        raise ConfigError("training split matched no samples; check split.train dates")
+    if evaluates and not test_s:
+        raise ConfigError("test split matched no samples; check split.test dates")
+    read = (train_s + val_s if trains else []) + (test_s if evaluates else [])
+    graphs = {t: build_day_graphs(panel, t, lookback) for t in sorted({s.t_index for s in read})}
+    return panel, (train_s, val_s, test_s), graphs
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +221,6 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _require_test(test_s) -> None:
-    if not test_s:
-        raise ConfigError("test split matched no samples; check split.test dates")
-
-
-def _load_training_inputs(resolved):
-    """Panel, (train, val, test) samples and the graphs of every sample day.
-
-    Training reads but never modifies them, so one load serves any number
-    of seeded runs.
-    """
-    panel, (train_s, val_s, test_s) = _load_split_samples(resolved)
-    if not train_s:
-        raise ConfigError("training split matched no samples; check split.train dates")
-    graphs = _build_graphs(resolved, panel, train_s + val_s + test_s)
-    return panel, (train_s, val_s, test_s), graphs
-
-
 def _train_once(resolved, inputs, seed: int):
     panel, (train_s, val_s, _), graphs = inputs
     mcfg = model_config(resolved, panel.num_stocks)
@@ -242,7 +233,7 @@ def _train_once(resolved, inputs, seed: int):
 def cmd_train(args) -> int:
     resolved = load_config(args.config)
     out_dir = make_dir(Path(resolved["paths.output_dir"]))
-    inputs = _load_training_inputs(resolved)
+    inputs = _load(resolved, trains=True, evaluates=False)
     _, (train_s, val_s, _), _ = inputs
     model, trace, tcfg = _train_once(resolved, inputs, resolved["train.seed"])
     save_checkpoint(out_dir / "checkpoint.bin", model)
@@ -269,9 +260,8 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
         base_seed = resolved["train.seed"]
         make_dir(out_dir)
-        inputs = _load_training_inputs(resolved)
+        inputs = _load(resolved, trains=True, evaluates=True)
         _, (_, _, test_s), graphs = inputs
-        _require_test(test_s)
         reports: list[MetricsReport] = []
         for k in range(args.seeds):
             seed = base_seed + k
@@ -286,9 +276,7 @@ def cmd_eval(args) -> int:
     ckpt = out_dir / "checkpoint.bin"
     if not ckpt.exists():
         raise CheckpointError(f"{ckpt}: checkpoint not found; run `mgdpr train` first")
-    panel, (_, _, test_s) = _load_split_samples(resolved)
-    _require_test(test_s)
-    graphs = _build_graphs(resolved, panel, test_s)
+    panel, (_, _, test_s), graphs = _load(resolved, trains=False, evaluates=True)
     model = load_checkpoint(ckpt, model_config(resolved, panel.num_stocks))
     report = evaluate(model, test_s, graphs=graphs)
     write_metrics_json(out_dir / "metrics.json", report, market, period, model.seed, digest)
@@ -303,21 +291,14 @@ def _write_aggregate(out_dir, reports, base_seed, n, market, period, digest) -> 
         var = sum((v - mean) ** 2 for v in values) / len(values)
         return mean, math.sqrt(var)
 
-    acc = [r.accuracy for r in reports]
-    mccs = [r.mcc for r in reports]
-    f1s = [r.f1 for r in reports]
     payload = {
         "market": market,
         "period": list(period) if period else None,
         "config_hash": digest,
         "seeds": list(range(base_seed, base_seed + n)),
-        "acc_mean": stats(acc)[0],
-        "acc_std": stats(acc)[1],
-        "mcc_mean": stats(mccs)[0],
-        "mcc_std": stats(mccs)[1],
-        "f1_mean": stats(f1s)[0],
-        "f1_std": stats(f1s)[1],
     }
+    for name, metric in (("acc", "accuracy"), ("mcc", "mcc"), ("f1", "f1")):
+        payload[f"{name}_mean"], payload[f"{name}_std"] = stats([getattr(r, metric) for r in reports])
     write_atomic(out_dir / "metrics.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"aggregated {n} seeds: acc={payload['acc_mean']:.4f}+/-{payload['acc_std']:.4f}")
     print(f"metrics: {out_dir / 'metrics.json'}")
@@ -341,10 +322,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    codes = "".join(f"  {code}  {text}\n" for code, _, text in sorted(EXIT_TABLE, key=lambda row: row[0]))
     parser = _Parser(
         prog="mgdpr",
         description="Stock-trend pipeline: ingest OHLCV, build daily stock graphs, train, evaluate.",
-        epilog=_EPILOG,
+        epilog="exit codes:\n" + codes,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,15 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(e: MgdprError) -> int:
-    if isinstance(e, CheckpointError):
-        return EXIT_CODES["checkpoint"]
-    if isinstance(e, DivergenceError):
-        return EXIT_CODES["divergence"]
-    if isinstance(e, DegenerateSeriesError):
-        return EXIT_CODES["graph"]
-    if isinstance(e, (ConfigError, ShapeError, UsageError)):
-        return EXIT_CODES["config"]
-    return EXIT_CODES["data"]
+    return next(code for code, kinds, _ in EXIT_TABLE if isinstance(e, kinds))
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Every error a caller can sensibly react to gets its own class; the CLI maps
-them onto stable exit codes (see cli.EXIT_CODES).
+them onto stable exit codes (see cli.EXIT_TABLE).
 """
 
 

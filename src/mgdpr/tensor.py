@@ -106,11 +106,11 @@ class Tensor:
     A leaf's ``grad`` accumulates across successive ``backward`` calls (the
     natural fit for full-batch gradient accumulation); callers reset it by
     assigning ``None``. Interior tensors drop theirs during ``backward``. A
-    tensor that does not require gradients keeps an assigned ``grad`` to
-    itself: it stays off the tape.
+    tensor that does not require gradients has no gradient: its ``grad``
+    reads None and cannot be set to anything else.
     """
 
-    __slots__ = ("values", "_record", "_grad")
+    __slots__ = ("values", "_record")
 
     def __init__(self, values, requires_grad: bool = False):
         _own(self, np.array(values, dtype=np.float64), requires_grad)  # owning copy
@@ -122,15 +122,15 @@ class Tensor:
     @property
     def grad(self) -> Array | None:
         rec = self._record
-        return self._grad if rec is None else rec.grad
+        return None if rec is None else rec.grad
 
     @grad.setter
     def grad(self, value: Array | None) -> None:
         rec = self._record
-        if rec is None:
-            self._grad = value
-        else:
+        if rec is not None:
             rec.grad = value
+        elif value is not None:
+            raise UsageError("grad: a tensor that does not require gradients has none")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,7 +157,6 @@ def _own(t: Tensor, arr: Array, requires_grad: bool) -> Tensor:
     arr.setflags(write=False)
     t.values = arr
     t._record = _Record((), None) if requires_grad else None
-    t._grad = None
     return t
 
 
@@ -179,7 +178,6 @@ def _node(values: Array, parents: tuple, rule, op: str, check: bool = True) -> T
     out = Tensor.__new__(Tensor)
     values.setflags(write=False)
     out.values = values
-    out._grad = None
     for p in parents:
         if p is not None:
             out._record = _Record(parents, rule)
@@ -528,15 +526,16 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
 
-    ``loss`` must be scalar. The pass walks records, not tensors: only
-    records with a rule enter the topological order; leaf records are
-    reached as parents. Each rule returns the gradients its parents need and
-    None for a parent without a record, which is skipped. Records are popped
-    off the topological order and released as soon as their rule has run:
-    each drops its parents, its rule (with the arrays it saved) and its
-    gradient, so the tape is freed while the pass unwinds, interior
-    gradients are not kept, and a second backward through the same nodes is
-    a no-op rather than a double count.
+    ``loss`` must be scalar; one without a record (a constant) has no
+    gradient, and the call stores nothing. The pass walks records, not
+    tensors: only records with a rule enter the topological order; leaf
+    records are reached as parents. Each rule returns the gradients its
+    parents need and None for a parent without a record, which is skipped.
+    Records are popped off the topological order and released as soon as
+    their rule has run: each drops its parents, its rule (with the arrays it
+    saved) and its gradient, so the tape is freed while the pass unwinds,
+    interior gradients are not kept, and a second backward through the same
+    nodes is a no-op rather than a double count.
 
     An interior record adopts the first gradient handed to it without a
     copy. Such buffers may be shared (``add`` hands one array to both
@@ -547,10 +546,10 @@ def backward(loss: Tensor) -> None:
     if loss.ndim != 0:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
 
-    loss.grad = np.ones((), dtype=np.float64) if loss.grad is None else loss.grad + 1.0
     root = loss._record
     if root is None:
         return
+    root.grad = np.ones((), dtype=np.float64) if root.grad is None else root.grad + 1.0
     order: list[_Record] = []
     seen: set[int] = set()
     stack: list[tuple[_Record, bool]] = [(root, False)]

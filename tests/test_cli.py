@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgdpr import cli, graphs, market
-from mgdpr.errors import CheckpointError, ConfigError, FormatError
+from mgdpr import cli, errors, graphs, market
+from mgdpr.errors import CheckpointError, ConfigError, DataError, DayRangeError, FormatError, MgdprError
 from mgdpr.files import write_table
 from mgdpr.graphs import build_day_graphs, read_graphs
 from mgdpr.market import RELATIONS, read_panel
@@ -219,6 +219,29 @@ class TestUsageErrors:
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes:" in out and "--day" not in out
+        epilog = out.split("exit codes:\n", 1)[1]
+        assert [int(line.split()[0]) for line in epilog.splitlines()] == [2, 3, 4, 5, 6]
+
+
+def _error_classes() -> list[type]:
+    kinds = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, MgdprError)]
+    return [c for c in kinds if c is not MgdprError]
+
+
+class TestExitCodes:
+    def test_every_error_class_exits_with_the_code_the_readme_lists(self):
+        listed = {}
+        for line in _readme_cli_section().splitlines():
+            row = re.fullmatch(r"\| (\d) \| ([^|]*) \|.*", line)
+            if row:
+                listed.update((name, int(row[1])) for name in re.findall(r"`(\w+)`", row[2]))
+        assert sorted(listed) == sorted(c.__name__ for c in _error_classes())
+        assert {name: cli._exit_code(getattr(errors, name)("x")) for name in listed} == listed
+
+    def test_data_errors_and_day_range_exit_2(self):
+        family = [c for c in _error_classes() if issubclass(c, DataError)]
+        for kind in (*family, DayRangeError):
+            assert cli._exit_code(kind("x")) == 2
 
 
 # (key, wrong value in the file, the same value as MGDPR_* text or None
@@ -459,6 +482,24 @@ class TestGraph:
             assert run(*argv, "--config", config) == 3
             _one_line_error(capsys, r"SYN01: window energy [0-9.e+-]+ below floor 1e-12")
         assert not (tmp_path / "cache" / "graphs").exists()
+
+    def test_degenerate_test_window_fails_eval_not_train(self, tmp_path, capsys):
+        # SYN00's prices of 1e-7 over the last 8 of 40 days make the windows
+        # ending on days 36-38 degenerate; all three are test days.
+        lookback = 5
+        series = planted_market(num_stocks=6, num_days=40, momentum_lag=3, seed=1)
+        series[0].values[-8:, :4] = 1e-7
+        cal = series[0].dates
+        config = make_workspace(
+            tmp_path, lookback=lookback,
+            **{"split.train": [cal[0], cal[28]], "split.val": [cal[29], cal[32]], "split.test": [cal[33], cal[39]]},
+        )
+        write_series_csv(series, tmp_path / "data")
+        assert run("ingest", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        capsys.readouterr()
+        assert run("eval", "--config", config) == 3
+        _one_line_error(capsys, r"SYN00: window energy [0-9.e+-]+ below floor 1e-12")
 
     def test_reload_matches_in_memory(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -978,10 +1019,34 @@ class TestEval:
         assert (tmp_path / "out" / "metrics_seed3.json").exists()
         assert (tmp_path / "out" / "metrics_seed4.json").exists()
 
+    @staticmethod
+    def _split_days(tmp_path, config):
+        """The end days of the train, val and test samples, each a sorted list."""
+        resolved = cli.load_config(config)
+        samples = market.make_windows(read_panel(tmp_path / "cache" / "panel"), resolved["model.lookback"])
+        splits = market.split_periods(samples, resolved["split.train"], resolved["split.val"], resolved["split.test"])
+        return [sorted(s.t_index for s in split) for split in splits]
+
+    def test_each_command_builds_only_the_graphs_of_the_days_it_reads(self, tmp_path, monkeypatch):
+        config = self._pipeline(tmp_path)
+        train_days, val_days, test_days = self._split_days(tmp_path, config)
+        assert train_days and val_days and test_days
+        built = []
+
+        def counted(panel, t, lookback):
+            built.append(t)
+            return build_day_graphs(panel, t, lookback)
+
+        monkeypatch.setattr(cli, "build_day_graphs", counted)
+        assert run("train", "--config", config) == 0
+        assert built == sorted(train_days + val_days)
+        built.clear()
+        assert run("eval", "--config", config) == 0
+        assert built == test_days
+
     def test_multi_seed_loads_inputs_once(self, tmp_path, monkeypatch):
         config = self._pipeline(tmp_path)
-        _, splits = cli._load_split_samples(cli.load_config(config))
-        days = {s.t_index for samples in splits for s in samples}
+        days = {t for split in self._split_days(tmp_path, config) for t in split}
         monkeypatch.setenv("MGDPR_TRAIN_EPOCHS", "1")
         calls = {"read_panel": 0, "make_windows": 0, "build_day_graphs": 0}
         for name in calls:

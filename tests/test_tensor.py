@@ -182,15 +182,20 @@ class TestBackward:
 
     def test_grad_on_a_constant_stays_off_the_tape(self):
         c = T.Tensor([1.0, 2.0])
-        c.grad = np.ones(2)
-        assert not c.requires_grad and c._record is None
+        with pytest.raises(UsageError, match="does not require gradients"):
+            c.grad = np.ones(2)
+        c.grad = None
+        assert c.grad is None and not c.requires_grad and c._record is None
         assert T.hadamard(c, c)._record is None
         x = leaf([3.0, 4.0])
         T.backward(T.sum_all(T.hadamard(x, c)))
-        np.testing.assert_array_equal(c.grad, [1.0, 1.0])
+        assert c.grad is None
         np.testing.assert_array_equal(x.grad, [1.0, 2.0])
         x.grad = None
         assert x.grad is None and x.requires_grad
+        loss = T.sum_all(c)
+        T.backward(loss)
+        assert loss.grad is None and loss._record is None
 
     def test_concat_splits_gradient(self):
         a, b, c = leaf([1.0, 2.0]), leaf([3.0]), leaf([4.0, 5.0, 6.0])
