@@ -218,16 +218,16 @@ def diffuse_layer(
     """Propagate along each relation's graph, then mix relations pointwise.
 
     ``state`` is the (N·lookback, d) matrix. One product mixes the stock axis
-    of every relation and lookback slice, (R·N, N) @ (N, lookback·d); a
-    batched product applies each of the (R, d, d) relation maps; the 1x1
-    convolution across relation channels is a learned length-R dot product
-    plus bias applied at every grid point. Returns an (N·lookback, d) matrix.
+    of every relation and lookback slice, (R·N, N) @ (N, lookback·d); one
+    :func:`~mgdpr.tensor.relation_mix` applies each of the (R, d, d)
+    relation maps and the 1x1 convolution across relation channels (a
+    learned length-R dot product); a bias is then added at every grid
+    point. Returns an (N·lookback, d) matrix.
     """
     r, n = diffusion.shape[:2]
     rows, d = state.shape
     propagated = T.matmul(T.reshape(diffusion, (r * n, n)), T.reshape(state, (n, rows // n * d)))
-    mapped = T.matmul(T.reshape(propagated, (r, rows, d)), relation_maps)
-    mixed = T.reshape(T.matmul(mix_w, T.reshape(mapped, (r, rows * d))), (rows, d))
+    mixed = T.relation_mix(T.reshape(propagated, (r, rows, d)), relation_maps, mix_w)
     return T.activation(T.add(mixed, mix_b))
 
 

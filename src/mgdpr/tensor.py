@@ -21,6 +21,8 @@ What each rule saves:
 
 - ``matmul`` and ``linear``: each operand, and only when the other
   operand's gradient is needed; ``hadamard`` likewise;
+- ``relation_mix``: its stack, maps and weights, each only when a needed
+  gradient reads it, never the (R, rows, d) mapped stack;
 - ``softmax`` and ``log_softmax``: the probabilities; ``group_normalize``:
   the normalized values and the inverse deviations; ``activation``: the
   boolean mask of non-negative inputs;
@@ -31,8 +33,9 @@ Just enough surface to express graph diffusion, parallel retention, and a
 cross-entropy training objective:
 
 - arithmetic: add / sub / hadamard / scale, matmul (2-D or batched 3-D),
-  bias addition over the last axis, and ``linear`` (a 2-D matmul plus a
-  bias in one op);
+  bias addition over the last axis, ``linear`` (a 2-D matmul plus a
+  bias in one op) and ``relation_mix`` (R stacked products mixed by
+  learned weights in one op);
 - shape plumbing: reshape, transpose of the trailing two axes,
   concatenation of any number of tensors in one copy, axis mean, full sum;
 - nonlinearities: leaky rectifier, softmax / log-softmax along an axis,
@@ -69,6 +72,7 @@ __all__ = [
     "matmul",
     "add_bias",
     "linear",
+    "relation_mix",
     "concat",
     "reshape",
     "transpose",
@@ -363,6 +367,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x._record, w._record, b._record), rule, "linear")
 
 
+def relation_mix(stack: Tensor, maps: Tensor, weights: Tensor) -> Tensor:
+    """Σ_r weights[0, r] · stack[r] @ maps[r] as one (rows, d) matrix.
+
+    ``stack`` is (R, rows, k), ``maps`` (R, k, d) and ``weights`` (1, R).
+    The forward is the composition ``weights @ reshape(stack @ maps)`` with
+    the same products, but the rule keeps only the three inputs, never the
+    (R, rows, d) mapped stack. The stack's gradient takes the composition's
+    path; the maps' and the weights' both come from H_r = stack[r]ᵀ g, as
+    weights[0, r] · H_r and Σ H_r ⊙ maps[r].
+    """
+    ok = (
+        stack.ndim == 3
+        and maps.ndim == 3
+        and maps.shape[:2] == (stack.shape[0], stack.shape[2])
+        and weights.shape == (1, stack.shape[0])
+    )
+    if not ok:
+        raise ShapeError(f"relation_mix: shapes {stack.shape}, {maps.shape} and {weights.shape} are incompatible")
+    r, rows, d = stack.shape[0], stack.shape[1], maps.shape[2]
+    with np.errstate(all="ignore"):
+        mapped = _product(stack.values, maps.values)
+        _check_finite(mapped, "relation_mix")
+        out = _product(weights.values, mapped.reshape(r, rows * d)).reshape(rows, d)
+    need_s, need_m, need_w = (t._record is not None for t in (stack, maps, weights))
+    sv = stack.values if need_m or need_w else None
+    mv = maps.values if need_s or need_w else None
+    wv = weights.values if need_s or need_m else None
+
+    def rule(g: Array):
+        gs = gm = gw = None
+        if need_s:
+            per_relation = _product(wv.swapaxes(-1, -2), g.reshape(1, rows * d)).reshape(r, rows, d)
+            gs = _product(per_relation, mv.swapaxes(-1, -2))
+        if sv is not None:
+            h = np.matmul(sv.swapaxes(-1, -2), g)
+            if need_w:
+                gw = np.multiply(h, mv).sum(axis=(1, 2)).reshape(1, r)
+            if need_m:
+                h *= wv.reshape(r, 1, 1)
+                gm = h
+        return gs, gm, gw
+
+    return _node(out, (stack._record, maps._record, weights._record), rule, "relation_mix")
+
+
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -453,7 +502,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         p = e / e.sum(axis=axis, keepdims=True)
 
     def rule(g: Array):
-        return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
+        # p * (g - (g * p).sum(axis)) in one buffer, bit for bit.
+        t = np.multiply(g, p)
+        s = t.sum(axis=axis, keepdims=True)
+        np.subtract(g, s, out=t)
+        t *= p
+        return (t,)
 
     return _node(p, (a._record,), rule, "softmax")
 
@@ -506,6 +560,8 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
         mu = x.mean(axis=2, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(axis=2, keepdims=True)
+        # An overflowing variance would give inv = 0 and silent zeros.
+        _check_finite(var, "group_normalize")
         inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
         xhat = xc * inv
         out = xhat.reshape(rows, d)

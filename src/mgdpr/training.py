@@ -166,35 +166,45 @@ class _AdamState:
         self.v = {k: np.zeros(v.shape) for k, v in params.items()}
         self.step = 0
 
-    def update(self, params: dict[str, Tensor], learning_rate: float) -> dict[str, Tensor]:
+    def update(self, params: dict[str, Tensor], learning_rate: float, epoch: int) -> dict[str, Tensor]:
         """One step: new leaves for ``params``. The moments are updated in
         place in the elementwise order of the textbook formulas, each
         gradient is dropped once it is consumed, and each new leaf takes its
-        stepped array without a copy."""
+        stepped array without a copy.
+
+        A gradient that is not finite, or whose square overflows the second
+        moment (which would freeze its parameter at a step of zero), raises
+        DivergenceError naming the parameter and ``epoch``.
+        """
         self.step += 1
         bc1 = 1.0 - ADAM_BETA1**self.step
         bc2 = 1.0 - ADAM_BETA2**self.step
         out: dict[str, Tensor] = {}
-        for name, p in params.items():
-            g = p.grad if p.grad is not None else np.zeros(p.shape)
-            p.grad = None
-            m, v = self.m[name], self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            g2 = np.multiply(g, g)
-            del g
-            g2 *= 1.0 - ADAM_BETA2
-            v += g2
-            del g2
-            step = np.divide(m, bc1, out=np.empty_like(m))
-            step *= learning_rate
-            den = np.divide(v, bc2, out=np.empty_like(v))
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            step /= den
-            del den
-            out[name] = T._leaf(np.subtract(p.values, step, out=step))
+        with np.errstate(all="ignore"):
+            for name, p in params.items():
+                g = p.grad if p.grad is not None else np.zeros(p.shape)
+                p.grad = None
+                m, v = self.m[name], self.v[name]
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                g2 = np.multiply(g, g)
+                del g
+                g2 *= 1.0 - ADAM_BETA2
+                v += g2
+                del g2
+                step = np.divide(m, bc1, out=np.empty_like(m))
+                step *= learning_rate
+                den = np.divide(v, bc2, out=np.empty_like(v))
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                # Not finite when a gradient entry is NaN or infinite, or when
+                # its square overflows the second moment.
+                if not np.isfinite(den).all():
+                    raise DivergenceError(f"non-finite or overflowing gradient of {name} at epoch {epoch}")
+                step /= den
+                del den
+                out[name] = T._leaf(np.subtract(p.values, step, out=step))
         return out
 
 
@@ -261,7 +271,7 @@ def train(
             raise DivergenceError(f"non-finite loss at epoch {epoch} (learning_rate={config.learning_rate})")
         if abs(penalty) > CONSTRAINT_TOLERANCE:
             raise DivergenceError(f"simplex constraint violated at epoch {epoch}: {penalty:.3e}")
-        params = state.update(params, config.learning_rate)
+        params = state.update(params, config.learning_rate, epoch)
         model.params = params
         if val_samples:
             val_acc = evaluate(model, val_samples, graphs).accuracy

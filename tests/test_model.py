@@ -422,8 +422,8 @@ class TestForward:
 
 class TestStateLayout:
     """The state stays one (N·lookback, d) matrix from the embedding to the
-    readout: over prebuilt mixes, a recording forward records 9 reshapes per
-    layer (5 in diffusion, 4 in retention) and one for the readout's
+    readout: over prebuilt mixes, a recording forward records 7 reshapes per
+    layer (3 in diffusion, 4 in retention) and one for the readout's
     (N, lookback, d) view."""
 
     @pytest.mark.parametrize("layers", [0, 1, 3])
@@ -444,7 +444,7 @@ class TestStateLayout:
         monkeypatch.setattr(T, "_node", spy)
         logits = forward(params, cfg, features, adjacency, mixes=mixes)
         assert logits.requires_grad
-        assert recorded.count("reshape") == 9 * layers + 1
+        assert recorded.count("reshape") == 7 * layers + 1
 
 
 def desk_instance(seed=5):
@@ -531,7 +531,7 @@ class TestMemory:
     UNREAD_OUTPUTS = [
         ("layer_update", "linear", 2, 0),  # the carry
         ("layer_update", "linear", 2, 1),  # the pre-activation sum
-        ("diffuse_layer", "matmul", 3, 2),  # the relation mix
+        ("diffuse_layer", "relation_mix", 1, 0),  # the relation mix
         ("diffuse_layer", "add", 1, 0),  # the pre-activation sum
         ("parallel_retention", "matmul", 5, 1),  # k, before its transposed copy
         ("parallel_retention", "matmul", 5, 4),  # the product before group norm
@@ -561,7 +561,7 @@ class TestMemory:
             T.backward(T.sum_all(logits))
             return live, [leaves[k].grad.tobytes() for k in leaves]
 
-        for op in ("linear", "matmul", "add"):
+        for op in ("linear", "matmul", "relation_mix", "add"):
             spy(op)
         keep = False
         live, grads = gradients()

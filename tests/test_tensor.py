@@ -88,6 +88,16 @@ class TestSoftmax:
         with pytest.raises(FloatingPointError, match="log_softmax produced a non-finite value"):
             T.log_softmax(x, 0)
 
+    @pytest.mark.parametrize("shape", [(5, 7, 60, 60), (5, 7), (3, 4, 5)])
+    def test_rule_has_the_bytes_of_the_three_temporary_expression(self, shape):
+        rng = np.random.default_rng(11)
+        for axis in range(len(shape)):
+            out = T.softmax(leaf(rng.normal(scale=3.0, size=shape)), axis)
+            g = rng.normal(size=shape)
+            p = out.values
+            want = p * (g - (g * p).sum(axis=axis, keepdims=True))
+            assert out._record.rule(g)[0].tobytes() == want.tobytes()
+
 
 class TestActivation:
     @pytest.mark.parametrize("x,y", [(2.0, 2.0), (0.0, 0.0), (-1.0, -0.01)])
@@ -121,6 +131,12 @@ class TestGroupNormalize:
     def test_indivisible_channels(self):
         with pytest.raises(ConfigError):
             T.group_normalize(T.Tensor(np.zeros((2, 5))), 2)
+
+    def test_overflowing_variance_raises_instead_of_zeros(self):
+        # var = inf would make every normalized value 0 or -0
+        z = T.Tensor([[1e200, -1e200, 3.0, 4.0]])
+        with pytest.raises(FloatingPointError, match="group_normalize produced a non-finite value"):
+            T.group_normalize(z, 1)
 
 
 class TestConcat:
@@ -342,6 +358,67 @@ class TestLinear:
             T.linear(big, big, T.Tensor(np.zeros(2)))
 
 
+class TestRelationMix:
+    R, ROWS, D = 3, 6, 4
+
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        return {
+            "stack": rng.normal(size=(self.R, self.ROWS, self.D)),
+            "maps": rng.normal(size=(self.R, self.D, self.D)),
+            "weights": rng.normal(size=(1, self.R)),
+        }
+
+    def test_equals_the_matmul_reshape_composition(self):
+        arrays = self.arrays(12)
+        probe = T.Tensor(np.random.default_rng(13).normal(size=(self.ROWS, self.D)))
+        r, rows, d = self.R, self.ROWS, self.D
+
+        def run(build):
+            t = {k: leaf(v) for k, v in arrays.items()}
+            out = build(t)
+            T.backward(T.sum_all(T.hadamard(out, probe)))
+            return out.values, {k: t[k].grad for k in arrays}
+
+        fused, fused_grads = run(lambda t: T.relation_mix(t["stack"], t["maps"], t["weights"]))
+        composed, composed_grads = run(
+            lambda t: T.reshape(
+                T.matmul(t["weights"], T.reshape(T.matmul(t["stack"], t["maps"]), (r, rows * d))), (rows, d)
+            )
+        )
+        assert fused.tobytes() == composed.tobytes()
+        # The stack's gradient takes the composition's path; the others sum
+        # the same products in another order.
+        assert fused_grads["stack"].tobytes() == composed_grads["stack"].tobytes()
+        for k in ("maps", "weights"):
+            np.testing.assert_allclose(fused_grads[k], composed_grads[k], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("learned", ["stack", "maps", "weights"])
+    def test_rule_returns_none_for_constant_parents(self, learned):
+        arrays = self.arrays(14)
+        t = {k: leaf(v) if k == learned else T.constant(v) for k, v in arrays.items()}
+        out = T.relation_mix(t["stack"], t["maps"], t["weights"])
+        grads = dict(zip(arrays, out._record.rule(np.ones(out.shape))))
+        assert grads.pop(learned).shape == arrays[learned].shape
+        assert all(g is None for g in grads.values())
+
+    def test_rule_keeps_the_stack_not_the_mapped_stack(self):
+        t = {k: leaf(v) for k, v in self.arrays(15).items()}
+        out = T.relation_mix(t["stack"], t["maps"], t["weights"])
+        held = [c.cell_contents for c in out._record.rule.__closure__]
+        stacks = [a for a in held if isinstance(a, np.ndarray) and a.shape == (self.R, self.ROWS, self.D)]
+        assert len(stacks) == 1 and stacks[0] is t["stack"].values
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 4\).*\(1, 2\)"):
+            T.relation_mix(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 5, 4))), T.Tensor(np.zeros((1, 2))))
+
+    def test_overflow_of_the_mapped_stack_raises(self):
+        big = T.Tensor(np.full((2, 2, 2), 1e200))
+        with pytest.raises(FloatingPointError, match="relation_mix produced a non-finite value"):
+            T.relation_mix(big, big, T.Tensor(np.zeros((1, 2))))
+
+
 class TestConstant:
     def test_wraps_without_copy_and_records_nothing(self):
         arr = np.arange(6.0).reshape(2, 3)
@@ -431,6 +508,9 @@ def _op_cases():
         ("reshape", {"a": a23}, lambda t: T.reshape(t["a"], (3, 2))),
         ("transpose", {"a": a23}, lambda t: T.transpose(t["a"])),
         ("mean_axis", {"a": a23}, lambda t: T.mean_axis(t["a"], 0)),
+        ("relation_mix",
+         {"s": rng.normal(size=(3, 5, 4)), "m": rng.normal(size=(3, 4, 2)), "w": rng.normal(size=(1, 3))},
+         lambda t: T.relation_mix(t["s"], t["m"], t["w"])),
     ]
     return cases
 

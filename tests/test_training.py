@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestAdam:
             grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "idle"}
             for k, g in grads.items():
                 params[k].grad = g.copy()
-            stepped = state.update(params, lr)
+            stepped = state.update(params, lr, epoch=step - 1)
             assert all(p.grad is None for p in params.values())
             for k, p in stepped.items():
                 g = grads.get(k, np.zeros(shapes[k]))
@@ -289,6 +290,27 @@ class TestTrain:
         model = Model.initialized(cfg, seed=6)
         with pytest.raises(DivergenceError, match=r"epoch \d+.*learning_rate"):
             train(model, samples[:4], [], TrainConfig(learning_rate=1e100, epochs=3))
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e160], ids=["nan", "square-overflows"])
+    def test_bad_gradient_is_divergence_naming_parameter_and_epoch(self, monkeypatch, bad):
+        # A NaN must not escape as a bare FloatingPointError, and a gradient
+        # whose square overflows must not freeze its parameter at v = inf.
+        cfg, samples = desk_setup()
+        model = Model.initialized(cfg, seed=6)
+        calls = []
+
+        def fake_epoch_loss(params, *args):
+            for name, p in params.items():
+                p.grad = np.full(p.shape, bad if len(calls) == 1 and name == "diffusion.0.mix_w" else 0.5)
+            calls.append(None)
+            return 1.0, 0.0
+
+        monkeypatch.setattr(mgdpr.training, "epoch_loss", fake_epoch_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"diffusion\.0\.mix_w at epoch 1\b"):
+                train(model, samples[:4], [], TrainConfig(epochs=3))
+        assert len(calls) == 2
 
     def test_loss_mostly_decreases_early(self):
         # smoke property at the default learning rate on a planted market
