@@ -15,6 +15,14 @@ take and return that matrix:
   distance-weighted score matrix, group-normalized, and merges the result
   with an affine carry of the previous layer's representation.
 
+Each stage is one op on the autograd tape: :func:`diffuse_layer`,
+:func:`retain` and :func:`merge_carry`, with group normalization between
+the last two a generic op, so a layer records 5 nodes with the masked
+transition mix. A stage op runs the numpy expressions of the generic ops it
+stands for, in their order, checks each value that could overflow under the
+name of the op that made it, and its rule forms the gradients their rules
+would, in the same order: values and gradients keep their bits.
+
 Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
 step by construction. A temporal mean-pool plus a 2-layer MLP of width
@@ -217,18 +225,125 @@ def diffuse_layer(
 ) -> Tensor:
     """Propagate along each relation's graph, then mix relations pointwise.
 
-    ``state`` is the (N·lookback, d) matrix. One product mixes the stock axis
-    of every relation and lookback slice, (R·N, N) @ (N, lookback·d); one
-    :func:`~mgdpr.tensor.relation_mix` applies each of the (R, d, d)
-    relation maps and the 1x1 convolution across relation channels (a
-    learned length-R dot product); a bias is then added at every grid
-    point. Returns an (N·lookback, d) matrix.
+    ``state`` is the (N·lookback, d) matrix and ``diffusion`` the (R, N, N)
+    stack of :func:`diffusion_matrix`. One product mixes the stock axis of
+    every relation and lookback slice, (R·N, N) @ (N, lookback·d); one
+    batched product applies each of the (R, d, d') relation maps; a (1, R)
+    product is the 1x1 convolution across relation channels (a learned
+    length-R dot product); the scalar ``mix_b`` is then added at every grid
+    point and the leaky ReLU applied. Returns an (N·lookback, d') matrix.
+
+    One recorded op. Its rule keeps both operands of the propagation
+    product, the (R, N·lookback, d) propagated stack, the maps, the mix
+    weights and the rectifier's mask, never the (R, N·lookback, d') mapped
+    stack: the maps' and the mix weights' gradients both come from
+    H_r = stack[r]ᵀ g, as w_r · H_r and Σ H_r ⊙ maps[r].
     """
-    r, n = diffusion.shape[:2]
-    rows, d = state.shape
-    propagated = T.matmul(T.reshape(diffusion, (r * n, n)), T.reshape(state, (n, rows // n * d)))
-    mixed = T.relation_mix(T.reshape(propagated, (r, rows, d)), relation_maps, mix_w)
-    return T.activation(T.add(mixed, mix_b))
+    inputs = (state, diffusion, relation_maps, mix_w, mix_b)
+    r, n = diffusion.shape[:2] if diffusion.ndim == 3 else (0, 0)
+    rows, d = state.shape if state.ndim == 2 else (0, 0)
+    if not (n and rows % n == 0 and diffusion.shape[2] == n and relation_maps.ndim == 3
+            and relation_maps.shape[:2] == (r, d) and mix_w.shape == (1, r) and mix_b.ndim == 0):
+        raise ShapeError(f"diffuse_layer: shapes {', '.join(str(t.shape) for t in inputs)} are incompatible")
+    d_out = relation_maps.shape[2]
+    need_x, need_d, need_m, need_w, need_b = (t._record is not None for t in inputs)
+    dv, mv, wv = diffusion.values.reshape(r * n, n), relation_maps.values, mix_w.values
+    xv = state.values.reshape(n, rows // n * d)
+    with np.errstate(all="ignore"):
+        stack = T.product(dv, xv)
+        T.check_finite(stack, "matmul")
+        stack = stack.reshape(r, rows, d)
+        mapped = T.product(stack, mv)
+        T.check_finite(mapped, "relation_mix")
+        pre = T.product(wv, mapped.reshape(r, rows * d_out)).reshape(rows, d_out)
+        del mapped
+        T.check_finite(pre, "relation_mix")
+        pre += mix_b.values
+        T.check_finite(pre, "add")
+    out, pullback = T.leaky_relu(pre)
+
+    def rule(g: np.ndarray):
+        nonlocal stack, dv
+        ga = pullback(g)
+        gb = ga.sum() if need_b else None
+        gm = gw = gp = None
+        if need_m or need_w:
+            h = np.matmul(stack.swapaxes(-1, -2), ga)
+            if need_w:
+                gw = np.multiply(h, mv).sum(axis=(1, 2)).reshape(1, r)
+            if need_m:
+                h *= wv.reshape(r, 1, 1)
+                gm = h
+        stack = h = None
+        if need_x or need_d:
+            per_relation = T.product(wv.swapaxes(-1, -2), ga.reshape(1, rows * d_out)).reshape(r, rows, d_out)
+            del ga
+            gp = T.product(per_relation, mv.swapaxes(-1, -2)).reshape(r * n, rows // n * d)
+        yield T.product(dv.swapaxes(-1, -2), gp).reshape(rows, d) if need_x else None
+        dv = None
+        yield T.product(gp, xv.swapaxes(-1, -2)).reshape(r, n, n) if need_d else None
+        yield from (gm, gw, gb)
+
+    return T.node(out, tuple(t._record for t in inputs), rule, "diffuse_layer", check=False)
+
+
+def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mask: np.ndarray) -> Tensor:
+    """Retention before group normalization, as one recorded op.
+
+    ``z`` is an (N·lookback, d) matrix of whole lookback windows, with
+    lookback = ``mask.shape[0]``. Per stock, q, k and v are z's rows times
+    the (d, d) maps; the scores q·kᵀ are scaled by 1/sqrt(d), masked by the
+    causal decay ``mask`` and multiply v. Returns the (N·lookback, d)
+    retained product. The rule keeps z, the maps, q, the transposed copy of
+    k, v and the masked scores. It yields z's gradient once per map, in the
+    order q, k, v, so z's gradients add up in that order.
+    """
+    tau = mask.shape[0]
+    maps = (query_map, key_map, value_map)
+    square = z.shape[-1:] * 2
+    if z.ndim != 2 or z.shape[0] % tau or mask.shape != (tau, tau) or any(m.shape != square for m in maps):
+        shapes = ", ".join(str(t.shape) for t in (z, *maps))
+        raise ShapeError(f"retain: shapes {shapes} and mask {mask.shape} are incompatible")
+    rows, d = z.shape
+    n = rows // tau
+    need_z, need_q, need_k, need_v = (t._record is not None for t in (z, *maps))
+    scale = float(1.0 / np.sqrt(d))
+    zv, mvs = z.values, [m.values for m in maps]
+    with np.errstate(all="ignore"):
+        q, k, v = T.product(zv, mvs[0]), T.product(zv, mvs[1]), T.product(zv, mvs[2])
+        for x in (q, k, v):
+            T.check_finite(x, "matmul")
+        T.check_finite(mask, "constant")
+        q, v = q.reshape(n, tau, d), v.reshape(n, tau, d)
+        kt = np.ascontiguousarray(k.reshape(n, tau, d).swapaxes(-1, -2))
+        del k
+        scores = T.product(q, kt)
+        T.check_finite(scores, "matmul")
+        scores *= scale  # at most 1 in magnitude: cannot overflow
+        scores *= mask
+        T.check_finite(scores, "hadamard")
+        retained = T.product(scores, v)
+        T.check_finite(retained, "matmul")
+
+    def rule(g: np.ndarray):
+        nonlocal q, kt, v, scores
+        g = g.reshape(n, tau, d)
+        gv = T.product(scores.swapaxes(-1, -2), g).reshape(rows, d) if need_z or need_v else None
+        gs = None
+        if need_z or need_q or need_k:
+            gs = T.product(g, v.swapaxes(-1, -2))
+            gs *= mask
+            gs *= scale
+        scores = v = None
+        gq = T.product(gs, kt.swapaxes(-1, -2)).reshape(rows, d) if need_z or need_q else None
+        gk = T.product(q.swapaxes(-1, -2), gs).swapaxes(-1, -2).reshape(rows, d) if need_z or need_k else None
+        q = kt = gs = None
+        for gx, mv, need_m in zip((gq, gk, gv), mvs, (need_q, need_k, need_v)):
+            yield T.product(gx, mv.swapaxes(-1, -2)) if need_z else None
+            yield T.product(zv.swapaxes(-1, -2), gx) if need_m else None
+
+    parents = (z._record, query_map._record, z._record, key_map._record, z._record, value_map._record)
+    return T.node(retained.reshape(rows, d), parents, rule, "retain", check=False)
 
 
 def parallel_retention(
@@ -244,20 +359,61 @@ def parallel_retention(
     ``z`` is an (N·lookback, d) matrix of whole lookback windows stacked
     stock after stock, with lookback = ``mask.shape[0]``; one stock's
     (lookback, d) window is the N = 1 case. Returns a matrix of the same
-    shape. Scores are scaled by 1/sqrt(d) before masking; with a super-unit
-    decay the unscaled products overflow at realistic lookbacks.
+    shape: :func:`retain`, then group normalization. Scores are scaled by
+    1/sqrt(d) before masking; with a super-unit decay the unscaled products
+    overflow at realistic lookbacks.
     """
     tau = mask.shape[0]
     if z.ndim != 2 or z.shape[0] % tau != 0:
         raise ShapeError(f"parallel_retention: expected (stocks·{tau}, channels), got {z.shape}")
-    n, d = z.shape[0] // tau, z.shape[1]
-    q = T.reshape(T.matmul(z, query_map), (n, tau, d))
-    k = T.reshape(T.matmul(z, key_map), (n, tau, d))
-    v = T.reshape(T.matmul(z, value_map), (n, tau, d))
-    mask_t = T.constant(np.broadcast_to(mask, (n, tau, tau)))
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
-    retained = T.matmul(T.hadamard(scores, mask_t), v)
-    return T.group_normalize(T.reshape(retained, z.shape), num_groups)
+    return T.group_normalize(retain(z, query_map, key_map, value_map, mask), num_groups)
+
+
+def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The update half of a layer, as one recorded op: the affine carry
+    ``carried @ w1 + b1`` joins ``retained`` along the channel axis, and the
+    (rows, 2d) join maps back to width d through ``w2``, ``b2`` and the
+    leaky ReLU.
+
+    The rule keeps ``retained``, the carry, ``carried``, the weights and the
+    rectifier's mask. It joins the first two again only to form w2's
+    gradient, so the tape never holds the joined copy.
+    """
+    inputs = (retained, carried, w1, b1, w2, b2)
+    rows, d = retained.shape if retained.ndim == 2 else (0, 0)
+    k, d1 = w1.shape if w1.ndim == 2 else (0, 0)
+    if not (carried.shape == (rows, k) and b1.shape == (d1,) and w2.ndim == 2 and w2.shape[0] == d + d1
+            and b2.shape == w2.shape[1:]):
+        raise ShapeError(f"merge_carry: shapes {', '.join(str(t.shape) for t in inputs)} are incompatible")
+    need_r, need_c, need_w1, need_b1, need_w2, need_b2 = (t._record is not None for t in inputs)
+    rv, cv, w1v, w2v = retained.values, carried.values, w1.values, w2.values
+    with np.errstate(all="ignore"):
+        carry = T.product(cv, w1v) + b1.values
+        T.check_finite(carry, "linear")
+        pre = T.product(np.concatenate([rv, carry], axis=1), w2v) + b2.values
+        T.check_finite(pre, "linear")
+    out, pullback = T.leaky_relu(pre)
+
+    def rule(g: np.ndarray):
+        nonlocal rv, carry
+        ga = pullback(g)
+        gw2 = gb2 = gr = gc = None
+        if need_w2:
+            joined = np.concatenate([rv, carry], axis=1)
+            rv = carry = None
+            gw2 = T.product(joined.swapaxes(-1, -2), ga)
+            del joined
+        if need_b2:
+            gb2 = ga.sum(axis=0)
+        if need_r or need_c or need_w1 or need_b1:
+            gr, gc = np.split(T.product(ga, w2v.swapaxes(-1, -2)), [d], axis=1)
+        del ga
+        yield gr if need_r else None
+        yield T.product(gc, w1v.swapaxes(-1, -2)) if need_c else None
+        yield T.product(cv.swapaxes(-1, -2), gc) if need_w1 else None
+        yield from (gc.sum(axis=0) if need_b1 else None, gw2, gb2)
+
+    return T.node(out, tuple(t._record for t in inputs), rule, "merge_carry", check=False)
 
 
 def layer_update(
@@ -279,9 +435,7 @@ def layer_update(
     if carried.shape != diffused.shape:
         raise ShapeError(f"layer_update: shapes {diffused.shape} and {carried.shape} differ")
     retention_out = parallel_retention(diffused, query_map, key_map, value_map, mask, num_groups)
-    carry = T.linear(carried, w1, b1)
-    out = T.linear(T.concat([retention_out, carry], 1), w2, b2)
-    return T.activation(out)
+    return merge_carry(retention_out, carried, w1, b1, w2, b2)
 
 
 def init_state(features: np.ndarray, embed_w: Tensor, embed_b: Tensor) -> Tensor:

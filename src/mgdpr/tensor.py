@@ -8,8 +8,12 @@ no rule reads is freed as soon as the caller drops it, while the tape lives
 on in the records. ``backward(loss)`` replays the records in reverse
 topological order. A rule computes only the gradients its parents need: for
 a parent that does not require gradients (a constant operand of a product,
-say) it returns None instead of an array, and ``backward`` skips that
-parent. The record is released while the reverse pass unwinds: once a
+say) it gives None instead of an array, and ``backward`` skips that
+parent. A rule may return its gradients as a tuple or yield them one by
+one, in parent order, because ``backward`` zips them with the parents; a
+generator rule can so release each saved array once it has read it. A
+parent may be listed more than once, and its gradients then add up in list
+order. The record is released while the reverse pass unwinds: once a
 node's rule has run, its record drops its parents, its rule (and with it
 the saved arrays) and its gradient, so activations and interior gradients
 are freed layer by layer and only leaves keep a ``grad``. Tensors that do
@@ -21,8 +25,6 @@ What each rule saves:
 
 - ``matmul`` and ``linear``: each operand, and only when the other
   operand's gradient is needed; ``hadamard`` likewise;
-- ``relation_mix``: its stack, maps and weights, each only when a needed
-  gradient reads it, never the (R, rows, d) mapped stack;
 - ``softmax`` and ``log_softmax``: the probabilities; ``group_normalize``:
   the normalized values and the inverse deviations; ``activation``: the
   boolean mask of non-negative inputs;
@@ -33,23 +35,34 @@ Just enough surface to express graph diffusion, parallel retention, and a
 cross-entropy training objective:
 
 - arithmetic: add / sub / hadamard / scale, matmul (2-D or batched 3-D),
-  bias addition over the last axis, ``linear`` (a 2-D matmul plus a
-  bias in one op) and ``relation_mix`` (R stacked products mixed by
-  learned weights in one op);
+  bias addition over the last axis and ``linear`` (a 2-D matmul plus a
+  bias in one op);
 - shape plumbing: reshape, transpose of the trailing two axes,
   concatenation of any number of tensors in one copy, axis mean, full sum;
 - nonlinearities: leaky rectifier, softmax / log-softmax along an axis,
   affine-free group normalization.
 
+A compound op, such as a whole stage of :mod:`mgdpr.model`, is built from
+the same parts as these: :func:`node` records its output, :func:`product`
+is every matrix product, :func:`check_finite` checks a value it makes and
+:func:`leaky_relu` is the rectifier with its gradient.
+
 Broadcasting is deliberately restricted to scalar-with-tensor; any other
 shape mismatch raises. All values are float64 and every value is checked
 finite once, where it is made: by :class:`Tensor`, :func:`constant` and
 every operation that computes new values, so overflow surfaces as an error
-instead of an Inf that poisons a training run 200 steps later. Reshape,
-transpose and concat only view or copy values of tensors that were checked
-when they were made, so they skip the check, as does :func:`constant` over
-a tensor. Tensors are immutable after creation (the underlying numpy buffer
-is marked read-only).
+instead of an Inf that poisons a training run 200 steps later. Two kinds
+of output skip the check, because it cannot fail on finite inputs, which
+were checked when they were made:
+
+- reshape, transpose and concat only view or copy values, and
+  :func:`constant` over a tensor only views them;
+- the outputs of ``activation`` (|out| <= |in|), ``softmax`` (each value
+  in [0, 1]) and ``group_normalize`` (|x̂| <= sqrt(d / groups) once its
+  variance, which is checked, is finite) are bounded by their inputs.
+
+Tensors are immutable after creation (the underlying numpy buffer is
+marked read-only).
 """
 
 from __future__ import annotations
@@ -72,7 +85,6 @@ __all__ = [
     "matmul",
     "add_bias",
     "linear",
-    "relation_mix",
     "concat",
     "reshape",
     "transpose",
@@ -83,10 +95,15 @@ __all__ = [
     "activation",
     "group_normalize",
     "backward",
+    "node",
+    "product",
+    "check_finite",
+    "leaky_relu",
 ]
 
 
-def _check_finite(arr: Array, op: str) -> None:
+def check_finite(arr: Array, op: str) -> None:
+    """FloatingPointError naming ``op`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced a non-finite value")
 
@@ -157,7 +174,7 @@ class Tensor:
 
 
 def _own(t: Tensor, arr: Array, requires_grad: bool) -> Tensor:
-    _check_finite(arr, "tensor construction")
+    check_finite(arr, "tensor construction")
     arr.setflags(write=False)
     t.values = arr
     t._record = _Record((), None) if requires_grad else None
@@ -170,15 +187,16 @@ def _leaf(arr: Array) -> Tensor:
     return _own(Tensor.__new__(Tensor), arr, True)
 
 
-def _node(values: Array, parents: tuple, rule, op: str, check: bool = True) -> Tensor:
+def node(values: Array, parents: tuple, rule, op: str, check: bool = True) -> Tensor:
     """Wrap an op result; record ``rule`` only when a parent record exists.
 
     ``parents`` are the input tensors' records, None for an input that does
-    not require gradients. ``check=False`` is for ops whose values only
-    rearrange their parents'.
+    not require gradients; ``rule`` maps the output's gradient to theirs,
+    in that order. ``check=False`` is for values that cannot be non-finite
+    given checked inputs, or that the op has already checked.
     """
     if check:
-        _check_finite(values, op)
+        check_finite(values, op)
     out = Tensor.__new__(Tensor)
     values.setflags(write=False)
     out.values = values
@@ -199,8 +217,8 @@ def constant(values) -> Tensor:
     Operations whose inputs are all constants record no backward rule.
     """
     if isinstance(values, Tensor):
-        return _node(values.values.view(), (), None, "constant", check=False)
-    return _node(np.asarray(values, dtype=np.float64).view(), (), None, "constant")
+        return node(values.values.view(), (), None, "constant", check=False)
+    return node(np.asarray(values, dtype=np.float64).view(), (), None, "constant")
 
 
 def _to_shape(g: Array, shape: tuple[int, ...]) -> Array:
@@ -237,7 +255,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _to_shape(g, sb) if sb is not None else None,
         )
 
-    return _node(out, (a._record, b._record), rule, "add")
+    return node(out, (a._record, b._record), rule, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -251,7 +269,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             _to_shape(-g, sb) if sb is not None else None,
         )
 
-    return _node(out, (a._record, b._record), rule, "sub")
+    return node(out, (a._record, b._record), rule, "sub")
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -270,7 +288,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
             _to_shape(g * av, sb) if av is not None else None,
         )
 
-    return _node(out, (a._record, b._record), rule, "hadamard")
+    return node(out, (a._record, b._record), rule, "hadamard")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -281,7 +299,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def rule(g: Array):
         return (g * c,)
 
-    return _node(out, (a._record,), rule, "scale")
+    return node(out, (a._record,), rule, "scale")
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +317,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not ok:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     with np.errstate(all="ignore"):
-        out = _product(a.values, b.values)
-    return _node(out, (a._record, b._record), _product_rule(a, b), "matmul")
+        out = product(a.values, b.values)
+    return node(out, (a._record, b._record), _product_rule(a, b), "matmul")
 
 
 def _product_rule(a: Tensor, b: Tensor):
@@ -316,14 +334,14 @@ def _product_rule(a: Tensor, b: Tensor):
 
     def rule(g: Array):
         return (
-            _product(g, bv.swapaxes(-1, -2)) if bv is not None else None,
-            _product(av.swapaxes(-1, -2), g) if av is not None else None,
+            product(g, bv.swapaxes(-1, -2)) if bv is not None else None,
+            product(av.swapaxes(-1, -2), g) if av is not None else None,
         )
 
     return rule
 
 
-def _product(x: Array, y: Array) -> Array:
+def product(x: Array, y: Array) -> Array:
     """``np.matmul(x, y)``, bit for bit.
 
     A contraction of length 1 is an outer product: each entry is one
@@ -348,7 +366,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     def rule(g: Array):
         return g if need_x else None, g.sum(axis=0) if need_b else None
 
-    return _node(out, (x._record, b._record), rule, "add_bias")
+    return node(out, (x._record, b._record), rule, "add_bias")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -357,59 +375,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} are incompatible")
     with np.errstate(all="ignore"):
-        out = _product(x.values, w.values) + b.values
+        out = product(x.values, w.values) + b.values
     product_rule = _product_rule(x, w)
     need_b = b._record is not None
 
     def rule(g: Array):
         return (*product_rule(g), g.sum(axis=0) if need_b else None)
 
-    return _node(out, (x._record, w._record, b._record), rule, "linear")
-
-
-def relation_mix(stack: Tensor, maps: Tensor, weights: Tensor) -> Tensor:
-    """Σ_r weights[0, r] · stack[r] @ maps[r] as one (rows, d) matrix.
-
-    ``stack`` is (R, rows, k), ``maps`` (R, k, d) and ``weights`` (1, R).
-    The forward is the composition ``weights @ reshape(stack @ maps)`` with
-    the same products, but the rule keeps only the three inputs, never the
-    (R, rows, d) mapped stack. The stack's gradient takes the composition's
-    path; the maps' and the weights' both come from H_r = stack[r]ᵀ g, as
-    weights[0, r] · H_r and Σ H_r ⊙ maps[r].
-    """
-    ok = (
-        stack.ndim == 3
-        and maps.ndim == 3
-        and maps.shape[:2] == (stack.shape[0], stack.shape[2])
-        and weights.shape == (1, stack.shape[0])
-    )
-    if not ok:
-        raise ShapeError(f"relation_mix: shapes {stack.shape}, {maps.shape} and {weights.shape} are incompatible")
-    r, rows, d = stack.shape[0], stack.shape[1], maps.shape[2]
-    with np.errstate(all="ignore"):
-        mapped = _product(stack.values, maps.values)
-        _check_finite(mapped, "relation_mix")
-        out = _product(weights.values, mapped.reshape(r, rows * d)).reshape(rows, d)
-    need_s, need_m, need_w = (t._record is not None for t in (stack, maps, weights))
-    sv = stack.values if need_m or need_w else None
-    mv = maps.values if need_s or need_w else None
-    wv = weights.values if need_s or need_m else None
-
-    def rule(g: Array):
-        gs = gm = gw = None
-        if need_s:
-            per_relation = _product(wv.swapaxes(-1, -2), g.reshape(1, rows * d)).reshape(r, rows, d)
-            gs = _product(per_relation, mv.swapaxes(-1, -2))
-        if sv is not None:
-            h = np.matmul(sv.swapaxes(-1, -2), g)
-            if need_w:
-                gw = np.multiply(h, mv).sum(axis=(1, 2)).reshape(1, r)
-            if need_m:
-                h *= wv.reshape(r, 1, 1)
-                gm = h
-        return gs, gm, gw
-
-    return _node(out, (stack._record, maps._record, weights._record), rule, "relation_mix")
+    return node(out, (x._record, w._record, b._record), rule, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +406,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
     def rule(g: Array):
         return np.split(g, splits, axis=axis)
 
-    return _node(out, tuple(p._record for p in parts), rule, "concat", check=False)
+    return node(out, tuple(p._record for p in parts), rule, "concat", check=False)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -446,7 +419,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def rule(g: Array):
         return (g.reshape(old),)
 
-    return _node(out, (a._record,), rule, "reshape", check=False)
+    return node(out, (a._record,), rule, "reshape", check=False)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -458,7 +431,7 @@ def transpose(a: Tensor) -> Tensor:
     def rule(g: Array):
         return (g.swapaxes(-1, -2),)
 
-    return _node(out, (a._record,), rule, "transpose", check=False)
+    return node(out, (a._record,), rule, "transpose", check=False)
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
@@ -470,7 +443,7 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
     def rule(g: Array):
         return (np.broadcast_to(np.expand_dims(g, axis), shape) / n,)
 
-    return _node(out, (a._record,), rule, "mean_axis")
+    return node(out, (a._record,), rule, "mean_axis")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -480,7 +453,7 @@ def sum_all(a: Tensor) -> Tensor:
     def rule(g: Array):
         return (np.broadcast_to(g, shape),)
 
-    return _node(out, (a._record,), rule, "sum_all")
+    return node(out, (a._record,), rule, "sum_all")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +482,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         t *= p
         return (t,)
 
-    return _node(p, (a._record,), rule, "softmax")
+    return node(p, (a._record,), rule, "softmax", check=False)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -523,23 +496,34 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def rule(g: Array):
         return (g - p * g.sum(axis=axis, keepdims=True),)
 
-    return _node(out, (a._record,), rule, "log_softmax")
+    return node(out, (a._record,), rule, "log_softmax")
 
 
 ACTIVATION_SLOPE = 0.01
 GROUP_NORM_EPS = 1e-5
 
 
-def activation(a: Tensor) -> Tensor:
-    """Leaky rectifier: identity for x >= 0, ``ACTIVATION_SLOPE * x`` below."""
-    x = a.values
+def leaky_relu(x: Array):
+    """The leaky rectifier of ``x``: (values, pullback), where ``pullback``
+    maps the values' gradient to ``x``'s and keeps only the boolean mask of
+    non-negative entries."""
     nonnegative = x >= 0.0
     out = np.where(nonnegative, x, ACTIVATION_SLOPE * x)
 
-    def rule(g: Array):
-        return (g * np.where(nonnegative, 1.0, ACTIVATION_SLOPE),)
+    def pullback(g: Array) -> Array:
+        return g * np.where(nonnegative, 1.0, ACTIVATION_SLOPE)
 
-    return _node(out, (a._record,), rule, "activation")
+    return out, pullback
+
+
+def activation(a: Tensor) -> Tensor:
+    """Leaky rectifier: identity for x >= 0, ``ACTIVATION_SLOPE * x`` below."""
+    out, pullback = leaky_relu(a.values)
+
+    def rule(g: Array):
+        return (pullback(g),)
+
+    return node(out, (a._record,), rule, "activation", check=False)
 
 
 def group_normalize(z: Tensor, num_groups: int) -> Tensor:
@@ -561,7 +545,7 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
         xc = x - mu
         var = (xc * xc).mean(axis=2, keepdims=True)
         # An overflowing variance would give inv = 0 and silent zeros.
-        _check_finite(var, "group_normalize")
+        check_finite(var, "group_normalize")
         inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
         xhat = xc * inv
         out = xhat.reshape(rows, d)
@@ -572,7 +556,7 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
         proj = (g3 * xhat).mean(axis=2, keepdims=True)
         return ((inv * (g3 - gmean - xhat * proj)).reshape(rows, d),)
 
-    return _node(out, (z._record,), rule, "group_normalize")
+    return node(out, (z._record,), rule, "group_normalize", check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +581,10 @@ def backward(loss: Tensor) -> None:
     copy. Such buffers may be shared (``add`` hands one array to both
     parents) or be views (reshape, transpose, concat), so no gradient is
     ever written in place: accumulation always makes a new array. A leaf
-    copies its first gradient, so ``leaf.grad`` owns writable memory.
+    adopts its first gradient only when the rule has just made it for that
+    leaf alone: an array that owns its data, is writeable, is not the
+    incoming gradient and was not handed to another parent. It copies any
+    other, so ``leaf.grad`` owns writable memory that nothing else holds.
     """
     if loss.ndim != 0:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -627,14 +614,31 @@ def backward(loss: Tensor) -> None:
         rule = rec.rule
         if rule is None or rec.grad is None:
             continue
-        for parent, pg in zip(rec.parents, rule(rec.grad)):
+        g = rec.grad
+        handed: list[Array] = []
+        for parent, pg in zip(rec.parents, rule(g)):
             if pg is None or parent is None:
                 continue
             pg = np.asarray(pg, dtype=np.float64)
             if parent.grad is not None:
                 parent.grad = parent.grad + pg
+            elif parent.rule is not None or _fresh(pg, g, handed):
+                parent.grad = pg
             else:
-                parent.grad = pg if parent.rule is not None else pg.copy()
+                parent.grad = pg.copy()
+            handed.append(pg)
         rec.parents = ()
         rec.rule = None
         rec.grad = None
+
+
+def _fresh(pg: Array, g: Array, handed: list[Array]) -> bool:
+    """Whether a rule made ``pg`` for one parent alone: ``pg`` owns
+    writable memory and is neither the rule's incoming gradient ``g`` nor
+    an array it handed to an earlier parent."""
+    return (
+        pg.flags.owndata
+        and pg.flags.writeable
+        and pg is not g
+        and not any(pg is h for h in handed)
+    )

@@ -422,9 +422,10 @@ class TestForward:
 
 class TestStateLayout:
     """The state stays one (N·lookback, d) matrix from the embedding to the
-    readout: over prebuilt mixes, a recording forward records 7 reshapes per
-    layer (3 in diffusion, 4 in retention) and one for the readout's
-    (N, lookback, d) view."""
+    readout: over prebuilt mixes, a recording forward records 5 nodes per
+    layer (the masked mix, then one per stage: diffusion, retention, group
+    norm and the update), none of them a reshape, and one reshape for the
+    readout's (N, lookback, d) view."""
 
     @pytest.mark.parametrize("layers", [0, 1, 3])
     def test_recorded_reshapes(self, monkeypatch, layers):
@@ -433,7 +434,7 @@ class TestStateLayout:
         features, adjacency = random_instance(cfg, seed=21)
         mixes = diffusion_mixes(params, mixture_tensors(params, cfg))
         recorded = []
-        real = T._node
+        real = T.node
 
         def spy(values, parents, backward_fn, op, check=True):
             out = real(values, parents, backward_fn, op, check)
@@ -441,10 +442,12 @@ class TestStateLayout:
                 recorded.append(op)
             return out
 
-        monkeypatch.setattr(T, "_node", spy)
+        monkeypatch.setattr(T, "node", spy)
         logits = forward(params, cfg, features, adjacency, mixes=mixes)
         assert logits.requires_grad
-        assert recorded.count("reshape") == 7 * layers + 1
+        layer = ["hadamard", "diffuse_layer", "retain", "group_normalize", "merge_carry"]
+        readout = ["reshape", "mean_axis", "linear", "activation", "linear"]
+        assert recorded == ["linear"] + layer * layers + readout
 
 
 def desk_instance(seed=5):
@@ -520,39 +523,40 @@ class TestMemory:
         model, features, adjacency = desk_instance()
         records = tape_records(forward(model.params, model.config, features, adjacency))
         rules = [rec.rule for rec in records if rec.rule is not None]
-        assert len(rules) > 50
+        # The embedding; per layer, 6 records that build the transition mix
+        # and 5 that use it; the readout's 5.
+        assert len(rules) == 1 + 2 * (6 + 5) + 5
         for rec in records:
             assert all(p is None or isinstance(p, T._Record) for p in rec.parents)
         for rule in rules:
             held = closure_objects(rule)
             assert not any(isinstance(obj, Tensor) for obj in held), rule.__qualname__
 
-    # (caller, op, that op's calls per caller invocation, which call)
-    UNREAD_OUTPUTS = [
-        ("layer_update", "linear", 2, 0),  # the carry
-        ("layer_update", "linear", 2, 1),  # the pre-activation sum
-        ("diffuse_layer", "relation_mix", 1, 0),  # the relation mix
-        ("diffuse_layer", "add", 1, 0),  # the pre-activation sum
-        ("parallel_retention", "matmul", 5, 1),  # k, before its transposed copy
-        ("parallel_retention", "matmul", 5, 4),  # the product before group norm
+    # (stage, its products per call, which product): products that the
+    # stage's rule does not read, so forward frees them.
+    UNREAD_PRODUCTS = [
+        ("diffuse_layer", 3, 1),  # the mapped stack
+        ("diffuse_layer", 3, 2),  # the relation mix, the pre-activation sum
+        ("retain", 5, 1),  # k, before its transposed copy
+        ("retain", 5, 4),  # the product before group norm
+        ("merge_carry", 2, 0),  # the carry before its bias
+        ("merge_carry", 2, 1),  # the pre-activation product
     ]
+    # Products that the rules read: the propagated stack, q, v and the masked scores.
+    READ_PRODUCTS = [("diffuse_layer", 3, 0), ("retain", 5, 0), ("retain", 5, 2), ("retain", 5, 3)]
 
     def test_outputs_no_rule_reads_are_freed_by_forward_and_gradients_keep_their_bits(self, monkeypatch):
         model, features, adjacency = desk_instance()
-        outputs: dict[tuple[str, str], list] = {}
+        outputs: dict[str, list] = {}
         kept = []
+        real = T.product
 
-        def spy(op):
-            real = getattr(T, op)
-
-            def traced(*args):
-                out = real(*args)
-                outputs.setdefault((sys._getframe(1).f_code.co_name, op), []).append(weakref.ref(out.values))
-                if keep:
-                    kept.append(out)
-                return out
-
-            monkeypatch.setattr(T, op, traced)
+        def traced(x, y):
+            out = real(x, y)
+            outputs.setdefault(sys._getframe(1).f_code.co_name, []).append(weakref.ref(out))
+            if keep:
+                kept.append(out)
+            return out
 
         def gradients():
             leaves = {k: Tensor(p.values, requires_grad=True) for k, p in model.params.items()}
@@ -561,18 +565,56 @@ class TestMemory:
             T.backward(T.sum_all(logits))
             return live, [leaves[k].grad.tobytes() for k in leaves]
 
-        for op in ("linear", "matmul", "relation_mix", "add"):
-            spy(op)
+        monkeypatch.setattr(T, "product", traced)
         keep = False
         live, grads = gradients()
-        for caller, op, per_call, which in self.UNREAD_OUTPUTS:
-            calls = live[(caller, op)]
-            assert len(calls) == per_call * model.config.num_layers
-            assert not any(calls[which::per_call]), (caller, op, which)
-        assert all(live[("parallel_retention", "matmul")][0::5])  # q, which the scores product reads
+        layers = model.config.num_layers
+        for key in self.UNREAD_PRODUCTS + self.READ_PRODUCTS:
+            stage, per_call, which = key
+            assert len(live[stage]) == per_call * layers
+            assert live[stage][which::per_call] == [key in self.READ_PRODUCTS] * layers, key
         outputs.clear()
         keep = True
         assert gradients()[1] == grads
+
+    def test_leaf_gradients_share_no_memory_and_keep_their_bits(self, monkeypatch):
+        """A leaf adopts the gradient its rule made for it alone, so no two
+        leaf gradients share memory and none shares memory with a forward
+        value or with a gradient that an interior record was handed; the
+        bits are those of copying every leaf's first gradient."""
+        model, features, adjacency = desk_instance()
+        interior, values = [], []
+        real_node = T.node
+
+        def spy(out_values, parents, rule, op, check=True):
+            def listed(g):
+                grads = list(rule(g))
+                interior.append(g)
+                interior.extend(pg for p, pg in zip(parents, grads) if p is not None and p.rule is not None)
+                return grads
+
+            out = real_node(out_values, parents, listed if rule is not None else None, op, check)
+            values.append(out.values)
+            return out
+
+        def gradients():
+            leaves = {k: Tensor(p.values, requires_grad=True) for k, p in model.params.items()}
+            T.backward(T.sum_all(forward(leaves, model.config, features, adjacency)))
+            return {k: leaf.grad for k, leaf in leaves.items()}
+
+        adopted = gradients()
+        monkeypatch.setattr(T, "node", spy)
+        spied = gradients()
+        monkeypatch.undo()
+        monkeypatch.setattr(T, "_fresh", lambda pg, g, handed: False)
+        copied = gradients()
+        assert {k: g.tobytes() for k, g in adopted.items()} == {k: g.tobytes() for k, g in copied.items()}
+        assert {k: g.tobytes() for k, g in spied.items()} == {k: g.tobytes() for k, g in copied.items()}
+        grads = list(spied.items())
+        for i, (name, g) in enumerate(grads):
+            assert g.flags.owndata and g.flags.writeable, name
+            assert not any(np.shares_memory(g, other) for _, other in grads[i + 1:]), name
+            assert not any(np.shares_memory(g, buf) for buf in interior + values), name
 
     def test_frozen_forward_peak_is_below_half_a_recorded_forward(self):
         model, features, adjacency = desk_instance()

@@ -249,6 +249,40 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [32.0, 45.0, 60.0])
         np.testing.assert_array_equal(y.grad, [11.0, 21.0, 33.0])
 
+    def test_leaf_adopts_a_gradient_its_rule_made_for_it_alone(self, monkeypatch):
+        made = []
+        real = T.product
+
+        def recording(x, y):
+            made.append(real(x, y))
+            return made[-1]
+
+        a, b = leaf(np.arange(6.0).reshape(2, 3)), leaf(np.ones((3, 2)))
+        loss = T.sum_all(T.matmul(a, b))
+        monkeypatch.setattr(T, "product", recording)
+        T.backward(loss)
+        assert len(made) == 2 and a.grad is made[0] and b.grad is made[1]
+
+    def test_an_array_handed_to_two_leaves_is_adopted_by_the_first_only(self):
+        x, y = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        buf = np.array([5.0, 6.0])
+        out = T.node(x.values + y.values, (x._record, y._record), lambda g: (buf, buf), "pair")
+        T.backward(T.sum_all(out))
+        assert x.grad is buf and y.grad is not buf and not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(y.grad, [5.0, 6.0])
+
+    def test_the_incoming_gradient_is_copied(self):
+        # The outer add hands one buffer to both inner adds, and each hands
+        # its incoming gradient on to its leaf: adopting it would give x
+        # and y one buffer.
+        x, y, c = leaf([1.0, 2.0]), leaf([3.0, 4.0]), T.constant([0.5, 0.5])
+        s = T.add(T.add(x, c), T.add(y, c))
+        T.backward(T.sum_all(T.hadamard(s, T.Tensor([2.0, 3.0]))))
+        assert not np.shares_memory(x.grad, y.grad)
+        for g in (x.grad, y.grad):
+            np.testing.assert_array_equal(g, [2.0, 3.0])
+            assert g.flags.owndata and g.flags.writeable
+
 
 def _signed_zeros(rng, shape):
     """Normal draws with a quarter of the entries set to +0.0 or -0.0."""
@@ -279,7 +313,7 @@ class TestOnlyNeededGradients:
     def test_contraction_length_one_product_has_matmul_bytes(self):
         rng = np.random.default_rng(4)
         x, y = _signed_zeros(rng, (2, 6, 1)), _signed_zeros(rng, (2, 1, 7))
-        assert T._product(x, y).tobytes() == np.matmul(x, y).tobytes()
+        assert T.product(x, y).tobytes() == np.matmul(x, y).tobytes()
 
     @pytest.mark.parametrize("constant_side", ["a", "b"])
     def test_constant_matmul_operand_gets_no_gradient_and_no_product(self, monkeypatch, constant_side):
@@ -358,67 +392,6 @@ class TestLinear:
             T.linear(big, big, T.Tensor(np.zeros(2)))
 
 
-class TestRelationMix:
-    R, ROWS, D = 3, 6, 4
-
-    def arrays(self, seed):
-        rng = np.random.default_rng(seed)
-        return {
-            "stack": rng.normal(size=(self.R, self.ROWS, self.D)),
-            "maps": rng.normal(size=(self.R, self.D, self.D)),
-            "weights": rng.normal(size=(1, self.R)),
-        }
-
-    def test_equals_the_matmul_reshape_composition(self):
-        arrays = self.arrays(12)
-        probe = T.Tensor(np.random.default_rng(13).normal(size=(self.ROWS, self.D)))
-        r, rows, d = self.R, self.ROWS, self.D
-
-        def run(build):
-            t = {k: leaf(v) for k, v in arrays.items()}
-            out = build(t)
-            T.backward(T.sum_all(T.hadamard(out, probe)))
-            return out.values, {k: t[k].grad for k in arrays}
-
-        fused, fused_grads = run(lambda t: T.relation_mix(t["stack"], t["maps"], t["weights"]))
-        composed, composed_grads = run(
-            lambda t: T.reshape(
-                T.matmul(t["weights"], T.reshape(T.matmul(t["stack"], t["maps"]), (r, rows * d))), (rows, d)
-            )
-        )
-        assert fused.tobytes() == composed.tobytes()
-        # The stack's gradient takes the composition's path; the others sum
-        # the same products in another order.
-        assert fused_grads["stack"].tobytes() == composed_grads["stack"].tobytes()
-        for k in ("maps", "weights"):
-            np.testing.assert_allclose(fused_grads[k], composed_grads[k], rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("learned", ["stack", "maps", "weights"])
-    def test_rule_returns_none_for_constant_parents(self, learned):
-        arrays = self.arrays(14)
-        t = {k: leaf(v) if k == learned else T.constant(v) for k, v in arrays.items()}
-        out = T.relation_mix(t["stack"], t["maps"], t["weights"])
-        grads = dict(zip(arrays, out._record.rule(np.ones(out.shape))))
-        assert grads.pop(learned).shape == arrays[learned].shape
-        assert all(g is None for g in grads.values())
-
-    def test_rule_keeps_the_stack_not_the_mapped_stack(self):
-        t = {k: leaf(v) for k, v in self.arrays(15).items()}
-        out = T.relation_mix(t["stack"], t["maps"], t["weights"])
-        held = [c.cell_contents for c in out._record.rule.__closure__]
-        stacks = [a for a in held if isinstance(a, np.ndarray) and a.shape == (self.R, self.ROWS, self.D)]
-        assert len(stacks) == 1 and stacks[0] is t["stack"].values
-
-    def test_shape_mismatch_names_all_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 4\).*\(1, 2\)"):
-            T.relation_mix(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 5, 4))), T.Tensor(np.zeros((1, 2))))
-
-    def test_overflow_of_the_mapped_stack_raises(self):
-        big = T.Tensor(np.full((2, 2, 2), 1e200))
-        with pytest.raises(FloatingPointError, match="relation_mix produced a non-finite value"):
-            T.relation_mix(big, big, T.Tensor(np.zeros((1, 2))))
-
-
 class TestConstant:
     def test_wraps_without_copy_and_records_nothing(self):
         arr = np.arange(6.0).reshape(2, 3)
@@ -444,13 +417,13 @@ class TestFiniteCheck:
 
     def _checked_ops(self, monkeypatch, build):
         ops = []
-        real = T._check_finite
+        real = T.check_finite
 
         def spy(arr, op):
             ops.append(op)
             return real(arr, op)
 
-        monkeypatch.setattr(T, "_check_finite", spy)
+        monkeypatch.setattr(T, "check_finite", spy)
         build()
         return ops
 
@@ -475,9 +448,21 @@ class TestFiniteCheck:
         def build():
             x = T.Tensor(np.ones((2, 2)))
             c = T.constant(np.ones((2, 2)))
-            T.softmax(T.matmul(x, c), 1)
+            T.log_softmax(T.matmul(x, c), 1)
 
-        assert self._checked_ops(monkeypatch, build) == ["tensor construction", "constant", "matmul", "softmax"]
+        assert self._checked_ops(monkeypatch, build) == ["tensor construction", "constant", "matmul", "log_softmax"]
+
+    def test_outputs_bounded_by_checked_inputs_are_not_rechecked(self, monkeypatch):
+        # |activation(x)| <= |x|, softmax lies in [0, 1] and group
+        # normalization is bounded once its variance is finite: only that
+        # variance is checked.
+        x = leaf(np.arange(12.0).reshape(3, 4) - 5.0)
+
+        def build():
+            T.softmax(T.activation(x), 1)
+            T.group_normalize(x, 2)
+
+        assert self._checked_ops(monkeypatch, build) == ["group_normalize"]
 
     def test_matmul_overflow_raises(self):
         big = T.Tensor(np.full((2, 2), 1e200))
@@ -508,9 +493,6 @@ def _op_cases():
         ("reshape", {"a": a23}, lambda t: T.reshape(t["a"], (3, 2))),
         ("transpose", {"a": a23}, lambda t: T.transpose(t["a"])),
         ("mean_axis", {"a": a23}, lambda t: T.mean_axis(t["a"], 0)),
-        ("relation_mix",
-         {"s": rng.normal(size=(3, 5, 4)), "m": rng.normal(size=(3, 4, 2)), "w": rng.normal(size=(1, 3))},
-         lambda t: T.relation_mix(t["s"], t["m"], t["w"])),
     ]
     return cases
 
