@@ -268,7 +268,7 @@ def diffuse_layer(
         gb = ga.sum() if need_b else None
         gm = gw = gp = None
         if need_m or need_w:
-            h = np.matmul(stack.swapaxes(-1, -2), ga)
+            h = T.product(stack.swapaxes(-1, -2), ga)
             if need_w:
                 gw = np.multiply(h, mv).sum(axis=(1, 2)).reshape(1, r)
             if need_m:

@@ -10,6 +10,11 @@ the same bytes whatever the machine's core count, for a fixed BLAS build.
 Library calls, :func:`mgdpr.cli.main` in-process included, keep the
 calling process's thread count.
 
+The library itself uses up to two cores for large products
+(:func:`mgdpr.tensor.product`): it splits them into fixed row blocks and
+never splits a sum, so its output bytes do not depend on the core count
+either. On one core it computes the same blocks in turn.
+
 Run it as ``mgdpr <command> ...`` once installed, or ``python -m
 mgdpr_console <command> ...`` from a checkout with ``src`` on the path.
 """

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,24 @@ class TestElementwise:
     def test_overflow_is_an_error(self):
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             T.scale(T.Tensor([1e308]), 10.0)
+
+    @pytest.mark.parametrize(
+        "op, build",
+        [
+            ("add", lambda big: T.add(big, big)),
+            ("sub", lambda big: T.sub(big, T.Tensor(-big.values))),
+            ("scale", lambda big: T.scale(big, 10.0)),
+        ],
+    )
+    def test_overflow_raises_the_finite_check_not_a_warning_under_W_error(self, op, build):
+        # Under ``python -W error`` an overflow warning from numpy would be
+        # raised in place of the FloatingPointError that training maps to
+        # a divergence error.
+        big = T.Tensor([1.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"^{op} produced a non-finite value$"):
+                build(big)
 
     def test_tensors_are_immutable(self):
         t = T.Tensor([1.0, 2.0])
