@@ -119,9 +119,19 @@ def type_name(kind) -> str:
 
 def read_json_object(path: Path, what: str, types: dict[str, object]) -> dict:
     """The JSON object in ``path`` whose fields ``types`` names have those
-    types (:func:`has_type`); FormatError otherwise."""
+    types (:func:`has_type`) and in which no object repeats a key (json would
+    keep the last); FormatError otherwise."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        found: dict = {}
+        for key, item in pairs:
+            if key in found:
+                raise FormatError(f"{path}: {what} repeats the key {key!r:.80}")
+            found[key] = item
+        return found
+
     try:
-        value = json.loads(read_text(path, what))
+        value = json.loads(read_text(path, what), object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: {what} is not valid JSON ({e})") from e
     if not isinstance(value, dict):

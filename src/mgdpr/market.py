@@ -153,6 +153,9 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
     reader = csv.DictReader(io.StringIO(read_text(path, "raw CSV")))
     try:
         headers = reader.fieldnames or []
+        repeated = [c for i, c in enumerate(headers) if c in headers[:i]]
+        if repeated:
+            raise FormatError(f"{path}: header names the column {repeated[0]!r:.80} twice")
         missing = [c for c in _REQUIRED if c not in headers]
         if missing:
             raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -191,8 +194,9 @@ def load_csv(path) -> list[InstrumentSeries]:
     ticker (a file's stem, or each row's ``ticker`` cell) must be a plain
     file-name stem, as in a directory of per-ticker files: not empty, no
     leading ``.``, no ``/``, ``\\`` or NUL. It must also come from one file
-    only. Otherwise, and for a file the ``csv`` module cannot parse (such as
-    a field over its size limit), :class:`FormatError`.
+    only. Otherwise, for a header that names a column twice, and for a file
+    the ``csv`` module cannot parse (such as a field over its size limit),
+    :class:`FormatError`.
     """
     path = Path(path)
     if path.is_dir():

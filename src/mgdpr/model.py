@@ -21,7 +21,9 @@ the last two a generic op, so a layer records 5 nodes with the masked
 transition mix. A stage op runs the numpy expressions of the generic ops it
 stands for, in their order, checks each value that could overflow under the
 name of the op that made it, and its rule forms the gradients their rules
-would, in the same order: values and gradients keep their bits.
+would, in the same order: values and gradients keep their bits. Unlike a
+generic op's rule, it forms every input's gradient (training records every
+input, a frozen pass none), and ``backward`` drops any without a record.
 
 Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
@@ -246,7 +248,6 @@ def diffuse_layer(
             and relation_maps.shape[:2] == (r, d) and mix_w.shape == (1, r) and mix_b.ndim == 0):
         raise ShapeError(f"diffuse_layer: shapes {', '.join(str(t.shape) for t in inputs)} are incompatible")
     d_out = relation_maps.shape[2]
-    need_x, need_d, need_m, need_w, need_b = (t._record is not None for t in inputs)
     dv, mv, wv = diffusion.values.reshape(r * n, n), relation_maps.values, mix_w.values
     xv = state.values.reshape(n, rows // n * d)
     with np.errstate(all="ignore"):
@@ -265,23 +266,17 @@ def diffuse_layer(
     def rule(g: np.ndarray):
         nonlocal stack, dv
         ga = pullback(g)
-        gb = ga.sum() if need_b else None
-        gm = gw = gp = None
-        if need_m or need_w:
-            h = T.product(stack.swapaxes(-1, -2), ga)
-            if need_w:
-                gw = np.multiply(h, mv).sum(axis=(1, 2)).reshape(1, r)
-            if need_m:
-                h *= wv.reshape(r, 1, 1)
-                gm = h
-        stack = h = None
-        if need_x or need_d:
-            per_relation = T.product(wv.swapaxes(-1, -2), ga.reshape(1, rows * d_out)).reshape(r, rows, d_out)
-            del ga
-            gp = T.product(per_relation, mv.swapaxes(-1, -2)).reshape(r * n, rows // n * d)
-        yield T.product(dv.swapaxes(-1, -2), gp).reshape(rows, d) if need_x else None
+        gb = ga.sum()
+        gm = T.product(stack.swapaxes(-1, -2), ga)
+        stack = None
+        gw = np.multiply(gm, mv).sum(axis=(1, 2)).reshape(1, r)
+        gm *= wv.reshape(r, 1, 1)
+        per_relation = T.product(wv.swapaxes(-1, -2), ga.reshape(1, rows * d_out)).reshape(r, rows, d_out)
+        del ga
+        gp = T.product(per_relation, mv.swapaxes(-1, -2)).reshape(r * n, rows // n * d)
+        yield T.product(dv.swapaxes(-1, -2), gp).reshape(rows, d)
         dv = None
-        yield T.product(gp, xv.swapaxes(-1, -2)).reshape(r, n, n) if need_d else None
+        yield T.product(gp, xv.swapaxes(-1, -2)).reshape(r, n, n)
         yield from (gm, gw, gb)
 
     return T.node(out, tuple(t._record for t in inputs), rule, "diffuse_layer", check=False)
@@ -306,7 +301,6 @@ def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mas
         raise ShapeError(f"retain: shapes {shapes} and mask {mask.shape} are incompatible")
     rows, d = z.shape
     n = rows // tau
-    need_z, need_q, need_k, need_v = (t._record is not None for t in (z, *maps))
     scale = float(1.0 / np.sqrt(d))
     zv, mvs = z.values, [m.values for m in maps]
     with np.errstate(all="ignore"):
@@ -328,19 +322,17 @@ def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mas
     def rule(g: np.ndarray):
         nonlocal q, kt, v, scores
         g = g.reshape(n, tau, d)
-        gv = T.product(scores.swapaxes(-1, -2), g).reshape(rows, d) if need_z or need_v else None
-        gs = None
-        if need_z or need_q or need_k:
-            gs = T.product(g, v.swapaxes(-1, -2))
-            gs *= mask
-            gs *= scale
+        gv = T.product(scores.swapaxes(-1, -2), g).reshape(rows, d)
+        gs = T.product(g, v.swapaxes(-1, -2))
+        gs *= mask
+        gs *= scale
         scores = v = None
-        gq = T.product(gs, kt.swapaxes(-1, -2)).reshape(rows, d) if need_z or need_q else None
-        gk = T.product(q.swapaxes(-1, -2), gs).swapaxes(-1, -2).reshape(rows, d) if need_z or need_k else None
+        gq = T.product(gs, kt.swapaxes(-1, -2)).reshape(rows, d)
+        gk = T.product(q.swapaxes(-1, -2), gs).swapaxes(-1, -2).reshape(rows, d)
         q = kt = gs = None
-        for gx, mv, need_m in zip((gq, gk, gv), mvs, (need_q, need_k, need_v)):
-            yield T.product(gx, mv.swapaxes(-1, -2)) if need_z else None
-            yield T.product(zv.swapaxes(-1, -2), gx) if need_m else None
+        for gx, mv in zip((gq, gk, gv), mvs):
+            yield T.product(gx, mv.swapaxes(-1, -2))
+            yield T.product(zv.swapaxes(-1, -2), gx)
 
     parents = (z._record, query_map._record, z._record, key_map._record, z._record, value_map._record)
     return T.node(retained.reshape(rows, d), parents, rule, "retain", check=False)
@@ -385,7 +377,6 @@ def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: T
     if not (carried.shape == (rows, k) and b1.shape == (d1,) and w2.ndim == 2 and w2.shape[0] == d + d1
             and b2.shape == w2.shape[1:]):
         raise ShapeError(f"merge_carry: shapes {', '.join(str(t.shape) for t in inputs)} are incompatible")
-    need_r, need_c, need_w1, need_b1, need_w2, need_b2 = (t._record is not None for t in inputs)
     rv, cv, w1v, w2v = retained.values, carried.values, w1.values, w2.values
     with np.errstate(all="ignore"):
         carry = T.product(cv, w1v) + b1.values
@@ -397,21 +388,17 @@ def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: T
     def rule(g: np.ndarray):
         nonlocal rv, carry
         ga = pullback(g)
-        gw2 = gb2 = gr = gc = None
-        if need_w2:
-            joined = np.concatenate([rv, carry], axis=1)
-            rv = carry = None
-            gw2 = T.product(joined.swapaxes(-1, -2), ga)
-            del joined
-        if need_b2:
-            gb2 = ga.sum(axis=0)
-        if need_r or need_c or need_w1 or need_b1:
-            gr, gc = np.split(T.product(ga, w2v.swapaxes(-1, -2)), [d], axis=1)
+        joined = np.concatenate([rv, carry], axis=1)
+        rv = carry = None
+        gw2 = T.product(joined.swapaxes(-1, -2), ga)
+        del joined
+        gb2 = ga.sum(axis=0)
+        gr, gc = np.split(T.product(ga, w2v.swapaxes(-1, -2)), [d], axis=1)
         del ga
-        yield gr if need_r else None
-        yield T.product(gc, w1v.swapaxes(-1, -2)) if need_c else None
-        yield T.product(cv.swapaxes(-1, -2), gc) if need_w1 else None
-        yield from (gc.sum(axis=0) if need_b1 else None, gw2, gb2)
+        yield gr
+        yield T.product(gc, w1v.swapaxes(-1, -2))
+        yield T.product(cv.swapaxes(-1, -2), gc)
+        yield from (gc.sum(axis=0), gw2, gb2)
 
     return T.node(out, tuple(t._record for t in inputs), rule, "merge_carry", check=False)
 

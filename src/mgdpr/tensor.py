@@ -6,12 +6,14 @@ rule and a gradient slot. A record never holds a :class:`Tensor`: each rule
 closes over only the arrays and shapes that it reads, so an op output that
 no rule reads is freed as soon as the caller drops it, while the tape lives
 on in the records. ``backward(loss)`` replays the records in reverse
-topological order. A rule computes only the gradients its parents need: for
-a parent that does not require gradients (a constant operand of a product,
-say) it gives None instead of an array, and ``backward`` skips that
-parent. A rule may return its gradients as a tuple or yield them one by
-one, in parent order, because ``backward`` zips them with the parents; a
-generator rule can so release each saved array once it has read it. A
+topological order. A generic op's rule here computes only the gradients
+its parents need, giving None for a parent that does not require gradients
+(a constant operand of a product, say); a compound op's rule, such as a
+stage of :mod:`mgdpr.model`, gives every parent an array. Either way
+``backward`` skips a parent without a record. A rule may return its
+gradients as a tuple or yield them one by one, in parent order, because
+``backward`` zips them with the parents; a generator rule can so release
+each saved array once it has read it. A
 parent may be listed more than once, and its gradients then add up in list
 order. The record is released while the reverse pass unwinds: once a
 node's rule has run, its record drops its parents, its rule (and with it
@@ -689,8 +691,9 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be scalar; one without a record (a constant) has no
     gradient, and the call stores nothing. The pass walks records, not
     tensors: only records with a rule enter the topological order; leaf
-    records are reached as parents. Each rule returns the gradients its
-    parents need and None for a parent without a record, which is skipped.
+    records are reached as parents. A generic op's rule gives None for a
+    parent without a record; a compound op's rule gives every parent an
+    array. Either way a parent without a record is skipped.
     Records are popped off the topological order and released as soon as
     their rule has run: each drops its parents, its rule (with the arrays it
     saved) and its gradient, so the tape is freed while the pass unwinds,

@@ -103,6 +103,14 @@ class TestConfig:
         assert run("ingest", "--config", path) == 5
         assert "unreadable config file" in capsys.readouterr().err
 
+    def test_repeated_key_exits_5_naming_it(self, tmp_path, capsys):
+        # json keeps a repeated key's last value: this config would train 50 epochs.
+        config = make_workspace(tmp_path)
+        config.write_text(config.read_text().replace("{", '{\n  "train.epochs": 5,\n  "train.epochs": 50,', 1))
+        assert run("ingest", "--config", config) == 5
+        assert capsys.readouterr().err == f"error: {config}: config file repeats the key 'train.epochs'\n"
+        assert not (tmp_path / "cache").exists()
+
     def test_string_key_takes_raw_env_text(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MGDPR_MARKET", "123")
         assert cli.load_config(make_workspace(tmp_path))["market"] == "123"
@@ -348,6 +356,120 @@ def test_mutated_input_fails_ingest_with_one_line_or_not_at_all(tmp_path, capsys
         assert code in (0, 2, 5), (k, kind, code, err)
         if code:
             assert err.startswith("error:") and err.count("\n") == 1, (k, kind, err)
+
+
+def _line_edit(edit):
+    """The mutation that applies ``edit`` to the file's list of text lines,
+    split at its line ending (the raw CSV's is CRLF)."""
+
+    def mutate(data):
+        eol = "\r\n" if b"\r\n" in data else "\n"
+        lines = data.decode("utf-8").split(eol)
+        edit(lines)
+        return eol.join(lines).encode("utf-8")
+
+    return mutate
+
+
+def _csv_cell(row, column, value):
+    """Set the ``column`` cell of CSV line ``row`` (the header is line 0)."""
+
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[row] = ",".join(cells)
+
+    return _line_edit(edit)
+
+
+def _config_value(key, text):
+    """Set the JSON text of ``key``'s value on its line of the indented config."""
+
+    def edit(lines):
+        (i,) = [i for i, line in enumerate(lines) if line.startswith(f'  "{key}": ')]
+        lines[i] = f'  "{key}": {text}' + ("," if lines[i].endswith(",") else "")
+
+    return _line_edit(edit)
+
+
+def _second_close_column(lines):
+    """Append a column that the header also names ``close``, 1.0 on every row."""
+    lines[0] += ",close"
+    lines[1:-1] = [line + ",1.0" for line in lines[1:-1]]
+
+
+_SUMMARY = r"^ingested 3 stocks x 30 days \(0 tickers below coverage, {} malformed rows dropped\)$"
+# A dropped row leaves SYN01 on 29 of the 30 days, below the default coverage 0.98.
+_ROW_DROPPED = r"^ingested 2 stocks x 30 days \(1 tickers below coverage, 1 malformed rows dropped\)$"
+
+# Named byte, line and cell mutations of a raw CSV file (a header and 30
+# rows) and of the config (indented JSON, one key per line):
+# (id, file, mutation, ingest's exit code, a pattern that its one error line,
+# or on success its summary line, matches).
+_INPUT_MUTATIONS = [
+    ("csv-byte-non-utf8", "data/SYN01.csv", lambda data: b"\xff" + data, 2, r"SYN01.csv: unreadable raw CSV"),
+    ("csv-byte-emptied", "data/SYN01.csv", lambda data: b"", 2, r"SYN01.csv: missing column\(s\) date, open"),
+    ("csv-byte-lf-endings", "data/SYN01.csv", lambda data: data.replace(b"\r\n", b"\n"), 0, _SUMMARY.format(0)),
+    ("csv-byte-bom", "data/SYN01.csv", lambda data: b"\xef\xbb\xbf" + data, 2, r"SYN01.csv: missing column\(s\) date$"),
+    ("csv-byte-semicolon", "data/SYN01.csv", lambda data: data.replace(b",", b";", 1), 2,
+     r"SYN01.csv: missing column\(s\) date, open$"),
+    ("csv-line-header-dropped", "data/SYN01.csv", _line_edit(lambda lines: lines.pop(0)), 2,
+     r"SYN01.csv: missing column\(s\) date, open, high, low, close, volume$"),
+    ("csv-line-second-close-column", "data/SYN01.csv", _line_edit(_second_close_column), 2,
+     r"SYN01.csv: header names the column 'close' twice$"),
+    ("csv-line-header-renames-close", "data/SYN01.csv", _csv_cell(0, "close", "adj_close"), 2,
+     r"SYN01.csv: missing column\(s\) close$"),
+    ("csv-line-row-repeated", "data/SYN01.csv", _line_edit(lambda lines: lines.insert(5, lines[5])), 0,
+     _SUMMARY.format(1)),
+    ("csv-line-rows-swapped", "data/SYN01.csv", _line_edit(lambda lines: lines.insert(3, lines.pop(7))), 0,
+     _SUMMARY.format(0)),
+    ("csv-line-blank", "data/SYN01.csv", _line_edit(lambda lines: lines.insert(4, "")), 0, _SUMMARY.format(0)),
+    ("csv-line-row-deleted", "data/SYN01.csv", _line_edit(lambda lines: lines.pop(9)), 0,
+     r"^ingested 2 stocks x 30 days \(1 tickers below coverage, 0 malformed rows dropped\)$"),
+    ("csv-cell-text-price", "data/SYN01.csv", _csv_cell(3, "close", "abc"), 0, _ROW_DROPPED),
+    ("csv-cell-empty-volume", "data/SYN01.csv", _csv_cell(3, "volume", ""), 0, _ROW_DROPPED),
+    ("csv-cell-negative-open", "data/SYN01.csv", _csv_cell(3, "open", "-1.0"), 0, _ROW_DROPPED),
+    ("csv-cell-nan-low", "data/SYN01.csv", _csv_cell(3, "low", "nan"), 0, _ROW_DROPPED),
+    ("csv-cell-bad-date", "data/SYN01.csv", _csv_cell(3, "date", "2020/01/03"), 0, _ROW_DROPPED),
+    ("csv-cell-huge-high", "data/SYN01.csv", _csv_cell(3, "high", "1e200"), 2, r"SYN01: high 1e\+200 on 2020-01-03"),
+    ("config-byte-non-utf8", "config.json", lambda data: b"\xff" + data, 5, r"config.json: unreadable config file"),
+    ("config-byte-emptied", "config.json", lambda data: b"", 5, r"config.json: config file is not valid JSON"),
+    ("config-byte-truncated", "config.json", lambda data: data[: len(data) // 2], 5,
+     r"config.json: config file is not valid JSON"),
+    ("config-line-key-repeated", "config.json", _line_edit(lambda lines: lines.insert(1, '  "train.epochs": 50,')),
+     5, r"config.json: config file repeats the key 'train.epochs'$"),
+    ("config-line-unknown-key", "config.json", _line_edit(lambda lines: lines.insert(1, '  "train.epoch": 50,')),
+     5, r"config.json: unknown config key\(s\): train.epoch$"),
+    ("config-line-brace-dropped", "config.json", _line_edit(lambda lines: lines.pop()), 5,
+     r"config.json: config file is not valid JSON"),
+    ("config-line-market-dropped", "config.json", _line_edit(lambda lines: lines.pop(1)), 0, _SUMMARY.format(0)),
+    ("config-cell-string-lookback", "config.json", _config_value("model.lookback", '"5"'), 5,
+     r"model.lookback must be int, got '5'$"),
+    ("config-cell-nan-width", "config.json", _config_value("model.embed_dim", "NaN"), 5,
+     r"model.embed_dim must be int, got nan$"),
+    ("config-cell-null-epochs", "config.json", _config_value("train.epochs", "null"), 5,
+     r"train.epochs must be int, got None$"),
+    ("config-cell-list", "config.json", lambda data: b"[" + data + b"]", 5,
+     r"config.json: config file is not a JSON object$"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, mutate, code, message", [case[1:] for case in _INPUT_MUTATIONS], ids=[case[0] for case in _INPUT_MUTATIONS]
+)
+def test_named_input_mutation_exits_with_its_code_and_one_line(tmp_path, capsys, monkeypatch, target, mutate, code,
+                                                                message):
+    config = make_workspace(tmp_path)
+    monkeypatch.setenv("MGDPR_PATHS_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.setenv("MGDPR_PATHS_CACHE_DIR", str(tmp_path / "cache"))
+    path = tmp_path / target
+    path.write_bytes(mutate(path.read_bytes()))
+    capsys.readouterr()
+    assert run("ingest", "--config", config) == code
+    out, err = capsys.readouterr()
+    line = err if code else out.splitlines(keepends=True)[0]
+    assert line.startswith("error: " if code else "ingested ") and line.count("\n") == 1, (out, err)
+    assert re.search(message, line.rstrip("\n")), line
 
 
 class TestIngest:
@@ -711,6 +833,16 @@ class TestDamagedCacheObject:
         assert run("graph", "--config", config) == 2
         _one_line_error(capsys, match, r"re-run `mgdpr ingest`")
 
+    def test_repeated_manifest_key_train_exits_2(self, tmp_path, capsys):
+        # An earlier, empty ``tickers`` that json would overwrite with the real one.
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        manifest = tmp_path / "cache" / "panel" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace("{", '{"tickers": [], ', 1))
+        capsys.readouterr()
+        assert run("train", "--config", config) == 2
+        _one_line_error(capsys, r"manifest.json: panel manifest repeats the key 'tickers'", r"re-run `mgdpr ingest`")
+
     @pytest.mark.parametrize(
         "damage, match",
         [
@@ -721,9 +853,10 @@ class TestDamagedCacheObject:
             (lambda path: _edit_json(path, lambda index: index["days"].pop()), "day 28 is not in the graph index"),
             (lambda path: _edit_json(path, lambda index: index["days"].append(99)), "unexpected header"),
             (lambda path: _edit_json(path, lambda index: index["days"].reverse()), "unexpected header"),
+            (lambda path: path.write_text(path.read_text().replace("{", '{"days": [], ', 1)), "repeats the key 'days'"),
         ],
         ids=["garbage-index", "old-format-index", "no-digest", "digest-map", "day-missing", "extra-day",
-             "days-reordered"],
+             "days-reordered", "repeated-key"],
     )
     def test_graph_index_read_graphs_raises(self, tmp_path, damage, match):
         graph_dir = _graph_cache(tmp_path)
@@ -1355,19 +1488,6 @@ def test_pipeline_demo_removes_its_workspace(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "metrics.json:" in done.stdout
     assert list(tmp_path.iterdir()) == []
-
-
-class TestEndToEndDeterminism:
-    def test_full_pipeline_twice_byte_identical_metrics(self, tmp_path):
-        blobs = []
-        for run_dir in ("a", "b"):
-            base = tmp_path / run_dir
-            base.mkdir()
-            config = make_workspace(base)
-            for cmd in ("ingest", "graph", "train", "eval"):
-                assert run(cmd, "--config", config) == 0
-            blobs.append((base / "out" / "metrics.json").read_bytes())
-        assert blobs[0] == blobs[1]
 
 
 def _cores() -> int:

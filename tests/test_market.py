@@ -63,6 +63,14 @@ class TestLoadCsv:
         with pytest.raises(FormatError, match="close"):
             load_csv(path)
 
+    def test_header_naming_a_column_twice_raises_naming_it(self, tmp_path):
+        # Read by name, the rows would give the second close column's 9.0.
+        path = tmp_path / "AAA.csv"
+        rows = [(d, 1, 2, 0.5, 1.5, 100, 9.0) for d in _dates(3)]
+        _write_csv(path, rows, header="date,open,high,low,close,volume,close")
+        with pytest.raises(FormatError, match=f"^{path}: header names the column 'close' twice$"):
+            load_csv(path)
+
     def test_unparsable_volume_drops_row(self, tmp_path):
         path = tmp_path / "AAA.csv"
         _write_csv(path, [("2020-01-01", 1, 2, 0.5, 1.5, 100), ("2020-01-02", 1, 2, 0.5, 1.5, "abc")])

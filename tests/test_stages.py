@@ -8,14 +8,17 @@ import composition as C
 from gradcheck import max_rel_err, numeric_grad
 from mgdpr import model as M
 from mgdpr import tensor as T
+from mgdpr import training
 from mgdpr.errors import ShapeError
 from mgdpr.market import align_panel, make_windows
 from mgdpr.model import Model, ModelConfig, decay_mask
 from mgdpr.synthetic import planted_market
 from mgdpr.tensor import Tensor
-from mgdpr.training import TrainConfig, train
+from mgdpr.training import TrainConfig, evaluate, train
 
 STAGES = ["diffuse_layer", "retain", "merge_carry"]
+# A stage record's parents by input name, where they differ from the inputs.
+PARENTS = {"retain": ["z", "query_map", "z", "key_map", "z", "value_map"]}
 # (stocks, lookback, width, relations)
 SHAPES = {"desk": (12, 21, 32, 5), "n100-d64": (100, 21, 64, 5), "tiny": (3, 2, 4, 2)}
 
@@ -83,9 +86,11 @@ class TestBits:
             C.STAGES[stage], arrays, extra, [learned], probe
         )
         inputs = {k: Tensor(v, requires_grad=True) if k == learned else T.constant(v) for k, v in arrays.items()}
-        record = getattr(M, stage)(*inputs.values(), *extra)._record
-        for parent, grad in zip(record.parents, record.rule(probe)):
-            assert (grad is None) == (parent is None)
+        grads = list(getattr(M, stage)(*inputs.values(), *extra)._record.rule(probe))
+        assert all(isinstance(g, (np.ndarray, np.float64)) for g in grads)
+        assert [np.shape(g) for g in grads] == [arrays[k].shape for k in PARENTS.get(stage, arrays)]
+        T.backward(T.sum_all(T.hadamard(getattr(M, stage)(*inputs.values(), *extra), Tensor(probe))))
+        assert [k for k, t in inputs.items() if t.grad is not None] == [learned]
 
 
 class TestGradcheck:
@@ -189,6 +194,38 @@ class TestShapes:
     def test_update_names_every_shape(self):
         with pytest.raises(ShapeError, match=r"merge_carry: .*\(6, 4\).*\(5, 4\)"):
             M.merge_carry(*(Tensor(np.zeros(s)) for s in [(6, 4), (5, 4), (4, 4), (4,), (8, 4), (4,)]))
+
+
+def test_training_records_every_stage_input_and_evaluation_none(monkeypatch):
+    """The traffic a stage rule sees: in training every input of every stage
+    op records, so each rule forms only gradients that ``backward`` keeps;
+    in evaluation, validation included, no input records and no rule runs."""
+    samples = make_windows(align_panel(planted_market(num_stocks=12, num_days=60, momentum_lag=10, seed=90)), 21)
+    cfg = ModelConfig(num_stocks=12, lookback=21, num_layers=2, expansion_steps=2, embed_dim=32, num_groups=4)
+    calls = {stage: [] for stage in STAGES}
+    phase = ["train"]
+    for stage in STAGES:
+        def spy(*args, _stage=stage, _op=getattr(M, stage)):
+            calls[_stage].append((phase[0], {a._record is not None for a in args if isinstance(a, Tensor)}))
+            return _op(*args)
+
+        monkeypatch.setattr(M, stage, spy)
+
+    def evaluating(*args):
+        phase[0] = "evaluate"
+        try:
+            return evaluate(*args)
+        finally:
+            phase[0] = "train"
+
+    monkeypatch.setattr(training, "evaluate", evaluating)
+    model = Model.initialized(cfg, seed=90)
+    train(model, samples[:30], samples[30:34], TrainConfig(epochs=2))
+    evaluating(model, samples[34:])
+    per_epoch = [("train", {True})] * 30 * cfg.num_layers + [("evaluate", {False})] * 4 * cfg.num_layers
+    tested = [("evaluate", {False})] * len(samples[34:]) * cfg.num_layers
+    for stage in STAGES:
+        assert calls[stage] == per_epoch * 2 + tested, stage
 
 
 def test_three_desk_epochs_train_the_compositions_bits(monkeypatch):
