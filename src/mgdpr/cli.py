@@ -198,7 +198,7 @@ def _load(resolved, *, trains: bool, evaluates: bool):
 def cmd_ingest(args) -> int:
     resolved = load_config(args.config)
     series = load_csv(resolved["paths.data_dir"])
-    panel = align_panel(series, coverage=resolved["coverage"])
+    panel = align_panel([s for s in series if len(s) > 0], coverage=resolved["coverage"])
     write_panel(panel, _panel_dir(resolved))
     dropped = len(series) - panel.num_stocks
     bad_rows = sum(s.dropped_rows for s in series)

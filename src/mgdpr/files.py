@@ -117,21 +117,29 @@ def type_name(kind) -> str:
     return kind.__name__ if kind in (int, float, str) else str(kind)
 
 
-def read_json_object(path: Path, what: str, types: dict[str, object]) -> dict:
-    """The JSON object in ``path`` whose fields ``types`` names have those
-    types (:func:`has_type`) and in which no object repeats a key (json would
-    keep the last); FormatError otherwise."""
+def unique_keys(error):
+    """A ``json.loads`` ``object_pairs_hook`` that raises ``error(key)`` for
+    a key that an object, at any depth, repeats (json would keep the last
+    value)."""
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
         found: dict = {}
         for key, item in pairs:
             if key in found:
-                raise FormatError(f"{path}: {what} repeats the key {key!r:.80}")
+                raise error(key)
             found[key] = item
         return found
 
+    return unique
+
+
+def read_json_object(path: Path, what: str, types: dict[str, object]) -> dict:
+    """The JSON object in ``path`` whose fields ``types`` names have those
+    types (:func:`has_type`) and in which no object repeats a key
+    (:func:`unique_keys`); FormatError otherwise."""
+    repeated = unique_keys(lambda key: FormatError(f"{path}: {what} repeats the key {key!r:.80}"))
     try:
-        value = json.loads(read_text(path, what), object_pairs_hook=unique)
+        value = json.loads(read_text(path, what), object_pairs_hook=repeated)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: {what} is not valid JSON ({e})") from e
     if not isinstance(value, dict):

@@ -163,6 +163,8 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
         for row in reader:
             ticker = (row.get("ticker") or "") if has_ticker else path.stem
             try:
+                if None in row:  # cells beyond the header's: the values may be shifted
+                    raise ValueError("extra cells")
                 date = (row["date"] or "").strip()
                 if not _DATE_RE.match(date):
                     raise ValueError(date)
@@ -189,14 +191,16 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
 def load_csv(path) -> list[InstrumentSeries]:
     """Load instrument series from one CSV file or a directory of them.
 
-    Rows with missing or unparsable fields (including non-positive prices
-    and negative volume) are dropped and counted on ``dropped_rows``. A
+    Rows with missing, extra or unparsable fields (including non-positive
+    prices and negative volume) are dropped and counted on ``dropped_rows``. A
     ticker (a file's stem, or each row's ``ticker`` cell) must be a plain
     file-name stem, as in a directory of per-ticker files: not empty, no
     leading ``.``, no ``/``, ``\\`` or NUL. It must also come from one file
     only. Otherwise, for a header that names a column twice, and for a file
     the ``csv`` module cannot parse (such as a field over its size limit),
-    :class:`FormatError`.
+    :class:`FormatError`. A ticker whose every row was dropped is kept with
+    no rows, so that its dropped rows are counted; :class:`EmptyInputError`
+    if no ticker has a valid row.
     """
     path = Path(path)
     if path.is_dir():
@@ -215,8 +219,7 @@ def load_csv(path) -> list[InstrumentSeries]:
         if not path.exists():
             raise FormatError(f"{path}: no such file")
         series = _load_one_file(path)
-    series = [s for s in series if len(s) > 0]
-    if not series:
+    if not any(len(s) for s in series):
         raise EmptyInputError(f"{path}: zero valid rows")
     return series
 

@@ -25,6 +25,17 @@ would, in the same order: values and gradients keep their bits. Unlike a
 generic op's rule, it forms every input's gradient (training records every
 input, a frozen pass none), and ``backward`` drops any without a record.
 
+Only diffusion's propagation product mixes stocks; everything after it in
+a layer works within each stock. So a stage's forward computes that
+per-stock work as fixed blocks of whole stocks, ⌊128/lookback⌋ a block
+(:func:`mgdpr.tensor.row_blocks`; the carry merge, which works per row,
+in blocks of 128 rows), on up to two cores once the stage reaches
+:data:`mgdpr.tensor.BLOCK_MIN_MACS` multiply-adds, and as one block on the
+calling thread below it. Each block writes its rows of the arrays the rule
+reads and returns one finite flag per checked step; the stage raises for
+the first step that any block flagged, so the error and its op name are
+those of the whole computation. Blocks change no byte.
+
 Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
 step by construction. A temporal mean-pool plus a 2-layer MLP of width
@@ -46,11 +57,12 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
-from .files import write_atomic
+from .files import unique_keys, write_atomic
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "mgdpr-checkpoint-v5"
 _HEADER_KEYS = ["config", "format", "seed", "sha256"]
+_REPEATED_KEY = unique_keys(lambda key: ValueError(f"it repeats the key {key!r:.80}"))
 
 
 @dataclass(frozen=True)
@@ -238,8 +250,9 @@ def diffuse_layer(
     One recorded op. Its rule keeps both operands of the propagation
     product, the (R, N·lookback, d) propagated stack, the maps, the mix
     weights and the rectifier's mask, never the (R, N·lookback, d') mapped
-    stack: the maps' and the mix weights' gradients both come from
-    H_r = stack[r]ᵀ g, as w_r · H_r and Σ H_r ⊙ maps[r].
+    stack, which the forward makes one block of stocks at a time: the maps'
+    and the mix weights' gradients both come from H_r = stack[r]ᵀ g, as
+    w_r · H_r and Σ H_r ⊙ maps[r].
     """
     inputs = (state, diffusion, relation_maps, mix_w, mix_b)
     r, n = diffusion.shape[:2] if diffusion.ndim == 3 else (0, 0)
@@ -248,20 +261,26 @@ def diffuse_layer(
             and relation_maps.shape[:2] == (r, d) and mix_w.shape == (1, r) and mix_b.ndim == 0):
         raise ShapeError(f"diffuse_layer: shapes {', '.join(str(t.shape) for t in inputs)} are incompatible")
     d_out = relation_maps.shape[2]
-    dv, mv, wv = diffusion.values.reshape(r * n, n), relation_maps.values, mix_w.values
+    dv, mv, wv, bv = diffusion.values.reshape(r * n, n), relation_maps.values, mix_w.values, mix_b.values
     xv = state.values.reshape(n, rows // n * d)
+    out, nonnegative = np.empty((rows, d_out)), np.empty((rows, d_out), dtype=bool)
+
+    def block(b: slice) -> tuple[bool, ...]:
+        mapped = T.serial_product(stack[:, b], mv)
+        pre = T.serial_product(wv, mapped.reshape(r, -1)).reshape(-1, d_out)
+        flags = T.finite(mapped), T.finite(pre)
+        del mapped
+        pre += bv
+        T.rectify(pre, out[b], nonnegative[b])
+        return (*flags, T.finite(pre))
+
     with np.errstate(all="ignore"):
         stack = T.product(dv, xv)
         T.check_finite(stack, "matmul")
         stack = stack.reshape(r, rows, d)
-        mapped = T.product(stack, mv)
-        T.check_finite(mapped, "relation_mix")
-        pre = T.product(wv, mapped.reshape(r, rows * d_out)).reshape(rows, d_out)
-        del mapped
-        T.check_finite(pre, "relation_mix")
-        pre += mix_b.values
-        T.check_finite(pre, "add")
-    out, pullback = T.leaky_relu(pre)
+        flags = T.run_blocks(block, T.row_blocks(rows, rows // n, r * rows * (d + 1) * d_out))
+    T.check_steps(flags, ("relation_mix", "relation_mix", "add"))
+    pullback = T.rectifier_pullback(nonnegative)
 
     def rule(g: np.ndarray):
         nonlocal stack, dv
@@ -303,21 +322,30 @@ def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mas
     n = rows // tau
     scale = float(1.0 / np.sqrt(d))
     zv, mvs = z.values, [m.values for m in maps]
+    q, v, retained = np.empty((n, tau, d)), np.empty((n, tau, d)), np.empty((n, tau, d))
+    kt, scores = np.empty((n, d, tau)), np.empty((n, tau, tau))
+    mask_ok = T.finite(mask)
+
+    def block(b: slice) -> tuple[bool, ...]:
+        s = slice(b.start // tau, b.stop // tau)
+        zb = zv[b]
+        qb = T.serial_product(zb, mvs[0], out=q[s].reshape(-1, d))
+        kb = T.serial_product(zb, mvs[1])
+        vb = T.serial_product(zb, mvs[2], out=v[s].reshape(-1, d))
+        flags = [T.finite(qb) and T.finite(kb) and T.finite(vb), mask_ok]
+        kt[s] = kb.reshape(-1, tau, d).swapaxes(-1, -2)
+        del kb
+        sb = T.serial_product(q[s], kt[s], out=scores[s])
+        flags.append(T.finite(sb))
+        sb *= scale  # at most 1 in magnitude: cannot overflow
+        sb *= mask
+        flags.append(T.finite(sb))
+        flags.append(T.finite(T.serial_product(sb, v[s], out=retained[s])))
+        return tuple(flags)
+
     with np.errstate(all="ignore"):
-        q, k, v = T.product(zv, mvs[0]), T.product(zv, mvs[1]), T.product(zv, mvs[2])
-        for x in (q, k, v):
-            T.check_finite(x, "matmul")
-        T.check_finite(mask, "constant")
-        q, v = q.reshape(n, tau, d), v.reshape(n, tau, d)
-        kt = np.ascontiguousarray(k.reshape(n, tau, d).swapaxes(-1, -2))
-        del k
-        scores = T.product(q, kt)
-        T.check_finite(scores, "matmul")
-        scores *= scale  # at most 1 in magnitude: cannot overflow
-        scores *= mask
-        T.check_finite(scores, "hadamard")
-        retained = T.product(scores, v)
-        T.check_finite(retained, "matmul")
+        flags = T.run_blocks(block, T.row_blocks(rows, tau, rows * d * (3 * d + 2 * tau)))
+    T.check_steps(flags, ("matmul", "constant", "matmul", "hadamard", "matmul"))
 
     def rule(g: np.ndarray):
         nonlocal q, kt, v, scores
@@ -378,12 +406,21 @@ def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: T
             and b2.shape == w2.shape[1:]):
         raise ShapeError(f"merge_carry: shapes {', '.join(str(t.shape) for t in inputs)} are incompatible")
     rv, cv, w1v, w2v = retained.values, carried.values, w1.values, w2.values
+    d_out = w2.shape[1]
+    carry, out, nonnegative = np.empty((rows, d1)), np.empty((rows, d_out)), np.empty((rows, d_out), dtype=bool)
+
+    def block(b: slice) -> tuple[bool, bool]:
+        cb = T.serial_product(cv[b], w1v, out=carry[b])
+        cb += b1.values
+        pre = T.serial_product(np.concatenate([rv[b], cb], axis=1), w2v)
+        pre += b2.values
+        T.rectify(pre, out[b], nonnegative[b])
+        return T.finite(cb), T.finite(pre)
+
     with np.errstate(all="ignore"):
-        carry = T.product(cv, w1v) + b1.values
-        T.check_finite(carry, "linear")
-        pre = T.product(np.concatenate([rv, carry], axis=1), w2v) + b2.values
-        T.check_finite(pre, "linear")
-    out, pullback = T.leaky_relu(pre)
+        flags = T.run_blocks(block, T.row_blocks(rows, 1, rows * (k * d1 + (d + d1) * d_out)))
+    T.check_steps(flags, ("linear", "linear"))
+    pullback = T.rectifier_pullback(nonnegative)
 
     def rule(g: np.ndarray):
         nonlocal rv, carry
@@ -571,10 +608,11 @@ def save_checkpoint(path, model: Model) -> None:
 
 def load_checkpoint(path, cfg: ModelConfig) -> Model:
     """Load a checkpoint trained with ``cfg``; :class:`CheckpointError` unless
-    the header has exactly the keys :func:`save_checkpoint` writes, under this
-    format (earlier formats are refused), header and payload match its SHA-256,
-    the recorded config equals ``cfg`` with no extra field, the seed is an
-    integer or null, and the payload is ``cfg``'s tensors, all finite."""
+    the header has exactly the keys :func:`save_checkpoint` writes, and no
+    object in it repeats a key, under this format (earlier formats are
+    refused), header and payload match its SHA-256, the recorded config
+    equals ``cfg`` with no extra field, the seed is an integer or null, and
+    the payload is ``cfg``'s tensors, all finite."""
     cfg.validate()
     try:
         size = Path(path).stat().st_size
@@ -582,7 +620,7 @@ def load_checkpoint(path, cfg: ModelConfig) -> Model:
             (header_len,) = struct.unpack("<Q", f.read(8))
             if header_len > size - 8:
                 raise ValueError(f"header length {header_len} exceeds file size {size}")
-            header = json.loads(f.read(header_len).decode("utf-8"))
+            header = json.loads(f.read(header_len).decode("utf-8"), object_pairs_hook=_REPEATED_KEY)
             payload = f.read()
     except (OSError, ValueError, UnicodeDecodeError, struct.error, OverflowError, MemoryError) as e:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from e

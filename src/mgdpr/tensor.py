@@ -47,17 +47,22 @@ cross-entropy training objective:
 A compound op, such as a whole stage of :mod:`mgdpr.model`, is built from
 the same parts as these: :func:`node` records its output, :func:`product`
 is every matrix product, :func:`check_finite` checks a value it makes and
-:func:`leaky_relu` is the rectifier with its gradient.
+:func:`rectify` and :func:`rectifier_pullback` are the rectifier and its
+gradient.
 
-Large products use up to two cores at the bits of one call: :func:`product`
-splits one of at least 2e7 multiply-adds into fixed blocks of 128 output
-rows, which the calling thread and one pool thread compute, each block one
-``np.matmul`` over the whole contraction. The blocks depend on the shape
+Large row-wise work uses up to two cores at the bits of one call. Work of
+at least 2e7 multiply-adds is split into fixed row blocks
+(:func:`row_blocks`), which the calling thread and one pool thread run
+(:func:`run_blocks`): :func:`product` splits its output into blocks of 128
+rows, each one ``np.matmul`` over the whole contraction, and a stage of
+:mod:`mgdpr.model` runs its per-stock work as blocks of whole stocks, each
+computing its rows with :func:`serial_product` and reporting its finite
+checks as flags (:func:`check_steps`). The blocks depend on the shape
 alone and no sum is split (BLAS's own threads split sums, and change the
 bits), so one core computes the same blocks in turn, to the same bits.
 The GEMMs that bound a reference-width day (N=100, d=256; 1.4e8 to 6.9e8
-multiply-adds) cross the threshold; no product of a desk-scale day (N=12,
-d=32) or of a 100-stock day at d=8 reaches it.
+multiply-adds) and its stages cross the threshold; no product or stage of
+a desk-scale day (N=12, d=32) or of a 100-stock day at d=8 reaches it.
 
 Broadcasting is deliberately restricted to scalar-with-tensor; any other
 shape mismatch raises. All values are float64 and every value is checked
@@ -112,15 +117,38 @@ __all__ = [
     "backward",
     "node",
     "product",
+    "serial_product",
+    "row_blocks",
+    "run_blocks",
+    "finite",
     "check_finite",
-    "leaky_relu",
+    "check_steps",
+    "rectify",
+    "rectifier_pullback",
 ]
+
+
+def finite(arr: Array) -> bool:
+    """Whether every entry of ``arr`` is finite."""
+    return bool(np.isfinite(arr).all())
 
 
 def check_finite(arr: Array, op: str) -> None:
     """FloatingPointError naming ``op`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced a non-finite value")
+
+
+def check_steps(flags: list[tuple[bool, ...]], ops: tuple[str, ...]) -> None:
+    """:func:`check_finite` of a computation split into row blocks:
+    ``flags`` holds each block's :func:`finite` flags, one per checked
+    step, and ``ops`` names the steps in order. Raises for the first step
+    that any block flagged, which is the check that fails first when the
+    computation runs whole, as long as each block's values depend on its
+    own rows alone."""
+    for op, ok in zip(ops, map(all, zip(*flags))):
+        if not ok:
+            raise FloatingPointError(f"{op} produced a non-finite value")
 
 
 class _Record:
@@ -362,28 +390,47 @@ def _product_rule(a: Tensor, b: Tensor):
 def product(x: Array, y: Array) -> Array:
     """``np.matmul(x, y)``, bit for bit.
 
+    A product of at least ``BLOCK_MIN_MACS`` multiply-adds whose output has
+    at least two blocks of ``BLOCK_ROWS`` rows (per matrix of a stack) runs
+    as those row blocks (:func:`row_blocks`) on up to two cores
+    (:func:`run_blocks`). Each block is one ``np.matmul`` of its rows of
+    ``x`` with the whole of ``y``, so every entry is still one sum over the
+    whole contraction; the contraction is never split, because partial
+    sums would add up in another order. Below the threshold, a hand-off to
+    a second thread costs more than it saves, and :func:`serial_product`
+    computes the product in one call.
+    """
+    m = x.shape[-2]
+    if x.shape[-1] == 1:
+        return serial_product(x, y)
+    # Most products have fewer than two blocks of rows: they skip the list.
+    blocks = row_blocks(m, 1, max(x.size * y.shape[-1], y.size * m)) if m >= 2 * BLOCK_ROWS else ()
+    if len(blocks) < 2:
+        return np.matmul(x, y)
+    out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (m, y.shape[-1]))
+
+    def block(rows: slice) -> None:
+        np.matmul(x[..., rows, :], y, out=out[..., rows, :])
+
+    run_blocks(block, blocks)
+    return out
+
+
+def serial_product(x: Array, y: Array, out: Array | None = None) -> Array:
+    """``np.matmul(x, y, out=out)``, bit for bit, on the calling thread: what
+    :func:`product` computes below its threshold, and what a block of a
+    stage computes its products with.
+
     A contraction of length 1 is an outer product: each entry is one
     product, formed here by ``np.multiply`` instead of a GEMM call that
     takes several times as long. Adding 0.0 turns a -0.0 product into the
     +0.0 that a GEMM's zero-started sum gives.
-
-    A product of at least ``BLOCK_MIN_MACS`` multiply-adds whose output has
-    at least two blocks of ``BLOCK_ROWS`` rows (per matrix of a stack) runs
-    as those row blocks, the last taking the remainder, on up to two cores
-    (:class:`RowBlocks`). Each block is one ``np.matmul`` of its rows of
-    ``x`` with the whole of ``y``, so every entry is still one sum over the
-    whole contraction; the contraction is never split, because partial
-    sums would add up in another order. The blocks depend on the shape
-    alone, so the bits do not depend on the core count. Below the
-    threshold, a hand-off to a second thread costs more than it saves.
     """
     if x.shape[-1] == 1:
-        out = np.multiply(x, y)
+        out = np.multiply(x, y, out=out)
         out += 0.0
         return out
-    if x.shape[-2] < 2 * BLOCK_ROWS or max(x.size * y.shape[-1], y.size * x.shape[-2]) < BLOCK_MIN_MACS:
-        return np.matmul(x, y)
-    return _shared_blocks().product(x, y)
+    return np.matmul(x, y, out=out)
 
 
 # Measured on a 2-core VM with one BLAS thread (OpenBLAS 0.3.31). Blocks of
@@ -397,13 +444,42 @@ BLOCK_MIN_MACS = 20_000_000
 MAX_WORKERS = 2
 
 
+def row_blocks(rows: int, unit: int, macs: int) -> list[slice]:
+    """The fixed blocks of a row-wise computation of ``macs`` multiply-adds
+    over ``rows`` rows, in whole units of ``unit`` rows (a stock's lookback
+    window, or one row): ``max(1, BLOCK_ROWS // unit)`` units a block, the
+    last block taking the remainder. Below ``BLOCK_MIN_MACS``, or where
+    that gives fewer than two blocks, one block of every row. The layout
+    depends on these three numbers alone, never on the core count."""
+    size = max(1, BLOCK_ROWS // unit) * unit
+    count = rows // size
+    if count < 2 or macs < BLOCK_MIN_MACS:
+        return [slice(0, rows)]
+    return [slice(i * size, rows if i == count - 1 else (i + 1) * size) for i in range(count)]
+
+
+def run_blocks(body, blocks: list[slice]) -> list:
+    """``[body(b) for b in blocks]``: one block on the calling thread, more
+    on the process's :class:`RowBlocks`.
+
+    ``body`` writes its block's rows of arrays that the caller allocated
+    and returns what the caller reads, such as finite flags. It may call
+    numpy and :func:`serial_product`, :func:`rectify` and :func:`finite`,
+    never :func:`product` or :func:`run_blocks`: a block that waited on the
+    pool from inside it could wait on itself. Its temporaries are
+    block-sized.
+    """
+    if len(blocks) == 1:
+        return [body(blocks[0])]
+    return _shared_blocks().run(body, blocks)
+
+
 class RowBlocks:
-    """Computes products as fixed row blocks on ``workers`` threads: the
-    calling thread and ``workers - 1`` pool threads, each taking the next
-    block from one shared counter until none is left. Who computes a block
-    does not change its bits. Each pool thread runs in a copy of the
-    caller's context, so numpy's error state (``np.errstate``) is the
-    caller's there too."""
+    """Runs fixed blocks on ``workers`` threads: the calling thread and
+    ``workers - 1`` pool threads, each taking the next block from one
+    shared counter until none is left. Who runs a block does not change
+    its bits. Each pool thread runs in a copy of the caller's context, so
+    numpy's error state (``np.errstate``) is the caller's there too."""
 
     def __init__(self, workers: int):
         self.workers = workers
@@ -415,34 +491,34 @@ class RowBlocks:
 
             self._pool = ThreadPoolExecutor(workers - 1, "mgdpr-rows")
 
-    def product(self, x: Array, y: Array) -> Array:
-        m = x.shape[-2]
-        out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (m, y.shape[-1]))
-        count = max(1, m // BLOCK_ROWS)
+    def run(self, body, blocks: list[slice]) -> list:
+        """``[body(b) for b in blocks]``, the blocks shared among the
+        threads. The first error of a block is raised in the caller once
+        no thread runs a block any more."""
+        results = [None] * len(blocks)
         claim = threading.Lock()
-        blocks = iter(range(count))
+        pending = iter(range(len(blocks)))
 
         def work() -> None:
             while True:
                 with claim:
-                    i = next(blocks, count)
-                if i == count:
+                    i = next(pending, None)
+                if i is None:
                     return
-                rows = slice(i * BLOCK_ROWS, m if i == count - 1 else (i + 1) * BLOCK_ROWS)
-                np.matmul(x[..., rows, :], y, out=out[..., rows, :])
+                results[i] = body(blocks[i])
 
         helpers = [self._pool.submit(contextvars.copy_context().run, work) for _ in range(self.workers - 1)]
         try:
             work()
         finally:
             # A helper not yet started is cancelled: the caller took every
-            # block. Any other is waited for, so no thread writes into
-            # ``out`` once this returns or raises.
+            # block. Any other is waited for, so no thread writes into the
+            # caller's arrays once this returns or raises.
             errors = [f.exception() for f in helpers if not f.cancel()]
         for error in errors:
             if error is not None:
                 raise error
-        return out
+        return results
 
 
 def _cores() -> int:
@@ -625,22 +701,30 @@ ACTIVATION_SLOPE = 0.01
 GROUP_NORM_EPS = 1e-5
 
 
-def leaky_relu(x: Array):
-    """The leaky rectifier of ``x``: (values, pullback), where ``pullback``
-    maps the values' gradient to ``x``'s and keeps only the boolean mask of
-    non-negative entries."""
-    nonnegative = x >= 0.0
-    out = np.where(nonnegative, x, ACTIVATION_SLOPE * x)
+def rectify(x: Array, out: Array, nonnegative: Array) -> None:
+    """The leaky rectifier of ``x`` into ``out``, and the boolean mask of
+    ``x``'s non-negative entries, all that :func:`rectifier_pullback`
+    reads, into ``nonnegative``."""
+    np.greater_equal(x, 0.0, out=nonnegative)
+    # max(x, slope·x) is x where x >= 0 and slope·x below, to the bit.
+    np.multiply(x, ACTIVATION_SLOPE, out=out)
+    np.maximum(x, out, out=out)
+
+
+def rectifier_pullback(nonnegative: Array):
+    """The map from the rectifier's output gradient to its input's."""
 
     def pullback(g: Array) -> Array:
         return g * np.where(nonnegative, 1.0, ACTIVATION_SLOPE)
 
-    return out, pullback
+    return pullback
 
 
 def activation(a: Tensor) -> Tensor:
     """Leaky rectifier: identity for x >= 0, ``ACTIVATION_SLOPE * x`` below."""
-    out, pullback = leaky_relu(a.values)
+    out, nonnegative = np.empty(a.shape), np.empty(a.shape, dtype=bool)
+    rectify(a.values, out, nonnegative)
+    pullback = rectifier_pullback(nonnegative)
 
     def rule(g: Array):
         return (pullback(g),)

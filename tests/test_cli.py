@@ -392,6 +392,18 @@ def _config_value(key, text):
     return _line_edit(edit)
 
 
+def _cell_after_date(row, value):
+    """Insert a cell after the date of CSV line ``row``: one cell more than
+    the header names, every later value shifted one column on."""
+
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells.insert(1, value)
+        lines[row] = ",".join(cells)
+
+    return _line_edit(edit)
+
+
 def _second_close_column(lines):
     """Append a column that the header also names ``close``, 1.0 on every row."""
     lines[0] += ",close"
@@ -432,6 +444,11 @@ _INPUT_MUTATIONS = [
     ("csv-cell-nan-low", "data/SYN01.csv", _csv_cell(3, "low", "nan"), 0, _ROW_DROPPED),
     ("csv-cell-bad-date", "data/SYN01.csv", _csv_cell(3, "date", "2020/01/03"), 0, _ROW_DROPPED),
     ("csv-cell-huge-high", "data/SYN01.csv", _csv_cell(3, "high", "1e200"), 2, r"SYN01: high 1e\+200 on 2020-01-03"),
+    ("csv-cell-extra-after-date", "data/SYN01.csv", _cell_after_date(3, "1.0"), 0, _ROW_DROPPED),
+    # An unclosed quote reads the rest of the file as one malformed row, so
+    # SYN01 has no valid row.
+    ("csv-line-every-row-malformed", "data/SYN01.csv", _line_edit(lambda lines: lines.insert(1, '"' + lines.pop(1))),
+     0, _ROW_DROPPED),
     ("config-byte-non-utf8", "config.json", lambda data: b"\xff" + data, 5, r"config.json: unreadable config file"),
     ("config-byte-emptied", "config.json", lambda data: b"", 5, r"config.json: config file is not valid JSON"),
     ("config-byte-truncated", "config.json", lambda data: data[: len(data) // 2], 5,
@@ -1329,6 +1346,18 @@ def _as_v4(blob):
     return _join(header, v4_payload)
 
 
+def _repeated_key(key, value):
+    """The header text with ``key`` written first as ``value``, then as
+    saved: json alone would keep the saved value and load the same model."""
+
+    def mutate(blob):
+        (n,) = struct.unpack("<Q", blob[:8])
+        text = b"{" + json.dumps({key: value})[1:-1].encode() + b", " + blob[9 : 8 + n]
+        return struct.pack("<Q", len(text)) + text + blob[8 + n :]
+
+    return mutate
+
+
 def _header_edit(**changes):
     def edit(header, payload):
         header.update(changes)
@@ -1368,6 +1397,7 @@ _CHECKPOINT_MUTATIONS = [
     ("v2-format", _header_edit(format="mgdpr-checkpoint-v2")),
     ("v3-format", _as_v3),
     ("v4-format", _as_v4),
+    ("header-key-repeated", _repeated_key("seed", 7)),
 ]
 _MUTATIONS_BY_ID = dict(_CHECKPOINT_MUTATIONS)
 
@@ -1415,7 +1445,7 @@ class TestDamagedCheckpoint:
         "case",
         ["prefix-flip-7", "header-flip-8", "payload-flip-8", "truncate-mid-payload", "nan", "trailing-bytes",
          "config-field-missing", "config-extra-key", "seed-not-an-integer", "seed-edited", "tensor-table",
-         "v2-format", "v3-format", "v4-format"],
+         "v2-format", "v3-format", "v4-format", "header-key-repeated"],
     )
     def test_eval_exits_6(self, tmp_path, capsys, monkeypatch, trained_checkpoint, case):
         config, blob, _ = trained_checkpoint
@@ -1455,6 +1485,13 @@ class TestDamagedCheckpoint:
         assert _eval_checkpoint(config, _as_v4(blob), tmp_path / "v4", monkeypatch) == 6
         err = capsys.readouterr().err
         assert "not a mgdpr-checkpoint-v5 file" in err and err.count("\n") == 1
+
+    def test_repeated_header_key_is_refused_naming_it(self, tmp_path, trained_checkpoint):
+        _, blob, model = trained_checkpoint
+        damaged = tmp_path / "repeated.bin"
+        damaged.write_bytes(_MUTATIONS_BY_ID["header-key-repeated"](blob))
+        with pytest.raises(CheckpointError, match=r"unreadable checkpoint header \(it repeats the key 'seed'\)$"):
+            load_checkpoint(damaged, model.config)
 
     def test_config_edit_names_the_field(self, tmp_path, trained_checkpoint):
         _, blob, model = trained_checkpoint

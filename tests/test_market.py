@@ -78,6 +78,20 @@ class TestLoadCsv:
         assert len(series[0]) == 1
         assert series[0].dropped_rows == 1
 
+    def test_row_with_more_cells_than_the_header_drops_row(self, tmp_path):
+        # Read by name, the row would load open=1.0 and every later value
+        # from the column before its own.
+        path = tmp_path / "AAA.csv"
+        _write_csv(path, [("2020-01-01", 1, 2, 0.5, 1.5, 100), ("2020-01-02", 1.0, 1, 2, 0.5, 1.5, 100)])
+        series = load_csv(path)
+        assert series[0].dates == ["2020-01-01"] and series[0].dropped_rows == 1
+
+    def test_ticker_without_a_valid_row_is_kept_with_its_dropped_rows(self, tmp_path):
+        _write_csv(tmp_path / "AAA.csv", [(d, 1, 2, 0.5, 1.5, 100) for d in _dates(3)])
+        _write_csv(tmp_path / "BBB.csv", [("not-a-date", 1, 2, 0.5, 1.5, 100)] * 2)
+        series = load_csv(tmp_path)
+        assert [(s.ticker, len(s), s.dropped_rows) for s in series] == [("AAA", 3, 0), ("BBB", 0, 2)]
+
     def test_nonpositive_price_drops_row(self, tmp_path):
         path = tmp_path / "AAA.csv"
         _write_csv(path, [("2020-01-01", 1, 2, 0.5, 1.5, 100), ("2020-01-02", 0, 2, 0.5, 1.5, 10)])

@@ -539,24 +539,43 @@ class TestMemory:
         ("diffuse_layer", 3, 2),  # the relation mix, the pre-activation sum
         ("retain", 5, 1),  # k, before its transposed copy
         ("retain", 5, 4),  # the product before group norm
-        ("merge_carry", 2, 0),  # the carry before its bias
         ("merge_carry", 2, 1),  # the pre-activation product
     ]
-    # Products that the rules read: the propagated stack, q, v and the masked scores.
-    READ_PRODUCTS = [("diffuse_layer", 3, 0), ("retain", 5, 0), ("retain", 5, 2), ("retain", 5, 3)]
+    # Products that the rules read: the propagated stack, q, v, the masked
+    # scores and the carry, which takes its bias in place.
+    READ_PRODUCTS = [
+        ("diffuse_layer", 3, 0),
+        ("retain", 5, 0),
+        ("retain", 5, 2),
+        ("retain", 5, 3),
+        ("merge_carry", 2, 0),
+    ]
 
     def test_outputs_no_rule_reads_are_freed_by_forward_and_gradients_keep_their_bits(self, monkeypatch):
         model, features, adjacency = desk_instance()
         outputs: dict[str, list] = {}
         kept = []
-        real = T.product
+        stages = {"diffuse_layer", "retain", "merge_carry"}
 
-        def traced(x, y):
-            out = real(x, y)
-            outputs.setdefault(sys._getframe(1).f_code.co_name, []).append(weakref.ref(out))
-            if keep:
-                kept.append(out)
-            return out
+        def tracing(real):
+            # A stage makes its products through ``T.product`` or, in its
+            # blocks, ``T.serial_product``; a product written into a
+            # stage's array is that array.
+            def traced(x, y, **out):
+                result = real(x, y, **out)
+                frame = sys._getframe(1)
+                if frame.f_code.co_name == "product":
+                    return result  # recorded by the spy on ``T.product``
+                while frame is not None and frame.f_code.co_name not in stages:
+                    frame = frame.f_back
+                if frame is not None:
+                    owner = result if result.base is None else result.base
+                    outputs.setdefault(frame.f_code.co_name, []).append(weakref.ref(owner))
+                if keep:
+                    kept.append(result)
+                return result
+
+            return traced
 
         def gradients():
             leaves = {k: Tensor(p.values, requires_grad=True) for k, p in model.params.items()}
@@ -565,7 +584,8 @@ class TestMemory:
             T.backward(T.sum_all(logits))
             return live, [leaves[k].grad.tobytes() for k in leaves]
 
-        monkeypatch.setattr(T, "product", traced)
+        monkeypatch.setattr(T, "product", tracing(T.product))
+        monkeypatch.setattr(T, "serial_product", tracing(T.serial_product))
         keep = False
         live, grads = gradients()
         layers = model.config.num_layers

@@ -1,6 +1,6 @@
-"""Large products run as fixed row blocks on up to two threads
-(``mgdpr.tensor.RowBlocks``) with the bytes of one ``np.matmul`` call,
-whatever the number of threads."""
+"""Large products and the per-stock work of each layer stage run as fixed
+row blocks on up to two threads (``mgdpr.tensor.RowBlocks``), with the
+bytes of one call, whatever the number of threads."""
 
 import os
 import signal
@@ -11,11 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
+from mgdpr import model as M
 from mgdpr import tensor as T
 from mgdpr.market import align_panel, make_windows
 from mgdpr.model import Model, ModelConfig
 from mgdpr.synthetic import planted_market
+from mgdpr.tensor import Tensor
 from mgdpr.training import TrainConfig, evaluate, train
+from test_stages import STAGES, overflow_cases, stage_inputs
 
 # (stocks, lookback, width, layers, steps)
 DAYS = {"desk": (12, 21, 32, 2, 2), "cli-pipeline": (100, 21, 8, 1, 2), "n100-d64": (100, 21, 64, 2, 2)}
@@ -53,19 +56,21 @@ def day_products(shape, monkeypatch):
     return list(products.values())
 
 
-def blocked_calls(shape, monkeypatch):
-    """How many products of a day took the blocked path."""
-    calls = []
-    real = T.RowBlocks.product
+def blocked_runs(shape, monkeypatch):
+    """The bodies of the block runs of a day, with no pool at its start:
+    (qualified names of the bodies, the pool after the day)."""
+    bodies = []
+    real = T.RowBlocks.run
 
-    def counting(self, x, y):
-        calls.append((x.shape, y.shape))
-        return real(self, x, y)
+    def counting(self, body, blocks):
+        bodies.append(body.__qualname__)
+        return real(self, body, blocks)
 
     with monkeypatch.context() as patch:
-        patch.setattr(T.RowBlocks, "product", counting)
+        patch.setattr(T, "_blocks", None)
+        patch.setattr(T.RowBlocks, "run", counting)
         run_day(shape)
-    return len(calls)
+        return bodies, T._blocks
 
 
 @pytest.mark.parametrize("day", ["desk", "n100-d64"])
@@ -75,35 +80,62 @@ def test_every_product_of_a_day_has_the_one_call_bytes_on_pools_of_one_and_two(d
     for x, y in products:
         one_call = np.matmul(x, y).tobytes()
         for workers, pool in pools.items():
-            assert pool.product(x, y).tobytes() == one_call, (workers, x.shape, x.strides, y.shape, y.strides)
+            with monkeypatch.context() as patch:
+                # Every product of the day as row blocks, however small.
+                patch.setattr(T, "BLOCK_MIN_MACS", 0)
+                patch.setattr(T, "_blocks", pool)
+                assert T.product(x, y).tobytes() == one_call, (workers, x.shape, x.strides, y.shape, y.strides)
 
 
 @pytest.mark.parametrize("day", ["desk", "cli-pipeline"])
-def test_no_product_of_a_small_day_takes_the_blocked_path(day, monkeypatch):
-    assert blocked_calls(DAYS[day], monkeypatch) == 0
+def test_a_small_day_starts_no_pool(day, monkeypatch):
+    assert blocked_runs(DAYS[day], monkeypatch) == ([], None)
 
 
-def test_the_large_products_of_a_100_stock_width_64_day_take_the_blocked_path(monkeypatch):
-    assert blocked_calls(DAYS["n100-d64"], monkeypatch) > 10
+def test_the_products_and_every_stage_of_a_100_stock_width_64_day_take_the_blocked_path(monkeypatch):
+    bodies, pool = blocked_runs(DAYS["n100-d64"], monkeypatch)
+    assert isinstance(pool, T.RowBlocks)
+    # At least each layer's propagation product, in training and in evaluation.
+    assert sum(body == "product.<locals>.block" for body in bodies) >= 4
+    # Two layers in training and two in evaluation.
+    for stage in STAGES:
+        assert bodies.count(f"{stage}.<locals>.block") == 4, stage
 
 
 @pytest.mark.parametrize("rows", [1, T.BLOCK_ROWS - 1, T.BLOCK_ROWS, 2 * T.BLOCK_ROWS + 1, 5 * T.BLOCK_ROWS + 3])
 @pytest.mark.parametrize("batched", [False, True])
-def test_every_row_is_computed_once_with_the_one_call_bytes(rows, batched, pools):
+def test_every_row_is_computed_once_with_the_one_call_bytes(rows, batched, pools, monkeypatch):
     rng = np.random.default_rng(rows)
     x = rng.normal(size=(3, rows, 40) if batched else (rows, 40))
     y = rng.normal(size=(3, 40, 24) if batched else (40, 24))
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
     for pool in pools.values():
-        out = pool.product(x, y)
+        monkeypatch.setattr(T, "_blocks", pool)
+        out = T.product(x, y)
         assert out.shape == np.matmul(x, y).shape
         assert out.tobytes() == np.matmul(x, y).tobytes()
 
 
-def test_more_threads_than_cores_with_fast_switching_lose_no_block():
+@pytest.mark.parametrize(
+    "rows, unit, blocks",
+    [
+        (2100, 21, [(i * 126, (i + 1) * 126) for i in range(15)] + [(1890, 2100)]),  # 6 stocks a block
+        (2100, 1, [(i * 128, (i + 1) * 128) for i in range(15)] + [(1920, 2100)]),
+        (600, 200, [(0, 200), (200, 400), (400, 600)]),  # one stock a block
+        (255, 1, [(0, 255)]),  # one block: fewer than two would fit
+    ],
+)
+def test_the_layout_depends_on_the_shape_alone(rows, unit, blocks):
+    assert [(b.start, b.stop) for b in T.row_blocks(rows, unit, T.BLOCK_MIN_MACS)] == blocks
+    assert T.row_blocks(rows, unit, T.BLOCK_MIN_MACS - 1) == [slice(0, rows)]
+
+
+def test_more_threads_than_cores_with_fast_switching_lose_no_block(monkeypatch):
     # Every thread claims blocks from one counter; a lost claim would leave
     # a block's rows unwritten. Eight threads, a 1 µs switch interval, 200
     # blocks.
-    pool = T.RowBlocks(8)
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
+    monkeypatch.setattr(T, "_blocks", T.RowBlocks(8))
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(200 * T.BLOCK_ROWS, 8)), rng.normal(size=(8, 4))
     expected = np.matmul(x, y).tobytes()
@@ -112,29 +144,54 @@ def test_more_threads_than_cores_with_fast_switching_lose_no_block():
     try:
         start = time.monotonic()
         for _ in range(5):
-            assert pool.product(x, y).tobytes() == expected
+            assert T.product(x, y).tobytes() == expected
         assert time.monotonic() - start < 60
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_pool_threads_run_under_the_callers_error_state(pools):
+def test_pool_threads_run_under_the_callers_error_state(pools, monkeypatch):
     # numpy keeps its error state per context: a pool thread that ran in
     # its own would warn on the overflow that the caller chose to ignore.
+    monkeypatch.setattr(T, "_blocks", pools[2])
     big = np.full((64 * T.BLOCK_ROWS, 4), 1e300)
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            out = pools[2].product(big, big[:4].T.copy())
+            out = T.product(big, big[:4].T.copy())
     assert np.isinf(out).all()
 
 
-def test_error_in_a_block_reaches_the_caller(pools):
+def test_error_in_a_product_block_reaches_the_caller(pools, monkeypatch):
+    monkeypatch.setattr(T, "_blocks", pools[2])
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
     big = np.full((64 * T.BLOCK_ROWS, 4), 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            pools[2].product(big, big[:4].T.copy())
+            T.product(big, big[:4].T.copy())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_blocks_error_reaches_the_caller_once_no_thread_runs_a_block(workers):
+    ran = []
+
+    def body(rows):
+        time.sleep(0.001)
+        if rows.start == 3:
+            raise ValueError("block 3 failed")
+        ran.append(rows.start)
+        return rows.start
+
+    pool = T.RowBlocks(workers)
+    blocks = [slice(i, i + 1) for i in range(8)]
+    with pytest.raises(ValueError, match="^block 3 failed$"):
+        pool.run(body, blocks)
+    done = sorted(ran)
+    time.sleep(0.05)
+    assert sorted(ran) == done and 3 not in done and {0, 1, 2} <= set(done)
+    assert pool.run(lambda rows: rows.start, blocks) == list(range(8))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
@@ -165,3 +222,120 @@ def test_a_forked_child_computes_blocked_products_with_a_pool_of_its_own(monkeyp
             pytest.fail("the forked child's blocked product did not finish within 60 s")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# ---------------------------------------------------------------------------
+# layer stages
+
+
+def saved_arrays(rule):
+    """The arrays a rule closes over, directly, in a list or tuple, or in a
+    function it closes over (the rectifier's pullback)."""
+    found = []
+    for cell in rule.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            found += [a for a in value if isinstance(a, np.ndarray)]
+        elif callable(value) and getattr(value, "__closure__", None):
+            found += saved_arrays(value)
+    return found
+
+
+def stage_bytes(stage, arrays, extra):
+    """The bytes of the stage's output and of every array its rule saved."""
+    out = getattr(M, stage)(*(Tensor(v, requires_grad=True) for v in arrays.values()), *extra)
+    saved = saved_arrays(out._record.rule)
+    assert saved
+    return [out.values.tobytes()] + [a.tobytes() for a in saved]
+
+
+@pytest.mark.parametrize("shape", [(100, 21, 64, 5), (100, 21, 256, 5)], ids=["n100-d64", "reference-width"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_output_and_saved_arrays_have_the_one_block_bytes_on_pools_of_one_and_two(
+    stage, shape, pools, monkeypatch
+):
+    arrays, extra = stage_inputs(stage, shape, seed=11)
+    with monkeypatch.context() as patch:
+        # Today's expressions on the whole arrays: one block, no pool.
+        patch.setattr(T, "BLOCK_MIN_MACS", float("inf"))
+        patch.setattr(T, "_blocks", None)
+        whole = stage_bytes(stage, arrays, extra)
+    for workers, pool in pools.items():
+        runs = []
+        real = pool.run
+
+        def counting(body, blocks):
+            runs.append((body.__qualname__, len(blocks)))
+            return real(body, blocks)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "_blocks", pool)
+            patch.setattr(pool, "run", counting)
+            assert stage_bytes(stage, arrays, extra) == whole, workers
+        assert (f"{stage}.<locals>.block", 16) in runs, runs
+
+
+def planted_in_the_last_stock(stage, arrays, n):
+    """An overflow case's one-stock inputs as the last of ``n`` stocks
+    whose other rows are zero; each stock diffuses only to itself."""
+    planted = {}
+    for name, value in arrays.items():
+        if name in ("state", "z", "retained", "carried"):
+            rows = np.zeros((n * value.shape[0], value.shape[1]))
+            rows[-value.shape[0] :] = value
+            planted[name] = rows
+        elif name == "diffusion":
+            planted[name] = value * np.eye(n)
+        else:
+            planted[name] = value
+    return planted
+
+
+def stage_error(stage, arrays, extra):
+    with pytest.raises(FloatingPointError) as raised:
+        getattr(M, stage)(*(Tensor(v, requires_grad=True) for v in arrays.values()), *extra)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("stage, op, arrays, extra", overflow_cases())
+def test_a_non_finite_value_in_the_last_block_raises_the_op_of_one_block(stage, op, arrays, extra, monkeypatch):
+    planted = planted_in_the_last_stock(stage, arrays, 300)
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "BLOCK_MIN_MACS", float("inf"))
+        assert stage_error(stage, planted, extra) == f"{op} produced a non-finite value"
+    runs = []
+    pool = T.RowBlocks(2)
+    real = pool.run
+
+    def counting(body, blocks):
+        runs.append(len(blocks))
+        return real(body, blocks)
+
+    monkeypatch.setattr(pool, "run", counting)
+    monkeypatch.setattr(T, "_blocks", pool)
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
+    assert stage_error(stage, planted, extra) == f"{op} produced a non-finite value"
+    assert runs and min(runs) >= 2
+
+
+def test_an_earlier_step_failing_in_the_last_block_is_raised_before_a_later_step_failing_in_block_0(monkeypatch):
+    # Block 0's scores overflow at the decay mask ("hadamard"); the last
+    # block's q, k and v overflow first ("matmul").
+    n, tau = 300, 2
+    z = np.zeros((n * tau, 2))
+    z[:tau, 0] = 1e150
+    z[-tau:] = 1.5e308
+    maps = np.ones((2, 2))
+    mask = np.tril(np.full((tau, tau), 1e100))
+    monkeypatch.setattr(T, "_blocks", T.RowBlocks(2))
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
+    assert T.row_blocks(n * tau, tau, 0)[0] == slice(0, 128)
+    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask,)) == (
+        "matmul produced a non-finite value"
+    )
+    z[-tau:] = 0.0
+    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask,)) == (
+        "hadamard produced a non-finite value"
+    )
