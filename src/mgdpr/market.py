@@ -21,10 +21,10 @@ date (:func:`write_panel`, :func:`read_panel`).
 from __future__ import annotations
 
 import csv
+import datetime
 import hashlib
 import io
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,8 +46,15 @@ VOLUME = RELATIONS.index("volume")
 # Largest cell magnitude a panel holds: x * x summed over 1e8 such cells is finite.
 MAX_CELL = 1e150
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _REQUIRED = ("date",) + RELATIONS
+
+
+def _is_date(text: str) -> bool:
+    """Whether ``text`` is a day of the calendar, written YYYY-MM-DD."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
 
 
 @dataclass
@@ -166,7 +173,7 @@ def _load_one_file(path: Path) -> list[InstrumentSeries]:
                 if None in row:  # cells beyond the header's: the values may be shifted
                     raise ValueError("extra cells")
                 date = (row["date"] or "").strip()
-                if not _DATE_RE.match(date):
+                if not _is_date(date):
                     raise ValueError(date)
                 vals = [float(row[c]) for c in RELATIONS]
                 if not all(np.isfinite(vals)):
@@ -350,7 +357,7 @@ def _check_range(name: str, rng: DateRange | None) -> None:
     if rng is None:
         return
     start, end = rng
-    if not (_DATE_RE.match(start) and _DATE_RE.match(end)):
+    if not (_is_date(start) and _is_date(end)):
         raise ConfigError(f"{name} range {rng!r} is not a pair of ISO dates")
     if start > end:
         raise ConfigError(f"{name} range {rng!r} runs backwards")
@@ -420,7 +427,7 @@ _MANIFEST_TYPES = {
 
 def _read_manifest(path: Path) -> tuple[list[str], list[str], dict[str, int], str]:
     manifest = read_json_object(path, "panel manifest", _MANIFEST_TYPES)
-    if not all(_DATE_RE.match(d) for d in manifest["calendar"]):
+    if not all(map(_is_date, manifest["calendar"])):
         raise FormatError(f"{path}: calendar is not a list of ISO dates")
     return manifest["tickers"], manifest["calendar"], manifest["fill_counts"], manifest["panel_sha256"]
 

@@ -26,15 +26,10 @@ generic op's rule, it forms every input's gradient (training records every
 input, a frozen pass none), and ``backward`` drops any without a record.
 
 Only diffusion's propagation product mixes stocks; everything after it in
-a layer works within each stock. So a stage's forward computes that
-per-stock work as fixed blocks of whole stocks, ⌊128/lookback⌋ a block
-(:func:`mgdpr.tensor.row_blocks`; the carry merge, which works per row,
-in blocks of 128 rows), on up to two cores once the stage reaches
-:data:`mgdpr.tensor.BLOCK_MIN_MACS` multiply-adds, and as one block on the
-calling thread below it. Each block writes its rows of the arrays the rule
-reads and returns one finite flag per checked step; the stage raises for
-the first step that any block flagged, so the error and its op name are
-those of the whole computation. Blocks change no byte.
+a layer works within each stock. So each stage runs that work through
+:func:`mgdpr.tensor.run_blocks`, as blocks of whole stocks (of rows, for
+the carry merge) that check each step where they compute it. Blocks change
+neither a byte nor the op that an overflow names.
 
 Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
@@ -265,21 +260,20 @@ def diffuse_layer(
     xv = state.values.reshape(n, rows // n * d)
     out, nonnegative = np.empty((rows, d_out)), np.empty((rows, d_out), dtype=bool)
 
-    def block(b: slice) -> tuple[bool, ...]:
-        mapped = T.serial_product(stack[:, b], mv)
+    def block(b: T.Block) -> None:
+        b.check(stack[:, b.rows], "matmul")  # the propagation, at the block's stocks
+        mapped = T.serial_product(stack[:, b.rows], mv)
+        b.check(mapped, "relation_mix")
         pre = T.serial_product(wv, mapped.reshape(r, -1)).reshape(-1, d_out)
-        flags = T.finite(mapped), T.finite(pre)
+        b.check(pre, "relation_mix")
         del mapped
         pre += bv
-        T.rectify(pre, out[b], nonnegative[b])
-        return (*flags, T.finite(pre))
+        b.check(pre, "add")
+        T.rectify(pre, out[b.rows], nonnegative[b.rows])
 
     with np.errstate(all="ignore"):
-        stack = T.product(dv, xv)
-        T.check_finite(stack, "matmul")
-        stack = stack.reshape(r, rows, d)
-        flags = T.run_blocks(block, T.row_blocks(rows, rows // n, r * rows * (d + 1) * d_out))
-    T.check_steps(flags, ("relation_mix", "relation_mix", "add"))
+        stack = T.product(dv, xv).reshape(r, rows, d)
+    T.run_blocks(block, rows, rows // n, r * rows * (d + 1) * d_out)
     pullback = T.rectifier_pullback(nonnegative)
 
     def rule(g: np.ndarray):
@@ -324,28 +318,23 @@ def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mas
     zv, mvs = z.values, [m.values for m in maps]
     q, v, retained = np.empty((n, tau, d)), np.empty((n, tau, d)), np.empty((n, tau, d))
     kt, scores = np.empty((n, d, tau)), np.empty((n, tau, tau))
-    mask_ok = T.finite(mask)
 
-    def block(b: slice) -> tuple[bool, ...]:
-        s = slice(b.start // tau, b.stop // tau)
-        zb = zv[b]
-        qb = T.serial_product(zb, mvs[0], out=q[s].reshape(-1, d))
-        kb = T.serial_product(zb, mvs[1])
-        vb = T.serial_product(zb, mvs[2], out=v[s].reshape(-1, d))
-        flags = [T.finite(qb) and T.finite(kb) and T.finite(vb), mask_ok]
-        kt[s] = kb.reshape(-1, tau, d).swapaxes(-1, -2)
-        del kb
+    def block(b: T.Block) -> None:
+        s = slice(b.rows.start // tau, b.rows.stop // tau)
+        zb = zv[b.rows]
+        b.check(T.serial_product(zb, mvs[0], out=q[s].reshape(-1, d)), "matmul")
+        kt[s] = T.serial_product(zb, mvs[1]).reshape(-1, tau, d).swapaxes(-1, -2)
+        b.check(kt[s], "matmul")
+        b.check(T.serial_product(zb, mvs[2], out=v[s].reshape(-1, d)), "matmul")
+        b.check(mask, "constant")
         sb = T.serial_product(q[s], kt[s], out=scores[s])
-        flags.append(T.finite(sb))
+        b.check(sb, "matmul")
         sb *= scale  # at most 1 in magnitude: cannot overflow
         sb *= mask
-        flags.append(T.finite(sb))
-        flags.append(T.finite(T.serial_product(sb, v[s], out=retained[s])))
-        return tuple(flags)
+        b.check(sb, "hadamard")
+        b.check(T.serial_product(sb, v[s], out=retained[s]), "matmul")
 
-    with np.errstate(all="ignore"):
-        flags = T.run_blocks(block, T.row_blocks(rows, tau, rows * d * (3 * d + 2 * tau)))
-    T.check_steps(flags, ("matmul", "constant", "matmul", "hadamard", "matmul"))
+    T.run_blocks(block, rows, tau, rows * d * (3 * d + 2 * tau))
 
     def rule(g: np.ndarray):
         nonlocal q, kt, v, scores
@@ -409,17 +398,16 @@ def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: T
     d_out = w2.shape[1]
     carry, out, nonnegative = np.empty((rows, d1)), np.empty((rows, d_out)), np.empty((rows, d_out), dtype=bool)
 
-    def block(b: slice) -> tuple[bool, bool]:
-        cb = T.serial_product(cv[b], w1v, out=carry[b])
+    def block(b: T.Block) -> None:
+        cb = T.serial_product(cv[b.rows], w1v, out=carry[b.rows])
         cb += b1.values
-        pre = T.serial_product(np.concatenate([rv[b], cb], axis=1), w2v)
+        b.check(cb, "linear")
+        pre = T.serial_product(np.concatenate([rv[b.rows], cb], axis=1), w2v)
         pre += b2.values
-        T.rectify(pre, out[b], nonnegative[b])
-        return T.finite(cb), T.finite(pre)
+        b.check(pre, "linear")
+        T.rectify(pre, out[b.rows], nonnegative[b.rows])
 
-    with np.errstate(all="ignore"):
-        flags = T.run_blocks(block, T.row_blocks(rows, 1, rows * (k * d1 + (d + d1) * d_out)))
-    T.check_steps(flags, ("linear", "linear"))
+    T.run_blocks(block, rows, 1, rows * (k * d1 + (d + d1) * d_out))
     pullback = T.rectifier_pullback(nonnegative)
 
     def rule(g: np.ndarray):

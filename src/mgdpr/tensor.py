@@ -52,17 +52,16 @@ gradient.
 
 Large row-wise work uses up to two cores at the bits of one call. Work of
 at least 2e7 multiply-adds is split into fixed row blocks
-(:func:`row_blocks`), which the calling thread and one pool thread run
-(:func:`run_blocks`): :func:`product` splits its output into blocks of 128
-rows, each one ``np.matmul`` over the whole contraction, and a stage of
-:mod:`mgdpr.model` runs its per-stock work as blocks of whole stocks, each
-computing its rows with :func:`serial_product` and reporting its finite
-checks as flags (:func:`check_steps`). The blocks depend on the shape
-alone and no sum is split (BLAS's own threads split sums, and change the
-bits), so one core computes the same blocks in turn, to the same bits.
-The GEMMs that bound a reference-width day (N=100, d=256; 1.4e8 to 6.9e8
-multiply-adds) and its stages cross the threshold; no product or stage of
-a desk-scale day (N=12, d=32) or of a 100-stock day at d=8 reaches it.
+(:func:`row_blocks`) that the calling thread and one pool thread run
+(:class:`RowBlocks`): :func:`product`'s blocks of 128 output rows, each one
+``np.matmul`` over the whole contraction, and, through :func:`run_blocks`,
+a stage's blocks of whole stocks, each checking its steps where it
+computes them. The blocks depend on the shape alone and no sum is split
+(BLAS's own threads split sums, and change the bits), so one core computes
+the same blocks in turn, to the same bits. The GEMMs that bound a
+reference-width day (N=100, d=256; 1.4e8 to 6.9e8 multiply-adds) and its
+stages cross the threshold; no product or stage of a desk-scale day (N=12,
+d=32) or of a 100-stock day at d=8 reaches it.
 
 Broadcasting is deliberately restricted to scalar-with-tensor; any other
 shape mismatch raises. All values are float64 and every value is checked
@@ -120,35 +119,16 @@ __all__ = [
     "serial_product",
     "row_blocks",
     "run_blocks",
-    "finite",
     "check_finite",
-    "check_steps",
     "rectify",
     "rectifier_pullback",
 ]
-
-
-def finite(arr: Array) -> bool:
-    """Whether every entry of ``arr`` is finite."""
-    return bool(np.isfinite(arr).all())
 
 
 def check_finite(arr: Array, op: str) -> None:
     """FloatingPointError naming ``op`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced a non-finite value")
-
-
-def check_steps(flags: list[tuple[bool, ...]], ops: tuple[str, ...]) -> None:
-    """:func:`check_finite` of a computation split into row blocks:
-    ``flags`` holds each block's :func:`finite` flags, one per checked
-    step, and ``ops`` names the steps in order. Raises for the first step
-    that any block flagged, which is the check that fails first when the
-    computation runs whole, as long as each block's values depend on its
-    own rows alone."""
-    for op, ok in zip(ops, map(all, zip(*flags))):
-        if not ok:
-            raise FloatingPointError(f"{op} produced a non-finite value")
 
 
 class _Record:
@@ -393,12 +373,12 @@ def product(x: Array, y: Array) -> Array:
     A product of at least ``BLOCK_MIN_MACS`` multiply-adds whose output has
     at least two blocks of ``BLOCK_ROWS`` rows (per matrix of a stack) runs
     as those row blocks (:func:`row_blocks`) on up to two cores
-    (:func:`run_blocks`). Each block is one ``np.matmul`` of its rows of
-    ``x`` with the whole of ``y``, so every entry is still one sum over the
-    whole contraction; the contraction is never split, because partial
-    sums would add up in another order. Below the threshold, a hand-off to
-    a second thread costs more than it saves, and :func:`serial_product`
-    computes the product in one call.
+    (:class:`RowBlocks`), under the caller's error state. Each block is one
+    ``np.matmul`` of its rows of ``x`` with the whole of ``y``, so every
+    entry is still one sum over the whole contraction (partial sums would
+    add up in another order). Below the threshold, a hand-off to a second
+    thread costs more than it saves, and :func:`serial_product` computes
+    the product in one call.
     """
     m = x.shape[-2]
     if x.shape[-1] == 1:
@@ -412,7 +392,7 @@ def product(x: Array, y: Array) -> Array:
     def block(rows: slice) -> None:
         np.matmul(x[..., rows, :], y, out=out[..., rows, :])
 
-    run_blocks(block, blocks)
+    _shared_blocks().run(block, blocks)
     return out
 
 
@@ -458,20 +438,43 @@ def row_blocks(rows: int, unit: int, macs: int) -> list[slice]:
     return [slice(i * size, rows if i == count - 1 else (i + 1) * size) for i in range(count)]
 
 
-def run_blocks(body, blocks: list[slice]) -> list:
-    """``[body(b) for b in blocks]``: one block on the calling thread, more
-    on the process's :class:`RowBlocks`.
+def run_blocks(body, rows: int, unit: int, macs: int) -> None:
+    """Run ``body(block)`` over the :func:`row_blocks` of ``macs``
+    multiply-adds over ``rows`` rows in units of ``unit`` rows, under
+    ``np.errstate(all="ignore")``: one block on the calling thread, more on
+    the process's :class:`RowBlocks`. A body writes ``block.rows`` of arrays
+    the caller allocated and calls ``block.check(values, op)`` at each step
+    it checks; once no block runs, FloatingPointError names the first step,
+    in body order, that any block found non-finite: the step that fails
+    first when the work runs whole, if each block's values depend on its
+    own rows alone. A body may call numpy, :func:`serial_product` and
+    :func:`rectify`, never :func:`product` or :func:`run_blocks` (a block
+    waiting on the pool could wait on itself); its temporaries are
+    block-sized."""
+    blocks = [Block(b) for b in row_blocks(rows, unit, macs)]
+    with np.errstate(all="ignore"):
+        if len(blocks) == 1:
+            body(blocks[0])
+        else:
+            _shared_blocks().run(body, blocks)
+    failed = [b.failed for b in blocks if b.failed is not None]
+    if failed:
+        raise FloatingPointError(f"{min(failed)[1]} produced a non-finite value")
 
-    ``body`` writes its block's rows of arrays that the caller allocated
-    and returns what the caller reads, such as finite flags. It may call
-    numpy and :func:`serial_product`, :func:`rectify` and :func:`finite`,
-    never :func:`product` or :func:`run_blocks`: a block that waited on the
-    pool from inside it could wait on itself. Its temporaries are
-    block-sized.
-    """
-    if len(blocks) == 1:
-        return [body(blocks[0])]
-    return _shared_blocks().run(body, blocks)
+
+class Block:
+    """A block of :func:`run_blocks`: its ``rows`` and its first failed
+    check's (step, op); the block's later steps go unscanned."""
+
+    __slots__ = ("rows", "step", "failed")
+
+    def __init__(self, rows: slice):
+        self.rows, self.step, self.failed = rows, 0, None
+
+    def check(self, values: Array, op: str) -> None:
+        if self.failed is None and not np.isfinite(values).all():
+            self.failed = (self.step, op)
+        self.step += 1
 
 
 class RowBlocks:

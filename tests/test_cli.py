@@ -443,6 +443,7 @@ _INPUT_MUTATIONS = [
     ("csv-cell-negative-open", "data/SYN01.csv", _csv_cell(3, "open", "-1.0"), 0, _ROW_DROPPED),
     ("csv-cell-nan-low", "data/SYN01.csv", _csv_cell(3, "low", "nan"), 0, _ROW_DROPPED),
     ("csv-cell-bad-date", "data/SYN01.csv", _csv_cell(3, "date", "2020/01/03"), 0, _ROW_DROPPED),
+    ("csv-cell-impossible-date", "data/SYN01.csv", _csv_cell(3, "date", "2020-02-30"), 0, _ROW_DROPPED),
     ("csv-cell-huge-high", "data/SYN01.csv", _csv_cell(3, "high", "1e200"), 2, r"SYN01: high 1e\+200 on 2020-01-03"),
     ("csv-cell-extra-after-date", "data/SYN01.csv", _cell_after_date(3, "1.0"), 0, _ROW_DROPPED),
     # An unclosed quote reads the rest of the file as one malformed row, so
@@ -850,6 +851,24 @@ class TestDamagedCacheObject:
         assert run("graph", "--config", config) == 2
         _one_line_error(capsys, match, r"re-run `mgdpr ingest`")
 
+    def test_impossible_calendar_date_with_its_digest_graph_exits_2(self, tmp_path, capsys):
+        # The manifest, the table's header and the digest agree on a
+        # calendar whose last day does not exist.
+        config = make_workspace(tmp_path)
+        assert run("ingest", "--config", config) == 0
+        panel_dir = tmp_path / "cache" / "panel"
+        panel = read_panel(panel_dir)
+        real, impossible = panel.calendar[-1], "2020-01-32"
+        assert real < impossible
+        panel.calendar[-1] = impossible
+        table = panel_dir / "panel.csv"
+        table.write_text(table.read_text().replace(f",{real}", f",{impossible}", 1))
+        manifest = panel_dir / "manifest.json"
+        _edit_json(manifest, lambda m: m.update(calendar=panel.calendar, panel_sha256=panel.digest()))
+        capsys.readouterr()
+        assert run("graph", "--config", config) == 2
+        _one_line_error(capsys, r"manifest.json: calendar is not a list of ISO dates", r"re-run `mgdpr ingest`")
+
     def test_repeated_manifest_key_train_exits_2(self, tmp_path, capsys):
         # An earlier, empty ``tickers`` that json would overwrite with the real one.
         config = make_workspace(tmp_path)
@@ -1020,6 +1039,13 @@ class TestEachCacheIsTwoFiles:
 
 
 class TestTrain:
+    def test_impossible_date_in_a_split_range_exits_5(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, **{"split.test": ["2020-01-25", "2020-02-30"]})
+        assert run("ingest", "--config", config) == 0
+        capsys.readouterr()
+        assert run("train", "--config", config) == 5
+        _one_line_error(capsys, r"test range .*'2020-02-30'.* is not a pair of ISO dates$")
+
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, monkeypatch):
         config = make_workspace(tmp_path)
         assert run("ingest", "--config", config) == 0

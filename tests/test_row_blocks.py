@@ -5,6 +5,7 @@ bytes of one call, whatever the number of threads."""
 import os
 import signal
 import sys
+import threading
 import time
 import warnings
 
@@ -192,6 +193,102 @@ def test_a_blocks_error_reaches_the_caller_once_no_thread_runs_a_block(workers):
     time.sleep(0.05)
     assert sorted(ran) == done and 3 not in done and {0, 1, 2} <= set(done)
     assert pool.run(lambda rows: rows.start, blocks) == list(range(8))
+
+
+# ---------------------------------------------------------------------------
+# run_blocks: the block protocol of a stage
+
+# Four blocks of 128 rows, blocked on any pool.
+ROWS = 4 * T.BLOCK_ROWS
+STEPS = ("scaled", "shifted", "squared")
+
+
+def stepped_body(fail):
+    """A body of three checked steps over a row of ones, each overflowing
+    at the (block index, step) pairs in ``fail``."""
+    ones = np.ones(ROWS)
+
+    def body(b):
+        i = b.rows.start // T.BLOCK_ROWS
+        for step, op in enumerate(STEPS):
+            b.check(ones[b.rows] * (1e308 if (i, step) in fail else 1.0) * 10.0, op)
+
+    return body
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_check_raises_the_op_named_at_its_call_site_without_a_warning(workers, pools, monkeypatch):
+    monkeypatch.setattr(T, "_blocks", pools[workers])
+    ones = np.ones(ROWS)
+
+    def body(b):
+        b.check(ones[b.rows], "matmul")
+        b.check(ones[b.rows] * 1e308 * 10.0, "named here")  # overflows: no warning under run_blocks
+        b.check(ones[b.rows], "add")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^named here produced a non-finite value$"):
+            T.run_blocks(body, ROWS, 1, T.BLOCK_MIN_MACS)
+    T.run_blocks(stepped_body(set()), ROWS, 1, T.BLOCK_MIN_MACS)  # every check passes: nothing raised
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_raised_step_is_the_first_in_body_order_whichever_block_flagged_it(workers, pools, monkeypatch):
+    monkeypatch.setattr(T, "_blocks", pools[workers])
+    assert len(T.row_blocks(ROWS, 1, T.BLOCK_MIN_MACS)) == 4
+    for early in range(4):
+        for late in range(4):
+            if early == late:
+                continue
+            for first in range(len(STEPS) - 1):
+                # Block ``early`` fails a later step than block ``late`` does.
+                fail = {(early, first + 1), (late, first)} | {(early, len(STEPS) - 1)}
+                with pytest.raises(FloatingPointError, match=f"^{STEPS[first]} produced"):
+                    T.run_blocks(stepped_body(fail), ROWS, 1, T.BLOCK_MIN_MACS)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bodys_error_reaches_the_caller_once_no_block_runs(workers, pools, monkeypatch):
+    monkeypatch.setattr(T, "_blocks", pools[workers])
+    lock, running, ran = threading.Lock(), [0], []
+
+    def body(b):
+        with lock:
+            running[0] += 1
+        try:
+            time.sleep(0.002)
+            b.check(np.full(1, np.inf), "matmul")  # a failed check does not hide the error
+            if b.rows.start == T.BLOCK_ROWS:
+                raise ValueError("block 1 failed")
+            ran.append(b.rows.start)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    with pytest.raises(ValueError, match="^block 1 failed$"):
+        T.run_blocks(body, ROWS, 1, T.BLOCK_MIN_MACS)
+    assert running[0] == 0
+    done = sorted(ran)
+    time.sleep(0.05)
+    assert sorted(ran) == done and T.BLOCK_ROWS not in done and 0 in done
+
+
+def test_a_single_block_runs_on_the_calling_thread_and_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(T, "_blocks", None)
+    threads, rows = [], []
+
+    def body(b):
+        threads.append(threading.current_thread())
+        rows.append(b.rows)
+        b.check(np.ones(3), "matmul")
+        b.check(np.full(3, np.nan), "hadamard")
+
+    T.run_blocks(stepped_body(set()), ROWS, 1, T.BLOCK_MIN_MACS - 1)
+    with pytest.raises(FloatingPointError, match="^hadamard produced"):
+        T.run_blocks(body, ROWS, 1, T.BLOCK_MIN_MACS - 1)
+    assert threads == [threading.current_thread()] and rows == [slice(0, ROWS)]
+    assert T._blocks is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
