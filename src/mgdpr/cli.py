@@ -232,8 +232,8 @@ def _train_once(resolved, inputs, seed: int):
 
 def cmd_train(args) -> int:
     resolved = load_config(args.config)
-    out_dir = make_dir(Path(resolved["paths.output_dir"]))
     inputs = _load(resolved, trains=True, evaluates=False)
+    out_dir = make_dir(Path(resolved["paths.output_dir"]))
     _, (train_s, val_s, _), _ = inputs
     model, trace, tcfg = _train_once(resolved, inputs, resolved["train.seed"])
     save_checkpoint(out_dir / "checkpoint.bin", model)
@@ -259,8 +259,8 @@ def cmd_eval(args) -> int:
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
         base_seed = resolved["train.seed"]
-        make_dir(out_dir)
         inputs = _load(resolved, trains=True, evaluates=True)
+        make_dir(out_dir)
         _, (_, _, test_s), graphs = inputs
         reports: list[MetricsReport] = []
         for k in range(args.seeds):

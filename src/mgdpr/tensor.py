@@ -52,9 +52,9 @@ gradient.
 
 Large row-wise work uses up to two cores at the bits of one call. Work of
 at least 2e7 multiply-adds is split into fixed row blocks
-(:func:`row_blocks`) that the calling thread and one pool thread run
-(:class:`RowBlocks`): :func:`product`'s blocks of 128 output rows, each one
-``np.matmul`` over the whole contraction, and, through :func:`run_blocks`,
+(:func:`row_blocks`) that :func:`run_blocks` runs, silently, on the calling
+thread and one pool thread (:class:`RowBlocks`): :func:`product`'s blocks
+of 128 output rows, each one ``np.matmul`` over the whole contraction, and
 a stage's blocks of whole stocks, each checking its steps where it
 computes them. The blocks depend on the shape alone and no sum is split
 (BLAS's own threads split sums, and change the bits), so one core computes
@@ -372,27 +372,26 @@ def product(x: Array, y: Array) -> Array:
 
     A product of at least ``BLOCK_MIN_MACS`` multiply-adds whose output has
     at least two blocks of ``BLOCK_ROWS`` rows (per matrix of a stack) runs
-    as those row blocks (:func:`row_blocks`) on up to two cores
-    (:class:`RowBlocks`), under the caller's error state. Each block is one
-    ``np.matmul`` of its rows of ``x`` with the whole of ``y``, so every
-    entry is still one sum over the whole contraction (partial sums would
-    add up in another order). Below the threshold, a hand-off to a second
-    thread costs more than it saves, and :func:`serial_product` computes
-    the product in one call.
+    its row blocks through :func:`run_blocks`, silently, on up to two
+    cores; the caller checks what it keeps. Each block is one ``np.matmul``
+    of its rows of ``x`` with the whole of ``y``, so every entry is still
+    one sum over the whole contraction (partial sums would add up in
+    another order). Below the threshold, a hand-off to a second thread
+    costs more than it saves, and one call under the caller's error state
+    computes the product.
     """
     m = x.shape[-2]
     if x.shape[-1] == 1:
         return serial_product(x, y)
-    # Most products have fewer than two blocks of rows: they skip the list.
-    blocks = row_blocks(m, 1, max(x.size * y.shape[-1], y.size * m)) if m >= 2 * BLOCK_ROWS else ()
-    if len(blocks) < 2:
+    # Most products have fewer than two blocks of rows: they skip the count.
+    if m < 2 * BLOCK_ROWS or (macs := max(x.size * y.shape[-1], y.size * m)) < BLOCK_MIN_MACS:
         return np.matmul(x, y)
     out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (m, y.shape[-1]))
 
-    def block(rows: slice) -> None:
-        np.matmul(x[..., rows, :], y, out=out[..., rows, :])
+    def block(b: Block) -> None:
+        np.matmul(x[..., b.rows, :], y, out=out[..., b.rows, :])
 
-    _shared_blocks().run(block, blocks)
+    run_blocks(block, m, 1, macs)
     return out
 
 
@@ -442,15 +441,15 @@ def run_blocks(body, rows: int, unit: int, macs: int) -> None:
     """Run ``body(block)`` over the :func:`row_blocks` of ``macs``
     multiply-adds over ``rows`` rows in units of ``unit`` rows, under
     ``np.errstate(all="ignore")``: one block on the calling thread, more on
-    the process's :class:`RowBlocks`. A body writes ``block.rows`` of arrays
-    the caller allocated and calls ``block.check(values, op)`` at each step
-    it checks; once no block runs, FloatingPointError names the first step,
-    in body order, that any block found non-finite: the step that fails
-    first when the work runs whole, if each block's values depend on its
-    own rows alone. A body may call numpy, :func:`serial_product` and
-    :func:`rectify`, never :func:`product` or :func:`run_blocks` (a block
-    waiting on the pool could wait on itself); its temporaries are
-    block-sized."""
+    the process's :class:`RowBlocks`, which only this enters. A body writes
+    ``block.rows`` of arrays the caller allocated and calls
+    ``block.check(values, op)`` at each step it checks; once no block runs,
+    FloatingPointError names the first step, in body order, that any block
+    found non-finite: the step that fails first when the work runs whole, if
+    each block's values depend on its own rows alone. A body may call numpy,
+    :func:`serial_product` and :func:`rectify`, never :func:`product` or
+    :func:`run_blocks` (a block waiting on the pool could wait on itself);
+    its temporaries are block-sized."""
     blocks = [Block(b) for b in row_blocks(rows, unit, macs)]
     with np.errstate(all="ignore"):
         if len(blocks) == 1:
@@ -480,9 +479,9 @@ class Block:
 class RowBlocks:
     """Runs fixed blocks on ``workers`` threads: the calling thread and
     ``workers - 1`` pool threads, each taking the next block from one
-    shared counter until none is left. Who runs a block does not change
+    shared iterator until none is left. Who runs a block does not change
     its bits. Each pool thread runs in a copy of the caller's context, so
-    numpy's error state (``np.errstate``) is the caller's there too."""
+    numpy's error state (a context variable since numpy 2.0) is the caller's."""
 
     def __init__(self, workers: int):
         self.workers = workers
@@ -494,21 +493,20 @@ class RowBlocks:
 
             self._pool = ThreadPoolExecutor(workers - 1, "mgdpr-rows")
 
-    def run(self, body, blocks: list[slice]) -> list:
-        """``[body(b) for b in blocks]``, the blocks shared among the
+    def run(self, body, blocks: list[Block]) -> None:
+        """``body(b)`` for each of ``blocks``, the blocks shared among the
         threads. The first error of a block is raised in the caller once
         no thread runs a block any more."""
-        results = [None] * len(blocks)
         claim = threading.Lock()
-        pending = iter(range(len(blocks)))
+        pending = iter(blocks)
 
         def work() -> None:
             while True:
                 with claim:
-                    i = next(pending, None)
-                if i is None:
+                    b = next(pending, None)
+                if b is None:
                     return
-                results[i] = body(blocks[i])
+                body(b)
 
         helpers = [self._pool.submit(contextvars.copy_context().run, work) for _ in range(self.workers - 1)]
         try:
@@ -521,13 +519,6 @@ class RowBlocks:
         for error in errors:
             if error is not None:
                 raise error
-        return results
-
-
-def _cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 _blocks: RowBlocks | None = None
@@ -535,20 +526,20 @@ _blocks_lock = threading.Lock()
 
 
 def _shared_blocks() -> RowBlocks:
-    """The process's :class:`RowBlocks`, made by the first product that
-    needs it, with as many workers as cores this process may run on, at
-    most ``MAX_WORKERS``."""
+    """The process's :class:`RowBlocks`, made on first use, with as many
+    workers as cores this process may run on, at most ``MAX_WORKERS``."""
     global _blocks
     with _blocks_lock:
         if _blocks is None:
-            _blocks = RowBlocks(min(MAX_WORKERS, _cores()))
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            _blocks = RowBlocks(min(MAX_WORKERS, cores))
         return _blocks
 
 
 def _forget_blocks() -> None:
     """In a forked child: the parent's pool threads do not exist there, so
-    work handed to them would never finish. The next product makes a new
-    pool."""
+    work handed to them would never finish. The next blocked run makes a
+    new pool."""
     global _blocks, _blocks_lock
     _blocks, _blocks_lock = None, threading.Lock()
 
@@ -561,7 +552,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-d bias vector to every row of an (m, d) matrix."""
     if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape} are incompatible")
-    out = x.values + b.values
+    with np.errstate(all="ignore"):
+        out = x.values + b.values
     need_x, need_b = x._record is not None, b._record is not None
 
     def rule(g: Array):
@@ -637,7 +629,8 @@ def transpose(a: Tensor) -> Tensor:
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     axis = _valid_axis("mean_axis", axis, a.ndim)
-    out = a.values.mean(axis=axis)
+    with np.errstate(all="ignore"):
+        out = a.values.mean(axis=axis)
     shape = a.shape
     n = shape[axis]
 
@@ -648,7 +641,8 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.values.sum(), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        out = np.asarray(a.values.sum(), dtype=np.float64)
     shape = a.shape
 
     def rule(g: Array):
@@ -785,7 +779,9 @@ def backward(loss: Tensor) -> None:
     their rule has run: each drops its parents, its rule (with the arrays it
     saved) and its gradient, so the tape is freed while the pass unwinds,
     interior gradients are not kept, and a second backward through the same
-    nodes is a no-op rather than a double count.
+    nodes is a no-op rather than a double count. Every rule computes
+    silently, under ``np.errstate(all="ignore")``: a gradient that
+    overflows reaches its leaf as Inf or NaN, for the caller to check.
 
     An interior record adopts the first gradient handed to it without a
     copy. Such buffers may be shared (``add`` hands one array to both
@@ -819,27 +815,28 @@ def backward(loss: Tensor) -> None:
             if p is not None and p.rule is not None and id(p) not in seen:
                 stack.append((p, False))
 
-    while order:
-        rec = order.pop()
-        rule = rec.rule
-        if rule is None or rec.grad is None:
-            continue
-        g = rec.grad
-        handed: list[Array] = []
-        for parent, pg in zip(rec.parents, rule(g)):
-            if pg is None or parent is None:
+    with np.errstate(all="ignore"):
+        while order:
+            rec = order.pop()
+            rule = rec.rule
+            if rule is None or rec.grad is None:
                 continue
-            pg = np.asarray(pg, dtype=np.float64)
-            if parent.grad is not None:
-                parent.grad = parent.grad + pg
-            elif parent.rule is not None or _fresh(pg, g, handed):
-                parent.grad = pg
-            else:
-                parent.grad = pg.copy()
-            handed.append(pg)
-        rec.parents = ()
-        rec.rule = None
-        rec.grad = None
+            g = rec.grad
+            handed: list[Array] = []
+            for parent, pg in zip(rec.parents, rule(g)):
+                if pg is None or parent is None:
+                    continue
+                pg = np.asarray(pg, dtype=np.float64)
+                if parent.grad is not None:
+                    parent.grad = parent.grad + pg
+                elif parent.rule is not None or _fresh(pg, g, handed):
+                    parent.grad = pg
+                else:
+                    parent.grad = pg.copy()
+                handed.append(pg)
+            rec.parents = ()
+            rec.rule = None
+            rec.grad = None
 
 
 def _fresh(pg: Array, g: Array, handed: list[Array]) -> bool:

@@ -1045,6 +1045,7 @@ class TestTrain:
         capsys.readouterr()
         assert run("train", "--config", config) == 5
         _one_line_error(capsys, r"test range .*'2020-02-30'.* is not a pair of ISO dates$")
+        assert not (tmp_path / "out").exists()
 
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path, monkeypatch):
         config = make_workspace(tmp_path)
@@ -1246,6 +1247,14 @@ class TestEval:
         monkeypatch.setattr(cli, "train", no_training)
         assert run("eval", "--config", config, "--seeds", 2) == 5
         assert "test split matched no samples; check split.test dates" in capsys.readouterr().err
+
+    def test_multi_seed_with_misordered_split_ranges_exits_5_and_leaves_no_output_dir(self, tmp_path, capsys):
+        config = make_workspace(tmp_path, **{"split.train": ["2020-02-01", "2020-02-29"]})
+        assert run("ingest", "--config", config) == 0
+        capsys.readouterr()
+        assert run("eval", "--config", config, "--seeds", 2) == 5
+        _one_line_error(capsys, r"train range ends 2020-02-29 but val starts .*ranges must be disjoint and ordered$")
+        assert not (tmp_path / "out").exists()
 
 
 class TestOverflowOutsideTheTrainingStep:

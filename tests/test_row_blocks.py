@@ -164,35 +164,87 @@ def test_pool_threads_run_under_the_callers_error_state(pools, monkeypatch):
     assert np.isinf(out).all()
 
 
-def test_error_in_a_product_block_reaches_the_caller(pools, monkeypatch):
-    monkeypatch.setattr(T, "_blocks", pools[2])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_blocked_product_computes_silently_under_the_callers_raise(workers, pools, monkeypatch):
+    # Blocks run under run_blocks' own error state; callers check what
+    # they keep.
+    monkeypatch.setattr(T, "_blocks", pools[workers])
     monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
     big = np.full((64 * T.BLOCK_ROWS, 4), 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            T.product(big, big[:4].T.copy())
+        with np.errstate(over="raise"):
+            out = T.product(big, big[:4].T.copy())
+    assert np.isinf(out).all()
+
+
+def checked_backward(build, pool, monkeypatch):
+    """The leaf of ``build(leaf)``'s loss after ``backward`` under
+    warnings-as-errors on ``pool``, and the bodies the pool ran."""
+    bodies = []
+    real = pool.run
+
+    def counting(body, blocks):
+        bodies.append(body.__qualname__)
+        return real(body, blocks)
+
+    monkeypatch.setattr(T, "_blocks", pool)
+    monkeypatch.setattr(pool, "run", counting)
+    leaf, loss = build()
+    assert np.isfinite(loss.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.backward(loss)
+    return leaf, bodies
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_overflowing_generic_rule_leaves_a_non_finite_gradient_without_a_warning(workers, pools, monkeypatch):
+    def build():
+        x = Tensor(np.full(3, 1e-320), requires_grad=True)
+        return x, T.scale(T.scale(T.sum_all(x), 1e10), 1e300)  # the loss is 3e-10
+
+    x, _ = checked_backward(build, pools[workers], monkeypatch)
+    assert np.isinf(x.grad).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_overflowing_blocked_product_in_a_rule_leaves_a_non_finite_gradient_without_a_warning(
+    workers, pools, monkeypatch
+):
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
+
+    def build():
+        a = Tensor(np.full((4 * T.BLOCK_ROWS, 4), 1e-300), requires_grad=True)
+        b = T.constant(np.full((4, 4), 1e300))
+        return a, T.scale(T.sum_all(T.matmul(a, b)), 1e10)  # a @ b is 4 everywhere
+
+    a, bodies = checked_backward(build, pools[workers], monkeypatch)
+    # The forward product and the rule's g @ b.T, both as row blocks.
+    assert bodies == ["product.<locals>.block"] * 2
+    assert np.isinf(a.grad).all()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_blocks_error_reaches_the_caller_once_no_thread_runs_a_block(workers):
     ran = []
 
-    def body(rows):
+    def body(b):
         time.sleep(0.001)
-        if rows.start == 3:
+        if b.rows.start == 3:
             raise ValueError("block 3 failed")
-        ran.append(rows.start)
-        return rows.start
+        ran.append(b.rows.start)
 
     pool = T.RowBlocks(workers)
-    blocks = [slice(i, i + 1) for i in range(8)]
+    blocks = [T.Block(slice(i, i + 1)) for i in range(8)]
     with pytest.raises(ValueError, match="^block 3 failed$"):
         pool.run(body, blocks)
     done = sorted(ran)
     time.sleep(0.05)
     assert sorted(ran) == done and 3 not in done and {0, 1, 2} <= set(done)
-    assert pool.run(lambda rows: rows.start, blocks) == list(range(8))
+    seen = []
+    assert pool.run(seen.append, blocks) is None
+    assert sorted(seen, key=lambda b: b.rows.start) == blocks
 
 
 # ---------------------------------------------------------------------------

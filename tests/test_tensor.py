@@ -60,6 +60,9 @@ class TestElementwise:
             ("add", lambda big: T.add(big, big)),
             ("sub", lambda big: T.sub(big, T.Tensor(-big.values))),
             ("scale", lambda big: T.scale(big, 10.0)),
+            ("sum_all", lambda _: T.sum_all(T.Tensor([[1e308, 1e308]]))),
+            ("mean_axis", lambda _: T.mean_axis(T.Tensor([[1e308, 1e308]]), 1)),
+            ("add_bias", lambda _: T.add_bias(T.Tensor([[1e308, 1e308]]), T.Tensor([1e308, 0.0]))),
         ],
     )
     def test_overflow_raises_the_finite_check_not_a_warning_under_W_error(self, op, build):
