@@ -16,20 +16,20 @@ take and return that matrix:
   with an affine carry of the previous layer's representation.
 
 Each stage is one op on the autograd tape: :func:`diffuse_layer`,
-:func:`retain` and :func:`merge_carry`, with group normalization between
-the last two a generic op, so a layer records 5 nodes with the masked
-transition mix. A stage op runs the numpy expressions of the generic ops it
-stands for, in their order, checks each value that could overflow under the
-name of the op that made it, and its rule forms the gradients their rules
-would, in the same order: values and gradients keep their bits. Unlike a
+:func:`retain` (group normalization included) and :func:`merge_carry`, so
+a layer records 4 nodes with the masked transition mix. A stage op runs the
+numpy expressions of the generic ops it stands for, in their order, checks
+each value that could overflow under the name of the op that made it, and
+its rule forms the gradients their rules would, in the same order: values and gradients keep their bits. Unlike a
 generic op's rule, it forms every input's gradient (training records every
 input, a frozen pass none), and ``backward`` drops any without a record.
 
 Only diffusion's propagation product mixes stocks; everything after it in
 a layer works within each stock. So each stage runs that work through
 :func:`mgdpr.tensor.run_blocks`, as blocks of whole stocks (of rows, for
-the carry merge) that check each step where they compute it. Blocks change
-neither a byte nor the op that an overflow names.
+the carry merge) that check each step where they compute it; retention's
+rule runs as the same stock blocks. Blocks change neither a byte nor the
+op that an overflow names.
 
 Simplex and column-stochasticity constraints are enforced by softmax
 parametrization of the raw parameters, so they hold after every optimizer
@@ -295,16 +295,24 @@ def diffuse_layer(
     return T.node(out, tuple(t._record for t in inputs), rule, "diffuse_layer", check=False)
 
 
-def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mask: np.ndarray) -> Tensor:
-    """Retention before group normalization, as one recorded op.
+def retain(
+    z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mask: np.ndarray, num_groups: int
+) -> Tensor:
+    """Retention and its group normalization, as one recorded op.
 
     ``z`` is an (N·lookback, d) matrix of whole lookback windows, with
     lookback = ``mask.shape[0]``. Per stock, q, k and v are z's rows times
     the (d, d) maps; the scores q·kᵀ are scaled by 1/sqrt(d), masked by the
-    causal decay ``mask`` and multiply v. Returns the (N·lookback, d)
-    retained product. The rule keeps z, the maps, q, the transposed copy of
-    k, v and the masked scores. It yields z's gradient once per map, in the
-    order q, k, v, so z's gradients add up in that order.
+    causal decay ``mask`` and multiply v, and the retained product's rows
+    are normalized in ``num_groups`` channel groups
+    (:func:`mgdpr.tensor.normalize_groups`). Returns the (N·lookback, d)
+    normalized matrix. Each block of stocks normalizes its own rows, so the
+    retained product is never whole. The rule keeps z, the maps, q, the
+    transposed copy of k, v, the masked scores, the output and its inverse
+    deviations, and runs as the forward's stock blocks: the group norm's
+    pullback and the per-stock products of v's, the scores', q's and k's
+    gradients. It yields z's gradient once per map, in the order q, k, v,
+    so z's gradients add up in that order.
     """
     tau = mask.shape[0]
     maps = (query_map, key_map, value_map)
@@ -313,11 +321,14 @@ def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mas
         shapes = ", ".join(str(t.shape) for t in (z, *maps))
         raise ShapeError(f"retain: shapes {shapes} and mask {mask.shape} are incompatible")
     rows, d = z.shape
+    if num_groups < 1 or d % num_groups != 0:
+        raise ConfigError(f"retain: {d} channels not divisible into {num_groups} groups")
     n = rows // tau
     scale = float(1.0 / np.sqrt(d))
     zv, mvs = z.values, [m.values for m in maps]
-    q, v, retained = np.empty((n, tau, d)), np.empty((n, tau, d)), np.empty((n, tau, d))
-    kt, scores = np.empty((n, d, tau)), np.empty((n, tau, tau))
+    q, v, retained = np.empty((n, tau, d)), np.empty((n, tau, d)), np.empty((rows, d))
+    kt, scores, inv = np.empty((n, d, tau)), np.empty((n, tau, tau)), np.empty((rows, num_groups, 1))
+    macs = rows * d * (3 * d + 2 * tau)
 
     def block(b: T.Block) -> None:
         s = slice(b.rows.start // tau, b.rows.stop // tau)
@@ -332,27 +343,39 @@ def retain(z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mas
         sb *= scale  # at most 1 in magnitude: cannot overflow
         sb *= mask
         b.check(sb, "hadamard")
-        b.check(T.serial_product(sb, v[s], out=retained[s]), "matmul")
+        pre = T.serial_product(sb, v[s]).reshape(-1, d)  # the retained product, before its norm
+        b.check(pre, "matmul")
+        T.normalize_groups(pre, retained[b.rows], inv[b.rows], b.check)
 
-    T.run_blocks(block, rows, tau, rows * d * (3 * d + 2 * tau))
+    T.run_blocks(block, rows, tau, macs)
 
     def rule(g: np.ndarray):
-        nonlocal q, kt, v, scores
-        g = g.reshape(n, tau, d)
-        gv = T.product(scores.swapaxes(-1, -2), g).reshape(rows, d)
-        gs = T.product(g, v.swapaxes(-1, -2))
-        gs *= mask
-        gs *= scale
-        scores = v = None
-        gq = T.product(gs, kt.swapaxes(-1, -2)).reshape(rows, d)
-        gk = T.product(q.swapaxes(-1, -2), gs).swapaxes(-1, -2).reshape(rows, d)
-        q = kt = gs = None
+        nonlocal q, kt, v, scores, retained, inv
+        # q's, k's and v's gradients take the memory of q, of k's transposed
+        # copy and of v, each block's rows once no product reads them there:
+        # the rule allocates no (N·lookback, d) array beyond the group norm's.
+        gq, gk, gv = q, kt.reshape(n, tau, d), v
+
+        def block(b: T.Block) -> None:
+            s = slice(b.rows.start // tau, b.rows.stop // tau)
+            gr = T.group_norm_pullback(g[b.rows], retained[b.rows], inv[b.rows]).reshape(-1, tau, d)
+            gs = T.serial_product(gr, v[s].swapaxes(-1, -2))
+            gs *= mask
+            gs *= scale
+            T.serial_product(scores[s].swapaxes(-1, -2), gr, out=gv[s])
+            gk_s = T.serial_product(q[s].swapaxes(-1, -2), gs)
+            T.serial_product(gs, kt[s].swapaxes(-1, -2), out=gq[s])
+            gk[s] = gk_s.swapaxes(-1, -2)
+
+        T.run_blocks(block, rows, tau, macs)
+        q = kt = v = scores = retained = inv = None
         for gx, mv in zip((gq, gk, gv), mvs):
+            gx = gx.reshape(rows, d)
             yield T.product(gx, mv.swapaxes(-1, -2))
             yield T.product(zv.swapaxes(-1, -2), gx)
 
     parents = (z._record, query_map._record, z._record, key_map._record, z._record, value_map._record)
-    return T.node(retained.reshape(rows, d), parents, rule, "retain", check=False)
+    return T.node(retained, parents, rule, "retain", check=False)
 
 
 def parallel_retention(
@@ -368,14 +391,14 @@ def parallel_retention(
     ``z`` is an (N·lookback, d) matrix of whole lookback windows stacked
     stock after stock, with lookback = ``mask.shape[0]``; one stock's
     (lookback, d) window is the N = 1 case. Returns a matrix of the same
-    shape: :func:`retain`, then group normalization. Scores are scaled by
-    1/sqrt(d) before masking; with a super-unit decay the unscaled products
-    overflow at realistic lookbacks.
+    shape from one recorded op, :func:`retain`: retention, then group
+    normalization. Scores are scaled by 1/sqrt(d) before masking; with a
+    super-unit decay the unscaled products overflow at realistic lookbacks.
     """
     tau = mask.shape[0]
     if z.ndim != 2 or z.shape[0] % tau != 0:
         raise ShapeError(f"parallel_retention: expected (stocks·{tau}, channels), got {z.shape}")
-    return T.group_normalize(retain(z, query_map, key_map, value_map, mask), num_groups)
+    return retain(z, query_map, key_map, value_map, mask, num_groups)
 
 
 def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -46,19 +46,23 @@ cross-entropy training objective:
 
 A compound op, such as a whole stage of :mod:`mgdpr.model`, is built from
 the same parts as these: :func:`node` records its output, :func:`product`
-is every matrix product, :func:`check_finite` checks a value it makes and
+is every matrix product, :func:`check_finite` checks a value it makes,
 :func:`rectify` and :func:`rectifier_pullback` are the rectifier and its
-gradient.
+gradient, and :func:`normalize_groups` and :func:`group_norm_pullback` are
+group normalization and its gradient, the arithmetic of
+:func:`group_normalize` itself.
 
 Large row-wise work uses up to two cores at the bits of one call. Work of
 at least 2e7 multiply-adds is split into fixed row blocks
 (:func:`row_blocks`) that :func:`run_blocks` runs, silently, on the calling
 thread and one pool thread (:class:`RowBlocks`): :func:`product`'s blocks
-of 128 output rows, each one ``np.matmul`` over the whole contraction, and
-a stage's blocks of whole stocks, each checking its steps where it
-computes them. The blocks depend on the shape alone and no sum is split
-(BLAS's own threads split sums, and change the bits), so one core computes
-the same blocks in turn, to the same bits. The GEMMs that bound a
+of about 128 output rows, each one ``np.matmul`` over the whole
+contraction, and a stage's blocks of whole stocks, each checking its steps
+where it computes them. A layout has an even number of blocks where it can,
+their sizes at most one unit apart, so two cores get equal shares. The
+blocks depend on the shape alone and no sum is split (BLAS's own threads
+split sums, and change the bits), so one core computes the same blocks in
+turn, to the same bits. The GEMMs that bound a
 reference-width day (N=100, d=256; 1.4e8 to 6.9e8 multiply-adds) and its
 stages cross the threshold; no product or stage of a desk-scale day (N=12,
 d=32) or of a 100-stock day at d=8 reaches it.
@@ -122,6 +126,8 @@ __all__ = [
     "check_finite",
     "rectify",
     "rectifier_pullback",
+    "normalize_groups",
+    "group_norm_pullback",
 ]
 
 
@@ -413,9 +419,11 @@ def serial_product(x: Array, y: Array, out: Array | None = None) -> Array:
 
 
 # Measured on a 2-core VM with one BLAS thread (OpenBLAS 0.3.31). Blocks of
-# 128 rows kept every product of a training and an evaluated day at N=100
-# (d=8, 64 and 256) byte-equal to one call; 64-row blocks did not with two
-# BLAS threads. Two threads against one call (medians of 31 interleaved
+# 128 rows, and the balanced blocks that row_blocks lays out from them (125
+# rows for a 500-row product, 131-132 for 2100 rows), kept every product of
+# a training and an evaluated day at N=100 (d=8, 64 and 256) byte-equal to
+# one call, with one BLAS thread and with two; 64-row blocks did not with
+# two BLAS threads. Two threads against one call (medians of 31 interleaved
 # runs): 0.5-0.9x at 2e6-9e6 multiply-adds, 0.96-1.09x at 1.7e7, 1.17x at
 # 3.4e7-6.7e7 and 1.47x at 1.4e8, the smallest reference-width product.
 BLOCK_ROWS = 128
@@ -426,15 +434,19 @@ MAX_WORKERS = 2
 def row_blocks(rows: int, unit: int, macs: int) -> list[slice]:
     """The fixed blocks of a row-wise computation of ``macs`` multiply-adds
     over ``rows`` rows, in whole units of ``unit`` rows (a stock's lookback
-    window, or one row): ``max(1, BLOCK_ROWS // unit)`` units a block, the
-    last block taking the remainder. Below ``BLOCK_MIN_MACS``, or where
-    that gives fewer than two blocks, one block of every row. The layout
+    window, or one row). As many blocks as ``max(1, BLOCK_ROWS // unit)``
+    units fill, rounded up to an even count (so two cores get equal shares)
+    but no more than there are units; the units are spread evenly, block i
+    starting at unit ⌊i·units/count⌋. Below ``BLOCK_MIN_MACS``, or where
+    fewer than two blocks would fill, one block of every row. The layout
     depends on these three numbers alone, never on the core count."""
-    size = max(1, BLOCK_ROWS // unit) * unit
-    count = rows // size
+    units = rows // unit
+    count = units // max(1, BLOCK_ROWS // unit)
     if count < 2 or macs < BLOCK_MIN_MACS:
         return [slice(0, rows)]
-    return [slice(i * size, rows if i == count - 1 else (i + 1) * size) for i in range(count)]
+    count = min(count + count % 2, units)
+    starts = [i * units // count * unit for i in range(count)] + [rows]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 def run_blocks(body, rows: int, unit: int, macs: int) -> None:
@@ -729,6 +741,37 @@ def activation(a: Tensor) -> Tensor:
     return node(out, (a._record,), rule, "activation", check=False)
 
 
+def normalize_groups(x: Array, out: Array, inv: Array, check) -> None:
+    """Group normalization of the rows of ``x`` into ``out``, a C-contiguous
+    array of ``x``'s shape, and the inverse deviations, all that
+    :func:`group_norm_pullback` reads besides ``out``, into ``inv``: a
+    (rows, groups, 1) array whose shape sets the number of groups.
+    ``check(var, "group_normalize")`` sees the variances before they are
+    used: an overflowing one would give inv = 0 and silent zeros."""
+    rows, groups = inv.shape[:2]
+    x3 = x.reshape(rows, groups, x.shape[1] // groups)
+    mu = x3.mean(axis=2, keepdims=True)
+    xc = x3 - mu
+    var = (xc * xc).mean(axis=2, keepdims=True)
+    check(var, "group_normalize")
+    np.divide(1.0, np.sqrt(var + GROUP_NORM_EPS), out=inv)
+    np.multiply(xc, inv, out=out.reshape(xc.shape))
+
+
+def group_norm_pullback(g: Array, out: Array, inv: Array) -> Array:
+    """The gradient of :func:`normalize_groups`' input, given the gradient
+    ``g`` of its output ``out`` and its inverse deviations ``inv``."""
+    rows, groups = inv.shape[:2]
+    g3 = g.reshape(rows, groups, g.shape[1] // groups)
+    xhat = out.reshape(g3.shape)
+    proj = (g3 * xhat).mean(axis=2, keepdims=True)
+    # inv·(g - mean(g) - x̂·proj) in one buffer, bit for bit.
+    gx = g3 - g3.mean(axis=2, keepdims=True)
+    gx -= xhat * proj
+    gx *= inv
+    return gx.reshape(g.shape)
+
+
 def group_normalize(z: Tensor, num_groups: int) -> Tensor:
     """Normalize each row's channel groups to zero mean, unit variance.
 
@@ -741,23 +784,12 @@ def group_normalize(z: Tensor, num_groups: int) -> Tensor:
     rows, d = z.shape
     if num_groups < 1 or d % num_groups != 0:
         raise ConfigError(f"group_normalize: {d} channels not divisible into {num_groups} groups")
-    gs = d // num_groups
+    out, inv = np.empty((rows, d)), np.empty((rows, num_groups, 1))
     with np.errstate(all="ignore"):
-        x = z.values.reshape(rows, num_groups, gs)
-        mu = x.mean(axis=2, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=2, keepdims=True)
-        # An overflowing variance would give inv = 0 and silent zeros.
-        check_finite(var, "group_normalize")
-        inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
-        xhat = xc * inv
-        out = xhat.reshape(rows, d)
+        normalize_groups(z.values, out, inv, check_finite)
 
     def rule(g: Array):
-        g3 = g.reshape(rows, num_groups, gs)
-        gmean = g3.mean(axis=2, keepdims=True)
-        proj = (g3 * xhat).mean(axis=2, keepdims=True)
-        return ((inv * (g3 - gmean - xhat * proj)).reshape(rows, d),)
+        return (group_norm_pullback(g, out, inv),)
 
     return node(out, (z._record,), rule, "group_normalize", check=False)
 

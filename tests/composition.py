@@ -70,7 +70,7 @@ def diffuse_layer(state, diffusion, relation_maps, mix_w, mix_b):
     return T.activation(T.add(mixed, mix_b))
 
 
-def retain(z, query_map, key_map, value_map, mask):
+def retain(z, query_map, key_map, value_map, mask, num_groups):
     tau = mask.shape[0]
     n, d = z.shape[0] // tau, z.shape[1]
     q = T.reshape(T.matmul(z, query_map), (n, tau, d))
@@ -79,7 +79,7 @@ def retain(z, query_map, key_map, value_map, mask):
     mask_t = T.constant(np.broadcast_to(mask, (n, tau, tau)))
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
     retained = T.matmul(T.hadamard(scores, mask_t), v)
-    return T.reshape(retained, z.shape)
+    return T.group_normalize(T.reshape(retained, z.shape), num_groups)
 
 
 def merge_carry(retained, carried, w1, b1, w2, b2):

@@ -422,10 +422,10 @@ class TestForward:
 
 class TestStateLayout:
     """The state stays one (N·lookback, d) matrix from the embedding to the
-    readout: over prebuilt mixes, a recording forward records 5 nodes per
-    layer (the masked mix, then one per stage: diffusion, retention, group
-    norm and the update), none of them a reshape, and one reshape for the
-    readout's (N, lookback, d) view."""
+    readout: over prebuilt mixes, a recording forward records 4 nodes per
+    layer (the masked mix, then one per stage: diffusion, retention with its
+    group norm, and the update), none of them a reshape, and one reshape for
+    the readout's (N, lookback, d) view."""
 
     @pytest.mark.parametrize("layers", [0, 1, 3])
     def test_recorded_reshapes(self, monkeypatch, layers):
@@ -445,7 +445,7 @@ class TestStateLayout:
         monkeypatch.setattr(T, "node", spy)
         logits = forward(params, cfg, features, adjacency, mixes=mixes)
         assert logits.requires_grad
-        layer = ["hadamard", "diffuse_layer", "retain", "group_normalize", "merge_carry"]
+        layer = ["hadamard", "diffuse_layer", "retain", "merge_carry"]
         readout = ["reshape", "mean_axis", "linear", "activation", "linear"]
         assert recorded == ["linear"] + layer * layers + readout
 
@@ -524,8 +524,8 @@ class TestMemory:
         records = tape_records(forward(model.params, model.config, features, adjacency))
         rules = [rec.rule for rec in records if rec.rule is not None]
         # The embedding; per layer, 6 records that build the transition mix
-        # and 5 that use it; the readout's 5.
-        assert len(rules) == 1 + 2 * (6 + 5) + 5
+        # and 4 that use it; the readout's 5.
+        assert len(rules) == 1 + 2 * (6 + 4) + 5
         for rec in records:
             assert all(p is None or isinstance(p, T._Record) for p in rec.parents)
         for rule in rules:

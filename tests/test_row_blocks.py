@@ -19,7 +19,7 @@ from mgdpr.model import Model, ModelConfig
 from mgdpr.synthetic import planted_market
 from mgdpr.tensor import Tensor
 from mgdpr.training import TrainConfig, evaluate, train
-from test_stages import STAGES, overflow_cases, stage_inputs
+from test_stages import GROUP_NORM_OVERFLOW, STAGES, overflow_cases, run, stage_inputs
 
 # (stocks, lookback, width, layers, steps)
 DAYS = {"desk": (12, 21, 32, 2, 2), "cli-pipeline": (100, 21, 8, 1, 2), "n100-d64": (100, 21, 64, 2, 2)}
@@ -117,18 +117,42 @@ def test_every_row_is_computed_once_with_the_one_call_bytes(rows, batched, pools
         assert out.tobytes() == np.matmul(x, y).tobytes()
 
 
+def spans(sizes, unit):
+    """(start, stop) row pairs of consecutive blocks of ``sizes`` units."""
+    stops = np.cumsum(sizes) * unit
+    return list(zip([0, *stops[:-1]], stops))
+
+
 @pytest.mark.parametrize(
     "rows, unit, blocks",
     [
-        (2100, 21, [(i * 126, (i + 1) * 126) for i in range(15)] + [(1890, 2100)]),  # 6 stocks a block
-        (2100, 1, [(i * 128, (i + 1) * 128) for i in range(15)] + [(1920, 2100)]),
-        (600, 200, [(0, 200), (200, 400), (400, 600)]),  # one stock a block
+        (2100, 21, spans([6, 6, 6, 7] * 4, 21)),  # 16 blocks of 6 or 7 stocks
+        (2100, 1, spans([131, 131, 131, 132] * 4, 1)),
+        (500, 1, spans([125] * 4, 1)),  # the propagation product at reference width
+        (600, 200, [(0, 200), (200, 400), (400, 600)]),  # one stock a block: no more blocks than stocks
         (255, 1, [(0, 255)]),  # one block: fewer than two would fit
     ],
 )
 def test_the_layout_depends_on_the_shape_alone(rows, unit, blocks):
     assert [(b.start, b.stop) for b in T.row_blocks(rows, unit, T.BLOCK_MIN_MACS)] == blocks
     assert T.row_blocks(rows, unit, T.BLOCK_MIN_MACS - 1) == [slice(0, rows)]
+
+
+@pytest.mark.parametrize("unit", [1, 2, 5, 21, 63, 64, 100, 127, 128, 129, 200, 300])
+def test_blocks_cover_every_row_once_in_whole_units_of_sizes_one_unit_apart(unit):
+    per_block = max(1, T.BLOCK_ROWS // unit)
+    for units in range(1, 600):
+        rows = units * unit
+        blocks = T.row_blocks(rows, unit, T.BLOCK_MIN_MACS)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]], rows
+        assert blocks[-1].stop == rows, rows
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(size > 0 and size % unit == 0 for size in sizes), rows
+        assert max(sizes) - min(sizes) <= unit, rows
+        # One block where fewer than two would fill; else an even count,
+        # unless there are fewer units than that.
+        assert (len(blocks) > 1) == (units // per_block >= 2), rows
+        assert len(blocks) == 1 or len(blocks) % 2 == 0 or len(blocks) == units, rows
 
 
 def test_more_threads_than_cores_with_fast_switching_lose_no_block(monkeypatch):
@@ -151,23 +175,11 @@ def test_more_threads_than_cores_with_fast_switching_lose_no_block(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_pool_threads_run_under_the_callers_error_state(pools, monkeypatch):
-    # numpy keeps its error state per context: a pool thread that ran in
-    # its own would warn on the overflow that the caller chose to ignore.
-    monkeypatch.setattr(T, "_blocks", pools[2])
-    big = np.full((64 * T.BLOCK_ROWS, 4), 1e300)
-    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(all="ignore"):
-            out = T.product(big, big[:4].T.copy())
-    assert np.isinf(out).all()
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_blocked_product_computes_silently_under_the_callers_raise(workers, pools, monkeypatch):
     # Blocks run under run_blocks' own error state; callers check what
-    # they keep.
+    # they keep. numpy keeps its error state per context, so a pool thread
+    # that did not run in a copy of the caller's would warn here.
     monkeypatch.setattr(T, "_blocks", pools[workers])
     monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
     big = np.full((64 * T.BLOCK_ROWS, 4), 1e300)
@@ -426,6 +438,32 @@ def test_stage_output_and_saved_arrays_have_the_one_block_bytes_on_pools_of_one_
         assert (f"{stage}.<locals>.block", 16) in runs, runs
 
 
+@pytest.mark.parametrize("shape", [(100, 21, 64, 5), (100, 21, 256, 5)], ids=["n100-d64", "reference-width"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_gradients_have_the_one_block_bytes_on_pools_of_one_and_two(stage, shape, pools, monkeypatch):
+    arrays, extra = stage_inputs(stage, shape, seed=12)
+    probe = np.random.default_rng(13).normal(size=(shape[0] * shape[1], shape[2]))
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "BLOCK_MIN_MACS", float("inf"))
+        patch.setattr(T, "_blocks", None)
+        whole = run(getattr(M, stage), arrays, extra, list(arrays), probe)
+    for workers, pool in pools.items():
+        runs = []
+        real = pool.run
+
+        def counting(body, blocks):
+            runs.append((body.__qualname__, len(blocks)))
+            return real(body, blocks)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "_blocks", pool)
+            patch.setattr(pool, "run", counting)
+            assert run(getattr(M, stage), arrays, extra, list(arrays), probe) == whole, workers
+        if stage == "retain":
+            # The rule runs as the forward's 16 blocks of whole stocks.
+            assert ("retain.<locals>.rule.<locals>.block", 16) in runs, runs
+
+
 def planted_in_the_last_stock(stage, arrays, n):
     """An overflow case's one-stock inputs as the last of ``n`` stocks
     whose other rows are zero; each stock diffuses only to itself."""
@@ -480,11 +518,44 @@ def test_an_earlier_step_failing_in_the_last_block_is_raised_before_a_later_step
     mask = np.tril(np.full((tau, tau), 1e100))
     monkeypatch.setattr(T, "_blocks", T.RowBlocks(2))
     monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
-    assert T.row_blocks(n * tau, tau, 0)[0] == slice(0, 128)
-    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask,)) == (
+    assert T.row_blocks(n * tau, tau, 0)[0] == slice(0, 150)
+    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask, 1)) == (
         "matmul produced a non-finite value"
     )
     z[-tau:] = 0.0
-    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask,)) == (
+    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask, 1)) == (
         "hadamard produced a non-finite value"
     )
+
+
+@pytest.mark.parametrize(
+    "stage, op, arrays, extra", [case for case in overflow_cases() if case[0] == "retain"]
+)
+def test_retention_on_a_pool_of_one_names_the_op_of_one_block_when_the_last_stock_overflows(
+    stage, op, arrays, extra, pools, monkeypatch
+):
+    # What test_a_non_finite_value_in_the_last_block_raises_the_op_of_one_block
+    # checks on two threads, the group norm's variance included, on one.
+    monkeypatch.setattr(T, "_blocks", pools[1])
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
+    assert len(T.row_blocks(300 * arrays["z"].shape[0], arrays["z"].shape[0], 0)) > 1
+    assert stage_error(stage, planted_in_the_last_stock(stage, arrays, 300), extra) == (
+        f"{op} produced a non-finite value"
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_product_failing_in_the_last_block_is_raised_before_a_variance_overflowing_in_block_0(
+    workers, pools, monkeypatch
+):
+    # Block 0's variance overflows; the last block's v, a product, first.
+    z = np.zeros((300 * 2, 2))
+    z[:2] = GROUP_NORM_OVERFLOW["z"]
+    z[-2:] = 1.5e308
+    maps = {name: GROUP_NORM_OVERFLOW[name] for name in ("query_map", "key_map", "value_map")}
+    extra = (np.tril(np.ones((2, 2))), 1)
+    monkeypatch.setattr(T, "_blocks", pools[workers])
+    monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
+    assert stage_error("retain", {"z": z, **maps}, extra) == "matmul produced a non-finite value"
+    z[-2:] = 0.0
+    assert stage_error("retain", {"z": z, **maps}, extra) == "group_normalize produced a non-finite value"

@@ -39,7 +39,7 @@ def stage_inputs(stage, shape, seed):
         }, ()
     if stage == "retain":
         maps = {name: rng.normal(scale=d**-0.5, size=(d, d)) for name in ("query_map", "key_map", "value_map")}
-        return {"z": rng.normal(size=(rows, d)), **maps}, (decay_mask(tau, 1.27),)
+        return {"z": rng.normal(size=(rows, d)), **maps}, (decay_mask(tau, 1.27), 2)
     return {
         "retained": rng.normal(size=(rows, d)),
         "carried": rng.normal(size=(rows, d)),
@@ -129,6 +129,14 @@ class TestTape:
         assert not any(isinstance(a, np.ndarray) and a.shape == (n * tau, 2 * d) for a in held)
 
 
+# Two equal rows of two channels: the retained rows, ±7e209, are finite, but
+# their variance in one group of both channels overflows.
+GROUP_NORM_OVERFLOW = {
+    "z": np.array([[1e50, 0.0], [1e50, 0.0]]), "query_map": np.eye(2), "key_map": np.eye(2),
+    "value_map": np.array([[1e60, -1e60], [0.0, 0.0]]),
+}
+
+
 def overflow_cases():
     """(stage, op name, inputs, extra arguments): inputs whose first
     non-finite value arises at that op's check."""
@@ -150,15 +158,18 @@ def overflow_cases():
           "relation_maps": np.ones((1, 1, 1)), "mix_w": one, "mix_b": np.asarray(1e308)}, ()),
         *[
             ("retain", "matmul", {"z": np.full((2, 1), 1e200), **retain_maps, name: np.full((1, 1), 1e200)},
-             (lower,))
+             (lower, 1))
             for name in retain_maps
         ],
-        ("retain", "constant", {"z": np.ones((2, 1)), **retain_maps}, (np.array([[1.0, 0.0], [np.inf, 1.0]]),)),
+        ("retain", "constant", {"z": np.ones((2, 1)), **retain_maps}, (np.array([[1.0, 0.0], [np.inf, 1.0]]), 1)),
         ("retain", "matmul",  # the scores
-         {"z": np.full((2, 1), 1e160), **retain_maps}, (lower,)),
-        ("retain", "hadamard", {"z": np.full((2, 1), 1e150), **retain_maps}, (np.tril(np.full((2, 2), 1e100)),)),
+         {"z": np.full((2, 1), 1e160), **retain_maps}, (lower, 1)),
+        ("retain", "hadamard", {"z": np.full((2, 1), 1e150), **retain_maps}, (np.tril(np.full((2, 2), 1e100)), 1)),
         ("retain", "matmul",  # the retained product
-         {"z": np.full((2, 1), 1e100), **retain_maps, "value_map": np.full((1, 1), 1e150)}, (lower,)),
+         {"z": np.full((2, 1), 1e100), **retain_maps, "value_map": np.full((1, 1), 1e150)}, (lower, 1)),
+        ("retain", "group_normalize", GROUP_NORM_OVERFLOW, (lower, 1)),  # the variance of both rows
+        ("retain", "matmul",  # the second row's retained product, before the first row's variance
+         GROUP_NORM_OVERFLOW, (np.array([[1.0, 0.0], [1e100, 1.0]]), 1)),
         ("merge_carry", "linear",  # the carry
          {"retained": one, "carried": np.full((1, 1), 1e200), "w1": np.full((1, 1), 1e200),
           "b1": np.zeros(1), "w2": np.ones((2, 1)), "b2": np.zeros(1)}, ()),
@@ -189,7 +200,7 @@ class TestShapes:
     def test_retention_rejects_maps_of_another_width(self):
         with pytest.raises(ShapeError, match=r"retain: .*\(6, 4\).*\(4, 3\)"):
             M.retain(Tensor(np.zeros((6, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 4))),
-                     Tensor(np.zeros((4, 4))), decay_mask(3, 1.27))
+                     Tensor(np.zeros((4, 4))), decay_mask(3, 1.27), 2)
 
     def test_update_names_every_shape(self):
         with pytest.raises(ShapeError, match=r"merge_carry: .*\(6, 4\).*\(5, 4\)"):
