@@ -16,11 +16,12 @@ take and return that matrix:
   with an affine carry of the previous layer's representation.
 
 Each stage is one op on the autograd tape: :func:`diffuse_layer`,
-:func:`retain` (group normalization included) and :func:`merge_carry`, so
-a layer records 4 nodes with the masked transition mix. A stage op runs the
-numpy expressions of the generic ops it stands for, in their order, checks
-each value that could overflow under the name of the op that made it, and
-its rule forms the gradients their rules would, in the same order: values and gradients keep their bits. Unlike a
+:func:`parallel_retention` (group normalization included) and
+:func:`merge_carry`, so a layer records 4 nodes with the masked transition
+mix. A stage op runs the numpy expressions of the generic ops it stands
+for, in their order, checks each value that could overflow under the name
+of the op that made it, and its rule forms the gradients their rules
+would, in the same order: values and gradients keep their bits. Unlike a
 generic op's rule, it forms every input's gradient (training records every
 input, a frozen pass none), and ``backward`` drops any without a record.
 
@@ -295,34 +296,38 @@ def diffuse_layer(
     return T.node(out, tuple(t._record for t in inputs), rule, "diffuse_layer", check=False)
 
 
-def retain(
+def parallel_retention(
     z: Tensor, query_map: Tensor, key_map: Tensor, value_map: Tensor, mask: np.ndarray, num_groups: int
 ) -> Tensor:
-    """Retention and its group normalization, as one recorded op.
+    """Causal, distance-decayed sequence mixing with group normalization,
+    as one recorded op.
 
-    ``z`` is an (N·lookback, d) matrix of whole lookback windows, with
-    lookback = ``mask.shape[0]``. Per stock, q, k and v are z's rows times
-    the (d, d) maps; the scores q·kᵀ are scaled by 1/sqrt(d), masked by the
-    causal decay ``mask`` and multiply v, and the retained product's rows
-    are normalized in ``num_groups`` channel groups
-    (:func:`mgdpr.tensor.normalize_groups`). Returns the (N·lookback, d)
-    normalized matrix. Each block of stocks normalizes its own rows, so the
-    retained product is never whole. The rule keeps z, the maps, q, the
-    transposed copy of k, v, the masked scores, the output and its inverse
-    deviations, and runs as the forward's stock blocks: the group norm's
-    pullback and the per-stock products of v's, the scores', q's and k's
-    gradients. It yields z's gradient once per map, in the order q, k, v,
-    so z's gradients add up in that order.
+    ``z`` is an (N·lookback, d) matrix of whole lookback windows stacked
+    stock after stock, with lookback = ``mask.shape[0]``; one stock's
+    (lookback, d) window is the N = 1 case. Per stock, q, k and v are z's
+    rows times the (d, d) maps; the scores q·kᵀ are scaled by 1/sqrt(d)
+    before masking (with a super-unit decay the unscaled products overflow
+    at realistic lookbacks), masked by the causal decay ``mask`` and
+    multiply v, and the retained product's rows are normalized in
+    ``num_groups`` channel groups (:func:`mgdpr.tensor.normalize_groups`).
+    Returns the (N·lookback, d) normalized matrix. Each block of stocks
+    normalizes its own rows, so the retained product is never whole. The
+    rule keeps z, the maps, q, the transposed copy of k, v, the masked
+    scores, the output and its inverse deviations, and runs as the
+    forward's stock blocks: the group norm's pullback and the per-stock
+    products of v's, the scores', q's and k's gradients. It yields z's
+    gradient once per map, in the order q, k, v, so z's gradients add up
+    in that order.
     """
     tau = mask.shape[0]
     maps = (query_map, key_map, value_map)
     square = z.shape[-1:] * 2
     if z.ndim != 2 or z.shape[0] % tau or mask.shape != (tau, tau) or any(m.shape != square for m in maps):
         shapes = ", ".join(str(t.shape) for t in (z, *maps))
-        raise ShapeError(f"retain: shapes {shapes} and mask {mask.shape} are incompatible")
+        raise ShapeError(f"parallel_retention: shapes {shapes} and mask {mask.shape} are incompatible")
     rows, d = z.shape
     if num_groups < 1 or d % num_groups != 0:
-        raise ConfigError(f"retain: {d} channels not divisible into {num_groups} groups")
+        raise ConfigError(f"parallel_retention: {d} channels not divisible into {num_groups} groups")
     n = rows // tau
     scale = float(1.0 / np.sqrt(d))
     zv, mvs = z.values, [m.values for m in maps]
@@ -375,30 +380,7 @@ def retain(
             yield T.product(zv.swapaxes(-1, -2), gx)
 
     parents = (z._record, query_map._record, z._record, key_map._record, z._record, value_map._record)
-    return T.node(retained, parents, rule, "retain", check=False)
-
-
-def parallel_retention(
-    z: Tensor,
-    query_map: Tensor,
-    key_map: Tensor,
-    value_map: Tensor,
-    mask: np.ndarray,
-    num_groups: int,
-) -> Tensor:
-    """Causal, distance-decayed sequence mixing with group normalization.
-
-    ``z`` is an (N·lookback, d) matrix of whole lookback windows stacked
-    stock after stock, with lookback = ``mask.shape[0]``; one stock's
-    (lookback, d) window is the N = 1 case. Returns a matrix of the same
-    shape from one recorded op, :func:`retain`: retention, then group
-    normalization. Scores are scaled by 1/sqrt(d) before masking; with a
-    super-unit decay the unscaled products overflow at realistic lookbacks.
-    """
-    tau = mask.shape[0]
-    if z.ndim != 2 or z.shape[0] % tau != 0:
-        raise ShapeError(f"parallel_retention: expected (stocks·{tau}, channels), got {z.shape}")
-    return retain(z, query_map, key_map, value_map, mask, num_groups)
+    return T.node(retained, parents, rule, "parallel_retention", check=False)
 
 
 def merge_carry(retained: Tensor, carried: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
 """The layer stages of ``mgdpr.model`` composed from generic tensor ops.
 
-Each stage of a layer (``diffuse_layer``, ``retain`` and ``merge_carry``)
-is one recorded op in the library. Here each is the chain of generic ops
-that it replaces, op for op: the bit oracle that the stage ops' values and
-gradients are compared against. :func:`relation_mix`, the one compound op
-of that chain, is kept here as it was a generic op of ``mgdpr.tensor``.
+Each stage of a layer (``diffuse_layer``, ``parallel_retention`` and
+``merge_carry``) is one recorded op in the library. Here each is the chain
+of generic ops that it replaces, op for op: the bit oracle that the stage
+ops' values and gradients are compared against. :func:`relation_mix`, the
+one compound op of that chain, is kept here as it was a generic op of
+``mgdpr.tensor``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def diffuse_layer(state, diffusion, relation_maps, mix_w, mix_b):
     return T.activation(T.add(mixed, mix_b))
 
 
-def retain(z, query_map, key_map, value_map, mask, num_groups):
+def parallel_retention(z, query_map, key_map, value_map, mask, num_groups):
     tau = mask.shape[0]
     n, d = z.shape[0] // tau, z.shape[1]
     q = T.reshape(T.matmul(z, query_map), (n, tau, d))
@@ -87,7 +88,7 @@ def merge_carry(retained, carried, w1, b1, w2, b2):
     return T.activation(T.linear(T.concat([retained, carry], 1), w2, b2))
 
 
-STAGES = {"diffuse_layer": diffuse_layer, "retain": retain, "merge_carry": merge_carry}
+STAGES = {"diffuse_layer": diffuse_layer, "parallel_retention": parallel_retention, "merge_carry": merge_carry}
 
 
 def install(monkeypatch) -> None:

@@ -1185,6 +1185,22 @@ class TestEval:
         ckpt.write_bytes(b"\xff" * 64)
         assert run("eval", "--config", config) == 6
 
+    def test_panel_reingested_with_a_ticker_delisted_exits_6_with_one_line(self, tmp_path, capsys):
+        # The checkpoint's header check refuses a panel of fewer stocks
+        # than it was trained on, before any reshape can fail or pass.
+        config = make_workspace(tmp_path)
+        data_dir = tmp_path / "data"
+        write_series_csv(planted_market(num_stocks=4, num_days=30, momentum_lag=3, seed=1), data_dir)
+        for cmd in ("ingest", "train"):
+            assert run(cmd, "--config", config) == 0
+        sorted(data_dir.glob("*.csv"))[-1].unlink()
+        assert run("ingest", "--config", config) == 0
+        capsys.readouterr()
+        assert run("eval", "--config", config) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "num_stocks=4, not 3" in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
     def test_multi_seed_aggregate(self, tmp_path, monkeypatch):
         config = self._pipeline(tmp_path)
         monkeypatch.setenv("MGDPR_TRAIN_SEED", "3")

@@ -445,7 +445,7 @@ class TestStateLayout:
         monkeypatch.setattr(T, "node", spy)
         logits = forward(params, cfg, features, adjacency, mixes=mixes)
         assert logits.requires_grad
-        layer = ["hadamard", "diffuse_layer", "retain", "merge_carry"]
+        layer = ["hadamard", "diffuse_layer", "parallel_retention", "merge_carry"]
         readout = ["reshape", "mean_axis", "linear", "activation", "linear"]
         assert recorded == ["linear"] + layer * layers + readout
 
@@ -537,17 +537,17 @@ class TestMemory:
     UNREAD_PRODUCTS = [
         ("diffuse_layer", 3, 1),  # the mapped stack
         ("diffuse_layer", 3, 2),  # the relation mix, the pre-activation sum
-        ("retain", 5, 1),  # k, before its transposed copy
-        ("retain", 5, 4),  # the product before group norm
+        ("parallel_retention", 5, 1),  # k, before its transposed copy
+        ("parallel_retention", 5, 4),  # the product before group norm
         ("merge_carry", 2, 1),  # the pre-activation product
     ]
     # Products that the rules read: the propagated stack, q, v, the masked
     # scores and the carry, which takes its bias in place.
     READ_PRODUCTS = [
         ("diffuse_layer", 3, 0),
-        ("retain", 5, 0),
-        ("retain", 5, 2),
-        ("retain", 5, 3),
+        ("parallel_retention", 5, 0),
+        ("parallel_retention", 5, 2),
+        ("parallel_retention", 5, 3),
         ("merge_carry", 2, 0),
     ]
 
@@ -555,7 +555,7 @@ class TestMemory:
         model, features, adjacency = desk_instance()
         outputs: dict[str, list] = {}
         kept = []
-        stages = {"diffuse_layer", "retain", "merge_carry"}
+        stages = {"diffuse_layer", "parallel_retention", "merge_carry"}
 
         def tracing(real):
             # A stage makes its products through ``T.product`` or, in its

@@ -459,9 +459,9 @@ def test_stage_gradients_have_the_one_block_bytes_on_pools_of_one_and_two(stage,
             patch.setattr(T, "_blocks", pool)
             patch.setattr(pool, "run", counting)
             assert run(getattr(M, stage), arrays, extra, list(arrays), probe) == whole, workers
-        if stage == "retain":
+        if stage == "parallel_retention":
             # The rule runs as the forward's 16 blocks of whole stocks.
-            assert ("retain.<locals>.rule.<locals>.block", 16) in runs, runs
+            assert ("parallel_retention.<locals>.rule.<locals>.block", 16) in runs, runs
 
 
 def planted_in_the_last_stock(stage, arrays, n):
@@ -519,17 +519,17 @@ def test_an_earlier_step_failing_in_the_last_block_is_raised_before_a_later_step
     monkeypatch.setattr(T, "_blocks", T.RowBlocks(2))
     monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
     assert T.row_blocks(n * tau, tau, 0)[0] == slice(0, 150)
-    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask, 1)) == (
+    assert stage_error("parallel_retention", {"z": z, "q": maps, "k": maps, "v": maps}, (mask, 1)) == (
         "matmul produced a non-finite value"
     )
     z[-tau:] = 0.0
-    assert stage_error("retain", {"z": z, "q": maps, "k": maps, "v": maps}, (mask, 1)) == (
+    assert stage_error("parallel_retention", {"z": z, "q": maps, "k": maps, "v": maps}, (mask, 1)) == (
         "hadamard produced a non-finite value"
     )
 
 
 @pytest.mark.parametrize(
-    "stage, op, arrays, extra", [case for case in overflow_cases() if case[0] == "retain"]
+    "stage, op, arrays, extra", [case for case in overflow_cases() if case[0] == "parallel_retention"]
 )
 def test_retention_on_a_pool_of_one_names_the_op_of_one_block_when_the_last_stock_overflows(
     stage, op, arrays, extra, pools, monkeypatch
@@ -556,6 +556,6 @@ def test_a_product_failing_in_the_last_block_is_raised_before_a_variance_overflo
     extra = (np.tril(np.ones((2, 2))), 1)
     monkeypatch.setattr(T, "_blocks", pools[workers])
     monkeypatch.setattr(T, "BLOCK_MIN_MACS", 0)
-    assert stage_error("retain", {"z": z, **maps}, extra) == "matmul produced a non-finite value"
+    assert stage_error("parallel_retention", {"z": z, **maps}, extra) == "matmul produced a non-finite value"
     z[-2:] = 0.0
-    assert stage_error("retain", {"z": z, **maps}, extra) == "group_normalize produced a non-finite value"
+    assert stage_error("parallel_retention", {"z": z, **maps}, extra) == "group_normalize produced a non-finite value"

@@ -16,9 +16,9 @@ from mgdpr.synthetic import planted_market
 from mgdpr.tensor import Tensor
 from mgdpr.training import TrainConfig, evaluate, train
 
-STAGES = ["diffuse_layer", "retain", "merge_carry"]
+STAGES = ["diffuse_layer", "parallel_retention", "merge_carry"]
 # A stage record's parents by input name, where they differ from the inputs.
-PARENTS = {"retain": ["z", "query_map", "z", "key_map", "z", "value_map"]}
+PARENTS = {"parallel_retention": ["z", "query_map", "z", "key_map", "z", "value_map"]}
 # (stocks, lookback, width, relations)
 SHAPES = {"desk": (12, 21, 32, 5), "n100-d64": (100, 21, 64, 5), "tiny": (3, 2, 4, 2)}
 
@@ -37,7 +37,7 @@ def stage_inputs(stage, shape, seed):
             "mix_w": rng.normal(size=(1, r)),
             "mix_b": np.asarray(rng.normal()),
         }, ()
-    if stage == "retain":
+    if stage == "parallel_retention":
         maps = {name: rng.normal(scale=d**-0.5, size=(d, d)) for name in ("query_map", "key_map", "value_map")}
         return {"z": rng.normal(size=(rows, d)), **maps}, (decay_mask(tau, 1.27), 2)
     return {
@@ -141,7 +141,7 @@ def overflow_cases():
     """(stage, op name, inputs, extra arguments): inputs whose first
     non-finite value arises at that op's check."""
     one = np.ones((1, 1))
-    retain_maps = {"query_map": one, "key_map": one, "value_map": one}
+    retention_maps = {"query_map": one, "key_map": one, "value_map": one}
     lower = np.tril(np.ones((2, 2)))
     return [
         ("diffuse_layer", "matmul",
@@ -157,18 +157,20 @@ def overflow_cases():
          {"state": np.full((1, 1), 1e308), "diffusion": np.ones((1, 1, 1)),
           "relation_maps": np.ones((1, 1, 1)), "mix_w": one, "mix_b": np.asarray(1e308)}, ()),
         *[
-            ("retain", "matmul", {"z": np.full((2, 1), 1e200), **retain_maps, name: np.full((1, 1), 1e200)},
-             (lower, 1))
-            for name in retain_maps
+            ("parallel_retention", "matmul",
+             {"z": np.full((2, 1), 1e200), **retention_maps, name: np.full((1, 1), 1e200)}, (lower, 1))
+            for name in retention_maps
         ],
-        ("retain", "constant", {"z": np.ones((2, 1)), **retain_maps}, (np.array([[1.0, 0.0], [np.inf, 1.0]]), 1)),
-        ("retain", "matmul",  # the scores
-         {"z": np.full((2, 1), 1e160), **retain_maps}, (lower, 1)),
-        ("retain", "hadamard", {"z": np.full((2, 1), 1e150), **retain_maps}, (np.tril(np.full((2, 2), 1e100)), 1)),
-        ("retain", "matmul",  # the retained product
-         {"z": np.full((2, 1), 1e100), **retain_maps, "value_map": np.full((1, 1), 1e150)}, (lower, 1)),
-        ("retain", "group_normalize", GROUP_NORM_OVERFLOW, (lower, 1)),  # the variance of both rows
-        ("retain", "matmul",  # the second row's retained product, before the first row's variance
+        ("parallel_retention", "constant",
+         {"z": np.ones((2, 1)), **retention_maps}, (np.array([[1.0, 0.0], [np.inf, 1.0]]), 1)),
+        ("parallel_retention", "matmul",  # the scores
+         {"z": np.full((2, 1), 1e160), **retention_maps}, (lower, 1)),
+        ("parallel_retention", "hadamard",
+         {"z": np.full((2, 1), 1e150), **retention_maps}, (np.tril(np.full((2, 2), 1e100)), 1)),
+        ("parallel_retention", "matmul",  # the retained product
+         {"z": np.full((2, 1), 1e100), **retention_maps, "value_map": np.full((1, 1), 1e150)}, (lower, 1)),
+        ("parallel_retention", "group_normalize", GROUP_NORM_OVERFLOW, (lower, 1)),  # the variance of both rows
+        ("parallel_retention", "matmul",  # the second row's retained product, before the first row's variance
          GROUP_NORM_OVERFLOW, (np.array([[1.0, 0.0], [1e100, 1.0]]), 1)),
         ("merge_carry", "linear",  # the carry
          {"retained": one, "carried": np.full((1, 1), 1e200), "w1": np.full((1, 1), 1e200),
@@ -198,9 +200,9 @@ class TestShapes:
             )
 
     def test_retention_rejects_maps_of_another_width(self):
-        with pytest.raises(ShapeError, match=r"retain: .*\(6, 4\).*\(4, 3\)"):
-            M.retain(Tensor(np.zeros((6, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 4))),
-                     Tensor(np.zeros((4, 4))), decay_mask(3, 1.27), 2)
+        with pytest.raises(ShapeError, match=r"parallel_retention: .*\(6, 4\).*\(4, 3\)"):
+            M.parallel_retention(Tensor(np.zeros((6, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 4))),
+                                 Tensor(np.zeros((4, 4))), decay_mask(3, 1.27), 2)
 
     def test_update_names_every_shape(self):
         with pytest.raises(ShapeError, match=r"merge_carry: .*\(6, 4\).*\(5, 4\)"):
